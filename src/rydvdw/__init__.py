@@ -7,7 +7,6 @@ from .dynamics import (
     Level,
     basis_state,
     build_hamiltonian,
-    computational_states,
     evolve,
     exponentiate,
 )

@@ -24,12 +24,13 @@ import numpy as np
 from .config import RunConfig, load_config, parse_config
 from .constants import LIFETIME_97S_4K_MS, LIFETIME_97S_300K_MS, MHZ, HYPERFINE_SPLITTING_RB87
 from .errors import ConfigError, NumericError
-from .gates import extract_gate_matrix, ideal_gate, pedersen_fidelity
+from .gates import extract_gate_matrix, gate_fidelity, ideal_gate, pedersen_fidelity
 from .geometry import VdwModel, vdw_interaction
 from .noise import (
     FidelityTable,
     GridSpec,
     NoiseConfig,
+    TableWindowError,
     grid_average_fidelity,
     inflate_sigmas,
     monte_carlo_average_fidelity,
@@ -146,9 +147,7 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
     protocol = build_protocol(params, cfg.kind)
     ncfg = _noise_config(cfg, params)
     sigmas = inflate_sigmas(ncfg, params.t_gate)
-    table = FidelityTable(
-        protocol, vdw, ncfg.trap_separation, sigmas.sigma_z, threads=cfg.threads
-    )
+    table = FidelityTable(protocol, vdw, ncfg.trap_separation, sigmas.sigma_z)
     exposure = rydberg_exposure(protocol)
     results: dict = {
         "sigma_z_um": sigmas.sigma_z,
@@ -173,7 +172,7 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
         for delta in cfg.deltas:
             tic = time.perf_counter()
             report = grid_average_fidelity(
-                protocol, vdw, ncfg, sigmas, GridSpec(delta), table=table
+                protocol, vdw, ncfg, sigmas, GridSpec(delta), table=table, exposure=exposure
             )
             wall = time.perf_counter() - tic
             series.append((delta, report))
@@ -197,6 +196,7 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
             seed=cfg.seed,
             truncate=1.5 if cfg.mc_truncated else None,
             table=table,
+            exposure=exposure,
         )
         wall = time.perf_counter() - tic
         results["mc"] = _report_dict(report)
@@ -219,15 +219,14 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     rows = []
     if axis == "separation":
         protocol = build_protocol(params, cfg.kind)
-        ideal = ideal_gate(protocol)
-        for sep in values:
-            interaction = vdw_interaction(vdw, float(sep))
-            gate = extract_gate_matrix(protocol, interaction)
+        interactions = vdw_interaction(vdw, values)
+        fidelities = gate_fidelity(protocol, interactions)
+        for sep, interaction, fidelity in zip(values, interactions, fidelities):
             rows.append({
                 "axis": axis,
                 "value": float(sep),
-                "interaction_mhz": interaction / MHZ,
-                "nominal_fidelity": pedersen_fidelity(gate, ideal),
+                "interaction_mhz": float(interaction / MHZ),
+                "nominal_fidelity": float(fidelity),
             })
     elif axis == "omega":
         for omega_mhz in values:
@@ -254,15 +253,14 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         sigma_hot = inflate_sigmas(
             replace(ncfg_base, temperature=float(values[-1])), params.t_gate
         ).sigma_z
-        table = FidelityTable(
-            protocol, vdw, ncfg_base.trap_separation, sigma_hot, threads=cfg.threads
-        )
+        table = FidelityTable(protocol, vdw, ncfg_base.trap_separation, sigma_hot)
+        exposure = rydberg_exposure(protocol)
         delta = min(cfg.deltas)
         for temp in values:
             ncfg = replace(ncfg_base, temperature=float(temp))
             sigmas = inflate_sigmas(ncfg, params.t_gate)
             report = grid_average_fidelity(
-                protocol, vdw, ncfg, sigmas, GridSpec(delta), table=table
+                protocol, vdw, ncfg, sigmas, GridSpec(delta), table=table, exposure=exposure
             )
             rows.append({
                 "axis": axis,
@@ -307,16 +305,17 @@ def _emit(record: ResultRecord, out: str | None, fmt: str) -> None:
         click.echo(text, nl=False)
 
 
-def _execute(command: str, config_path: str, out, seed, threads, fmt) -> None:
+def _execute(command: str, config_path: str, out, seed, fmt) -> None:
     try:
         cfg = load_config(config_path)
         if seed is not None:
             cfg.seed = seed
-        if threads is not None:
-            cfg.threads = threads
         record = _RUNNERS[command](cfg)
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
+        sys.exit(2)
+    except TableWindowError as exc:
+        click.echo(f"config error: invalid config field 'noise.sigma_z0_um': {exc}", err=True)
         sys.exit(2)
     except (NumericError, ValueError, np.linalg.LinAlgError) as exc:
         click.echo(f"numeric error: {exc}", err=True)
@@ -329,7 +328,6 @@ def _common_options(func):
     func = click.option("--config", "config_path", required=True, type=click.Path(), help="JSON config file.")(func)
     func = click.option("--out", type=click.Path(), default=None, help="Write output here instead of stdout.")(func)
     func = click.option("--seed", type=int, default=None, help="Override the config RNG seed.")(func)
-    func = click.option("--threads", type=int, default=None, help="Worker threads for table building.")(func)
     func = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None, help="Output format.")(func)
     return func
 
@@ -341,30 +339,30 @@ def main():
 
 @main.command()
 @_common_options
-def solve(config_path, out, seed, threads, fmt):
+def solve(config_path, out, seed, fmt):
     """Solve theta -> interaction, separation and timings (no dynamics)."""
-    _execute("solve", config_path, out, seed, threads, fmt)
+    _execute("solve", config_path, out, seed, fmt)
 
 
 @main.command()
 @_common_options
-def simulate(config_path, out, seed, threads, fmt):
+def simulate(config_path, out, seed, fmt):
     """Simulate one gate and report its matrix and decay budget."""
-    _execute("simulate", config_path, out, seed, threads, fmt)
+    _execute("simulate", config_path, out, seed, fmt)
 
 
 @main.command()
 @_common_options
-def fidelity(config_path, out, seed, threads, fmt):
+def fidelity(config_path, out, seed, fmt):
     """Average the gate fidelity over qubit position fluctuations."""
-    _execute("fidelity", config_path, out, seed, threads, fmt)
+    _execute("fidelity", config_path, out, seed, fmt)
 
 
 @main.command()
 @_common_options
-def sweep(config_path, out, seed, threads, fmt):
+def sweep(config_path, out, seed, fmt):
     """Scan separation, Rabi frequency, or temperature."""
-    _execute("sweep", config_path, out, seed, threads, fmt)
+    _execute("sweep", config_path, out, seed, fmt)
 
 
 if __name__ == "__main__":

@@ -110,7 +110,6 @@ SCHEMA = {
             },
         },
         "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
-        "threads": {"type": "integer", "minimum": 1},
     },
 }
 
@@ -138,7 +137,6 @@ class RunConfig:
     separation_override: float | None = None
     sweep: dict | None = None
     seed: int = DEFAULT_SEED
-    threads: int = 1
     raw: dict = field(default_factory=dict)
 
 
@@ -188,7 +186,6 @@ def parse_config(raw: dict) -> RunConfig:
     cfg.separation_override = overrides.get("separation_um", None)
     cfg.sweep = raw.get("sweep", None)
     cfg.seed = raw.get("seed", cfg.seed)
-    cfg.threads = raw.get("threads", cfg.threads)
 
     if cfg.kind == "cnot" and abs(cfg.theta - math.pi) > 1e-9:
         raise ConfigError("invalid config field 'gate.theta_rad': cnot requires theta_rad = pi")

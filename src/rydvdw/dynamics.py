@@ -28,7 +28,6 @@ __all__ = [
     "TARGET",
     "basis_index",
     "basis_state",
-    "computational_states",
     "build_hamiltonian",
     "exponentiate",
     "evolve",
@@ -72,20 +71,17 @@ def basis_state(control: int, target: int) -> np.ndarray:
     return state
 
 
-def computational_states() -> list[np.ndarray]:
-    """The four qubit basis states |00>, |01>, |10>, |11>."""
-    return [basis_state(c, t) for c in (Level.G0, Level.G1) for t in (Level.G0, Level.G1)]
-
-
 def build_hamiltonian(
     drives: Iterable[tuple[str, int, int, complex]],
-    interaction: float = 0.0,
+    interaction=0.0,
 ) -> np.ndarray:
-    """Assemble the 9x9 two-atom Hamiltonian for one pulse segment.
+    """Assemble the two-atom Hamiltonian for one pulse segment.
 
     Each drive contributes (amp/2)|to><from| + H.c. on the addressed
     atom (tensored with identity on the other), and the Rydberg pair
-    interaction adds ``interaction`` on |rr><rr|.
+    interaction adds ``interaction`` on |rr><rr|.  Only that entry
+    depends on the interaction, so a whole stack of interactions shares
+    one drive part.
 
     Parameters
     ----------
@@ -93,17 +89,19 @@ def build_hamiltonian(
         ``actor`` is ``"control"`` or ``"target"``; levels are
         :class:`Level` values; ``amplitude`` is a complex Rabi
         frequency in rad/us.
-    interaction : float
-        Pair-state energy shift V/hbar in rad/us.  Positive for the
-        repulsive van der Waals case; a negative value flips the sign
-        of the shift.
+    interaction : float or array_like
+        Pair-state energy shift V/hbar in rad/us, or an array of them.
+        Positive for the repulsive van der Waals case; a negative value
+        flips the sign of the shift.
 
     Returns
     -------
     ndarray
-        Hermitian complex matrix of shape (9, 9).
+        Hermitian complex matrices of shape ``interaction.shape + (9, 9)``;
+        (9, 9) for a scalar interaction.
     """
-    if not np.isfinite(interaction):
+    interaction = np.asarray(interaction, dtype=float)
+    if not np.isfinite(interaction).all():
         raise ValueError("interaction must be finite")
     single = {
         CONTROL: np.zeros((3, 3), dtype=complex),
@@ -119,18 +117,19 @@ def build_hamiltonian(
             raise ValueError("drive must couple two distinct levels")
         single[actor][to, frm] += amplitude / 2.0
     eye = np.eye(3)
-    hamiltonian = np.kron(single[CONTROL] + single[CONTROL].conj().T, eye)
-    hamiltonian += np.kron(eye, single[TARGET] + single[TARGET].conj().T)
+    drive = np.kron(single[CONTROL] + single[CONTROL].conj().T, eye)
+    drive += np.kron(eye, single[TARGET] + single[TARGET].conj().T)
+    hamiltonian = np.broadcast_to(drive, interaction.shape + drive.shape).copy()
     rr = basis_index(Level.RYD, Level.RYD)
-    hamiltonian[rr, rr] += interaction
+    hamiltonian[..., rr, rr] += interaction
     return hamiltonian
 
 
 def _check_hermitian(hamiltonian: np.ndarray, tol: float = 1e-12) -> None:
-    asymmetry = np.abs(hamiltonian - hamiltonian.conj().T).max()
-    scale = max(1.0, np.abs(hamiltonian).max())
-    if asymmetry > tol * scale:
-        raise NumericError(f"Hamiltonian is not Hermitian (asymmetry {asymmetry:.2e})")
+    asymmetry = np.abs(hamiltonian - hamiltonian.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    scale = np.maximum(1.0, np.abs(hamiltonian).max(axis=(-2, -1)))
+    if (asymmetry > tol * scale).any():
+        raise NumericError(f"Hamiltonian is not Hermitian (asymmetry {asymmetry.max():.2e})")
 
 
 def exponentiate(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
@@ -139,14 +138,15 @@ def exponentiate(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
     Parameters
     ----------
     hamiltonian : ndarray
-        Hermitian matrix in rad/us.
+        Hermitian matrix in rad/us, or a stack of them with shape
+        (..., n, n); a stack is diagonalized in one batched call.
     duration : float
         Evolution time in us, >= 0.
 
     Returns
     -------
     ndarray
-        Unitary matrix of the same shape.
+        Unitary matrices of the same shape.
     """
     if duration < 0:
         raise ValueError("duration must be nonnegative")
@@ -156,7 +156,7 @@ def exponentiate(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
     phases = np.exp(-1j * energies * duration)
-    return (modes * phases) @ modes.conj().T
+    return (modes * phases[..., None, :]) @ modes.conj().swapaxes(-1, -2)
 
 
 def evolve(state: np.ndarray, unitaries: Sequence[np.ndarray]) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 from . import dynamics
 from .protocol import GateProtocol
 
-__all__ = ["extract_gate_matrix", "ideal_cz", "ideal_cnot", "ideal_gate", "pedersen_fidelity"]
+__all__ = ["extract_gate_matrix", "gate_fidelity", "ideal_cz", "ideal_cnot", "ideal_gate", "pedersen_fidelity"]
 
 
 def ideal_cz(theta: float) -> np.ndarray:
@@ -34,9 +34,11 @@ def ideal_gate(protocol: GateProtocol) -> np.ndarray:
     return ideal_cnot() if protocol.kind == "cnot" else ideal_cz(protocol.theta)
 
 
-def extract_gate_matrix(
-    protocol: GateProtocol, interaction: float | None = None
-) -> np.ndarray:
+#: Flat indices of |00>, |01>, |10>, |11> in the two-atom basis.
+_COMPUTATIONAL = [dynamics.basis_index(c, t) for c in (0, 1) for t in (0, 1)]
+
+
+def extract_gate_matrix(protocol: GateProtocol, interaction=None) -> np.ndarray:
     """Simulate the sequence and project it onto the computational basis.
 
     Each qubit basis state is propagated through the full 9-dimensional
@@ -48,46 +50,67 @@ def extract_gate_matrix(
     ----------
     protocol : GateProtocol
         Pulse sequence to simulate.
-    interaction : float, optional
-        Pair interaction in rad/us; defaults to the protocol's design
-        value.  Pulse durations are never rescaled, so an off-design
-        value produces exactly the error a fluctuating atom spacing
-        would.
+    interaction : float or array_like, optional
+        Pair interaction in rad/us, or an array of them simulated as one
+        batch; defaults to the protocol's design value.  Pulse durations
+        are never rescaled, so an off-design value produces exactly the
+        error a fluctuating atom spacing would.
 
     Returns
     -------
     ndarray
-        Complex matrix of shape (4, 4), sub-unitary if population
-        leaked out of the qubit subspace.
+        Complex matrices of shape ``interaction.shape + (4, 4)``, (4, 4)
+        for a scalar interaction; sub-unitary if population leaked out
+        of the qubit subspace.
     """
     unitaries = [
         dynamics.exponentiate(h, duration)
         for h, duration in protocol.segments(interaction)
     ]
-    basis = dynamics.computational_states()
-    gate = np.empty((4, 4), dtype=complex)
-    for j, state0 in enumerate(basis):
-        final = dynamics.evolve(state0, unitaries)
-        for i, bra in enumerate(basis):
-            gate[i, j] = np.vdot(bra, final)
-    anchor = gate[0, 0]
-    if abs(anchor) > 1e-12:
-        gate *= abs(anchor) / anchor
-    return gate
+    # Each input state stays a separate (9, 1) column, so every step is a
+    # matrix-vector product with the rounding of dynamics.evolve.
+    states = unitaries[0][..., :, _COMPUTATIONAL].swapaxes(-1, -2)[..., None]
+    for unitary in unitaries[1:]:
+        states = unitary[..., None, :, :] @ states
+    gate = states[..., _COMPUTATIONAL, 0].swapaxes(-1, -2)
+    anchor = gate[..., 0, 0]
+    magnitude = np.abs(anchor)
+    phase = np.divide(magnitude, anchor, out=np.ones_like(anchor), where=magnitude > 1e-12)
+    return gate * phase[..., None, None]
 
 
-def pedersen_fidelity(actual: np.ndarray, ideal: np.ndarray) -> float:
+def pedersen_fidelity(actual: np.ndarray, ideal: np.ndarray):
     """Average gate fidelity [|Tr(U^d A)|^2 + Tr(U^d A A^d U)] / 20.
 
     ``ideal`` (U) must be unitary; ``actual`` (A) may be any 4x4
-    contraction.  Equals 1 exactly when A matches U up to a global
-    phase, and is insensitive to that phase.
+    contraction, or a stack of them with shape (..., 4, 4).  Equals 1
+    exactly when A matches U up to a global phase, and is insensitive
+    to that phase.  Returns a float for one matrix, else an array of
+    the stack's shape.
     """
     actual = np.asarray(actual, dtype=complex)
     ideal = np.asarray(ideal, dtype=complex)
-    if actual.shape != (4, 4) or ideal.shape != (4, 4):
+    if actual.shape[-2:] != (4, 4) or ideal.shape != (4, 4):
         raise ValueError("gate matrices must be 4x4")
     overlap = ideal.conj().T @ actual
-    trace = np.trace(overlap)
-    purity = np.trace(overlap @ overlap.conj().T).real
-    return float((abs(trace) ** 2 + purity) / 20.0)
+    trace = np.trace(overlap, axis1=-2, axis2=-1)
+    purity = np.trace(overlap @ overlap.conj().swapaxes(-1, -2), axis1=-2, axis2=-1).real
+    fidelity = (np.abs(trace) ** 2 + purity) / 20.0
+    return float(fidelity) if fidelity.ndim == 0 else fidelity
+
+
+def gate_fidelity(protocol: GateProtocol, interactions, batch: int = 4001) -> np.ndarray:
+    """Fidelity of the simulated gate to the ideal one at each interaction.
+
+    The interactions (rad/us) are propagated in stacks of at most
+    ``batch`` (a default fidelity table is one stack), so memory does
+    not grow with their number.  Returns an array of their shape.
+    """
+    interactions = np.asarray(interactions, dtype=float)
+    flat = interactions.ravel()
+    ideal = ideal_gate(protocol)
+    fidelity = np.empty(flat.size)
+    for start in range(0, flat.size, batch):
+        stack = extract_gate_matrix(protocol, flat[start : start + batch])
+        fidelity[start : start + batch] = pedersen_fidelity(stack, ideal)
+    return fidelity.reshape(interactions.shape)

@@ -62,9 +62,10 @@ def distance(geometry: QubitGeometry) -> float:
     )
 
 
-def vdw_interaction(model: VdwModel, dist: float) -> float:
-    """Interaction strength V/hbar in rad/us at a given distance in um."""
-    if dist <= 0:
+def vdw_interaction(model: VdwModel, dist):
+    """Interaction strength V/hbar in rad/us at a distance (or array of distances) in um."""
+    dist = np.asarray(dist, dtype=float)
+    if (dist <= 0).any():
         raise ValueError("distance must be positive")
     return model.c6 / dist**6
 

@@ -24,14 +24,13 @@ for cross-checking.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .constants import KB, RB87_MASS_KG, SIGMA_PERP0_DEFAULT, SIGMA_Z0_DEFAULT
-from .gates import extract_gate_matrix, ideal_gate, pedersen_fidelity
+from .gates import gate_fidelity
 from .geometry import VdwModel, vdw_interaction
 from .protocol import GateProtocol, rydberg_exposure
 
@@ -42,6 +41,7 @@ __all__ = [
     "FidelityReport",
     "inflate_sigmas",
     "FidelityTable",
+    "TableWindowError",
     "grid_average_fidelity",
     "grid_convergence",
     "monte_carlo_average_fidelity",
@@ -50,6 +50,10 @@ __all__ = [
 
 #: Per-coordinate truncation of the position grid, in units of sigma.
 GRID_HALF_RANGE = 1.5
+
+
+class TableWindowError(ValueError):
+    """The fidelity table's distance window reaches zero distance."""
 
 
 @dataclass(frozen=True)
@@ -149,11 +153,11 @@ class FidelityTable:
 
     The fidelity of a fixed pulse sequence depends on the atom
     positions only through their distance, via the van der Waals
-    interaction.  Evaluating the full propagation once per tabulated
-    distance and interpolating with a cubic spline turns the millions
-    of grid/sample evaluations into lookups; samples falling outside
-    the tabulated window (9 sigma_z around the trap separation) are
-    evaluated directly.
+    interaction.  Propagating all tabulated distances as one batch and
+    interpolating with a cubic spline turns the millions of
+    grid/sample evaluations into lookups; samples falling outside the
+    tabulated window (9 sigma_z around the trap separation) are
+    evaluated directly, again as one batch.
     """
 
     def __init__(
@@ -163,47 +167,32 @@ class FidelityTable:
         trap_separation: float,
         sigma_z: float,
         n_points: int = 4001,
-        threads: int = 1,
     ):
         lo = trap_separation - 9.0 * sigma_z
         hi = trap_separation + 9.0 * sigma_z
         if lo <= 0.0:
-            raise ValueError(
-                f"trap separation {trap_separation} um with sigma_z {sigma_z} um "
-                "puts the tabulated distance range at nonpositive distances"
+            raise TableWindowError(
+                f"trap separation {trap_separation:.4g} um with sigma_z {sigma_z:.4g} um "
+                "puts the +-9 sigma_z table window at nonpositive distances"
             )
         self.protocol = protocol
         self.vdw = vdw
         self.distances = np.linspace(lo, hi, n_points)
-        values = np.empty(n_points)
-        if threads > 1:
-            chunks = np.array_split(np.arange(n_points), threads * 4)
-            with concurrent.futures.ThreadPoolExecutor(threads) as pool:
-                def fill(idx):
-                    for i in idx:
-                        values[i] = self.evaluate(self.distances[i])
-                list(pool.map(fill, chunks))
-        else:
-            for i, d in enumerate(self.distances):
-                values[i] = self.evaluate(d)
-        self.values = values
-        self._spline = CubicSpline(self.distances, values, extrapolate=False)
+        self.values = self.evaluate(self.distances)
+        self._spline = CubicSpline(self.distances, self.values, extrapolate=False)
 
-    def evaluate(self, dist: float) -> float:
-        """Direct (table-free) fidelity at one distance."""
-        interaction = vdw_interaction(self.vdw, dist)
-        gate = extract_gate_matrix(self.protocol, interaction)
-        return pedersen_fidelity(gate, ideal_gate(self.protocol))
+    def evaluate(self, dist):
+        """Direct (table-free) fidelity at one distance or an array of them."""
+        fidelity = gate_fidelity(self.protocol, vdw_interaction(self.vdw, dist))
+        return float(fidelity) if fidelity.ndim == 0 else fidelity
 
-    def __call__(self, dist) -> np.ndarray:
+    def __call__(self, dist):
+        dist = np.asarray(dist, dtype=float)
         out = self._spline(dist)
-        scalar = np.isscalar(dist) or np.ndim(dist) == 0
-        out = np.atleast_1d(out)
-        missing = np.flatnonzero(np.isnan(out))
-        if missing.size:
-            flat = np.atleast_1d(np.asarray(dist, dtype=float)).ravel()
-            out[missing] = [self.evaluate(d) for d in flat[missing]]
-        return float(out[0]) if scalar else out
+        missing = np.isnan(out)
+        if missing.any():
+            out[missing] = self.evaluate(dist[missing])
+        return float(out) if out.ndim == 0 else out
 
 
 def _difference_weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -272,10 +261,11 @@ def _make_report(
     cfg: NoiseConfig,
     sample_count: int,
     method: str,
+    exposure: float | None,
     stderr: float | None = None,
     convergence=(),
 ) -> FidelityReport:
-    e_decay = decay_error(protocol, cfg)
+    e_decay = decay_error(protocol, cfg, exposure)
     return FidelityReport(
         mean_fidelity=mean,
         decay_error=e_decay,
@@ -295,7 +285,7 @@ def grid_average_fidelity(
     grid: GridSpec,
     table: FidelityTable | None = None,
     method: str = "paired",
-    threads: int = 1,
+    exposure: float | None = None,
 ) -> FidelityReport:
     """Deterministic grid average of the fidelity over qubit positions.
 
@@ -307,12 +297,11 @@ def grid_average_fidelity(
     literally and is only sensible for coarse grids.
 
     Returns a :class:`FidelityReport` whose ``net_fidelity`` has the
-    Rydberg decay error subtracted.
+    Rydberg decay error subtracted; pass the protocol's ``exposure``
+    (us) when it is already known, else it is computed here.
     """
     if table is None:
-        table = FidelityTable(
-            protocol, vdw, cfg.trap_separation, sigmas.sigma_z, threads=threads
-        )
+        table = FidelityTable(protocol, vdw, cfg.trap_separation, sigmas.sigma_z)
     if method == "paired":
         mean = _grid_mean_paired(table, grid, sigmas, cfg.trap_separation)
     elif method == "full":
@@ -320,7 +309,7 @@ def grid_average_fidelity(
     else:
         raise ValueError(f"unknown grid method {method!r}")
     n_axis = len(grid.points())
-    return _make_report(mean, protocol, cfg, n_axis**6, f"grid-{method}")
+    return _make_report(mean, protocol, cfg, n_axis**6, f"grid-{method}", exposure)
 
 
 def grid_convergence(
@@ -330,7 +319,6 @@ def grid_convergence(
     sigmas: InflatedSigmas,
     deltas,
     table: FidelityTable | None = None,
-    threads: int = 1,
 ) -> FidelityReport:
     """Grid averages for a sequence of steps, reporting the finest as the estimate.
 
@@ -342,9 +330,7 @@ def grid_convergence(
     if not deltas:
         raise ValueError("need at least one delta")
     if table is None:
-        table = FidelityTable(
-            protocol, vdw, cfg.trap_separation, sigmas.sigma_z, threads=threads
-        )
+        table = FidelityTable(protocol, vdw, cfg.trap_separation, sigmas.sigma_z)
     series = []
     for delta in deltas:
         mean = _grid_mean_paired(table, GridSpec(delta), sigmas, cfg.trap_separation)
@@ -352,7 +338,7 @@ def grid_convergence(
     finest_delta = min(deltas)
     finest = dict(series)[finest_delta]
     n_axis = len(GridSpec(finest_delta).points())
-    return _make_report(finest, protocol, cfg, n_axis**6, "grid-paired", convergence=series)
+    return _make_report(finest, protocol, cfg, n_axis**6, "grid-paired", None, convergence=series)
 
 
 def monte_carlo_average_fidelity(
@@ -364,21 +350,20 @@ def monte_carlo_average_fidelity(
     seed: int,
     truncate: float | None = None,
     table: FidelityTable | None = None,
-    threads: int = 1,
+    exposure: float | None = None,
 ) -> FidelityReport:
     """Monte Carlo average of the fidelity over qubit positions.
 
     Draws the six offsets from independent Gaussians (untruncated by
     default; set ``truncate=1.5`` to match the grid's support) and
     reports the sample mean and its standard error.  Identical seeds
-    give bit-identical reports.
+    give bit-identical reports.  ``exposure`` is as in
+    :func:`grid_average_fidelity`.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if table is None:
-        table = FidelityTable(
-            protocol, vdw, cfg.trap_separation, sigmas.sigma_z, threads=threads
-        )
+        table = FidelityTable(protocol, vdw, cfg.trap_separation, sigmas.sigma_z)
     rng = np.random.default_rng(seed)
 
     def draw(count: int) -> np.ndarray:
@@ -409,10 +394,12 @@ def monte_carlo_average_fidelity(
     mean = float(np.mean(fid))
     stderr = float(np.std(fid, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     label = "mc-truncated" if truncate is not None else "mc"
-    return _make_report(mean, protocol, cfg, n_samples, label, stderr=stderr)
+    return _make_report(mean, protocol, cfg, n_samples, label, exposure, stderr=stderr)
 
 
-def decay_error(protocol: GateProtocol, cfg: NoiseConfig) -> float:
-    """Rydberg decay error T_exposure / lifetime (dimensionless)."""
-    exposure = rydberg_exposure(protocol)
+def decay_error(protocol: GateProtocol, cfg: NoiseConfig, exposure: float | None = None) -> float:
+    """Rydberg decay error T_exposure / lifetime (dimensionless); the
+    ``exposure`` (us) is computed from the protocol when not given."""
+    if exposure is None:
+        exposure = rydberg_exposure(protocol)
     return exposure / (cfg.rydberg_lifetime * 1e3)

@@ -57,14 +57,14 @@ class ResultRecord:
 
 
 def rows_to_csv(rows: list[dict]) -> str:
-    """Render dict rows as CSV; floats use repr so parsing is lossless."""
+    """Render dict rows as CSV; floats, numpy ones too, use a plain repr so parsing is lossless."""
     if not rows:
         return ""
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     for row in rows:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
+        writer.writerow({k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()})
     return buffer.getvalue()
 
 

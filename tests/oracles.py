@@ -4,10 +4,12 @@ Nothing here shares code paths with the package: propagation is done
 by fixed-step RK4 instead of eigendecomposition, populations are
 integrated by the trapezoid rule on the RK4 trajectory, and the
 two-level return amplitude comes from the closed-form SU(2) rotation
-algebra.
+algebra, and the gate matrix is rebuilt from the pulse recipe with
+hand-assembled Hamiltonians and scipy's Pade matrix exponential.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def rk4_propagator(hamiltonian, duration, step=1e-4):
@@ -90,3 +92,53 @@ def barred_basis_change():
     """Two-qubit change of basis I (x) B with B columns (|0>-|1>, |0>+|1>)/sqrt(2)."""
     b = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
     return np.kron(np.eye(2), b)
+
+
+def expm_gate_matrix(kind, theta, omega_control, omega_target, interaction):
+    """4x4 computational block of the CZ(theta) or CNOT sequence at one
+    actual interaction, by ``scipy.linalg.expm`` of hand-built Hamiltonians.
+
+    The design interaction follows from theta = 2*pi*(1 - V/sqrt(w_t^2 + V^2));
+    pulses are: control pi pulse on |1> <-> |r>, two target cycles of
+    length 2*pi/sqrt(w_t^2 + V^2) with drive signs + then -, and a
+    control pi pulse (sign-flipped for CZ, repeated for CNOT).  The CNOT
+    target pulses drive |0> <-> |r> and |1> <-> |r>, each at w_t/sqrt(2).
+    The global phase is fixed by making the |00> -> |00> entry real and
+    positive.  Basis index is 3*control + target, levels (|0>, |1>, |r>).
+    """
+    x = 1.0 - theta / (2.0 * np.pi)
+    design = omega_target * x / np.sqrt(1.0 - x * x)
+    t_pi = np.pi / omega_control
+    t_cycle = 2.0 * np.pi / np.hypot(omega_target, design)
+
+    def single(couplings):
+        h = np.zeros((3, 3), dtype=complex)
+        for level, amp in couplings:  # each couples |level> <-> |r>
+            h[2, level] += amp / 2.0
+            h[level, 2] += np.conj(amp) / 2.0
+        return h
+
+    def pulse(control=(), target=()):
+        h = np.kron(single(control), np.eye(3)) + np.kron(np.eye(3), single(target))
+        h[8, 8] += interaction
+        return h
+
+    if kind == "cz":
+        targets = [[(1, sign * omega_target)] for sign in (1.0, -1.0)]
+        last = -omega_control
+    else:
+        amp = omega_target / np.sqrt(2.0)
+        targets = [[(0, sign * amp), (1, sign * amp)] for sign in (1.0, -1.0)]
+        last = omega_control
+    sequence = [
+        (pulse(control=[(1, omega_control)]), t_pi),
+        (pulse(target=targets[0]), t_cycle),
+        (pulse(target=targets[1]), t_cycle),
+        (pulse(control=[(1, last)]), t_pi),
+    ]
+    total = np.eye(9, dtype=complex)
+    for h, duration in sequence:
+        total = scipy.linalg.expm(-1j * h * duration) @ total
+    qubits = [0, 1, 3, 4]
+    gate = total[np.ix_(qubits, qubits)]
+    return gate * (abs(gate[0, 0]) / gate[0, 0])

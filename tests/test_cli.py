@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from rydvdw.cli import main, run_fidelity, run_simulate, run_solve, run_sweep
 from rydvdw.config import SCHEMA, load_config, parse_config
 from rydvdw.errors import ConfigError
+from rydvdw.protocol import rydberg_exposure
 from rydvdw.records import (
     ResultRecord,
     complex_matrix_from_json,
@@ -36,6 +37,8 @@ class TestConfig:
     def test_unknown_field_is_named(self):
         with pytest.raises(ConfigError, match="frequency_mhz"):
             parse_config({"drive": {"frequency_mhz": 1.0}})
+        with pytest.raises(ConfigError, match="threads"):
+            parse_config({"threads": 4})
 
     def test_bad_value_is_named(self):
         with pytest.raises(ConfigError, match="noise.temperature_uk"):
@@ -91,16 +94,16 @@ class TestSolveCommand:
         result = runner.invoke(main, ["solve", "--config", path])
         assert result.exit_code == 2
 
-    def test_numeric_failure_exits_1(self, runner, tmp_path):
-        # a 5 um trap separation puts the tabulated distance range at
-        # nonpositive distances for the default position spreads
-        path = write_config(
-            tmp_path,
-            {"noise": {"trap_separation_um": 5.0}, "sampling": {"deltas": [0.5]}},
-        )
-        result = runner.invoke(main, ["fidelity", "--config", path])
+    def test_numeric_failure_exits_1(self, runner, tmp_path, monkeypatch):
+        # no valid config is known to break the eigensolver, so make it fail
+        def broken_eigh(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
+        path = write_config(tmp_path, {})
+        result = runner.invoke(main, ["simulate", "--config", path])
         assert result.exit_code == 1
-        assert "numeric error" in result.output
+        assert "numeric error: eigendecomposition failed" in result.output
 
 
 class TestSimulateCommand:
@@ -175,6 +178,39 @@ class TestFidelityCommand:
         # values parse back to the exact floats that were written
         again = rows_from_csv(rows_to_csv(rows))
         assert again == rows
+
+    @pytest.mark.parametrize(
+        "noise", [{"sigma_z0_um": 5.0}, {"trap_separation_um": 5.0}]
+    )
+    def test_table_window_at_zero_distance_exits_2(self, runner, tmp_path, noise):
+        # the +-9 sigma_z table window reaches zero distance
+        path = write_config(tmp_path, {"noise": noise, "sampling": {"deltas": [0.5]}})
+        result = runner.invoke(main, ["fidelity", "--config", path])
+        assert result.exit_code == 2
+        assert "config error: invalid config field 'noise.sigma_z0_um'" in result.output
+        separation = noise.get("trap_separation_um", 20.99)
+        assert f"trap separation {separation:.4g} um" in result.output
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            CONFIG,
+            {"sweep": {"axis": "temperature", "start": 5.0, "stop": 15.0, "points": 3},
+             "sampling": {"deltas": [0.5]}},
+        ],
+    )
+    def test_exposure_computed_once_per_command(self, monkeypatch, payload):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return rydberg_exposure(*args, **kwargs)
+
+        monkeypatch.setattr("rydvdw.cli.rydberg_exposure", counted)
+        monkeypatch.setattr("rydvdw.noise.rydberg_exposure", counted)
+        run = run_sweep if "sweep" in payload else run_fidelity
+        run(parse_config(payload))
+        assert len(calls) == 1
 
     def test_tiny_sigma_returns_unity(self, runner, tmp_path):
         payload = {
@@ -258,6 +294,25 @@ class TestSweepCommand:
         assert abs(rows[1]["t_gate_us"] - 0.594) < 0.005
         for row in rows:
             assert row["nominal_fidelity"] > 1 - 1e-9
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {"axis": "omega", "start": 0.8, "stop": 4.6, "points": 2},
+            {"axis": "separation", "start": 20.0, "stop": 22.0, "points": 3},
+            {"axis": "temperature", "start": 5.0, "stop": 15.0, "points": 2},
+        ],
+    )
+    def test_csv_cells_parse_as_numbers(self, runner, tmp_path, sweep):
+        path = write_config(tmp_path, {"sweep": sweep, "sampling": {"deltas": [0.5]}})
+        out = tmp_path / "rows.csv"
+        result = runner.invoke(main, ["sweep", "--config", path, "--out", str(out)])
+        assert result.exit_code == 0
+        rows = rows_from_csv(out.read_text())
+        assert len(rows) == sweep["points"]
+        for row in rows:
+            assert row.pop("axis") == sweep["axis"]
+            assert all(isinstance(value, float) for value in row.values()), row
 
     def test_sweep_requires_block(self):
         with pytest.raises(ConfigError, match="sweep"):

@@ -73,6 +73,16 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(drives, interaction)
         assert np.abs(h - h.conj().T).max() < 1e-12
 
+    def test_interaction_stack_shares_the_drive_part(self):
+        drives = [("control", Level.G1, Level.RYD, OMEGA), ("target", Level.G0, Level.RYD, 0.3j)]
+        interactions = np.array([[0.0, V], [-V, 40.0], [1e-3, 7.0]])
+        stack = build_hamiltonian(drives, interactions)
+        assert stack.shape == (3, 2, DIM, DIM)
+        for index in np.ndindex(interactions.shape):
+            assert np.array_equal(stack[index], build_hamiltonian(drives, interactions[index]))
+        with pytest.raises(ValueError):
+            build_hamiltonian(drives, np.array([V, np.inf]))
+
 
 class TestExponentiate:
     def test_zero_hamiltonian_gives_identity(self):
@@ -112,6 +122,20 @@ class TestExponentiate:
         bad[0, 1] = 1.0
         with pytest.raises(NumericError):
             exponentiate(bad, 1.0)
+        # one bad matrix fails the whole stack, whatever the others' scale
+        stack = build_hamiltonian([("target", 1, 2, 1e3)], np.array([0.0, 0.0]))
+        stack[1] = bad
+        with pytest.raises(NumericError):
+            exponentiate(stack, 1.0)
+
+    def test_stack_matches_single_calls(self):
+        drives = [("target", Level.G1, Level.RYD, OMEGA), ("control", Level.G0, Level.RYD, -OMEGA)]
+        interactions = np.geomspace(V / 100, 100 * V, 7)
+        stack = exponentiate(build_hamiltonian(drives, interactions), 0.83)
+        assert stack.shape == (7, DIM, DIM)
+        for v, u in zip(interactions, stack):
+            assert np.abs(u - exponentiate(build_hamiltonian(drives, v), 0.83)).max() < 1e-13
+            assert np.abs(u.conj().T @ u - np.eye(DIM)).max() < 1e-12
 
 
 class TestEvolve:

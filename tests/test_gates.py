@@ -4,10 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydvdw import MHZ
-from rydvdw.gates import extract_gate_matrix, ideal_cnot, ideal_cz, pedersen_fidelity
-from rydvdw.protocol import ProtocolParams, build_cz_protocol
+from rydvdw import gates
+from rydvdw.gates import (
+    extract_gate_matrix,
+    gate_fidelity,
+    ideal_cnot,
+    ideal_cz,
+    ideal_gate,
+    pedersen_fidelity,
+)
+from rydvdw.protocol import ProtocolParams, build_protocol
 
-from .oracles import cz_diagonal_entry
+from .oracles import cz_diagonal_entry, expm_gate_matrix
 
 OMEGA = 0.8 * MHZ
 
@@ -55,6 +63,32 @@ class TestExtractGateMatrix:
         assert gate[0, 0].imag == 0.0
         assert gate[0, 0].real > 0.0
 
+    @given(
+        kind=st.sampled_from(["cz", "cnot"]),
+        theta=st.floats(0.2, 2 * np.pi - 0.2, exclude_min=True, exclude_max=True),
+        omega_control_mhz=st.floats(0.1, 10.0),
+        omega_target_mhz=st.floats(0.1, 10.0),
+        exponents=st.lists(st.floats(-2.0, 2.0), max_size=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batch_matches_expm_oracle_and_single_calls(
+        self, kind, theta, omega_control_mhz, omega_target_mhz, exponents
+    ):
+        if kind == "cnot":
+            theta = np.pi
+        omega_control, omega_target = omega_control_mhz * MHZ, omega_target_mhz * MHZ
+        protocol = build_protocol(ProtocolParams.solve(theta, omega_control, omega_target), kind)
+        design = protocol.nominal_interaction
+        interactions = design * 10.0 ** np.array([-2.0, 0.0, 2.0, *exponents])
+        batch = extract_gate_matrix(protocol, interactions)
+        assert batch.shape == (len(interactions), 4, 4)
+        oracle_at_design = expm_gate_matrix(kind, theta, omega_control, omega_target, design)
+        assert np.abs(oracle_at_design - ideal_gate(protocol)).max() < 1e-9
+        for interaction, gate in zip(interactions, batch):
+            oracle = expm_gate_matrix(kind, theta, omega_control, omega_target, interaction)
+            assert np.abs(gate - oracle).max() < 1e-10
+            assert np.abs(gate - extract_gate_matrix(protocol, interaction)).max() < 1e-13
+
 
 class TestPedersenFidelity:
     def test_perfect_match(self):
@@ -73,6 +107,17 @@ class TestPedersenFidelity:
     def test_shape_check(self):
         with pytest.raises(ValueError):
             pedersen_fidelity(np.eye(3), np.eye(4))
+        with pytest.raises(ValueError):
+            pedersen_fidelity(np.eye(4), np.stack([np.eye(4)] * 2))
+
+    def test_stack_matches_single_matrices(self):
+        rng = np.random.default_rng(8)
+        ideal = random_unitary(rng)
+        stack = np.stack([0.9 * random_unitary(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        values = pedersen_fidelity(stack, ideal)
+        assert values.shape == (2, 3)
+        singles = [pedersen_fidelity(a, ideal) for a in stack.reshape(6, 4, 4)]
+        assert np.abs(values.ravel() - singles).max() < 1e-15
 
     @given(seed=st.integers(0, 2**31), scale=st.floats(0.0, 1.0))
     @settings(max_examples=50)
@@ -102,6 +147,24 @@ class TestPedersenFidelity:
         overlap = ideal.conj().T @ actual
         purity = np.trace(overlap @ overlap.conj().T).real
         assert abs(purity - 4.0) < 1e-12
+
+
+class TestGateFidelity:
+    def test_chunked_stacks_match_pointwise(self, nominal_protocol, nominal_params, monkeypatch):
+        interactions = np.linspace(0.5, 1.5, 10).reshape(2, 5) * nominal_params.interaction
+        stacks = []
+        extract = gates.extract_gate_matrix
+        monkeypatch.setattr(gates, "extract_gate_matrix", lambda p, v: stacks.append(v.size) or extract(p, v))
+        values = gate_fidelity(nominal_protocol, interactions, batch=4)
+        assert stacks == [4, 4, 2]
+        assert values.shape == interactions.shape
+        ideal = ideal_gate(nominal_protocol)
+        for v, value in zip(interactions.ravel(), values.ravel()):
+            assert abs(value - pedersen_fidelity(extract(nominal_protocol, v), ideal)) < 1e-13
+
+    def test_scalar_gives_zero_dim_array(self, nominal_protocol, nominal_params):
+        value = gate_fidelity(nominal_protocol, nominal_params.interaction)
+        assert value.shape == () and abs(value - 1.0) < 1e-9
 
 
 class TestFidelityPeak:

@@ -64,13 +64,15 @@ class TestVdwInteraction:
         base = vdw_interaction(model, 7.3)
         for k in (2.0, 3.0, 10.0):
             assert np.isclose(vdw_interaction(model, k * 7.3), base / k**6, rtol=1e-12)
+        ks = np.array([[1.0, 2.0], [3.0, 10.0]])
+        assert np.allclose(vdw_interaction(model, ks * 7.3), base / ks**6, rtol=1e-12)
 
     def test_direct_formula(self):
         model = VdwModel()
         assert np.isclose(vdw_interaction(model, 10.0), model.c6 / 1e6, rtol=1e-15)
 
     def test_rejects_nonpositive_distance(self):
-        for d in (0.0, -2.0):
+        for d in (0.0, -2.0, np.array([21.0, 0.0])):
             with pytest.raises(ValueError):
                 vdw_interaction(VdwModel(), d)
         with pytest.raises(ValueError):

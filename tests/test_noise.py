@@ -130,22 +130,31 @@ class TestFidelityTable:
         for dist in rng.uniform(lo, hi, 50):
             assert abs(nominal_table(dist) - nominal_table.evaluate(dist)) < 1e-10
 
-    def test_out_of_range_falls_back_to_direct(self, nominal_table, nominal_noise):
-        far = nominal_noise.trap_separation + 20 * 1.52
+    def test_out_of_range_falls_back_to_direct(self, nominal_table, nominal_noise, monkeypatch):
+        sep = nominal_noise.trap_separation
+        far = sep + 20 * 1.52
         assert abs(nominal_table(far) - nominal_table.evaluate(far)) < 1e-14
-        both = nominal_table(np.array([far, nominal_noise.trap_separation]))
-        assert abs(both[0] - nominal_table.evaluate(far)) < 1e-14
+        # window is sep +- 9 sigma_z, about 7.3 .. 34.7 um
+        dist = np.array([[far, sep, 5.0], [sep + 0.3, 6.5, far + 3.0]])
+        outside = (dist < nominal_table.distances[0]) | (dist > nominal_table.distances[-1])
+        calls = []
+        evaluate = nominal_table.evaluate
+        monkeypatch.setattr(nominal_table, "evaluate", lambda d: calls.append(d) or evaluate(d))
+        values = nominal_table(dist)
+        assert values.shape == dist.shape
+        assert len(calls) == 1 and np.array_equal(calls[0], dist[outside])
+        for d, value, out in zip(dist.ravel(), values.ravel(), outside.ravel()):
+            expected = evaluate(d) if out else nominal_table._spline(d)
+            assert abs(value - expected) < 1e-14
 
     def test_rejects_range_reaching_zero_distance(self, nominal_protocol):
         with pytest.raises(ValueError):
             FidelityTable(nominal_protocol, VDW, trap_separation=5.0, sigma_z=1.0)
 
-    def test_threaded_build_matches_serial(self, nominal_protocol, nominal_noise):
-        serial = FidelityTable(nominal_protocol, VDW, nominal_noise.trap_separation, 0.5, n_points=101)
-        threaded = FidelityTable(
-            nominal_protocol, VDW, nominal_noise.trap_separation, 0.5, n_points=101, threads=4
-        )
-        assert np.array_equal(serial.values, threaded.values)
+    def test_batched_build_matches_pointwise_evaluation(self, nominal_protocol, nominal_noise):
+        table = FidelityTable(nominal_protocol, VDW, nominal_noise.trap_separation, 0.5, n_points=101)
+        pointwise = [table.evaluate(float(d)) for d in table.distances]
+        assert np.abs(table.values - pointwise).max() < 1e-13
 
     def test_design_distance_is_perfect(self, nominal_table, nominal_noise):
         assert abs(nominal_table(nominal_noise.trap_separation) - 1.0) < 1e-9
