@@ -26,6 +26,7 @@ from .constants import (
     TEMPERATURE_DEFAULT_UK,
 )
 from .errors import ConfigError
+from .noise import GridSpec
 
 __all__ = ["SCHEMA", "RunConfig", "load_config", "parse_config", "DEFAULT_SEED"]
 
@@ -173,11 +174,10 @@ def parse_config(raw: dict) -> RunConfig:
     cfg.mode = sampling.get("mode", cfg.mode)
     cfg.deltas = tuple(sampling.get("deltas", cfg.deltas))
     for delta in cfg.deltas:
-        if abs(round(3.0 / delta) * delta - 3.0) > 1e-9:
-            raise ConfigError(
-                f"invalid config field 'sampling.deltas': {delta} does not evenly "
-                "divide the +-1.5 sigma grid range"
-            )
+        try:
+            GridSpec(delta)
+        except ValueError as exc:
+            raise ConfigError(f"invalid config field 'sampling.deltas': {exc}") from exc
     cfg.mc_samples = sampling.get("mc_samples", cfg.mc_samples)
     cfg.mc_truncated = sampling.get("mc_truncated", cfg.mc_truncated)
     overrides = raw.get("overrides", {})

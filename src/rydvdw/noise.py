@@ -18,8 +18,7 @@ tabulated once on a dense distance axis and interpolated.  Second, the
 grid sum depends on each coordinate pair only through its difference;
 regrouping the product weights into difference weights (a discrete
 autocorrelation) collapses the 6-D sum to 3-D without changing its
-value.  The literal 6-D accumulation is retained as ``method="full"``
-for cross-checking.
+value.
 """
 
 from __future__ import annotations
@@ -227,34 +226,6 @@ def _grid_mean_paired(table, grid: GridSpec, sigmas: InflatedSigmas, separation:
     return float(np.sum(w * fid) / np.sum(w))
 
 
-def _grid_mean_full(table, grid: GridSpec, sigmas: InflatedSigmas, separation: float) -> float:
-    """Literal sum over every 6-tuple of the product grid (for cross-checks)."""
-    nodes = grid.points()
-    w1 = np.exp(-0.5 * nodes**2)
-    w1 /= w1.sum()
-    xs = nodes * sigmas.sigma_perp
-    zs = nodes * sigmas.sigma_z
-    m = len(nodes)
-    acc = 0.0
-    wsum = 0.0
-    shape = (m, m, m)
-    w3 = w1[:, None, None] * w1[None, :, None] * w1[None, None, :]
-    # outer loop over the control coordinates, inner block over the target's
-    for ic, xc in enumerate(xs):
-        for jc, yc in enumerate(xs):
-            wc = w1[ic] * w1[jc]
-            dx = xc - xs[:, None, None] - separation
-            dy = yc - xs[None, :, None]
-            for kc, zc in enumerate(zs):
-                dz = zc - zs[None, None, :]
-                dist = np.sqrt(dx**2 + dy**2 + dz**2)
-                fid = table(dist.ravel()).reshape(shape)
-                weight = wc * w1[kc] * w3
-                acc += float(np.sum(weight * fid))
-                wsum += float(np.sum(weight))
-    return acc / wsum
-
-
 def _make_report(
     mean: float,
     protocol: GateProtocol,
@@ -267,13 +238,7 @@ def _make_report(
 ) -> FidelityReport:
     e_decay = decay_error(protocol, cfg, exposure)
     return FidelityReport(
-        mean_fidelity=mean,
-        decay_error=e_decay,
-        net_fidelity=mean - e_decay,
-        sample_count=sample_count,
-        method=method,
-        stderr=stderr,
-        convergence=tuple(convergence),
+        mean, e_decay, mean - e_decay, sample_count, method, stderr, tuple(convergence)
     )
 
 
@@ -284,7 +249,6 @@ def grid_average_fidelity(
     sigmas: InflatedSigmas,
     grid: GridSpec,
     table: FidelityTable | None = None,
-    method: str = "paired",
     exposure: float | None = None,
 ) -> FidelityReport:
     """Deterministic grid average of the fidelity over qubit positions.
@@ -292,9 +256,7 @@ def grid_average_fidelity(
     Every coordinate is sampled on {-1.5, ..., +1.5} sigma with step
     ``delta`` and Gaussian weights normalized per coordinate; the pair
     interaction is recomputed from the actual distance of each offset
-    tuple.  ``method="paired"`` uses the exact difference-coordinate
-    regrouping; ``method="full"`` accumulates the 6-D product grid
-    literally and is only sensible for coarse grids.
+    tuple, summed through the exact difference-coordinate regrouping.
 
     Returns a :class:`FidelityReport` whose ``net_fidelity`` has the
     Rydberg decay error subtracted; pass the protocol's ``exposure``
@@ -302,14 +264,9 @@ def grid_average_fidelity(
     """
     if table is None:
         table = FidelityTable(protocol, vdw, cfg.trap_separation, sigmas.sigma_z)
-    if method == "paired":
-        mean = _grid_mean_paired(table, grid, sigmas, cfg.trap_separation)
-    elif method == "full":
-        mean = _grid_mean_full(table, grid, sigmas, cfg.trap_separation)
-    else:
-        raise ValueError(f"unknown grid method {method!r}")
+    mean = _grid_mean_paired(table, grid, sigmas, cfg.trap_separation)
     n_axis = len(grid.points())
-    return _make_report(mean, protocol, cfg, n_axis**6, f"grid-{method}", exposure)
+    return _make_report(mean, protocol, cfg, n_axis**6, "grid-paired", exposure)
 
 
 def grid_convergence(

@@ -296,32 +296,19 @@ def hyperfine_leakage_estimate(omega_target: float, hyperfine_splitting: float) 
     return 2.0 * ratio * ratio
 
 
-def rydberg_exposure(
-    protocol: GateProtocol,
-    interaction: float | None = None,
-    initial_states: list[np.ndarray] | None = None,
-    steps_per_segment: int = 2000,
-    dt: float | None = None,
-) -> float:
+def rydberg_exposure(protocol: GateProtocol, interaction: float | None = None) -> float:
     """Average time spent in Rydberg states over the gate inputs, in us.
 
     The integral runs over the initial states and is divided by 4 (the
     number of computational inputs).  For a phase-gate sequence |00> is
-    dark, so the default skips it; the CNOT sequence drives |00> during
-    pulse 2, so there all four basis states are included.  Multiplied
-    by 1/lifetime this gives the Rydberg decay error.
+    dark, so it is skipped; the CNOT sequence drives |00> during pulse
+    2, so there all four basis states are included.  Multiplied by
+    1/lifetime this gives the Rydberg decay error.
     """
-    if initial_states is None:
-        initial_states = [
-            dynamics.basis_state(Level.G0, Level.G1),
-            dynamics.basis_state(Level.G1, Level.G0),
-            dynamics.basis_state(Level.G1, Level.G1),
-        ]
-        if protocol.kind == "cnot":
-            initial_states.insert(0, dynamics.basis_state(Level.G0, Level.G0))
+    inputs = [(Level.G0, Level.G1), (Level.G1, Level.G0), (Level.G1, Level.G1)]
+    if protocol.kind == "cnot":
+        inputs.insert(0, (Level.G0, Level.G0))
     return dynamics.rydberg_exposure_integral(
         protocol.segments(interaction),
-        initial_states,
-        steps_per_segment=steps_per_segment,
-        dt=dt,
+        [dynamics.basis_state(control, target) for control, target in inputs],
     )

@@ -4,8 +4,10 @@ Nothing here shares code paths with the package: propagation is done
 by fixed-step RK4 instead of eigendecomposition, populations are
 integrated by the trapezoid rule on the RK4 trajectory, and the
 two-level return amplitude comes from the closed-form SU(2) rotation
-algebra, and the gate matrix is rebuilt from the pulse recipe with
-hand-assembled Hamiltonians and scipy's Pade matrix exponential.
+algebra, the gate matrix is rebuilt from the pulse recipe with
+hand-assembled Hamiltonians and scipy's Pade matrix exponential, the
+exact exposure comes from Van Loan's block-matrix exponential on the
+same Hamiltonians, and the grid average is the literal 6-D sum.
 """
 
 import numpy as np
@@ -94,17 +96,16 @@ def barred_basis_change():
     return np.kron(np.eye(2), b)
 
 
-def expm_gate_matrix(kind, theta, omega_control, omega_target, interaction):
-    """4x4 computational block of the CZ(theta) or CNOT sequence at one
-    actual interaction, by ``scipy.linalg.expm`` of hand-built Hamiltonians.
+def _pulse_sequence(kind, theta, omega_control, omega_target, interaction):
+    """(Hamiltonian, duration) pairs of the CZ(theta) or CNOT sequence at
+    one actual interaction, hand-built in the basis 3*control + target
+    with levels (|0>, |1>, |r>).
 
     The design interaction follows from theta = 2*pi*(1 - V/sqrt(w_t^2 + V^2));
     pulses are: control pi pulse on |1> <-> |r>, two target cycles of
     length 2*pi/sqrt(w_t^2 + V^2) with drive signs + then -, and a
     control pi pulse (sign-flipped for CZ, repeated for CNOT).  The CNOT
     target pulses drive |0> <-> |r> and |1> <-> |r>, each at w_t/sqrt(2).
-    The global phase is fixed by making the |00> -> |00> entry real and
-    positive.  Basis index is 3*control + target, levels (|0>, |1>, |r>).
     """
     x = 1.0 - theta / (2.0 * np.pi)
     design = omega_target * x / np.sqrt(1.0 - x * x)
@@ -130,15 +131,81 @@ def expm_gate_matrix(kind, theta, omega_control, omega_target, interaction):
         amp = omega_target / np.sqrt(2.0)
         targets = [[(0, sign * amp), (1, sign * amp)] for sign in (1.0, -1.0)]
         last = omega_control
-    sequence = [
+    return [
         (pulse(control=[(1, omega_control)]), t_pi),
         (pulse(target=targets[0]), t_cycle),
         (pulse(target=targets[1]), t_cycle),
         (pulse(control=[(1, last)]), t_pi),
     ]
+
+
+def expm_gate_matrix(kind, theta, omega_control, omega_target, interaction):
+    """4x4 computational block of the CZ(theta) or CNOT sequence at one
+    actual interaction, by ``scipy.linalg.expm`` of hand-built Hamiltonians.
+
+    The global phase is fixed by making the |00> -> |00> entry real and
+    positive.
+    """
     total = np.eye(9, dtype=complex)
-    for h, duration in sequence:
+    for h, duration in _pulse_sequence(kind, theta, omega_control, omega_target, interaction):
         total = scipy.linalg.expm(-1j * h * duration) @ total
     qubits = [0, 1, 3, 4]
     gate = total[np.ix_(qubits, qubits)]
     return gate * (abs(gate[0, 0]) / gate[0, 0])
+
+
+def van_loan_exposure(kind, theta, omega_control, omega_target, interaction):
+    """Rydberg exposure (us) of the CZ(theta) or CNOT sequence, exact per segment.
+
+    For a segment of length T, the top-right block F of
+    expm(T [[-iH, W], [0, -iH]]) is U(T) times the integral of
+    U(s)^dag W U(s) over [0, T] (Van Loan 1978), with U(s) = exp(-iHs)
+    and W the diagonal Rydberg-excitation count.  The inputs are |01>,
+    |10>, |11> (and |00> for CNOT); the sum is divided by 4.
+    """
+    counts = np.array([(c == 2) + (t == 2) for c in range(3) for t in range(3)], dtype=float)
+    inputs = [0, 1, 3, 4] if kind == "cnot" else [1, 3, 4]
+    states = np.eye(9, dtype=complex)[:, inputs]
+    total = 0.0
+    for h, duration in _pulse_sequence(kind, theta, omega_control, omega_target, interaction):
+        block = np.zeros((18, 18), dtype=complex)
+        block[:9, :9] = block[9:, 9:] = -1j * h * duration
+        block[:9, 9:] = np.diag(counts) * duration
+        full = scipy.linalg.expm(block)
+        unitary = full[:9, :9]
+        integral = unitary.conj().T @ full[:9, 9:]
+        total += float(np.einsum("ik,ij,jk->", states.conj(), integral, states).real)
+        states = unitary @ states
+    return total / 4.0
+
+
+def grid_mean_full(table, delta, sigma_perp, sigma_z, separation):
+    """Literal sum of ``table(distance)`` over every 6-tuple of the product grid.
+
+    Each coordinate runs over {-1.5, ..., 1.5} in steps of ``delta``
+    (in units of its own sigma) with Gaussian weights normalized per
+    coordinate; x and y use ``sigma_perp``, z uses ``sigma_z``, and the
+    traps sit ``separation`` apart along x.  Only sensible on coarse grids.
+    """
+    nodes = np.linspace(-1.5, 1.5, round(3.0 / delta) + 1)
+    w1 = np.exp(-0.5 * nodes**2)
+    w1 /= w1.sum()
+    xs = nodes * sigma_perp
+    zs = nodes * sigma_z
+    m = len(nodes)
+    w3 = w1[:, None, None] * w1[None, :, None] * w1[None, None, :]
+    acc = 0.0
+    wsum = 0.0
+    # outer loop over the control coordinates, inner block over the target's
+    for ic, xc in enumerate(xs):
+        for jc, yc in enumerate(xs):
+            dx = xc - xs[:, None, None] - separation
+            dy = yc - xs[None, :, None]
+            for kc, zc in enumerate(zs):
+                dz = zc - zs[None, None, :]
+                dist = np.sqrt(dx**2 + dy**2 + dz**2)
+                fid = np.asarray(table(dist.ravel())).reshape((m, m, m))
+                weight = w1[ic] * w1[jc] * w1[kc] * w3
+                acc += float(np.sum(weight * fid))
+                wsum += float(np.sum(weight))
+    return acc / wsum

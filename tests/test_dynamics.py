@@ -233,14 +233,3 @@ class TestRydbergExposure:
         value = rydberg_exposure_integral(self.cz_segments(), self.inputs())
         assert abs(value - closed) < 1e-9
         assert abs(value - 1.91) < 0.02
-
-    def test_dt_parameter_validation(self):
-        with pytest.raises(ValueError):
-            rydberg_exposure_integral(self.cz_segments(), self.inputs(), dt=-0.1)
-        with pytest.raises(ValueError):
-            rydberg_exposure_integral(self.cz_segments(), self.inputs(), dt=10.0)
-
-    def test_unconverged_quadrature_raises(self):
-        fast = [(build_hamiltonian([("target", 1, 2, 200.0)]), 1.0)]
-        with pytest.raises(NumericError):
-            rydberg_exposure_integral(fast, [basis_state(0, 1)], steps_per_segment=2)

@@ -15,7 +15,9 @@ from rydvdw.noise import (
     inflate_sigmas,
     monte_carlo_average_fidelity,
 )
-from rydvdw.noise import _difference_weights, _grid_mean_full, _grid_mean_paired
+from rydvdw.noise import _difference_weights, _grid_mean_paired
+
+from .oracles import grid_mean_full
 
 VDW = VdwModel()
 
@@ -96,24 +98,10 @@ class TestWeights:
         for delta in (0.75, 0.5):
             spec = GridSpec(delta)
             paired = _grid_mean_paired(nominal_table, spec, nominal_sigmas, 20.99)
-            full = _grid_mean_full(nominal_table, spec, nominal_sigmas, 20.99)
-            assert abs(paired - full) < 1e-12
-
-    def test_full_method_exposed(self, nominal_protocol, nominal_noise, nominal_sigmas, nominal_table):
-        report = grid_average_fidelity(
-            nominal_protocol, VDW, nominal_noise, nominal_sigmas, GridSpec(0.75),
-            table=nominal_table, method="full",
-        )
-        paired = grid_average_fidelity(
-            nominal_protocol, VDW, nominal_noise, nominal_sigmas, GridSpec(0.75),
-            table=nominal_table,
-        )
-        assert abs(report.mean_fidelity - paired.mean_fidelity) < 1e-12
-        with pytest.raises(ValueError):
-            grid_average_fidelity(
-                nominal_protocol, VDW, nominal_noise, nominal_sigmas, GridSpec(0.75),
-                table=nominal_table, method="sideways",
+            full = grid_mean_full(
+                nominal_table, delta, nominal_sigmas.sigma_perp, nominal_sigmas.sigma_z, 20.99
             )
+            assert abs(paired - full) < 1e-12
 
 
 class TestFidelityTable:

@@ -13,6 +13,7 @@ from rydvdw.protocol import (
     Pulse,
     build_cnot_protocol,
     build_cz_protocol,
+    build_protocol,
     gate_duration,
     hyperfine_leakage_estimate,
     phase_from_interaction,
@@ -20,7 +21,7 @@ from rydvdw.protocol import (
     solve_interaction_for_phase,
 )
 
-from .oracles import barred_basis_change, rk4_rydberg_exposure
+from .oracles import barred_basis_change, rk4_rydberg_exposure, van_loan_exposure
 
 OMEGA = 0.8 * MHZ
 
@@ -196,6 +197,32 @@ class TestRydbergExposure:
         scaled_ratio = scaled / (2 * np.pi / scaled_params.omega_control)
         assert abs(ratio - 1.52) < 0.02
         assert abs(ratio - scaled_ratio) < 1e-9
+
+    @given(
+        kind=st.sampled_from(["cz", "cnot"]),
+        theta=st.floats(0.2, 2 * np.pi - 0.2, exclude_min=True, exclude_max=True),
+        control_exponent=st.floats(-1.0, 1.0),
+        target_exponent=st.floats(-1.0, 1.0),
+        interaction_exponent=st.one_of(st.none(), st.floats(-2.0, 2.0)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_van_loan_oracle(
+        self, kind, theta, control_exponent, target_exponent, interaction_exponent
+    ):
+        # None stands for V = 0, where the segment eigenvalues are degenerate
+        if kind == "cnot":
+            theta = np.pi
+        omega_control = 10.0**control_exponent * MHZ
+        omega_target = 10.0**target_exponent * MHZ
+        protocol = build_protocol(ProtocolParams.solve(theta, omega_control, omega_target), kind)
+        interaction = (
+            0.0
+            if interaction_exponent is None
+            else protocol.nominal_interaction * 10.0**interaction_exponent
+        )
+        value = rydberg_exposure(protocol, interaction)
+        oracle = van_loan_exposure(kind, theta, omega_control, omega_target, interaction)
+        assert abs(value - oracle) <= 1e-10 * oracle
 
 
 class TestPulseValidation:
