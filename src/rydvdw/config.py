@@ -163,6 +163,11 @@ def parse_config(raw: dict) -> RunConfig:
     if "c6_thz_um6" in raw.get("vdw", {}):
         # h x THz um^6 -> rad/us um^6: 1 THz = 1e6 cycles/us
         cfg.c6 = MHZ * raw["vdw"]["c6_thz_um6"] * 1e6
+        if not math.isfinite(cfg.c6):
+            raise ConfigError(
+                "invalid config field 'vdw.c6_thz_um6': "
+                f"C6/hbar = {cfg.c6!r} rad/us um^6 must be finite"
+            )
     noise = raw.get("noise", {})
     cfg.sigma_z0 = noise.get("sigma_z0_um", cfg.sigma_z0)
     cfg.sigma_perp0 = noise.get("sigma_perp0_um", cfg.sigma_perp0)

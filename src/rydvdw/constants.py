@@ -8,16 +8,16 @@ need no extra conversion factor.
 """
 
 import numpy as np
-import scipy.constants
 
 #: Conversion from a linear frequency in MHz to an angular one in rad/us.
 MHZ = 2.0 * np.pi
 
-#: Boltzmann constant in J/K.
-KB = scipy.constants.k
+#: Boltzmann constant in J/K (exact in the 2019 SI).
+KB = 1.380649e-23
 
-#: Mass of a ground-state 87Rb atom in kg.
-RB87_MASS_KG = 86.909180527 * scipy.constants.atomic_mass
+#: Mass of a ground-state 87Rb atom in kg: 86.909180527 u, with the
+#: atomic mass constant 1.66053906892e-27 kg of CODATA 2022.
+RB87_MASS_KG = 86.909180527 * 1.66053906892e-27
 
 #: Van der Waals coefficient C6/hbar for a pair of Rb |97S_1/2> atoms,
 #: in rad/us*um^6 (C6 = h x 39.5 THz um^6).

@@ -18,7 +18,9 @@ tabulated once on a dense distance axis and interpolated.  Second, the
 grid sum depends on each coordinate pair only through its difference;
 regrouping the product weights into difference weights (a discrete
 autocorrelation) collapses the 6-D sum to 3-D without changing its
-value.
+value.  The y and z differences enter the distance only squared and
+their weights are symmetric, so each is folded onto its nonnegative
+half with the weights of the two signs summed.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .constants import KB, RB87_MASS_KG, SIGMA_PERP0_DEFAULT, SIGMA_Z0_DEFAULT
 from .gates import gate_fidelity
@@ -153,10 +154,11 @@ class FidelityTable:
     The fidelity of a fixed pulse sequence depends on the atom
     positions only through their distance, via the van der Waals
     interaction.  Propagating all tabulated distances as one batch and
-    interpolating with a cubic spline turns the millions of
-    grid/sample evaluations into lookups; samples falling outside the
-    tabulated window (9 sigma_z around the trap separation) are
-    evaluated directly, again as one batch.
+    interpolating with a not-a-knot cubic spline on the uniform knots
+    turns the millions of grid/sample evaluations into lookups; samples
+    falling outside the tabulated window (9 sigma_z around the trap
+    separation, endpoints included) are evaluated directly, again as
+    one batch.
     """
 
     def __init__(
@@ -167,6 +169,8 @@ class FidelityTable:
         sigma_z: float,
         n_points: int = 4001,
     ):
+        if n_points < 4:
+            raise ValueError(f"a not-a-knot spline needs n_points >= 4, got {n_points!r}")
         lo = trap_separation - 9.0 * sigma_z
         hi = trap_separation + 9.0 * sigma_z
         if lo <= 0.0:
@@ -178,7 +182,8 @@ class FidelityTable:
         self.vdw = vdw
         self.distances = np.linspace(lo, hi, n_points)
         self.values = self.evaluate(self.distances)
-        self._spline = CubicSpline(self.distances, self.values, extrapolate=False)
+        self._step = (hi - lo) / (n_points - 1)
+        self._coefficients = _spline_coefficients(self.values, self._step)
 
     def evaluate(self, dist):
         """Direct (table-free) fidelity at one distance or an array of them."""
@@ -187,11 +192,59 @@ class FidelityTable:
 
     def __call__(self, dist):
         dist = np.asarray(dist, dtype=float)
-        out = self._spline(dist)
-        missing = np.isnan(out)
-        if missing.any():
-            out[missing] = self.evaluate(dist[missing])
+        inside = (dist >= self.distances[0]) & (dist <= self.distances[-1])
+        out = np.empty(dist.shape)
+        out[inside] = self._interpolate(dist[inside])
+        if not inside.all():
+            out[~inside] = self.evaluate(dist[~inside])
         return float(out) if out.ndim == 0 else out
+
+    def _interpolate(self, dist: np.ndarray) -> np.ndarray:
+        """Spline value at in-window distances, by Horner's rule on the
+        cubic of each distance's interval (the last one closes at ``hi``)."""
+        index = ((dist - self.distances[0]) / self._step).astype(np.intp)
+        np.minimum(index, len(self.distances) - 2, out=index)
+        offset = dist - self.distances[index]
+        out = self._coefficients[0][index]
+        for row in self._coefficients[1:]:
+            out *= offset
+            out += row[index]
+        return out
+
+
+def _spline_coefficients(values: np.ndarray, step: float) -> np.ndarray:
+    """Power-basis coefficients, shape (4, n-1), of the not-a-knot cubic
+    spline through ``values`` on knots ``step`` apart.
+
+    Row k multiplies (d - knot)**(3-k) on each interval.  The knot
+    slopes s solve the tridiagonal equations of C2 continuity plus the
+    not-a-knot end conditions (third derivative continuous across the
+    second and the second-last knot), divided by ``step``; one Thomas
+    sweep solves them, and its last pivot is nonzero for n >= 4.
+    """
+    m = np.diff(values) / step
+    rhs = np.empty(len(values))
+    rhs[0] = (5.0 * m[0] + m[1]) / 2.0
+    rhs[1:-1] = 3.0 * (m[:-1] + m[1:])
+    rhs[-1] = (m[-2] + 5.0 * m[-1]) / 2.0
+    # rows: s0 + 2 s1; s(i-1) + 4 s(i) + s(i+1); 2 s(n-2) + s(n-1)
+    rhs = rhs.tolist()
+    upper = [2.0]
+    for i in range(1, len(rhs) - 1):
+        pivot = 4.0 - upper[-1]
+        upper.append(1.0 / pivot)
+        rhs[i] = (rhs[i] - rhs[i - 1]) / pivot
+    rhs[-1] = (rhs[-1] - 2.0 * rhs[-2]) / (1.0 - 2.0 * upper[-1])
+    for i in range(len(rhs) - 2, -1, -1):
+        rhs[i] -= upper[i] * rhs[i + 1]
+    slopes = np.array(rhs)
+    curvature = (slopes[:-1] + slopes[1:] - 2.0 * m) / step
+    return np.stack([
+        curvature / step,
+        (m - slopes[:-1]) / step - curvature,
+        slopes[:-1],
+        values[:-1],
+    ])
 
 
 def _difference_weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -213,16 +266,20 @@ def _difference_weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _grid_mean_paired(table, grid: GridSpec, sigmas: InflatedSigmas, separation: float) -> float:
     offsets, weights = _difference_weights(grid)
+    # y and z differences enter only squared: fold -k onto +k, summing weights
+    n = len(offsets) // 2
+    folded = weights[n:].copy()
+    folded[1:] += weights[n - 1::-1]
     dx = offsets * sigmas.sigma_perp  # x_c - x_t
-    dy = offsets * sigmas.sigma_perp
-    dz = offsets * sigmas.sigma_z
+    dy = offsets[n:] * sigmas.sigma_perp
+    dz = offsets[n:] * sigmas.sigma_z
     dist = np.sqrt(
         (dx[:, None, None] - separation) ** 2
         + dy[None, :, None] ** 2
         + dz[None, None, :] ** 2
     )
     fid = table(dist.ravel()).reshape(dist.shape)
-    w = weights[:, None, None] * weights[None, :, None] * weights[None, None, :]
+    w = weights[:, None, None] * folded[None, :, None] * folded[None, None, :]
     return float(np.sum(w * fid) / np.sum(w))
 
 

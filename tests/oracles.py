@@ -7,11 +7,13 @@ two-level return amplitude comes from the closed-form SU(2) rotation
 algebra, the gate matrix is rebuilt from the pulse recipe with
 hand-assembled Hamiltonians and scipy's Pade matrix exponential, the
 exact exposure comes from Van Loan's block-matrix exponential on the
-same Hamiltonians, and the grid average is the literal 6-D sum.
+same Hamiltonians, the grid average is the literal 6-D sum, and the
+table interpolant is scipy's not-a-knot ``CubicSpline``.
 """
 
 import numpy as np
 import scipy.linalg
+from scipy.interpolate import CubicSpline
 
 
 def rk4_propagator(hamiltonian, duration, step=1e-4):
@@ -209,3 +211,9 @@ def grid_mean_full(table, delta, sigma_perp, sigma_z, separation):
                 acc += float(np.sum(weight * fid))
                 wsum += float(np.sum(weight))
     return acc / wsum
+
+
+def cubic_spline(distances, values):
+    """scipy's not-a-knot cubic spline through the table's knots; NaN
+    outside ``[distances[0], distances[-1]]``."""
+    return CubicSpline(distances, values, extrapolate=False)

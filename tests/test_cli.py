@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import rydvdw
 from rydvdw.cli import main, run_fidelity, run_simulate, run_solve, run_sweep
 from rydvdw.config import SCHEMA, load_config, parse_config
 from rydvdw.errors import ConfigError
@@ -75,6 +79,26 @@ class TestSolveCommand:
         assert abs(record["params"]["t_gate_us"] - 3.415) < 0.005
         assert abs(record["params"]["interaction_mhz"] - 0.4619) < 1e-3
 
+    def test_cold_solve_imports_no_scipy(self, tmp_path):
+        code = (
+            "import sys\n"
+            "from rydvdw.cli import main\n"
+            "try:\n"
+            "    main(['solve', '--config', sys.argv[1]])\n"
+            "except SystemExit as exc:\n"
+            "    assert not exc.code, exc.code\n"
+            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n"
+        )
+        src = str(Path(rydvdw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-c", code, write_config(tmp_path, {})],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert abs(json.loads(result.stdout)["params"]["separation_um"] - 20.99) < 0.01
+
     def test_fast_drive_duration(self, runner, tmp_path):
         path = write_config(
             tmp_path, {"drive": {"omega_control_mhz": 4.6, "omega_target_mhz": 4.6}}
@@ -88,6 +112,14 @@ class TestSolveCommand:
         result = runner.invoke(main, ["solve", "--config", path])
         assert result.exit_code == 2
         assert "sigma_z0_um" in result.output
+
+    @pytest.mark.parametrize("c6_text", ["1e305", "1e400"])  # json reads 1e400 as inf
+    def test_non_finite_c6_exits_2(self, runner, tmp_path, c6_text):
+        path = tmp_path / "config.json"
+        path.write_text('{"vdw": {"c6_thz_um6": %s}}' % c6_text)
+        result = runner.invoke(main, ["solve", "--config", str(path)])
+        assert result.exit_code == 2
+        assert "config error: invalid config field 'vdw.c6_thz_um6'" in result.output
 
     def test_interaction_override_rejected_outside_simulate(self, runner, tmp_path):
         path = write_config(tmp_path, {"overrides": {"interaction_mhz": 0.5}})

@@ -66,17 +66,19 @@ class TestExtractGateMatrix:
     @given(
         kind=st.sampled_from(["cz", "cnot"]),
         theta=st.floats(0.2, 2 * np.pi - 0.2, exclude_min=True, exclude_max=True),
-        omega_control_mhz=st.floats(0.1, 10.0),
-        omega_target_mhz=st.floats(0.1, 10.0),
+        omega_control_exponent=st.floats(-1.0, 1.0),
+        omega_target_exponent=st.floats(-1.0, 1.0),
         exponents=st.lists(st.floats(-2.0, 2.0), max_size=5),
     )
     @settings(max_examples=40, deadline=None)
     def test_batch_matches_expm_oracle_and_single_calls(
-        self, kind, theta, omega_control_mhz, omega_target_mhz, exponents
+        self, kind, theta, omega_control_exponent, omega_target_exponent, exponents
     ):
         if kind == "cnot":
             theta = np.pi
-        omega_control, omega_target = omega_control_mhz * MHZ, omega_target_mhz * MHZ
+        # log-uniform in 0.1-10 MHz, so the slow decade holding 0.8 MHz gets half the draws
+        omega_control = 10.0**omega_control_exponent * MHZ
+        omega_target = 10.0**omega_target_exponent * MHZ
         protocol = build_protocol(ProtocolParams.solve(theta, omega_control, omega_target), kind)
         design = protocol.nominal_interaction
         interactions = design * 10.0 ** np.array([-2.0, 0.0, 2.0, *exponents])

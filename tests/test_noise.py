@@ -17,7 +17,7 @@ from rydvdw.noise import (
 )
 from rydvdw.noise import _difference_weights, _grid_mean_paired
 
-from .oracles import grid_mean_full
+from .oracles import cubic_spline, grid_mean_full
 
 VDW = VdwModel()
 
@@ -30,6 +30,18 @@ class ConstantTable:
 
     def __call__(self, dist):
         return self.value * np.ones_like(np.asarray(dist, dtype=float))
+
+
+class CountingTable:
+    """Wraps a fidelity table and counts the distances looked up."""
+
+    def __init__(self, table):
+        self.table = table
+        self.lookups = 0
+
+    def __call__(self, dist):
+        self.lookups += np.size(dist)
+        return self.table(dist)
 
 
 class TestInflateSigmas:
@@ -95,13 +107,31 @@ class TestWeights:
         assert len(offsets) == 2 * 13 - 1
 
     def test_paired_equals_full_enumeration(self, nominal_table, nominal_sigmas):
-        for delta in (0.75, 0.5):
+        for delta in (0.75, 0.5, 0.25):
             spec = GridSpec(delta)
             paired = _grid_mean_paired(nominal_table, spec, nominal_sigmas, 20.99)
             full = grid_mean_full(
                 nominal_table, delta, nominal_sigmas.sigma_perp, nominal_sigmas.sigma_z, 20.99
             )
             assert abs(paired - full) < 1e-12
+
+    def test_folded_grid_lookup_count(self, nominal_table, nominal_sigmas):
+        # delta 0.1: m = 30 steps per 3 sigma; dx keeps both signs, dy and dz fold
+        counting = CountingTable(nominal_table)
+        paired = _grid_mean_paired(counting, GridSpec(0.1), nominal_sigmas, 20.99)
+        assert counting.lookups == 61 * 31**2
+        # the literal 6-D sum takes about 45 s here, so the reference is the
+        # unfolded 3-D sum over all 61**3 differences, built from scratch
+        nodes = np.linspace(-1.5, 1.5, 31)
+        weights = np.exp(-0.5 * nodes**2)
+        weights = np.convolve(weights, weights) / weights.sum() ** 2
+        offsets = np.linspace(-3.0, 3.0, 61)
+        dx = offsets[:, None, None] * nominal_sigmas.sigma_perp - 20.99
+        dy = offsets[None, :, None] * nominal_sigmas.sigma_perp
+        dz = offsets[None, None, :] * nominal_sigmas.sigma_z
+        fid = nominal_table(np.sqrt(dx**2 + dy**2 + dz**2))
+        w = weights[:, None, None] * weights[None, :, None] * weights[None, None, :]
+        assert abs(paired - np.sum(w * fid) / np.sum(w)) < 1e-12
 
 
 class TestFidelityTable:
@@ -131,9 +161,36 @@ class TestFidelityTable:
         values = nominal_table(dist)
         assert values.shape == dist.shape
         assert len(calls) == 1 and np.array_equal(calls[0], dist[outside])
+        spline = cubic_spline(nominal_table.distances, nominal_table.values)
         for d, value, out in zip(dist.ravel(), values.ravel(), outside.ravel()):
-            expected = evaluate(d) if out else nominal_table._spline(d)
+            expected = evaluate(d) if out else spline(d)
             assert abs(value - expected) < 1e-14
+
+    @pytest.mark.parametrize("n_points", [4, 7, 101, 4001])
+    def test_matches_scipy_spline_oracle(self, nominal_protocol, nominal_noise, n_points):
+        table = FidelityTable(
+            nominal_protocol, VDW, nominal_noise.trap_separation, 1.52, n_points=n_points
+        )
+        spline = cubic_spline(table.distances, table.values)
+        lo, hi = table.distances[0], table.distances[-1]
+        rng = np.random.default_rng(n_points)
+        inside = np.concatenate([rng.uniform(lo, hi, 2000), table.distances, [lo, hi]])
+        assert np.abs(table(inside) - spline(inside)).max() < 1e-13
+        grid = inside[:2000].reshape(40, 50)
+        values = table(grid)
+        assert values.shape == (40, 50)
+        assert np.abs(values - spline(grid)).max() < 1e-13
+        for d in (lo, hi, inside[0]):
+            value = table(np.float64(d))
+            assert isinstance(value, float) and abs(value - spline(d)) < 1e-13
+        # one ulp outside the inclusive window: direct evaluation, where the oracle gives NaN
+        outside = np.array([np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)])
+        assert np.isnan(spline(outside)).all()
+        assert np.abs(table(outside) - table.evaluate(outside)).max() < 1e-14
+
+    def test_needs_four_knots(self, nominal_protocol, nominal_noise):
+        with pytest.raises(ValueError, match="n_points"):
+            FidelityTable(nominal_protocol, VDW, nominal_noise.trap_separation, 1.52, n_points=3)
 
     def test_rejects_range_reaching_zero_distance(self, nominal_protocol):
         with pytest.raises(ValueError):
