@@ -21,7 +21,6 @@ from .noise import (
     NoiseConfig,
     decay_error,
     grid_average_fidelity,
-    grid_convergence,
     inflate_sigmas,
     monte_carlo_average_fidelity,
 )
@@ -31,7 +30,6 @@ from .protocol import (
     Pulse,
     build_cnot_protocol,
     build_cz_protocol,
-    gate_duration,
     hyperfine_leakage_estimate,
     phase_from_interaction,
     rydberg_exposure,

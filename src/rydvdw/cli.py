@@ -27,10 +27,12 @@ from .errors import ConfigError, NumericError
 from .gates import extract_gate_matrix, gate_fidelity, ideal_gate, pedersen_fidelity
 from .geometry import VdwModel, vdw_interaction
 from .noise import (
+    FidelityReport,
     FidelityTable,
     GridSpec,
     NoiseConfig,
     TableWindowError,
+    decay_error,
     grid_average_fidelity,
     inflate_sigmas,
     monte_carlo_average_fidelity,
@@ -47,15 +49,16 @@ from .records import ResultRecord, complex_matrix_to_json, rows_to_csv
 __all__ = ["main", "run_solve", "run_simulate", "run_fidelity", "run_sweep"]
 
 
-def _solve_point(cfg: RunConfig) -> tuple[ProtocolParams, VdwModel]:
-    vdw = VdwModel(cfg.c6)
-    params = ProtocolParams.solve(cfg.theta, cfg.omega_control, cfg.omega_target, vdw)
-    if cfg.interaction_override is not None:
+def _solve_point(cfg: RunConfig, allow_overrides: bool = False) -> tuple[ProtocolParams, VdwModel]:
+    """The design point of the config; only ``simulate`` takes ``overrides``."""
+    overrides = cfg.raw.get("overrides", {})
+    if overrides and not allow_overrides:
         raise ConfigError(
-            "invalid config field 'overrides.interaction_mhz': "
-            "only 'simulate' accepts an interaction override"
+            f"invalid config field 'overrides.{next(iter(overrides))}': "
+            "only 'simulate' accepts overrides"
         )
-    return params, vdw
+    vdw = VdwModel(cfg.c6)
+    return ProtocolParams.solve(cfg.theta, cfg.omega_control, cfg.omega_target, vdw), vdw
 
 
 def _params_dict(params: ProtocolParams) -> dict:
@@ -71,7 +74,7 @@ def _params_dict(params: ProtocolParams) -> dict:
 
 
 def _noise_config(cfg: RunConfig, params: ProtocolParams) -> NoiseConfig:
-    separation = cfg.trap_separation or cfg.separation_override or params.separation
+    separation = cfg.trap_separation or params.separation
     return NoiseConfig(
         trap_separation=separation,
         sigma_z0=cfg.sigma_z0,
@@ -96,8 +99,7 @@ def run_solve(cfg: RunConfig) -> ResultRecord:
 
 def run_simulate(cfg: RunConfig) -> ResultRecord:
     """Single gate at the design point (or an explicit interaction override)."""
-    vdw = VdwModel(cfg.c6)
-    params = ProtocolParams.solve(cfg.theta, cfg.omega_control, cfg.omega_target, vdw)
+    params, vdw = _solve_point(cfg, allow_overrides=True)
     protocol = build_protocol(params, cfg.kind)
     interaction = cfg.interaction_override
     if cfg.separation_override is not None:
@@ -119,25 +121,23 @@ def run_simulate(cfg: RunConfig) -> ResultRecord:
             "gate_matrix": complex_matrix_to_json(gate),
             "nominal_fidelity": fidelity,
             "rydberg_exposure_us": exposure,
-            "decay_error": exposure / (cfg.rydberg_lifetime * 1e3),
-            "decay_error_300k": exposure / (LIFETIME_97S_300K_MS * 1e3),
-            "decay_error_4k": exposure / (LIFETIME_97S_4K_MS * 1e3),
+            "decay_error": decay_error(exposure, cfg.rydberg_lifetime),
+            "decay_error_300k": decay_error(exposure, LIFETIME_97S_300K_MS),
+            "decay_error_4k": decay_error(exposure, LIFETIME_97S_4K_MS),
         },
     )
 
 
-def _report_dict(report) -> dict:
+def _report_dict(report: FidelityReport, e_decay: float) -> dict:
     out = {
         "mean_fidelity": report.mean_fidelity,
-        "decay_error": report.decay_error,
-        "net_fidelity": report.net_fidelity,
+        "decay_error": e_decay,
+        "net_fidelity": report.mean_fidelity - e_decay,
         "sample_count": report.sample_count,
         "method": report.method,
     }
     if report.stderr is not None:
         out["stderr"] = report.stderr
-    if report.convergence:
-        out["convergence"] = [[delta, mean] for delta, mean in report.convergence]
     return out
 
 
@@ -149,6 +149,9 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
     sigmas = inflate_sigmas(ncfg, params.t_gate)
     table = FidelityTable(protocol, vdw, ncfg.trap_separation, sigmas.sigma_z)
     exposure = rydberg_exposure(protocol)
+    e_decay = decay_error(exposure, ncfg.rydberg_lifetime)
+    e_300k = decay_error(exposure, LIFETIME_97S_300K_MS)
+    e_4k = decay_error(exposure, LIFETIME_97S_4K_MS)
     results: dict = {
         "sigma_z_um": sigmas.sigma_z,
         "sigma_perp_um": sigmas.sigma_perp,
@@ -157,60 +160,55 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
         "wall_times": {},
     }
 
-    def csv_row(label, mean, samples, wall):
-        return {
+    def timed(key, label, average, *args, **kwargs):
+        """Run one average on the table, recording its CSV row and wall time."""
+        tic = time.perf_counter()
+        report = average(table, sigmas, *args, **kwargs)
+        wall = time.perf_counter() - tic
+        results["csv_rows"].append({
             "delta": label,
-            "meanFidelity": mean,
-            "netFidelity300K": mean - exposure / (LIFETIME_97S_300K_MS * 1e3),
-            "netFidelity4K": mean - exposure / (LIFETIME_97S_4K_MS * 1e3),
-            "samples": samples,
+            "meanFidelity": report.mean_fidelity,
+            "netFidelity300K": report.mean_fidelity - e_300k,
+            "netFidelity4K": report.mean_fidelity - e_4k,
+            "samples": report.sample_count,
             "wallTime": wall,
-        }
+        })
+        results["wall_times"][key] = wall
+        return report
 
     if cfg.mode in ("grid", "both"):
-        series = []
-        for delta in cfg.deltas:
-            tic = time.perf_counter()
-            report = grid_average_fidelity(
-                protocol, vdw, ncfg, sigmas, GridSpec(delta), table=table, exposure=exposure
-            )
-            wall = time.perf_counter() - tic
-            series.append((delta, report))
-            results["csv_rows"].append(
-                csv_row(delta, report.mean_fidelity, report.sample_count, wall)
-            )
-            results["wall_times"][f"grid_{delta}"] = wall
+        series = [
+            (delta, timed(f"grid_{delta}", delta, grid_average_fidelity, GridSpec(delta)))
+            for delta in cfg.deltas
+        ]
         finest = min(series, key=lambda item: item[0])[1]
-        grid_dict = _report_dict(finest)
-        grid_dict["convergence"] = [[d, r.mean_fidelity] for d, r in series]
-        grid_dict["estimate"] = finest.mean_fidelity
-        results["grid"] = grid_dict
+        results["grid"] = {
+            **_report_dict(finest, e_decay),
+            "convergence": [[delta, report.mean_fidelity] for delta, report in series],
+            "estimate": finest.mean_fidelity,
+        }
     if cfg.mode in ("mc", "both"):
-        tic = time.perf_counter()
-        report = monte_carlo_average_fidelity(
-            protocol,
-            vdw,
-            ncfg,
-            sigmas,
+        report = timed(
+            "mc",
+            "mc",
+            monte_carlo_average_fidelity,
             n_samples=cfg.mc_samples,
             seed=cfg.seed,
             truncate=1.5 if cfg.mc_truncated else None,
-            table=table,
-            exposure=exposure,
         )
-        wall = time.perf_counter() - tic
-        results["mc"] = _report_dict(report)
-        results["csv_rows"].append(
-            csv_row("mc", report.mean_fidelity, report.sample_count, wall)
-        )
-        results["wall_times"]["mc"] = wall
+        results["mc"] = _report_dict(report, e_decay)
     return ResultRecord(
         command="fidelity", config=cfg.raw, params=_params_dict(params), results=results
     )
 
 
 def run_sweep(cfg: RunConfig) -> ResultRecord:
-    """Scan one axis, one result row per value (values sorted ascending)."""
+    """Scan one axis, one result row per value (values sorted ascending).
+
+    The ``omega`` axis re-solves the chain per point with both atoms
+    driven at the swept frequency, so ``drive.omega_*_mhz`` do not
+    enter its rows.
+    """
     if not cfg.sweep:
         raise ConfigError("invalid config field 'sweep': required for the sweep command")
     axis = cfg.sweep["axis"]
@@ -242,7 +240,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
                 "separation_um": p.separation,
                 "t_gate_us": p.t_gate,
                 "rydberg_exposure_us": exposure,
-                "decay_error_300k": exposure / (LIFETIME_97S_300K_MS * 1e3),
+                "decay_error_300k": decay_error(exposure, LIFETIME_97S_300K_MS),
                 "nominal_fidelity": pedersen_fidelity(gate, ideal_gate(protocol)),
             })
     elif axis == "temperature":
@@ -254,14 +252,11 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
             replace(ncfg_base, temperature=float(values[-1])), params.t_gate
         ).sigma_z
         table = FidelityTable(protocol, vdw, ncfg_base.trap_separation, sigma_hot)
-        exposure = rydberg_exposure(protocol)
+        e_decay = decay_error(rydberg_exposure(protocol), ncfg_base.rydberg_lifetime)
         delta = min(cfg.deltas)
         for temp in values:
-            ncfg = replace(ncfg_base, temperature=float(temp))
-            sigmas = inflate_sigmas(ncfg, params.t_gate)
-            report = grid_average_fidelity(
-                protocol, vdw, ncfg, sigmas, GridSpec(delta), table=table, exposure=exposure
-            )
+            sigmas = inflate_sigmas(replace(ncfg_base, temperature=float(temp)), params.t_gate)
+            report = grid_average_fidelity(table, sigmas, GridSpec(delta))
             rows.append({
                 "axis": axis,
                 "value": float(temp),
@@ -269,7 +264,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
                 "sigma_perp_um": sigmas.sigma_perp,
                 "delta": delta,
                 "mean_fidelity": report.mean_fidelity,
-                "net_fidelity": report.net_fidelity,
+                "net_fidelity": report.mean_fidelity - e_decay,
             })
     else:  # unreachable behind schema validation
         raise ConfigError(f"invalid config field 'sweep.axis': unknown axis {axis!r}")
@@ -286,7 +281,7 @@ _RUNNERS = {
 }
 
 
-def _emit(record: ResultRecord, out: str | None, fmt: str) -> None:
+def _render(record: ResultRecord, fmt: str) -> str:
     if fmt == "csv":
         rows = record.results.get("rows") or record.results.get("csv_rows")
         if not rows:
@@ -295,14 +290,8 @@ def _emit(record: ResultRecord, out: str | None, fmt: str) -> None:
                 {k: v for k, v in record.results.items() if isinstance(v, (int, float, str))}
             )
             rows = [row]
-        text = rows_to_csv(rows)
-    else:
-        text = record.to_json() + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        click.echo(text, nl=False)
+        return rows_to_csv(rows)
+    return record.to_json() + "\n"
 
 
 def _execute(command: str, config_path: str, out, seed, fmt) -> None:
@@ -311,6 +300,7 @@ def _execute(command: str, config_path: str, out, seed, fmt) -> None:
         if seed is not None:
             cfg.seed = seed
         record = _RUNNERS[command](cfg)
+        text = _render(record, fmt or ("csv" if command == "sweep" else "json"))
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
@@ -320,8 +310,11 @@ def _execute(command: str, config_path: str, out, seed, fmt) -> None:
     except (NumericError, ValueError, np.linalg.LinAlgError) as exc:
         click.echo(f"numeric error: {exc}", err=True)
         sys.exit(1)
-    default_fmt = "csv" if command == "sweep" else "json"
-    _emit(record, out, fmt or default_fmt)
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
 def _common_options(func):

@@ -25,14 +25,14 @@ half with the weights of the two signs summed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import KB, RB87_MASS_KG, SIGMA_PERP0_DEFAULT, SIGMA_Z0_DEFAULT
 from .gates import gate_fidelity
 from .geometry import VdwModel, vdw_interaction
-from .protocol import GateProtocol, rydberg_exposure
+from .protocol import GateProtocol
 
 __all__ = [
     "NoiseConfig",
@@ -43,7 +43,6 @@ __all__ = [
     "FidelityTable",
     "TableWindowError",
     "grid_average_fidelity",
-    "grid_convergence",
     "monte_carlo_average_fidelity",
     "decay_error",
 ]
@@ -120,15 +119,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Outcome of a fidelity-averaging run."""
+    """Outcome of a fidelity-averaging run: the mean over ``sample_count``
+    grid nodes or samples and, for Monte Carlo, its standard error."""
 
     mean_fidelity: float
-    decay_error: float
-    net_fidelity: float
     sample_count: int
     method: str
     stderr: float | None = None
-    convergence: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
 
 def inflate_sigmas(cfg: NoiseConfig, t_gate: float) -> InflatedSigmas:
@@ -180,6 +177,7 @@ class FidelityTable:
             )
         self.protocol = protocol
         self.vdw = vdw
+        self.trap_separation = trap_separation
         self.distances = np.linspace(lo, hi, n_points)
         self.values = self.evaluate(self.distances)
         self._step = (hi - lo) / (n_points - 1)
@@ -283,113 +281,44 @@ def _grid_mean_paired(table, grid: GridSpec, sigmas: InflatedSigmas, separation:
     return float(np.sum(w * fid) / np.sum(w))
 
 
-def _make_report(
-    mean: float,
-    protocol: GateProtocol,
-    cfg: NoiseConfig,
-    sample_count: int,
-    method: str,
-    exposure: float | None,
-    stderr: float | None = None,
-    convergence=(),
-) -> FidelityReport:
-    e_decay = decay_error(protocol, cfg, exposure)
-    return FidelityReport(
-        mean, e_decay, mean - e_decay, sample_count, method, stderr, tuple(convergence)
-    )
-
-
 def grid_average_fidelity(
-    protocol: GateProtocol,
-    vdw: VdwModel,
-    cfg: NoiseConfig,
-    sigmas: InflatedSigmas,
-    grid: GridSpec,
-    table: FidelityTable | None = None,
-    exposure: float | None = None,
+    table: FidelityTable, sigmas: InflatedSigmas, grid: GridSpec
 ) -> FidelityReport:
     """Deterministic grid average of the fidelity over qubit positions.
 
     Every coordinate is sampled on {-1.5, ..., +1.5} sigma with step
     ``delta`` and Gaussian weights normalized per coordinate; the pair
     interaction is recomputed from the actual distance of each offset
-    tuple, summed through the exact difference-coordinate regrouping.
-
-    Returns a :class:`FidelityReport` whose ``net_fidelity`` has the
-    Rydberg decay error subtracted; pass the protocol's ``exposure``
-    (us) when it is already known, else it is computed here.
+    tuple (around the table's trap separation), summed through the
+    exact difference-coordinate regrouping.
     """
-    if table is None:
-        table = FidelityTable(protocol, vdw, cfg.trap_separation, sigmas.sigma_z)
-    mean = _grid_mean_paired(table, grid, sigmas, cfg.trap_separation)
-    n_axis = len(grid.points())
-    return _make_report(mean, protocol, cfg, n_axis**6, "grid-paired", exposure)
-
-
-def grid_convergence(
-    protocol: GateProtocol,
-    vdw: VdwModel,
-    cfg: NoiseConfig,
-    sigmas: InflatedSigmas,
-    deltas,
-    table: FidelityTable | None = None,
-) -> FidelityReport:
-    """Grid averages for a sequence of steps, reporting the finest as the estimate.
-
-    The ``convergence`` field lists (delta, mean fidelity) pairs in the
-    order given; the headline ``mean_fidelity`` is the value at the
-    smallest delta.
-    """
-    deltas = list(deltas)
-    if not deltas:
-        raise ValueError("need at least one delta")
-    if table is None:
-        table = FidelityTable(protocol, vdw, cfg.trap_separation, sigmas.sigma_z)
-    series = []
-    for delta in deltas:
-        mean = _grid_mean_paired(table, GridSpec(delta), sigmas, cfg.trap_separation)
-        series.append((delta, mean))
-    finest_delta = min(deltas)
-    finest = dict(series)[finest_delta]
-    n_axis = len(GridSpec(finest_delta).points())
-    return _make_report(finest, protocol, cfg, n_axis**6, "grid-paired", None, convergence=series)
+    mean = _grid_mean_paired(table, grid, sigmas, table.trap_separation)
+    return FidelityReport(mean, len(grid.points()) ** 6, "grid-paired")
 
 
 def monte_carlo_average_fidelity(
-    protocol: GateProtocol,
-    vdw: VdwModel,
-    cfg: NoiseConfig,
+    table: FidelityTable,
     sigmas: InflatedSigmas,
     n_samples: int,
     seed: int,
     truncate: float | None = None,
-    table: FidelityTable | None = None,
-    exposure: float | None = None,
 ) -> FidelityReport:
     """Monte Carlo average of the fidelity over qubit positions.
 
     Draws the six offsets from independent Gaussians (untruncated by
     default; set ``truncate=1.5`` to match the grid's support) and
     reports the sample mean and its standard error.  Identical seeds
-    give bit-identical reports.  ``exposure`` is as in
-    :func:`grid_average_fidelity`.
+    give bit-identical reports.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if table is None:
-        table = FidelityTable(protocol, vdw, cfg.trap_separation, sigmas.sigma_z)
     rng = np.random.default_rng(seed)
-
-    def draw(count: int) -> np.ndarray:
-        z = rng.standard_normal((6, count))
-        if truncate is not None:
-            bad = np.abs(z) > truncate
-            while bad.any():
-                z[bad] = rng.standard_normal(int(bad.sum()))
-                bad = np.abs(z) > truncate
-        return z
-
-    offsets = draw(n_samples)
+    offsets = rng.standard_normal((6, n_samples))
+    if truncate is not None:
+        bad = np.abs(offsets) > truncate
+        while bad.any():
+            offsets[bad] = rng.standard_normal(int(bad.sum()))
+            bad = np.abs(offsets) > truncate
     scale = np.array([
         sigmas.sigma_perp,  # x_c
         sigmas.sigma_perp,  # y_c
@@ -398,22 +327,19 @@ def monte_carlo_average_fidelity(
         sigmas.sigma_perp,  # y_t
         sigmas.sigma_z,     # z_t
     ])
-    pos = offsets * scale[:, None]
+    offsets *= scale[:, None]
     dist = np.sqrt(
-        (pos[0] - pos[3] - cfg.trap_separation) ** 2
-        + (pos[1] - pos[4]) ** 2
-        + (pos[2] - pos[5]) ** 2
+        (offsets[0] - offsets[3] - table.trap_separation) ** 2
+        + (offsets[1] - offsets[4]) ** 2
+        + (offsets[2] - offsets[5]) ** 2
     )
     fid = table(dist)
     mean = float(np.mean(fid))
     stderr = float(np.std(fid, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
     label = "mc-truncated" if truncate is not None else "mc"
-    return _make_report(mean, protocol, cfg, n_samples, label, exposure, stderr=stderr)
+    return FidelityReport(mean, n_samples, label, stderr)
 
 
-def decay_error(protocol: GateProtocol, cfg: NoiseConfig, exposure: float | None = None) -> float:
-    """Rydberg decay error T_exposure / lifetime (dimensionless); the
-    ``exposure`` (us) is computed from the protocol when not given."""
-    if exposure is None:
-        exposure = rydberg_exposure(protocol)
-    return exposure / (cfg.rydberg_lifetime * 1e3)
+def decay_error(exposure: float, lifetime_ms: float) -> float:
+    """Rydberg decay error: the exposure (us) over the lifetime (ms), dimensionless."""
+    return exposure / (lifetime_ms * 1e3)

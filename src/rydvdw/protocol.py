@@ -42,7 +42,6 @@ __all__ = [
     "phase_from_interaction",
     "build_cz_protocol",
     "build_cnot_protocol",
-    "gate_duration",
     "hyperfine_leakage_estimate",
     "rydberg_exposure",
 ]
@@ -275,12 +274,6 @@ def build_protocol(params: ProtocolParams, kind: str) -> GateProtocol:
     if kind == "cnot":
         return build_cnot_protocol(params)
     raise ValueError(f"unknown gate kind {kind!r}")
-
-
-def gate_duration(params: ProtocolParams) -> float:
-    """Total sequence duration 2*pi/omega_control + 2*t_cycle in us."""
-    obar = np.hypot(params.omega_target, params.interaction)
-    return TWO_PI / params.omega_control + 2.0 * TWO_PI / obar
 
 
 def hyperfine_leakage_estimate(omega_target: float, hyperfine_splitting: float) -> float:

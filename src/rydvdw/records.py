@@ -45,7 +45,7 @@ class ResultRecord:
         return asdict(self)
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ResultRecord":

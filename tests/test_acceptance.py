@@ -11,7 +11,6 @@ import numpy as np
 from rydvdw import MHZ
 from rydvdw.dynamics import basis_index, basis_state, build_hamiltonian, exponentiate
 from rydvdw.gates import extract_gate_matrix, ideal_cnot, ideal_cz, pedersen_fidelity
-from rydvdw.geometry import VdwModel
 from rydvdw.noise import (
     GridSpec,
     NoiseConfig,
@@ -136,26 +135,20 @@ def test_criterion_6_sigma_inflation(nominal_noise, nominal_params):
     )
 
 
-def test_criterion_7_grid_fidelity_series(
-    nominal_protocol, nominal_noise, nominal_sigmas, nominal_table
-):
+def test_criterion_7_grid_fidelity_series(nominal_protocol, nominal_sigmas, nominal_table):
     tic = time.perf_counter()
-    vdw = VdwModel()
     series = {}
     for delta in REFERENCE_SERIES:
-        report = grid_average_fidelity(
-            nominal_protocol, vdw, nominal_noise, nominal_sigmas, GridSpec(delta),
-            table=nominal_table,
-        )
-        series[delta] = report
+        series[delta] = grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(delta))
     elapsed = time.perf_counter() - tic
     deviations = {
         delta: abs(series[delta].mean_fidelity - reference)
         for delta, reference in REFERENCE_SERIES.items()
     }
     estimate = series[0.1].mean_fidelity
-    net_room = estimate - series[0.1].decay_error
-    net_cold = estimate - rydberg_exposure(nominal_protocol) / (1.10 * 1e3)
+    exposure = rydberg_exposure(nominal_protocol)
+    net_room = estimate - exposure / (0.311 * 1e3)
+    net_cold = estimate - exposure / (1.10 * 1e3)
     ok = (
         all(dev <= 1e-3 for dev in deviations.values())
         and abs(estimate - 0.992) <= 1e-3
@@ -206,18 +199,11 @@ def test_criterion_9_channel_exactness(nominal_protocol):
     )
 
 
-def test_criterion_10_grid_vs_truncated_mc(
-    nominal_protocol, nominal_noise, nominal_sigmas, nominal_table
-):
+def test_criterion_10_grid_vs_truncated_mc(nominal_sigmas, nominal_table):
     tic = time.perf_counter()
-    vdw = VdwModel()
-    grid = grid_average_fidelity(
-        nominal_protocol, vdw, nominal_noise, nominal_sigmas, GridSpec(0.1),
-        table=nominal_table,
-    )
+    grid = grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(0.1))
     mc = monte_carlo_average_fidelity(
-        nominal_protocol, vdw, nominal_noise, nominal_sigmas,
-        n_samples=1_000_000, seed=20210901, truncate=1.5, table=nominal_table,
+        nominal_table, nominal_sigmas, n_samples=1_000_000, seed=20210901, truncate=1.5
     )
     elapsed = time.perf_counter() - tic
     gap = abs(mc.mean_fidelity - grid.mean_fidelity)

@@ -125,6 +125,19 @@ class TestSolveCommand:
         path = write_config(tmp_path, {"overrides": {"interaction_mhz": 0.5}})
         result = runner.invoke(main, ["solve", "--config", path])
         assert result.exit_code == 2
+        assert "config error: invalid config field 'overrides.interaction_mhz'" in result.output
+
+    @pytest.mark.parametrize("command", ["solve", "fidelity", "sweep"])
+    def test_separation_override_rejected_outside_simulate(self, runner, tmp_path, command):
+        # the trap separation of the noise model is noise.trap_separation_um
+        payload = {
+            "overrides": {"separation_um": 21.0},
+            "sweep": {"axis": "temperature", "start": 5.0, "stop": 15.0, "points": 2},
+            "sampling": {"deltas": [0.5]},
+        }
+        result = runner.invoke(main, [command, "--config", write_config(tmp_path, payload)])
+        assert result.exit_code == 2
+        assert "config error: invalid config field 'overrides.separation_um'" in result.output
 
     def test_numeric_failure_exits_1(self, runner, tmp_path, monkeypatch):
         # no valid config is known to break the eigensolver, so make it fail
@@ -174,6 +187,14 @@ class TestSimulateCommand:
         )
         with pytest.raises(ConfigError):
             run_simulate(cfg)
+
+    def test_infinite_decay_error_exits_1_without_output(self, runner, tmp_path):
+        # exposure / lifetime overflows to inf, which JSON cannot carry
+        path = write_config(tmp_path, {"noise": {"rydberg_lifetime_ms": 1e-320}})
+        result = runner.invoke(main, ["simulate", "--config", path])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "numeric error: " in result.stderr
 
 
 class TestFidelityCommand:
@@ -239,7 +260,6 @@ class TestFidelityCommand:
             return rydberg_exposure(*args, **kwargs)
 
         monkeypatch.setattr("rydvdw.cli.rydberg_exposure", counted)
-        monkeypatch.setattr("rydvdw.noise.rydberg_exposure", counted)
         run = run_sweep if "sweep" in payload else run_fidelity
         run(parse_config(payload))
         assert len(calls) == 1
@@ -264,6 +284,18 @@ class TestFidelityCommand:
             for row in results["csv_rows"]:
                 row.pop("wallTime")
         assert a == b
+
+    def test_convergence_series_report(self):
+        results = run_fidelity(
+            parse_config({"sampling": {"mode": "grid", "deltas": [0.5, 0.25]}})
+        ).results
+        grid = results["grid"]
+        assert [delta for delta, _ in grid["convergence"]] == [0.5, 0.25]
+        assert grid["mean_fidelity"] == grid["estimate"] == dict(map(tuple, grid["convergence"]))[0.25]
+        assert grid["sample_count"] == 13**6
+        assert np.isclose(grid["decay_error"], results["rydberg_exposure_us"] / 311.0, rtol=1e-14)
+        assert np.isclose(grid["net_fidelity"], grid["mean_fidelity"] - grid["decay_error"], rtol=1e-14)
+        assert 0.0 <= grid["mean_fidelity"] <= 1.0
 
     def test_reference_convergence_series(self):
         cfg = parse_config(
@@ -316,6 +348,14 @@ class TestSweepCommand:
         rows = run_sweep(cfg).results["rows"]
         means = [row["mean_fidelity"] for row in rows]
         assert means[0] >= means[1] >= means[2]
+
+    def test_omega_sweep_ignores_drive_block(self):
+        # the swept frequency drives both atoms; drive.omega_*_mhz do not enter the rows
+        sweep = {"axis": "omega", "start": 0.8, "stop": 4.6, "points": 3}
+        plain = run_sweep(parse_config({"sweep": sweep})).results["rows"]
+        drive = {"omega_control_mhz": 2.0, "omega_target_mhz": 0.5}
+        driven = run_sweep(parse_config({"sweep": sweep, "drive": drive})).results["rows"]
+        assert driven == plain
 
     def test_omega_sweep_reports_chain(self):
         cfg = parse_config(

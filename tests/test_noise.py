@@ -11,11 +11,11 @@ from rydvdw.noise import (
     NoiseConfig,
     decay_error,
     grid_average_fidelity,
-    grid_convergence,
     inflate_sigmas,
     monte_carlo_average_fidelity,
 )
 from rydvdw.noise import _difference_weights, _grid_mean_paired
+from rydvdw.protocol import rydberg_exposure
 
 from .oracles import cubic_spline, grid_mean_full
 
@@ -208,107 +208,72 @@ class TestFidelityTable:
 class TestGridAverage:
     def test_vanishing_sigma_gives_unity(self, nominal_protocol, nominal_noise):
         tiny = InflatedSigmas(sigma_z=1e-7, sigma_perp=1e-7, flight_length=0.0, v_rms=0.0)
-        report = grid_average_fidelity(
-            nominal_protocol, VDW, nominal_noise, tiny, GridSpec(0.25)
-        )
+        table = FidelityTable(nominal_protocol, VDW, nominal_noise.trap_separation, tiny.sigma_z)
+        report = grid_average_fidelity(table, tiny, GridSpec(0.25))
         assert abs(report.mean_fidelity - 1.0) < 1e-9
 
-    def test_monotone_refinement(self, nominal_protocol, nominal_noise, nominal_sigmas, nominal_table):
+    def test_monotone_refinement(self, nominal_sigmas, nominal_table):
         means = {}
         for delta in (0.5, 0.25, 0.125):
             means[delta] = grid_average_fidelity(
-                nominal_protocol, VDW, nominal_noise, nominal_sigmas, GridSpec(delta),
-                table=nominal_table,
+                nominal_table, nominal_sigmas, GridSpec(delta)
             ).mean_fidelity
         first = abs(means[0.25] - means[0.5])
         second = abs(means[0.125] - means[0.25])
         assert second < first
 
-    def test_convergence_series_report(self, nominal_protocol, nominal_noise, nominal_sigmas, nominal_table):
-        report = grid_convergence(
-            nominal_protocol, VDW, nominal_noise, nominal_sigmas, [0.5, 0.25],
-            table=nominal_table,
-        )
-        assert [delta for delta, _ in report.convergence] == [0.5, 0.25]
-        assert report.mean_fidelity == dict(report.convergence)[0.25]
-        assert np.isclose(report.net_fidelity, report.mean_fidelity - report.decay_error, rtol=1e-14)
-        assert 0.0 <= report.mean_fidelity <= 1.0
-
-    def test_sample_count(self, nominal_protocol, nominal_noise, nominal_sigmas, nominal_table):
-        report = grid_average_fidelity(
-            nominal_protocol, VDW, nominal_noise, nominal_sigmas, GridSpec(0.25),
-            table=nominal_table,
-        )
+    def test_sample_count(self, nominal_sigmas, nominal_table):
+        report = grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(0.25))
         assert report.sample_count == 13**6
+        assert report.method == "grid-paired" and report.stderr is None
 
 
 class TestMonteCarlo:
     def test_vanishing_sigma(self, nominal_protocol, nominal_noise):
         tiny = InflatedSigmas(sigma_z=1e-9, sigma_perp=1e-9, flight_length=0.0, v_rms=0.0)
-        report = monte_carlo_average_fidelity(
-            nominal_protocol, VDW, nominal_noise, tiny, n_samples=2000, seed=3
-        )
+        table = FidelityTable(nominal_protocol, VDW, nominal_noise.trap_separation, tiny.sigma_z)
+        report = monte_carlo_average_fidelity(table, tiny, n_samples=2000, seed=3)
         assert abs(report.mean_fidelity - 1.0) < 1e-9
         assert report.stderr < 1e-12
 
-    def test_seed_determinism(self, nominal_protocol, nominal_noise, nominal_sigmas, nominal_table):
-        kwargs = dict(n_samples=5000, seed=99, table=nominal_table)
-        a = monte_carlo_average_fidelity(
-            nominal_protocol, VDW, nominal_noise, nominal_sigmas, **kwargs
-        )
-        b = monte_carlo_average_fidelity(
-            nominal_protocol, VDW, nominal_noise, nominal_sigmas, **kwargs
-        )
+    def test_seed_determinism(self, nominal_sigmas, nominal_table):
+        a = monte_carlo_average_fidelity(nominal_table, nominal_sigmas, n_samples=5000, seed=99)
+        b = monte_carlo_average_fidelity(nominal_table, nominal_sigmas, n_samples=5000, seed=99)
         assert a.mean_fidelity == b.mean_fidelity and a.stderr == b.stderr
-        c = monte_carlo_average_fidelity(
-            nominal_protocol, VDW, nominal_noise, nominal_sigmas,
-            n_samples=5000, seed=100, table=nominal_table,
-        )
+        c = monte_carlo_average_fidelity(nominal_table, nominal_sigmas, n_samples=5000, seed=100)
         assert c.mean_fidelity != a.mean_fidelity
 
-    def test_truncated_sampler_stays_within_bounds(self, nominal_protocol, nominal_noise, nominal_sigmas, nominal_table):
+    def test_truncated_sampler_stays_within_bounds(self, nominal_sigmas, nominal_table):
         report = monte_carlo_average_fidelity(
-            nominal_protocol, VDW, nominal_noise, nominal_sigmas,
-            n_samples=50_000, seed=17, truncate=1.5, table=nominal_table,
+            nominal_table, nominal_sigmas, n_samples=50_000, seed=17, truncate=1.5
         )
         assert report.method == "mc-truncated"
         # truncated support can only raise the mean above the untruncated run
         untruncated = monte_carlo_average_fidelity(
-            nominal_protocol, VDW, nominal_noise, nominal_sigmas,
-            n_samples=50_000, seed=17, table=nominal_table,
+            nominal_table, nominal_sigmas, n_samples=50_000, seed=17
         )
         assert report.mean_fidelity > untruncated.mean_fidelity
 
-    def test_agrees_with_grid_oracle(self, nominal_protocol, nominal_noise, nominal_sigmas, nominal_table):
-        grid = grid_average_fidelity(
-            nominal_protocol, VDW, nominal_noise, nominal_sigmas, GridSpec(0.1),
-            table=nominal_table,
-        )
+    def test_agrees_with_grid_oracle(self, nominal_sigmas, nominal_table):
+        grid = grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(0.1))
         mc = monte_carlo_average_fidelity(
-            nominal_protocol, VDW, nominal_noise, nominal_sigmas,
-            n_samples=200_000, seed=7, truncate=1.5, table=nominal_table,
+            nominal_table, nominal_sigmas, n_samples=200_000, seed=7, truncate=1.5
         )
         assert abs(mc.mean_fidelity - grid.mean_fidelity) < max(3 * mc.stderr, 1e-3)
 
-    def test_rejects_zero_samples(self, nominal_protocol, nominal_noise, nominal_sigmas, nominal_table):
+    def test_rejects_zero_samples(self, nominal_sigmas, nominal_table):
         with pytest.raises(ValueError):
-            monte_carlo_average_fidelity(
-                nominal_protocol, VDW, nominal_noise, nominal_sigmas,
-                n_samples=0, seed=1, table=nominal_table,
-            )
+            monte_carlo_average_fidelity(nominal_table, nominal_sigmas, n_samples=0, seed=1)
 
 
 class TestDecayError:
-    def test_room_temperature_lifetime(self, nominal_protocol, nominal_params):
-        cfg = NoiseConfig(trap_separation=nominal_params.separation, rydberg_lifetime=0.311)
-        value = decay_error(nominal_protocol, cfg)
+    def test_room_temperature_lifetime(self, nominal_protocol):
+        value = decay_error(rydberg_exposure(nominal_protocol), 0.311)
         assert abs(value - 6.14e-3) / 6.14e-3 < 0.02
 
-    def test_cryogenic_lifetime(self, nominal_protocol, nominal_params):
-        cfg = NoiseConfig(trap_separation=nominal_params.separation, rydberg_lifetime=1.10)
-        value = decay_error(nominal_protocol, cfg)
+    def test_cryogenic_lifetime(self, nominal_protocol):
+        value = decay_error(rydberg_exposure(nominal_protocol), 1.10)
         assert abs(value - 1.74e-3) / 1.74e-3 < 0.02
 
-    def test_infinite_lifetime_limit(self, nominal_protocol, nominal_params):
-        cfg = NoiseConfig(trap_separation=nominal_params.separation, rydberg_lifetime=1e12)
-        assert decay_error(nominal_protocol, cfg) < 1e-12
+    def test_infinite_lifetime_limit(self, nominal_protocol):
+        assert decay_error(rydberg_exposure(nominal_protocol), 1e12) < 1e-12

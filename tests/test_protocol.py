@@ -14,7 +14,6 @@ from rydvdw.protocol import (
     build_cnot_protocol,
     build_cz_protocol,
     build_protocol,
-    gate_duration,
     hyperfine_leakage_estimate,
     phase_from_interaction,
     rydberg_exposure,
@@ -155,14 +154,16 @@ class TestCnotProtocol:
 class TestGateDuration:
     def test_reference_points(self):
         p = ProtocolParams.solve(np.pi, OMEGA, OMEGA)
-        assert abs(gate_duration(p) - 3.4151) < 1e-4
+        assert abs(p.t_gate - 3.4151) < 1e-4
         fast = ProtocolParams.solve(np.pi, 4.6 * MHZ, 4.6 * MHZ)
-        assert abs(gate_duration(fast) - 0.594) < 0.005
-        assert np.isclose(gate_duration(p), p.t_gate, rtol=1e-14)
+        assert abs(fast.t_gate - 0.594) < 0.005
+        # control pi pulse out and back, two detuned cycles on the target
+        cycle = 2 * np.pi / np.hypot(p.omega_target, p.interaction)
+        assert np.isclose(p.t_gate, 2 * np.pi / OMEGA + 2 * cycle, rtol=1e-14)
 
     def test_strong_drive_limit(self):
         p = ProtocolParams.solve(np.pi, OMEGA, 1e9)
-        assert np.isclose(gate_duration(p), 2 * np.pi / OMEGA, rtol=1e-8)
+        assert np.isclose(p.t_gate, 2 * np.pi / OMEGA, rtol=1e-8)
 
 
 class TestHyperfineLeakage:
