@@ -7,12 +7,11 @@ from .dynamics import (
     Level,
     basis_state,
     build_hamiltonian,
-    evolve,
     exponentiate,
 )
 from .errors import ConfigError, NumericError
 from .gates import extract_gate_matrix, ideal_cnot, ideal_cz, pedersen_fidelity
-from .geometry import QubitGeometry, VdwModel, distance, separation_for_interaction, vdw_interaction
+from .geometry import VdwModel, separation_for_interaction, vdw_interaction
 from .noise import (
     FidelityReport,
     FidelityTable,

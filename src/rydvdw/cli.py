@@ -58,7 +58,17 @@ def _solve_point(cfg: RunConfig, allow_overrides: bool = False) -> tuple[Protoco
             "only 'simulate' accepts overrides"
         )
     vdw = VdwModel(cfg.c6)
-    return ProtocolParams.solve(cfg.theta, cfg.omega_control, cfg.omega_target, vdw), vdw
+    params = ProtocolParams.solve(cfg.theta, cfg.omega_control, cfg.omega_target, vdw)
+    # a tiny or huge frequency overflows a pulse duration, the gate time or the separation
+    t_pi = np.pi / params.omega_control
+    if not (t_pi > 0 and params.t_cycle > 0 and np.isfinite([params.t_gate, params.separation]).all()):
+        raise ConfigError(
+            f"invalid config field 'drive': Rabi frequencies {cfg.omega_control / MHZ!r} and "
+            f"{cfg.omega_target / MHZ!r} MHz at theta_rad {cfg.theta!r} give pulses of "
+            f"{t_pi:.4g} and {params.t_cycle:.4g} us and a {params.separation:.4g} um "
+            "separation; each must be positive and finite"
+        )
+    return params, vdw
 
 
 def _params_dict(params: ProtocolParams) -> dict:

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import jsonschema
 
 from .constants import (
     C6_97S,
@@ -141,18 +140,66 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "boolean": lambda value: isinstance(value, bool),
+    # JSON Schema: a boolean is not a number, and 3.0 is an integer
+    "number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
+    "integer": lambda value: (isinstance(value, int) and not isinstance(value, bool))
+    or (isinstance(value, float) and value.is_integer()),
+}
+
+#: Bound keyword -> (comparison that breaks it, the words of the message).
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMaximum": (operator.ge, "greater than or equal to the maximum of"),
+}
+
+
+def _validate(value, schema: dict, path: tuple = ()) -> None:
+    """Check ``value`` against ``schema`` with the JSON Schema keywords
+    :data:`SCHEMA` uses, raising :class:`ConfigError` at the first fault
+    with its dotted field (``<root>`` for the top level)."""
+
+    def fault(message: str):
+        where = ".".join(str(part) for part in path) or "<root>"
+        raise ConfigError(f"invalid config field '{where}': {message}")
+
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        fault(f"{value!r} is not of type {schema['type']!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        fault(f"{value!r} is not one of {schema['enum']!r}")
+    if _TYPES["number"](value):
+        for keyword, (breaks, words) in _BOUNDS.items():
+            if keyword in schema and breaks(value, schema[keyword]):
+                fault(f"{value!r} is {words} {schema[keyword]!r}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fault(f"{value!r} is too short")
+        for index, item in enumerate(value):
+            _validate(item, schema.get("items", {}), path + (index,))
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                fault(f"{key!r} is a required property")
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if key in properties:
+                _validate(item, properties[key], path + (key,))
+            elif schema.get("additionalProperties") is False:
+                fault(f"Additional properties are not allowed ({key!r} was unexpected)")
+
+
 def parse_config(raw: dict) -> RunConfig:
     """Validate a configuration dict against the schema and apply units.
 
     Raises :class:`ConfigError` naming the offending field on any
     schema violation.
     """
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"invalid config field '{where}': {exc.message}") from exc
-
+    _validate(raw, SCHEMA)
     cfg = RunConfig(raw=raw)
     gate = raw.get("gate", {})
     cfg.kind = gate.get("kind", cfg.kind)
@@ -183,14 +230,16 @@ def parse_config(raw: dict) -> RunConfig:
             GridSpec(delta)
         except ValueError as exc:
             raise ConfigError(f"invalid config field 'sampling.deltas': {exc}") from exc
-    cfg.mc_samples = sampling.get("mc_samples", cfg.mc_samples)
+    # the schema takes 3.0 as an integer; numpy counts and seeds need an int
+    cfg.mc_samples = int(sampling.get("mc_samples", cfg.mc_samples))
     cfg.mc_truncated = sampling.get("mc_truncated", cfg.mc_truncated)
     overrides = raw.get("overrides", {})
     if "interaction_mhz" in overrides:
         cfg.interaction_override = overrides["interaction_mhz"] * MHZ
     cfg.separation_override = overrides.get("separation_um", None)
-    cfg.sweep = raw.get("sweep", None)
-    cfg.seed = raw.get("seed", cfg.seed)
+    if "sweep" in raw:
+        cfg.sweep = {**raw["sweep"], "points": int(raw["sweep"]["points"])}
+    cfg.seed = int(raw.get("seed", cfg.seed))
 
     if cfg.kind == "cnot" and abs(cfg.theta - math.pi) > 1e-9:
         raise ConfigError("invalid config field 'gate.theta_rad': cnot requires theta_rad = pi")

@@ -29,8 +29,6 @@ __all__ = [
     "basis_state",
     "build_hamiltonian",
     "exponentiate",
-    "evolve",
-    "rydberg_population",
     "rydberg_exposure_integral",
 ]
 
@@ -161,21 +159,6 @@ def exponentiate(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
     energies, modes = _eigh(hamiltonian)
     phases = np.exp(-1j * energies * duration)
     return (modes * phases[..., None, :]) @ modes.conj().swapaxes(-1, -2)
-
-
-def evolve(state: np.ndarray, unitaries: Sequence[np.ndarray]) -> np.ndarray:
-    """Apply a sequence of propagators to a state vector, in order."""
-    if len(unitaries) == 0:
-        raise ValueError("need at least one propagator")
-    out = np.asarray(state, dtype=complex)
-    for unitary in unitaries:
-        out = unitary @ out
-    return out
-
-
-def rydberg_population(state: np.ndarray) -> float:
-    """Expected number of Rydberg excitations in a two-atom state."""
-    return float(RYDBERG_WEIGHT @ np.abs(state) ** 2)
 
 
 def rydberg_exposure_integral(

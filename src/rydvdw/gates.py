@@ -68,7 +68,7 @@ def extract_gate_matrix(protocol: GateProtocol, interaction=None) -> np.ndarray:
         for h, duration in protocol.segments(interaction)
     ]
     # Each input state stays a separate (9, 1) column, so every step is a
-    # matrix-vector product with the rounding of dynamics.evolve.
+    # matrix-vector product: the rounding of propagating one state at a time.
     states = unitaries[0][..., :, _COMPUTATIONAL].swapaxes(-1, -2)[..., None]
     for unitary in unitaries[1:]:
         states = unitary[..., None, :, :] @ states

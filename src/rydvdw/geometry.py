@@ -1,9 +1,7 @@
-"""Qubit geometry and the van der Waals interaction model.
+"""The van der Waals interaction model.
 
-Two trapped atoms sit near trap centers a distance ``trap_separation``
-apart along x.  Their actual positions are the centers plus small
-offsets, and the pair interaction follows the isotropic van der Waals
-law V = C6/d^6 appropriate for s-orbital Rydberg states.
+Two Rydberg atoms a distance d apart interact by the isotropic van der
+Waals law V = C6/d^6 appropriate for s-orbital Rydberg states.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ import numpy as np
 
 from .constants import C6_97S
 
-__all__ = ["VdwModel", "QubitGeometry", "distance", "vdw_interaction", "separation_for_interaction"]
+__all__ = ["VdwModel", "vdw_interaction", "separation_for_interaction"]
 
 
 @dataclass(frozen=True)
@@ -30,36 +28,6 @@ class VdwModel:
     def __post_init__(self):
         if not (np.isfinite(self.c6) and self.c6 > 0):
             raise ValueError("c6 must be positive and finite")
-
-
-@dataclass(frozen=True)
-class QubitGeometry:
-    """Positions of the two qubits relative to their trap centers.
-
-    The control trap sits at the origin and the target trap at
-    (trap_separation, 0, 0); ``control_offset`` and ``target_offset``
-    are the atoms' displacements from their own centers, in um.
-    """
-
-    trap_separation: float
-    control_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    target_offset: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self):
-        if not (np.isfinite(self.trap_separation) and self.trap_separation > 0):
-            raise ValueError("trap_separation must be positive and finite")
-        for offset in (self.control_offset, self.target_offset):
-            if len(offset) != 3 or not all(np.isfinite(x) for x in offset):
-                raise ValueError("offsets must be finite 3-vectors")
-
-
-def distance(geometry: QubitGeometry) -> float:
-    """Actual qubit-qubit distance in um."""
-    xc, yc, zc = geometry.control_offset
-    xt, yt, zt = geometry.target_offset
-    return float(
-        np.sqrt((xc - xt - geometry.trap_separation) ** 2 + (yc - yt) ** 2 + (zc - zt) ** 2)
-    )
 
 
 def vdw_interaction(model: VdwModel, dist):

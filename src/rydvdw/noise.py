@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import KB, RB87_MASS_KG, SIGMA_PERP0_DEFAULT, SIGMA_Z0_DEFAULT
+from .errors import ConfigError
 from .gates import gate_fidelity
 from .geometry import VdwModel, vdw_interaction
 from .protocol import GateProtocol
@@ -341,5 +342,15 @@ def monte_carlo_average_fidelity(
 
 
 def decay_error(exposure: float, lifetime_ms: float) -> float:
-    """Rydberg decay error: the exposure (us) over the lifetime (ms), dimensionless."""
-    return exposure / (lifetime_ms * 1e3)
+    """Rydberg decay error: the exposure (us) over the lifetime (ms), dimensionless.
+
+    The exposure is finite, so a ratio that is not (a lifetime too short
+    to divide by) is a :class:`ConfigError` naming the lifetime field.
+    """
+    error = exposure / (lifetime_ms * 1e3)
+    if not np.isfinite(error):
+        raise ConfigError(
+            f"invalid config field 'noise.rydberg_lifetime_ms': {lifetime_ms!r} ms "
+            f"makes the decay error of a {exposure!r} us exposure {error!r}"
+        )
+    return error

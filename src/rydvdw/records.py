@@ -18,16 +18,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-__all__ = ["ResultRecord", "complex_matrix_to_json", "complex_matrix_from_json", "rows_to_csv", "rows_from_csv"]
+__all__ = ["ResultRecord", "complex_matrix_to_json", "rows_to_csv"]
 
 
 def complex_matrix_to_json(matrix: np.ndarray) -> list:
     """Nested [re, im] pairs for a complex matrix."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(matrix)]
-
-
-def complex_matrix_from_json(data: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
 @dataclass
@@ -47,14 +43,6 @@ class ResultRecord:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResultRecord":
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResultRecord":
-        return cls.from_dict(json.loads(text))
-
 
 def rows_to_csv(rows: list[dict]) -> str:
     """Render dict rows as CSV; floats, numpy ones too, use a plain repr so parsing is lossless."""
@@ -67,19 +55,3 @@ def rows_to_csv(rows: list[dict]) -> str:
         writer.writerow({k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()})
     return buffer.getvalue()
 
-
-def rows_from_csv(text: str) -> list[dict]:
-    """Parse CSV back into dict rows, restoring ints and floats."""
-    rows = []
-    for row in csv.DictReader(io.StringIO(text)):
-        parsed = {}
-        for key, value in row.items():
-            try:
-                parsed[key] = int(value)
-            except ValueError:
-                try:
-                    parsed[key] = float(value)
-                except ValueError:
-                    parsed[key] = value
-        rows.append(parsed)
-    return rows

@@ -13,13 +13,9 @@ from rydvdw.cli import main, run_fidelity, run_simulate, run_solve, run_sweep
 from rydvdw.config import SCHEMA, load_config, parse_config
 from rydvdw.errors import ConfigError
 from rydvdw.protocol import rydberg_exposure
-from rydvdw.records import (
-    ResultRecord,
-    complex_matrix_from_json,
-    complex_matrix_to_json,
-    rows_from_csv,
-    rows_to_csv,
-)
+from rydvdw.records import ResultRecord, complex_matrix_to_json, rows_to_csv
+
+from .helpers import complex_matrix_from_json, rows_from_csv
 
 
 @pytest.fixture
@@ -68,6 +64,25 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(bad)
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("fidelity", {"sampling": {"mode": "mc", "mc_samples": 300.0}}),
+            ("fidelity", {"seed": 5.0, "sampling": {"mode": "mc", "mc_samples": 300}}),
+            ("sweep", {"sweep": {"axis": "omega", "start": 0.8, "stop": 1.6, "points": 5.0}}),
+        ],
+    )
+    def test_integer_valued_floats_run(self, runner, tmp_path, command, payload):
+        # the schema takes 5.0 as an integer, and numpy must get an int
+        path = write_config(tmp_path, payload)
+        result = runner.invoke(main, [command, "--config", path, "--format", "json"])
+        assert result.exit_code == 0, result.output
+        results = json.loads(result.output)["results"]
+        if command == "sweep":
+            assert len(results["rows"]) == 5
+        else:
+            assert results["mc"]["sample_count"] == 300
+
 
 class TestSolveCommand:
     def test_reference_chain(self, runner, tmp_path):
@@ -87,7 +102,7 @@ class TestSolveCommand:
             "    main(['solve', '--config', sys.argv[1]])\n"
             "except SystemExit as exc:\n"
             "    assert not exc.code, exc.code\n"
-            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'jsonschema'))\n"
             "assert not loaded, loaded\n"
         )
         src = str(Path(rydvdw.__file__).resolve().parents[1])
@@ -139,6 +154,15 @@ class TestSolveCommand:
         assert result.exit_code == 2
         assert "config error: invalid config field 'overrides.separation_um'" in result.output
 
+    @pytest.mark.parametrize("command", ["solve", "simulate", "fidelity"])
+    def test_overflowing_pulse_duration_exits_2(self, runner, tmp_path, command):
+        # pi / omega_control overflows to an infinite pulse
+        path = write_config(tmp_path, {"drive": {"omega_control_mhz": 1e-320}})
+        result = runner.invoke(main, [command, "--config", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "config error: invalid config field 'drive'" in result.stderr
+
     def test_numeric_failure_exits_1(self, runner, tmp_path, monkeypatch):
         # no valid config is known to break the eigensolver, so make it fail
         def broken_eigh(matrix):
@@ -188,13 +212,14 @@ class TestSimulateCommand:
         with pytest.raises(ConfigError):
             run_simulate(cfg)
 
-    def test_infinite_decay_error_exits_1_without_output(self, runner, tmp_path):
-        # exposure / lifetime overflows to inf, which JSON cannot carry
+    @pytest.mark.parametrize("command", ["simulate", "fidelity"])
+    def test_infinite_decay_error_exits_2_without_output(self, runner, tmp_path, command):
+        # exposure / lifetime overflows to inf: the lifetime is too short to price
         path = write_config(tmp_path, {"noise": {"rydberg_lifetime_ms": 1e-320}})
-        result = runner.invoke(main, ["simulate", "--config", path])
-        assert result.exit_code == 1
+        result = runner.invoke(main, [command, "--config", path])
+        assert result.exit_code == 2
         assert result.stdout == ""
-        assert "numeric error: " in result.stderr
+        assert "config error: invalid config field 'noise.rydberg_lifetime_ms'" in result.stderr
 
 
 class TestFidelityCommand:
@@ -401,7 +426,7 @@ class TestSweepCommand:
 class TestRecords:
     def test_record_json_round_trip(self):
         record = run_solve(parse_config({}))
-        clone = ResultRecord.from_json(record.to_json())
+        clone = ResultRecord(**json.loads(record.to_json()))
         assert clone == record
 
     def test_complex_matrix_round_trip(self):

@@ -4,53 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydvdw import MHZ
-from rydvdw.geometry import (
-    QubitGeometry,
-    VdwModel,
-    distance,
-    separation_for_interaction,
-    vdw_interaction,
-)
+from rydvdw.geometry import VdwModel, separation_for_interaction, vdw_interaction
 from rydvdw.protocol import solve_interaction_for_phase
-
-coord = st.floats(-5.0, 5.0)
-offset = st.tuples(coord, coord, coord)
-
-
-class TestDistance:
-    def test_zero_offsets_give_trap_separation(self):
-        assert distance(QubitGeometry(trap_separation=21.0)) == 21.0
-
-    def test_three_four_five(self):
-        geom = QubitGeometry(trap_separation=4.0, control_offset=(0.0, 0.0, 3.0))
-        assert np.isclose(distance(geom), 5.0, rtol=1e-15)
-
-    @given(control=offset, target=offset)
-    @settings(max_examples=50)
-    def test_matches_norm_oracle(self, control, target):
-        geom = QubitGeometry(trap_separation=21.0, control_offset=control, target_offset=target)
-        control_pos = np.asarray(control)
-        target_pos = np.asarray(target) + np.array([21.0, 0.0, 0.0])
-        assert np.isclose(distance(geom), np.linalg.norm(control_pos - target_pos), rtol=1e-14)
-
-    @given(control=offset, target=offset, shift=offset)
-    @settings(max_examples=30)
-    def test_translation_and_mirror_invariance(self, control, target, shift):
-        base = QubitGeometry(21.0, control, target)
-        shifted = QubitGeometry(
-            21.0,
-            tuple(c + s for c, s in zip(control, shift)),
-            tuple(t + s for t, s in zip(target, shift)),
-        )
-        mirrored = QubitGeometry(21.0, tuple(-t for t in target), tuple(-c for c in control))
-        assert np.isclose(distance(base), distance(shifted), rtol=1e-12, atol=1e-12)
-        assert np.isclose(distance(base), distance(mirrored), rtol=1e-12, atol=1e-12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QubitGeometry(trap_separation=-1.0)
-        with pytest.raises(ValueError):
-            QubitGeometry(trap_separation=1.0, control_offset=(np.inf, 0.0, 0.0))
 
 
 class TestVdwInteraction:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from rydvdw import MHZ
-from rydvdw.dynamics import CONTROL, TARGET, Level, basis_state, evolve, exponentiate
+from rydvdw.dynamics import CONTROL, TARGET, Level, basis_state, exponentiate
 from rydvdw.gates import extract_gate_matrix, ideal_cnot, pedersen_fidelity
 from rydvdw.protocol import (
     GateProtocol,
@@ -20,6 +20,7 @@ from rydvdw.protocol import (
     solve_interaction_for_phase,
 )
 
+from .helpers import evolve
 from .oracles import barred_basis_change, rk4_rydberg_exposure, van_loan_exposure
 
 OMEGA = 0.8 * MHZ
