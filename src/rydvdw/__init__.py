@@ -19,7 +19,9 @@ from .noise import (
     InflatedSigmas,
     NoiseConfig,
     decay_error,
+    draw_distances,
     grid_average_fidelity,
+    grid_window,
     inflate_sigmas,
     monte_carlo_average_fidelity,
 )

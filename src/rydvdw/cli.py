@@ -31,9 +31,10 @@ from .noise import (
     FidelityTable,
     GridSpec,
     NoiseConfig,
-    TableWindowError,
     decay_error,
+    draw_distances,
     grid_average_fidelity,
+    grid_window,
     inflate_sigmas,
     monte_carlo_average_fidelity,
 )
@@ -49,8 +50,11 @@ from .records import ResultRecord, complex_matrix_to_json, rows_to_csv
 __all__ = ["main", "run_solve", "run_simulate", "run_fidelity", "run_sweep"]
 
 
-def _solve_point(cfg: RunConfig, allow_overrides: bool = False) -> tuple[ProtocolParams, VdwModel]:
-    """The design point of the config; only ``simulate`` takes ``overrides``."""
+def _solve_point(
+    cfg: RunConfig, allow_overrides: bool = False, drive_field: str = "drive"
+) -> tuple[ProtocolParams, VdwModel]:
+    """The design point of the config, its Rabi frequencies set by ``drive_field``;
+    only ``simulate`` takes ``overrides``."""
     overrides = cfg.raw.get("overrides", {})
     if overrides and not allow_overrides:
         raise ConfigError(
@@ -62,8 +66,11 @@ def _solve_point(cfg: RunConfig, allow_overrides: bool = False) -> tuple[Protoco
     # a tiny or huge frequency overflows a pulse duration, the gate time or the separation
     t_pi = np.pi / params.omega_control
     if not (t_pi > 0 and params.t_cycle > 0 and np.isfinite([params.t_gate, params.separation]).all()):
+        # theta -> 0 needs an infinite interaction whatever the finite drive
+        theta_at_fault = np.isinf(params.interaction) and np.isfinite(params.omega_target)
+        field = "gate.theta_rad" if theta_at_fault else drive_field
         raise ConfigError(
-            f"invalid config field 'drive': Rabi frequencies {cfg.omega_control / MHZ!r} and "
+            f"invalid config field '{field}': Rabi frequencies {cfg.omega_control / MHZ!r} and "
             f"{cfg.omega_target / MHZ!r} MHz at theta_rad {cfg.theta!r} give pulses of "
             f"{t_pi:.4g} and {params.t_cycle:.4g} us and a {params.separation:.4g} um "
             "separation; each must be positive and finite"
@@ -157,7 +164,13 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
     protocol = build_protocol(params, cfg.kind)
     ncfg = _noise_config(cfg, params)
     sigmas = inflate_sigmas(ncfg, params.t_gate)
-    table = FidelityTable(protocol, vdw, ncfg.trap_separation, sigmas.sigma_z)
+    # the table spans exactly the distances the averages look up
+    lo, hi = grid_window(ncfg, sigmas) if cfg.mode in ("grid", "both") else (np.inf, 0.0)
+    if cfg.mode in ("mc", "both"):
+        truncate = 1.5 if cfg.mc_truncated else None
+        distances = draw_distances(sigmas, ncfg.trap_separation, cfg.mc_samples, cfg.seed, truncate)
+        lo, hi = min(lo, distances.min()), max(hi, distances.max())
+    table = FidelityTable(protocol, vdw, ncfg.trap_separation, lo, hi)
     exposure = rydberg_exposure(protocol)
     e_decay = decay_error(exposure, ncfg.rydberg_lifetime)
     e_300k = decay_error(exposure, LIFETIME_97S_300K_MS)
@@ -170,10 +183,10 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
         "wall_times": {},
     }
 
-    def timed(key, label, average, *args, **kwargs):
+    def timed(key, label, average, *args):
         """Run one average on the table, recording its CSV row and wall time."""
         tic = time.perf_counter()
-        report = average(table, sigmas, *args, **kwargs)
+        report = average(table, *args)
         wall = time.perf_counter() - tic
         results["csv_rows"].append({
             "delta": label,
@@ -188,7 +201,7 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
 
     if cfg.mode in ("grid", "both"):
         series = [
-            (delta, timed(f"grid_{delta}", delta, grid_average_fidelity, GridSpec(delta)))
+            (delta, timed(f"grid_{delta}", delta, grid_average_fidelity, sigmas, GridSpec(delta)))
             for delta in cfg.deltas
         ]
         finest = min(series, key=lambda item: item[0])[1]
@@ -198,14 +211,8 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
             "estimate": finest.mean_fidelity,
         }
     if cfg.mode in ("mc", "both"):
-        report = timed(
-            "mc",
-            "mc",
-            monte_carlo_average_fidelity,
-            n_samples=cfg.mc_samples,
-            seed=cfg.seed,
-            truncate=1.5 if cfg.mc_truncated else None,
-        )
+        method = "mc-truncated" if truncate else "mc"
+        report = timed("mc", "mc", monte_carlo_average_fidelity, distances, method)
         results["mc"] = _report_dict(report, e_decay)
     return ResultRecord(
         command="fidelity", config=cfg.raw, params=_params_dict(params), results=results
@@ -239,7 +246,9 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     elif axis == "omega":
         for omega_mhz in values:
             omega = float(omega_mhz) * MHZ
-            p = ProtocolParams.solve(cfg.theta, omega, omega, vdw)
+            field = "sweep.start" if omega_mhz == cfg.sweep["start"] else "sweep.stop"
+            point = replace(cfg, omega_control=omega, omega_target=omega)
+            p, _ = _solve_point(point, drive_field=field)
             protocol = build_protocol(p, cfg.kind)
             gate = extract_gate_matrix(protocol)
             exposure = rydberg_exposure(protocol)
@@ -256,12 +265,11 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     elif axis == "temperature":
         protocol = build_protocol(params, cfg.kind)
         ncfg_base = _noise_config(cfg, params)
-        # one table reused across temperatures: size its range for the
-        # largest sigma_z in the scan
-        sigma_hot = inflate_sigmas(
-            replace(ncfg_base, temperature=float(values[-1])), params.t_gate
-        ).sigma_z
-        table = FidelityTable(protocol, vdw, ncfg_base.trap_separation, sigma_hot)
+        # one table for every temperature: both sigmas grow with it, so the
+        # hottest grid reaches farthest
+        hottest = replace(ncfg_base, temperature=float(values[-1]))
+        window = grid_window(hottest, inflate_sigmas(hottest, params.t_gate))
+        table = FidelityTable(protocol, vdw, ncfg_base.trap_separation, *window)
         e_decay = decay_error(rydberg_exposure(protocol), ncfg_base.rydberg_lifetime)
         delta = min(cfg.deltas)
         for temp in values:
@@ -313,9 +321,6 @@ def _execute(command: str, config_path: str, out, seed, fmt) -> None:
         text = _render(record, fmt or ("csv" if command == "sweep" else "json"))
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
-    except TableWindowError as exc:
-        click.echo(f"config error: invalid config field 'noise.sigma_z0_um': {exc}", err=True)
         sys.exit(2)
     except (NumericError, ValueError, np.linalg.LinAlgError) as exc:
         click.echo(f"numeric error: {exc}", err=True)

@@ -144,8 +144,10 @@ _TYPES = {
     "object": lambda value: isinstance(value, dict),
     "array": lambda value: isinstance(value, list),
     "boolean": lambda value: isinstance(value, bool),
-    # JSON Schema: a boolean is not a number, and 3.0 is an integer
-    "number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
+    # JSON Schema: a boolean is not a number, and 3.0 is an integer; unlike
+    # jsonschema, NaN and +-Infinity (which Python's json reads) are not numbers
+    "number": lambda value: isinstance(value, int) and not isinstance(value, bool)
+    or isinstance(value, float) and math.isfinite(value),
     "integer": lambda value: (isinstance(value, int) and not isinstance(value, bool))
     or (isinstance(value, float) and value.is_integer()),
 }

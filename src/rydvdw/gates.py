@@ -103,7 +103,7 @@ def gate_fidelity(protocol: GateProtocol, interactions, batch: int = 4001) -> np
     """Fidelity of the simulated gate to the ideal one at each interaction.
 
     The interactions (rad/us) are propagated in stacks of at most
-    ``batch`` (a default fidelity table is one stack), so memory does
+    ``batch`` (a reference-config fidelity table is one stack), so memory does
     not grow with their number.  Returns an array of their shape.
     """
     interactions = np.asarray(interactions, dtype=float)

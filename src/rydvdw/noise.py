@@ -14,7 +14,9 @@ normalized coordinate-by-coordinate, or by Monte Carlo sampling of the
 
 Two exact structural reductions keep this cheap.  First, the fidelity
 depends on the offsets only through the scalar distance, so it is
-tabulated once on a dense distance axis and interpolated.  Second, the
+tabulated once, on knots at most ``KNOT_SPACING`` trap separations
+apart over exactly the distances the grid and the Monte Carlo draws
+reach, and interpolated; a lookup outside that window is an error.  Second, the
 grid sum depends on each coordinate pair only through its difference;
 regrouping the product weights into difference weights (a discrete
 autocorrelation) collapses the 6-D sum to 3-D without changing its
@@ -25,6 +27,7 @@ half with the weights of the two signs summed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +45,8 @@ __all__ = [
     "FidelityReport",
     "inflate_sigmas",
     "FidelityTable",
-    "TableWindowError",
+    "grid_window",
+    "draw_distances",
     "grid_average_fidelity",
     "monte_carlo_average_fidelity",
     "decay_error",
@@ -51,9 +55,13 @@ __all__ = [
 #: Per-coordinate truncation of the position grid, in units of sigma.
 GRID_HALF_RANGE = 1.5
 
+#: Largest knot spacing of the fidelity table, in trap separations.  The spline
+#: error goes as its fourth power: at 1/3072 (finer than 6.853 nm on the
+#: reference config) it is about 1e-12 on the grid window.
+KNOT_SPACING = 1.0 / 3072
 
-class TableWindowError(ValueError):
-    """The fidelity table's distance window reaches zero distance."""
+#: Most knots a table may have: a window some 40 trap separations wide.
+MAX_KNOTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -153,10 +161,9 @@ class FidelityTable:
     positions only through their distance, via the van der Waals
     interaction.  Propagating all tabulated distances as one batch and
     interpolating with a not-a-knot cubic spline on the uniform knots
-    turns the millions of grid/sample evaluations into lookups; samples
-    falling outside the tabulated window (9 sigma_z around the trap
-    separation, endpoints included) are evaluated directly, again as
-    one batch.
+    turns the millions of grid/sample evaluations into lookups.  At least
+    four knots run from ``lo`` to ``hi``, at most ``KNOT_SPACING *
+    trap_separation`` apart; a lookup outside them raises ValueError.
     """
 
     def __init__(
@@ -164,24 +171,20 @@ class FidelityTable:
         protocol: GateProtocol,
         vdw: VdwModel,
         trap_separation: float,
-        sigma_z: float,
-        n_points: int = 4001,
+        lo: float,
+        hi: float,
     ):
-        if n_points < 4:
-            raise ValueError(f"a not-a-knot spline needs n_points >= 4, got {n_points!r}")
-        lo = trap_separation - 9.0 * sigma_z
-        hi = trap_separation + 9.0 * sigma_z
-        if lo <= 0.0:
-            raise TableWindowError(
-                f"trap separation {trap_separation:.4g} um with sigma_z {sigma_z:.4g} um "
-                "puts the +-9 sigma_z table window at nonpositive distances"
+        intervals = (hi - lo) / (KNOT_SPACING * trap_separation)
+        if not (0.0 < lo and 0.0 < intervals < MAX_KNOTS):
+            raise ValueError(
+                f"table window [{lo!r}, {hi!r}] um needs 0 < lo < hi and under {MAX_KNOTS} knots"
             )
         self.protocol = protocol
         self.vdw = vdw
         self.trap_separation = trap_separation
-        self.distances = np.linspace(lo, hi, n_points)
+        self.distances = np.linspace(lo, hi, max(4, math.ceil(intervals) + 1))
         self.values = self.evaluate(self.distances)
-        self._step = (hi - lo) / (n_points - 1)
+        self._step = (hi - lo) / (len(self.distances) - 1)
         self._coefficients = _spline_coefficients(self.values, self._step)
 
     def evaluate(self, dist):
@@ -191,24 +194,22 @@ class FidelityTable:
 
     def __call__(self, dist):
         dist = np.asarray(dist, dtype=float)
-        inside = (dist >= self.distances[0]) & (dist <= self.distances[-1])
-        out = np.empty(dist.shape)
-        out[inside] = self._interpolate(dist[inside])
+        lo, hi = self.distances[0], self.distances[-1]
+        inside = (dist >= lo) & (dist <= hi)
         if not inside.all():
-            out[~inside] = self.evaluate(dist[~inside])
-        return float(out) if out.ndim == 0 else out
-
-    def _interpolate(self, dist: np.ndarray) -> np.ndarray:
-        """Spline value at in-window distances, by Horner's rule on the
-        cubic of each distance's interval (the last one closes at ``hi``)."""
-        index = ((dist - self.distances[0]) / self._step).astype(np.intp)
+            raise ValueError(
+                f"distance {float(dist[~inside].flat[0])!r} um lies outside the "
+                f"fidelity table's window [{lo!r}, {hi!r}] um"
+            )
+        # Horner's rule on the cubic of each distance's interval (the last closes at hi)
+        index = ((dist.ravel() - lo) / self._step).astype(np.intp)
         np.minimum(index, len(self.distances) - 2, out=index)
-        offset = dist - self.distances[index]
+        offset = dist.ravel() - self.distances[index]
         out = self._coefficients[0][index]
         for row in self._coefficients[1:]:
             out *= offset
             out += row[index]
-        return out
+        return float(out[0]) if dist.ndim == 0 else out.reshape(dist.shape)
 
 
 def _spline_coefficients(values: np.ndarray, step: float) -> np.ndarray:
@@ -258,12 +259,15 @@ def _difference_weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     weights = np.exp(-0.5 * nodes**2)
     weights /= weights.sum()
     diff_weights = np.convolve(weights, weights[::-1])
+    # k/n of the full 2 * 1.5 sigma span, rounded once: the ends are exactly
+    # +-3 at every step, as grid_window assumes (k * delta can miss 3 by an ulp)
     n = len(nodes) - 1
-    diff_offsets = np.arange(-n, n + 1) * grid.delta
+    diff_offsets = np.arange(-n, n + 1) * (2.0 * GRID_HALF_RANGE) / n
     return diff_offsets, diff_weights
 
 
-def _grid_mean_paired(table, grid: GridSpec, sigmas: InflatedSigmas, separation: float) -> float:
+def _grid_distances(grid: GridSpec, sigmas: InflatedSigmas, separation: float):
+    """Qubit distances on the folded difference grid, and their weights."""
     offsets, weights = _difference_weights(grid)
     # y and z differences enter only squared: fold -k onto +k, summing weights
     n = len(offsets) // 2
@@ -277,9 +281,23 @@ def _grid_mean_paired(table, grid: GridSpec, sigmas: InflatedSigmas, separation:
         + dy[None, :, None] ** 2
         + dz[None, None, :] ** 2
     )
-    fid = table(dist.ravel()).reshape(dist.shape)
-    w = weights[:, None, None] * folded[None, :, None] * folded[None, None, :]
-    return float(np.sum(w * fid) / np.sum(w))
+    return dist, weights[:, None, None] * folded[None, :, None] * folded[None, None, :]
+
+
+def grid_window(cfg: NoiseConfig, sigmas: InflatedSigmas) -> tuple[float, float]:
+    """Nearest and farthest qubit distance on the position grid of any step,
+    [L - 3 sigma_perp, sqrt((L + 3 sigma_perp)**2 + (3 sigma_perp)**2 + (3 sigma_z)**2)]:
+    the coarsest grid's, as every step's differences end at exactly +-3 sigma.
+    A grid reaching zero distance is a ConfigError naming sigma_perp (sigma_z
+    adds in quadrature)."""
+    if 2.0 * GRID_HALF_RANGE * sigmas.sigma_perp >= cfg.trap_separation:
+        raise ConfigError(
+            "invalid config field 'noise.sigma_perp0_um': the position grid reaches zero distance, "
+            f"as 3 sigma_perp ({sigmas.sigma_perp:.4g} um, inflated at {cfg.temperature:.4g} uK) "
+            f"reach the {cfg.trap_separation:.4g} um trap separation"
+        )
+    dist, _ = _grid_distances(GridSpec(GRID_HALF_RANGE), sigmas, cfg.trap_separation)
+    return float(dist.min()), float(dist.max())
 
 
 def grid_average_fidelity(
@@ -293,23 +311,21 @@ def grid_average_fidelity(
     tuple (around the table's trap separation), summed through the
     exact difference-coordinate regrouping.
     """
-    mean = _grid_mean_paired(table, grid, sigmas, table.trap_separation)
+    dist, w = _grid_distances(grid, sigmas, table.trap_separation)
+    fid = table(dist.ravel()).reshape(dist.shape)
+    mean = float(np.sum(w * fid) / np.sum(w))
     return FidelityReport(mean, len(grid.points()) ** 6, "grid-paired")
 
 
-def monte_carlo_average_fidelity(
-    table: FidelityTable,
-    sigmas: InflatedSigmas,
-    n_samples: int,
-    seed: int,
-    truncate: float | None = None,
-) -> FidelityReport:
-    """Monte Carlo average of the fidelity over qubit positions.
+def draw_distances(
+    sigmas: InflatedSigmas, separation: float, n_samples: int, seed: int, truncate: float | None = None
+) -> np.ndarray:
+    """Qubit distances of ``n_samples`` Monte Carlo position draws.
 
     Draws the six offsets from independent Gaussians (untruncated by
-    default; set ``truncate=1.5`` to match the grid's support) and
-    reports the sample mean and its standard error.  Identical seeds
-    give bit-identical reports.
+    default; set ``truncate=1.5`` to match the grid's support), the
+    traps ``separation`` apart.  Identical seeds give bit-identical
+    distances.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -329,16 +345,23 @@ def monte_carlo_average_fidelity(
         sigmas.sigma_z,     # z_t
     ])
     offsets *= scale[:, None]
-    dist = np.sqrt(
-        (offsets[0] - offsets[3] - table.trap_separation) ** 2
+    return np.sqrt(
+        (offsets[0] - offsets[3] - separation) ** 2
         + (offsets[1] - offsets[4]) ** 2
         + (offsets[2] - offsets[5]) ** 2
     )
-    fid = table(dist)
+
+
+def monte_carlo_average_fidelity(
+    table: FidelityTable, distances: np.ndarray, method: str = "mc"
+) -> FidelityReport:
+    """Mean fidelity over the :func:`draw_distances` output, with its
+    standard error, labelled ``method`` ("mc-truncated" for truncated draws)."""
+    fid = table(distances)
+    n_samples = len(fid)
     mean = float(np.mean(fid))
     stderr = float(np.std(fid, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
-    label = "mc-truncated" if truncate is not None else "mc"
-    return FidelityReport(mean, n_samples, label, stderr)
+    return FidelityReport(mean, n_samples, method, stderr)
 
 
 def decay_error(exposure: float, lifetime_ms: float) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rydvdw import MHZ, FidelityTable, NoiseConfig, ProtocolParams, VdwModel
-from rydvdw.noise import inflate_sigmas
+from rydvdw.noise import grid_window, inflate_sigmas
 from rydvdw.protocol import build_cz_protocol
 
 #: (criterion number, description, passed, detail) tuples filled in by
@@ -42,6 +42,6 @@ def nominal_sigmas(nominal_noise, nominal_params):
 
 @pytest.fixture(scope="session")
 def nominal_table(nominal_protocol, nominal_noise, nominal_sigmas):
-    return FidelityTable(
-        nominal_protocol, VdwModel(), nominal_noise.trap_separation, nominal_sigmas.sigma_z
-    )
+    """The table over the grid window, which also holds every draw truncated at 1.5 sigma."""
+    window = grid_window(nominal_noise, nominal_sigmas)
+    return FidelityTable(nominal_protocol, VdwModel(), nominal_noise.trap_separation, *window)

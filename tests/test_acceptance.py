@@ -14,6 +14,7 @@ from rydvdw.gates import extract_gate_matrix, ideal_cnot, ideal_cz, pedersen_fid
 from rydvdw.noise import (
     GridSpec,
     NoiseConfig,
+    draw_distances,
     grid_average_fidelity,
     inflate_sigmas,
     monte_carlo_average_fidelity,
@@ -202,9 +203,10 @@ def test_criterion_9_channel_exactness(nominal_protocol):
 def test_criterion_10_grid_vs_truncated_mc(nominal_sigmas, nominal_table):
     tic = time.perf_counter()
     grid = grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(0.1))
-    mc = monte_carlo_average_fidelity(
-        nominal_table, nominal_sigmas, n_samples=1_000_000, seed=20210901, truncate=1.5
+    distances = draw_distances(
+        nominal_sigmas, nominal_table.trap_separation, 1_000_000, seed=20210901, truncate=1.5
     )
+    mc = monte_carlo_average_fidelity(nominal_table, distances, "mc-truncated")
     elapsed = time.perf_counter() - tic
     gap = abs(mc.mean_fidelity - grid.mean_fidelity)
     bound = max(3 * mc.stderr, 1e-3)

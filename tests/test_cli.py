@@ -163,6 +163,26 @@ class TestSolveCommand:
         assert result.stdout == ""
         assert "config error: invalid config field 'drive'" in result.stderr
 
+    @pytest.mark.parametrize("command", ["solve", "fidelity"])
+    def test_tiny_theta_names_theta(self, runner, tmp_path, command):
+        # theta -> 0 needs an infinite interaction, whatever the drive
+        path = write_config(tmp_path, {"gate": {"theta_rad": 1e-20}})
+        result = runner.invoke(main, [command, "--config", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "config error: invalid config field 'gate.theta_rad'" in result.stderr
+
+    @pytest.mark.parametrize("command", ["fidelity", "simulate"])
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_number_exits_2(self, runner, tmp_path, command, text):
+        # Python's json reads these, but they are not JSON numbers
+        path = tmp_path / "config.json"
+        path.write_text('{"noise": {"temperature_uk": %s}}' % text)
+        result = runner.invoke(main, [command, "--config", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "config error: invalid config field 'noise.temperature_uk'" in result.stderr
+
     def test_numeric_failure_exits_1(self, runner, tmp_path, monkeypatch):
         # no valid config is known to break the eigensolver, so make it fail
         def broken_eigh(matrix):
@@ -258,16 +278,29 @@ class TestFidelityCommand:
         assert again == rows
 
     @pytest.mark.parametrize(
-        "noise", [{"sigma_z0_um": 5.0}, {"trap_separation_um": 5.0}]
+        "noise", [{"sigma_perp0_um": 8.0}, {"trap_separation_um": 0.9}]
     )
     def test_table_window_at_zero_distance_exits_2(self, runner, tmp_path, noise):
-        # the +-9 sigma_z table window reaches zero distance
+        # 3 inflated sigma_perp reach past the trap separation: the grid reaches zero distance
         path = write_config(tmp_path, {"noise": noise, "sampling": {"deltas": [0.5]}})
         result = runner.invoke(main, ["fidelity", "--config", path])
         assert result.exit_code == 2
-        assert "config error: invalid config field 'noise.sigma_z0_um'" in result.output
+        assert result.stdout == ""
+        assert "config error: invalid config field 'noise.sigma_perp0_um'" in result.stderr
         separation = noise.get("trap_separation_um", 20.99)
-        assert f"trap separation {separation:.4g} um" in result.output
+        assert f"{separation:.4g} um trap separation" in result.stderr
+
+    @pytest.mark.parametrize(
+        "noise", [{"sigma_z0_um": 5.0}, {"trap_separation_um": 5.0}]
+    )
+    def test_wide_spreads_away_from_zero_run(self, runner, tmp_path, noise):
+        # every sample lies 3 um or more from zero distance, so the table covers them
+        payload = {"noise": noise, "sampling": {"mode": "both", "deltas": [0.5], "mc_samples": 2000}}
+        result = runner.invoke(main, ["fidelity", "--config", write_config(tmp_path, payload)])
+        assert result.exit_code == 0, result.output
+        results = json.loads(result.stdout)["results"]
+        for method in ("grid", "mc"):
+            assert 0.0 < results[method]["mean_fidelity"] < 1.0
 
     @pytest.mark.parametrize(
         "payload",
@@ -410,6 +443,15 @@ class TestSweepCommand:
         for row in rows:
             assert row.pop("axis") == sweep["axis"]
             assert all(isinstance(value, float) for value in row.values()), row
+
+    @pytest.mark.parametrize("end", ["start", "stop"])
+    def test_overflowing_omega_sweep_end_is_named(self, runner, tmp_path, end):
+        # pi / omega overflows at the 1e-320 MHz end of the sweep
+        sweep = {"axis": "omega", "start": 1.0, "stop": 1.0, "points": 2, end: 1e-320}
+        result = runner.invoke(main, ["sweep", "--config", write_config(tmp_path, {"sweep": sweep})])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"config error: invalid config field 'sweep.{end}'" in result.stderr
 
     def test_sweep_requires_block(self):
         with pytest.raises(ConfigError, match="sweep"):

@@ -1,47 +1,74 @@
 import numpy as np
 import pytest
 import scipy.constants
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rydvdw import MHZ
+from rydvdw.errors import ConfigError
 from rydvdw.geometry import VdwModel, vdw_interaction
 from rydvdw.noise import (
+    KNOT_SPACING,
+    MAX_KNOTS,
     FidelityTable,
     GridSpec,
     InflatedSigmas,
     NoiseConfig,
     decay_error,
+    draw_distances,
     grid_average_fidelity,
+    grid_window,
     inflate_sigmas,
     monte_carlo_average_fidelity,
 )
-from rydvdw.noise import _difference_weights, _grid_mean_paired
-from rydvdw.protocol import rydberg_exposure
+from rydvdw.noise import _difference_weights
+from rydvdw.protocol import ProtocolParams, build_protocol, rydberg_exposure
 
 from .oracles import cubic_spline, grid_mean_full
 
 VDW = VdwModel()
 
 
+def mc_average(protocol, noise, sigmas, n_samples, seed, truncate=None):
+    """The fidelity command's Monte Carlo path: draw, tabulate over the draws, average."""
+    distances = draw_distances(sigmas, noise.trap_separation, n_samples, seed, truncate)
+    table = FidelityTable(protocol, VDW, noise.trap_separation, distances.min(), distances.max())
+    return monte_carlo_average_fidelity(table, distances, "mc" if truncate is None else "mc-truncated")
+
+
+def centered_table(protocol, separation, spacings):
+    """A table ``spacings`` knot spacings wide (just under, so that it has
+    exactly ``ceil(spacings) + 1`` knots) centered on ``separation``."""
+    half = 0.5 * spacings * (1 - 1e-9) * KNOT_SPACING * separation
+    return FidelityTable(protocol, VDW, separation, separation - half, separation + half)
+
+
 class ConstantTable:
     """Stand-in fidelity table returning a fixed value."""
 
-    def __init__(self, value=1.0):
+    def __init__(self, value=1.0, trap_separation=21.0):
         self.value = value
+        self.trap_separation = trap_separation
 
     def __call__(self, dist):
         return self.value * np.ones_like(np.asarray(dist, dtype=float))
 
 
 class CountingTable:
-    """Wraps a fidelity table and counts the distances looked up."""
+    """Wraps a fidelity table and keeps the distances looked up."""
 
     def __init__(self, table):
         self.table = table
-        self.lookups = 0
+        self.trap_separation = table.trap_separation
+        self.looked_up = []
 
     def __call__(self, dist):
-        self.lookups += np.size(dist)
+        self.looked_up.append(np.asarray(dist))
         return self.table(dist)
+
+    @property
+    def lookups(self):
+        return sum(dist.size for dist in self.looked_up)
 
 
 class TestInflateSigmas:
@@ -96,7 +123,7 @@ class TestWeights:
     def test_average_of_constant_is_one(self, delta):
         table = ConstantTable(1.0)
         sigmas = InflatedSigmas(sigma_z=1.5, sigma_perp=0.3, flight_length=0.1, v_rms=0.03)
-        mean = _grid_mean_paired(table, GridSpec(delta), sigmas, 21.0)
+        mean = grid_average_fidelity(table, sigmas, GridSpec(delta)).mean_fidelity
         assert abs(mean - 1.0) < 1e-14
 
     def test_difference_weights_normalized_and_symmetric(self):
@@ -107,18 +134,20 @@ class TestWeights:
         assert len(offsets) == 2 * 13 - 1
 
     def test_paired_equals_full_enumeration(self, nominal_table, nominal_sigmas):
+        sep = nominal_table.trap_separation
         for delta in (0.75, 0.5, 0.25):
             spec = GridSpec(delta)
-            paired = _grid_mean_paired(nominal_table, spec, nominal_sigmas, 20.99)
+            paired = grid_average_fidelity(nominal_table, nominal_sigmas, spec).mean_fidelity
             full = grid_mean_full(
-                nominal_table, delta, nominal_sigmas.sigma_perp, nominal_sigmas.sigma_z, 20.99
+                nominal_table, delta, nominal_sigmas.sigma_perp, nominal_sigmas.sigma_z, sep
             )
             assert abs(paired - full) < 1e-12
 
     def test_folded_grid_lookup_count(self, nominal_table, nominal_sigmas):
         # delta 0.1: m = 30 steps per 3 sigma; dx keeps both signs, dy and dz fold
+        sep = nominal_table.trap_separation
         counting = CountingTable(nominal_table)
-        paired = _grid_mean_paired(counting, GridSpec(0.1), nominal_sigmas, 20.99)
+        paired = grid_average_fidelity(counting, nominal_sigmas, GridSpec(0.1)).mean_fidelity
         assert counting.lookups == 61 * 31**2
         # the literal 6-D sum takes about 45 s here, so the reference is the
         # unfolded 3-D sum over all 61**3 differences, built from scratch
@@ -126,7 +155,7 @@ class TestWeights:
         weights = np.exp(-0.5 * nodes**2)
         weights = np.convolve(weights, weights) / weights.sum() ** 2
         offsets = np.linspace(-3.0, 3.0, 61)
-        dx = offsets[:, None, None] * nominal_sigmas.sigma_perp - 20.99
+        dx = offsets[:, None, None] * nominal_sigmas.sigma_perp - sep
         dy = offsets[None, :, None] * nominal_sigmas.sigma_perp
         dz = offsets[None, None, :] * nominal_sigmas.sigma_z
         fid = nominal_table(np.sqrt(dx**2 + dy**2 + dz**2))
@@ -148,32 +177,23 @@ class TestFidelityTable:
         for dist in rng.uniform(lo, hi, 50):
             assert abs(nominal_table(dist) - nominal_table.evaluate(dist)) < 1e-10
 
-    def test_out_of_range_falls_back_to_direct(self, nominal_table, nominal_noise, monkeypatch):
-        sep = nominal_noise.trap_separation
-        far = sep + 20 * 1.52
-        assert abs(nominal_table(far) - nominal_table.evaluate(far)) < 1e-14
-        # window is sep +- 9 sigma_z, about 7.3 .. 34.7 um
-        dist = np.array([[far, sep, 5.0], [sep + 0.3, 6.5, far + 3.0]])
-        outside = (dist < nominal_table.distances[0]) | (dist > nominal_table.distances[-1])
-        calls = []
-        evaluate = nominal_table.evaluate
-        monkeypatch.setattr(nominal_table, "evaluate", lambda d: calls.append(d) or evaluate(d))
-        values = nominal_table(dist)
-        assert values.shape == dist.shape
-        assert len(calls) == 1 and np.array_equal(calls[0], dist[outside])
-        spline = cubic_spline(nominal_table.distances, nominal_table.values)
-        for d, value, out in zip(dist.ravel(), values.ravel(), outside.ravel()):
-            expected = evaluate(d) if out else spline(d)
-            assert abs(value - expected) < 1e-14
+    def test_out_of_window_raises(self, nominal_table):
+        lo, hi = nominal_table.distances[0], nominal_table.distances[-1]
+        for far in (np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)):
+            with pytest.raises(ValueError, match=repr(float(far))):
+                nominal_table(far)
+            with pytest.raises(ValueError, match="outside the fidelity table's window"):
+                nominal_table(np.array([[lo, hi], [far, lo]]))
+        with pytest.raises(ValueError):
+            nominal_table(np.nan)
 
-    @pytest.mark.parametrize("n_points", [4, 7, 101, 4001])
-    def test_matches_scipy_spline_oracle(self, nominal_protocol, nominal_noise, n_points):
-        table = FidelityTable(
-            nominal_protocol, VDW, nominal_noise.trap_separation, 1.52, n_points=n_points
-        )
+    @pytest.mark.parametrize("n_knots", [4, 7, 101, 4001])
+    def test_matches_scipy_spline_oracle(self, nominal_protocol, nominal_noise, n_knots):
+        table = centered_table(nominal_protocol, nominal_noise.trap_separation, n_knots - 1)
+        assert len(table.distances) == n_knots
         spline = cubic_spline(table.distances, table.values)
         lo, hi = table.distances[0], table.distances[-1]
-        rng = np.random.default_rng(n_points)
+        rng = np.random.default_rng(n_knots)
         inside = np.concatenate([rng.uniform(lo, hi, 2000), table.distances, [lo, hi]])
         assert np.abs(table(inside) - spline(inside)).max() < 1e-13
         grid = inside[:2000].reshape(40, 50)
@@ -183,23 +203,59 @@ class TestFidelityTable:
         for d in (lo, hi, inside[0]):
             value = table(np.float64(d))
             assert isinstance(value, float) and abs(value - spline(d)) < 1e-13
-        # one ulp outside the inclusive window: direct evaluation, where the oracle gives NaN
-        outside = np.array([np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)])
-        assert np.isnan(spline(outside)).all()
-        assert np.abs(table(outside) - table.evaluate(outside)).max() < 1e-14
 
     def test_needs_four_knots(self, nominal_protocol, nominal_noise):
-        with pytest.raises(ValueError, match="n_points"):
-            FidelityTable(nominal_protocol, VDW, nominal_noise.trap_separation, 1.52, n_points=3)
+        # a window narrower than three knot spacings still gets the four a
+        # not-a-knot spline needs, and its ends exactly
+        sep = nominal_noise.trap_separation
+        table = FidelityTable(nominal_protocol, VDW, sep, sep - 1e-4, sep + 1e-4)
+        assert len(table.distances) == 4
+        assert table.distances[0] == sep - 1e-4 and table.distances[-1] == sep + 1e-4
+        spline = cubic_spline(table.distances, table.values)
+        probe = np.linspace(sep - 1e-4, sep + 1e-4, 9)
+        assert np.abs(table(probe) - spline(probe)).max() < 1e-13
+
+    def test_knot_spacing_scales_with_separation(self, nominal_protocol):
+        for sep, lo, hi in ((20.99, 19.0, 24.0), (5.0, 3.2, 11.4)):
+            table = FidelityTable(nominal_protocol, VDW, sep, lo, hi)
+            spacing = KNOT_SPACING * sep
+            assert len(table.distances) == int(np.ceil((hi - lo) / spacing)) + 1
+            assert np.diff(table.distances).max() <= spacing * (1 + 1e-9)
+            assert table.distances[0] == lo and table.distances[-1] == hi
+        with pytest.raises(ValueError, match=f"under {MAX_KNOTS} knots"):
+            FidelityTable(nominal_protocol, VDW, 20.99, 1.0, 2e6)
 
     def test_rejects_range_reaching_zero_distance(self, nominal_protocol):
-        with pytest.raises(ValueError):
-            FidelityTable(nominal_protocol, VDW, trap_separation=5.0, sigma_z=1.0)
+        for lo, hi in ((0.0, 5.0), (-1.0, 5.0), (5.0, 5.0), (6.0, 5.0), (np.nan, 5.0)):
+            with pytest.raises(ValueError, match="0 < lo < hi"):
+                FidelityTable(nominal_protocol, VDW, 5.0, lo, hi)
 
     def test_batched_build_matches_pointwise_evaluation(self, nominal_protocol, nominal_noise):
-        table = FidelityTable(nominal_protocol, VDW, nominal_noise.trap_separation, 0.5, n_points=101)
+        table = centered_table(nominal_protocol, nominal_noise.trap_separation, 100)
         pointwise = [table.evaluate(float(d)) for d in table.distances]
         assert np.abs(table.values - pointwise).max() < 1e-13
+
+    @given(
+        cnot=st.booleans(),
+        theta=st.floats(0.1 * np.pi, 1.9 * np.pi),
+        omega_mhz=st.floats(np.log(0.1), np.log(10.0)).map(np.exp),
+        temperature=st.floats(1.0, 32.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_spline_error_bound(self, cnot, theta, omega_mhz, temperature, seed):
+        # the window a fidelity command tabulates: the grid plus 2e4 draws
+        theta = np.pi if cnot else theta
+        params = ProtocolParams.solve(theta, omega_mhz * MHZ, omega_mhz * MHZ, VDW)
+        protocol = build_protocol(params, "cnot" if cnot else "cz")
+        noise = NoiseConfig(trap_separation=params.separation, temperature=temperature)
+        sigmas = inflate_sigmas(noise, params.t_gate)
+        lo, hi = grid_window(noise, sigmas)
+        distances = draw_distances(sigmas, noise.trap_separation, 20_000, seed)
+        lo, hi = min(lo, distances.min()), max(hi, distances.max())
+        table = FidelityTable(protocol, VDW, noise.trap_separation, lo, hi)
+        probe = np.random.default_rng(seed).uniform(lo, hi, 200)
+        assert np.abs(table(probe) - table.evaluate(probe)).max() <= 1e-8
 
     def test_design_distance_is_perfect(self, nominal_table, nominal_noise):
         assert abs(nominal_table(nominal_noise.trap_separation) - 1.0) < 1e-9
@@ -208,7 +264,8 @@ class TestFidelityTable:
 class TestGridAverage:
     def test_vanishing_sigma_gives_unity(self, nominal_protocol, nominal_noise):
         tiny = InflatedSigmas(sigma_z=1e-7, sigma_perp=1e-7, flight_length=0.0, v_rms=0.0)
-        table = FidelityTable(nominal_protocol, VDW, nominal_noise.trap_separation, tiny.sigma_z)
+        window = grid_window(nominal_noise, tiny)
+        table = FidelityTable(nominal_protocol, VDW, nominal_noise.trap_separation, *window)
         report = grid_average_fidelity(table, tiny, GridSpec(0.25))
         assert abs(report.mean_fidelity - 1.0) < 1e-9
 
@@ -228,42 +285,81 @@ class TestGridAverage:
         assert report.method == "grid-paired" and report.stderr is None
 
 
+class TestGridWindow:
+    def test_closed_form(self, nominal_noise, nominal_sigmas):
+        sep, perp, z = nominal_noise.trap_separation, nominal_sigmas.sigma_perp, nominal_sigmas.sigma_z
+        lo, hi = grid_window(nominal_noise, nominal_sigmas)
+        assert lo == sep - 3 * perp
+        assert np.isclose(hi, np.sqrt((sep + 3 * perp) ** 2 + (3 * perp) ** 2 + (3 * z) ** 2), rtol=1e-15)
+
+    def test_difference_offsets_end_at_exactly_three_sigma(self):
+        # the window takes every step's ends at exactly +-3; k * delta misses
+        # them by an ulp for 43 of the n <= 600, n = 47 the first
+        for n in range(2, 601):
+            offsets, _ = _difference_weights(GridSpec(3 / n))
+            assert offsets[0] == -3.0 and offsets[n] == 0.0 and offsets[-1] == 3.0
+
+    @pytest.mark.parametrize("delta", [0.5, 0.1, 3 / 47])
+    def test_holds_every_grid_distance_to_the_bit(self, nominal_table, nominal_noise, nominal_sigmas, delta):
+        # 47 * (3/47) is not exactly 3: the grid's ends must still be the window's
+        counting = CountingTable(nominal_table)
+        grid_average_fidelity(counting, nominal_sigmas, GridSpec(delta))
+        (dist,) = counting.looked_up
+        assert (dist.min(), dist.max()) == grid_window(nominal_noise, nominal_sigmas)
+
+    def test_grid_reaching_zero_distance_names_sigma_perp(self, nominal_params):
+        noise = NoiseConfig(trap_separation=0.9, temperature=12.5)
+        sigmas = inflate_sigmas(noise, nominal_params.t_gate)
+        with pytest.raises(ConfigError, match="'noise.sigma_perp0_um'") as info:
+            grid_window(noise, sigmas)
+        for quoted in (f"{sigmas.sigma_perp:.4g} um, inflated at 12.5 uK", "0.9 um trap separation"):
+            assert quoted in str(info.value)
+
+
 class TestMonteCarlo:
     def test_vanishing_sigma(self, nominal_protocol, nominal_noise):
         tiny = InflatedSigmas(sigma_z=1e-9, sigma_perp=1e-9, flight_length=0.0, v_rms=0.0)
-        table = FidelityTable(nominal_protocol, VDW, nominal_noise.trap_separation, tiny.sigma_z)
-        report = monte_carlo_average_fidelity(table, tiny, n_samples=2000, seed=3)
+        report = mc_average(nominal_protocol, nominal_noise, tiny, n_samples=2000, seed=3)
         assert abs(report.mean_fidelity - 1.0) < 1e-9
         assert report.stderr < 1e-12
 
-    def test_seed_determinism(self, nominal_sigmas, nominal_table):
-        a = monte_carlo_average_fidelity(nominal_table, nominal_sigmas, n_samples=5000, seed=99)
-        b = monte_carlo_average_fidelity(nominal_table, nominal_sigmas, n_samples=5000, seed=99)
-        assert a.mean_fidelity == b.mean_fidelity and a.stderr == b.stderr
-        c = monte_carlo_average_fidelity(nominal_table, nominal_sigmas, n_samples=5000, seed=100)
-        assert c.mean_fidelity != a.mean_fidelity
+    def test_seed_determinism(self, nominal_sigmas, nominal_noise):
+        sep = nominal_noise.trap_separation
+        a = draw_distances(nominal_sigmas, sep, n_samples=5000, seed=99)
+        b = draw_distances(nominal_sigmas, sep, n_samples=5000, seed=99)
+        assert np.array_equal(a, b)
+        c = draw_distances(nominal_sigmas, sep, n_samples=5000, seed=100)
+        assert not np.array_equal(a, c)
 
-    def test_truncated_sampler_stays_within_bounds(self, nominal_sigmas, nominal_table):
-        report = monte_carlo_average_fidelity(
-            nominal_table, nominal_sigmas, n_samples=50_000, seed=17, truncate=1.5
-        )
+    def test_report_is_the_sample_mean(self, nominal_table):
+        distances = np.linspace(nominal_table.distances[0], nominal_table.distances[-1], 7)
+        report = monte_carlo_average_fidelity(nominal_table, distances)
+        fid = nominal_table(distances)
+        assert report.sample_count == 7 and report.method == "mc"
+        assert report.mean_fidelity == np.mean(fid)
+        assert report.stderr == np.std(fid, ddof=1) / np.sqrt(7)
+
+    def test_truncated_sampler_stays_within_bounds(self, nominal_protocol, nominal_noise, nominal_sigmas):
+        truncated = draw_distances(nominal_sigmas, nominal_noise.trap_separation, 50_000, 17, truncate=1.5)
+        lo, hi = grid_window(nominal_noise, nominal_sigmas)
+        assert lo <= truncated.min() and truncated.max() <= hi
+        report = mc_average(nominal_protocol, nominal_noise, nominal_sigmas, 50_000, 17, truncate=1.5)
         assert report.method == "mc-truncated"
         # truncated support can only raise the mean above the untruncated run
-        untruncated = monte_carlo_average_fidelity(
-            nominal_table, nominal_sigmas, n_samples=50_000, seed=17
-        )
+        untruncated = mc_average(nominal_protocol, nominal_noise, nominal_sigmas, 50_000, 17)
         assert report.mean_fidelity > untruncated.mean_fidelity
 
     def test_agrees_with_grid_oracle(self, nominal_sigmas, nominal_table):
         grid = grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(0.1))
-        mc = monte_carlo_average_fidelity(
-            nominal_table, nominal_sigmas, n_samples=200_000, seed=7, truncate=1.5
+        distances = draw_distances(
+            nominal_sigmas, nominal_table.trap_separation, 200_000, seed=7, truncate=1.5
         )
+        mc = monte_carlo_average_fidelity(nominal_table, distances, "mc-truncated")
         assert abs(mc.mean_fidelity - grid.mean_fidelity) < max(3 * mc.stderr, 1e-3)
 
-    def test_rejects_zero_samples(self, nominal_sigmas, nominal_table):
+    def test_rejects_zero_samples(self, nominal_sigmas, nominal_noise):
         with pytest.raises(ValueError):
-            monte_carlo_average_fidelity(nominal_table, nominal_sigmas, n_samples=0, seed=1)
+            draw_distances(nominal_sigmas, nominal_noise.trap_separation, n_samples=0, seed=1)
 
 
 class TestDecayError:
