@@ -14,11 +14,11 @@ errors.
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 from dataclasses import replace
 
-import click
 import numpy as np
 
 from .config import RunConfig, load_config, parse_config
@@ -27,6 +27,8 @@ from .errors import ConfigError, NumericError
 from .gates import extract_gate_matrix, gate_fidelity, ideal_gate, pedersen_fidelity
 from .geometry import VdwModel, vdw_interaction
 from .noise import (
+    KNOT_SPACING,
+    MAX_KNOTS,
     FidelityReport,
     FidelityTable,
     GridSpec,
@@ -38,13 +40,7 @@ from .noise import (
     inflate_sigmas,
     monte_carlo_average_fidelity,
 )
-from .protocol import (
-    GateProtocol,
-    ProtocolParams,
-    build_protocol,
-    hyperfine_leakage_estimate,
-    rydberg_exposure,
-)
+from .protocol import ProtocolParams, build_protocol, hyperfine_leakage_estimate, rydberg_exposure
 from .records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
 __all__ = ["main", "run_solve", "run_simulate", "run_fidelity", "run_sweep"]
@@ -102,8 +98,30 @@ def _noise_config(cfg: RunConfig, params: ProtocolParams) -> NoiseConfig:
     )
 
 
+def _fidelity_table(protocol, vdw, ncfg, sigmas, lo: float, hi: float) -> FidelityTable:
+    """The table over [lo, hi]; a window too wide for it names the larger spread
+    (the grid window keeps 3 sigma_perp under the trap separation)."""
+    if not (hi - lo) / (KNOT_SPACING * ncfg.trap_separation) < MAX_KNOTS:
+        wide = "sigma_z0_um" if sigmas.sigma_z >= sigmas.sigma_perp else "sigma_perp0_um"
+        raise ConfigError(
+            f"invalid config field 'noise.{wide}': spreads sigma_z {sigmas.sigma_z:.4g} and "
+            f"sigma_perp {sigmas.sigma_perp:.4g} um need a table window [{lo!r}, {hi!r}] um "
+            f"of {MAX_KNOTS} knots or more"
+        )
+    return FidelityTable(protocol, vdw, ncfg.trap_separation, lo, hi)
+
+
+def _interaction_at(vdw: VdwModel, dist, field: str):
+    """The interaction at config distance(s) ``dist``; an infinite one names ``field``."""
+    interaction = vdw_interaction(vdw, dist)
+    if not np.isfinite(interaction).all():
+        nearest = float(np.min(dist))
+        raise ConfigError(f"invalid config field '{field}': infinite interaction at {nearest!r} um")
+    return interaction
+
+
 def run_solve(cfg: RunConfig) -> ResultRecord:
-    """Parameter chain only; no dynamics."""
+    """Solve theta -> interaction, separation and timings (no dynamics)."""
     params, _ = _solve_point(cfg)
     leakage = hyperfine_leakage_estimate(params.omega_target, HYPERFINE_SPLITTING_RB87)
     return ResultRecord(
@@ -115,7 +133,7 @@ def run_solve(cfg: RunConfig) -> ResultRecord:
 
 
 def run_simulate(cfg: RunConfig) -> ResultRecord:
-    """Single gate at the design point (or an explicit interaction override)."""
+    """Simulate one gate (design point or override); report its matrix and decay budget."""
     params, vdw = _solve_point(cfg, allow_overrides=True)
     protocol = build_protocol(params, cfg.kind)
     interaction = cfg.interaction_override
@@ -125,7 +143,7 @@ def run_simulate(cfg: RunConfig) -> ResultRecord:
                 "invalid config field 'overrides': give either interaction_mhz "
                 "or separation_um, not both"
             )
-        interaction = vdw_interaction(vdw, cfg.separation_override)
+        interaction = _interaction_at(vdw, cfg.separation_override, "overrides.separation_um")
     gate = extract_gate_matrix(protocol, interaction)
     fidelity = pedersen_fidelity(gate, ideal_gate(protocol))
     exposure = rydberg_exposure(protocol, interaction)
@@ -159,7 +177,7 @@ def _report_dict(report: FidelityReport, e_decay: float) -> dict:
 
 
 def run_fidelity(cfg: RunConfig) -> ResultRecord:
-    """Position-noise averaged fidelity by grid quadrature and/or Monte Carlo."""
+    """Average the gate fidelity over position fluctuations, on the grid and/or by Monte Carlo."""
     params, vdw = _solve_point(cfg)
     protocol = build_protocol(params, cfg.kind)
     ncfg = _noise_config(cfg, params)
@@ -169,8 +187,8 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
     if cfg.mode in ("mc", "both"):
         truncate = 1.5 if cfg.mc_truncated else None
         distances = draw_distances(sigmas, ncfg.trap_separation, cfg.mc_samples, cfg.seed, truncate)
-        lo, hi = min(lo, distances.min()), max(hi, distances.max())
-    table = FidelityTable(protocol, vdw, ncfg.trap_separation, lo, hi)
+        lo, hi = float(np.minimum(lo, distances.min())), float(np.maximum(hi, distances.max()))
+    table = _fidelity_table(protocol, vdw, ncfg, sigmas, lo, hi)
     exposure = rydberg_exposure(protocol)
     e_decay = decay_error(exposure, ncfg.rydberg_lifetime)
     e_300k = decay_error(exposure, LIFETIME_97S_300K_MS)
@@ -220,7 +238,7 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
 
 
 def run_sweep(cfg: RunConfig) -> ResultRecord:
-    """Scan one axis, one result row per value (values sorted ascending).
+    """Scan separation, Rabi frequency or temperature: one row per value, ascending.
 
     The ``omega`` axis re-solves the chain per point with both atoms
     driven at the swept frequency, so ``drive.omega_*_mhz`` do not
@@ -234,7 +252,8 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     rows = []
     if axis == "separation":
         protocol = build_protocol(params, cfg.kind)
-        interactions = vdw_interaction(vdw, values)
+        nearest = "sweep.start" if cfg.sweep["start"] <= cfg.sweep["stop"] else "sweep.stop"
+        interactions = _interaction_at(vdw, values, nearest)
         fidelities = gate_fidelity(protocol, interactions)
         for sep, interaction, fidelity in zip(values, interactions, fidelities):
             rows.append({
@@ -268,8 +287,8 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         # one table for every temperature: both sigmas grow with it, so the
         # hottest grid reaches farthest
         hottest = replace(ncfg_base, temperature=float(values[-1]))
-        window = grid_window(hottest, inflate_sigmas(hottest, params.t_gate))
-        table = FidelityTable(protocol, vdw, ncfg_base.trap_separation, *window)
+        hot = inflate_sigmas(hottest, params.t_gate)
+        table = _fidelity_table(protocol, vdw, hottest, hot, *grid_window(hottest, hot))
         e_decay = decay_error(rydberg_exposure(protocol), ncfg_base.rydberg_lifetime)
         delta = min(cfg.deltas)
         for temp in values:
@@ -316,61 +335,36 @@ def _execute(command: str, config_path: str, out, seed, fmt) -> None:
     try:
         cfg = load_config(config_path)
         if seed is not None:
-            cfg.seed = seed
+            # through the walker, and into the echoed config so that it re-runs
+            cfg = parse_config({**cfg.raw, "seed": seed})
         record = _RUNNERS[command](cfg)
         text = _render(record, fmt or ("csv" if command == "sweep" else "json"))
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
+        print(f"config error: {exc}", file=sys.stderr)
         sys.exit(2)
     except (NumericError, ValueError, np.linalg.LinAlgError) as exc:
-        click.echo(f"numeric error: {exc}", err=True)
+        print(f"numeric error: {exc}", file=sys.stderr)
         sys.exit(1)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
-def _common_options(func):
-    func = click.option("--config", "config_path", required=True, type=click.Path(), help="JSON config file.")(func)
-    func = click.option("--out", type=click.Path(), default=None, help="Write output here instead of stdout.")(func)
-    func = click.option("--seed", type=int, default=None, help="Override the config RNG seed.")(func)
-    func = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default=None, help="Output format.")(func)
-    return func
-
-
-@click.group()
-def main():
+def main(argv: list[str] | None = None) -> None:
     """Weak van der Waals Rydberg gate designer and error-budget simulator."""
-
-
-@main.command()
-@_common_options
-def solve(config_path, out, seed, fmt):
-    """Solve theta -> interaction, separation and timings (no dynamics)."""
-    _execute("solve", config_path, out, seed, fmt)
-
-
-@main.command()
-@_common_options
-def simulate(config_path, out, seed, fmt):
-    """Simulate one gate and report its matrix and decay budget."""
-    _execute("simulate", config_path, out, seed, fmt)
-
-
-@main.command()
-@_common_options
-def fidelity(config_path, out, seed, fmt):
-    """Average the gate fidelity over qubit position fluctuations."""
-    _execute("fidelity", config_path, out, seed, fmt)
-
-
-@main.command()
-@_common_options
-def sweep(config_path, out, seed, fmt):
-    """Scan separation, Rabi frequency, or temperature."""
-    _execute("sweep", config_path, out, seed, fmt)
+    parser = argparse.ArgumentParser(prog="rydvdw", description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    for name, runner in _RUNNERS.items():
+        summary = runner.__doc__.splitlines()[0]
+        sub = commands.add_parser(name, help=summary, description=summary, allow_abbrev=False)
+        sub.add_argument("--config", required=True, help="JSON config file.")
+        sub.add_argument("--out", help="Write output here instead of stdout.")
+        sub.add_argument("--seed", type=int, help="Override the config RNG seed.")
+        sub.add_argument("--format", choices=("csv", "json"), help="Output format.")
+    args = parser.parse_args(argv)
+    _execute(args.command, args.config, args.out, args.seed, args.format)
 
 
 if __name__ == "__main__":

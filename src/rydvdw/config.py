@@ -212,11 +212,6 @@ def parse_config(raw: dict) -> RunConfig:
     if "c6_thz_um6" in raw.get("vdw", {}):
         # h x THz um^6 -> rad/us um^6: 1 THz = 1e6 cycles/us
         cfg.c6 = MHZ * raw["vdw"]["c6_thz_um6"] * 1e6
-        if not math.isfinite(cfg.c6):
-            raise ConfigError(
-                "invalid config field 'vdw.c6_thz_um6': "
-                f"C6/hbar = {cfg.c6!r} rad/us um^6 must be finite"
-            )
     noise = raw.get("noise", {})
     cfg.sigma_z0 = noise.get("sigma_z0_um", cfg.sigma_z0)
     cfg.sigma_perp0 = noise.get("sigma_perp0_um", cfg.sigma_perp0)
@@ -242,6 +237,11 @@ def parse_config(raw: dict) -> RunConfig:
     if "sweep" in raw:
         cfg.sweep = {**raw["sweep"], "points": int(raw["sweep"]["points"])}
     cfg.seed = int(raw.get("seed", cfg.seed))
+    # a finite value can overflow in internal units
+    converted = {"vdw.c6_thz_um6": cfg.c6, "overrides.interaction_mhz": cfg.interaction_override}
+    for name, value in converted.items():
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"invalid config field '{name}': {value!r} in internal units")
 
     if cfg.kind == "cnot" and abs(cfg.theta - math.pi) > 1e-9:
         raise ConfigError("invalid config field 'gate.theta_rad': cnot requires theta_rad = pi")

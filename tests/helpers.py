@@ -1,13 +1,40 @@
-"""Readers of the CLI's output formats and a plain state propagator.
+"""A CLI runner, readers of the CLI's output formats and a plain state propagator.
 
 The package only writes its records; these parse them back for the
-tests, and ``evolve`` applies propagators to one state vector in turn.
+tests, ``run_cli`` captures one command line's exit code and streams,
+and ``evolve`` applies propagators to one state vector in turn.
 """
 
+import contextlib
 import csv
 import io
+from typing import NamedTuple
 
 import numpy as np
+
+from rydvdw.cli import main
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+def run_cli(argv):
+    """Run ``main(argv)`` in-process, returning its exit code, stdout and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            main(argv)
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+    return CliResult(code, stdout.getvalue(), stderr.getvalue())
 
 
 def evolve(state, unitaries):

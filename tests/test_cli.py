@@ -6,21 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import rydvdw
-from rydvdw.cli import main, run_fidelity, run_simulate, run_solve, run_sweep
+from rydvdw.cli import run_fidelity, run_simulate, run_solve, run_sweep
 from rydvdw.config import SCHEMA, load_config, parse_config
 from rydvdw.errors import ConfigError
 from rydvdw.protocol import rydberg_exposure
 from rydvdw.records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
-from .helpers import complex_matrix_from_json, rows_from_csv
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+from .helpers import complex_matrix_from_json, rows_from_csv, run_cli
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -72,10 +66,10 @@ class TestConfig:
             ("sweep", {"sweep": {"axis": "omega", "start": 0.8, "stop": 1.6, "points": 5.0}}),
         ],
     )
-    def test_integer_valued_floats_run(self, runner, tmp_path, command, payload):
+    def test_integer_valued_floats_run(self, tmp_path, command, payload):
         # the schema takes 5.0 as an integer, and numpy must get an int
         path = write_config(tmp_path, payload)
-        result = runner.invoke(main, [command, "--config", path, "--format", "json"])
+        result = run_cli([command, "--config", path, "--format", "json"])
         assert result.exit_code == 0, result.output
         results = json.loads(result.output)["results"]
         if command == "sweep":
@@ -84,10 +78,39 @@ class TestConfig:
             assert results["mc"]["sample_count"] == 300
 
 
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate", "--config", "c.json"],
+            ["solve"],
+            ["solve", "--config"],
+            ["solve", "--config", "c.json", "--threads", "2"],
+            ["solve", "--config", "c.json", "--format", "xml"],
+            ["solve", "--conf", "c.json"],  # no abbreviations
+        ],
+    )
+    def test_usage_error_exits_2(self, argv):
+        result = run_cli(argv)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "usage: rydvdw" in result.stderr
+
+    def test_help_lists_each_runner(self):
+        result = run_cli(["--help"])
+        assert result.exit_code == 0
+        for runner in (run_solve, run_simulate, run_fidelity, run_sweep):
+            name = runner.__name__.removeprefix("run_")
+            summary = " ".join(runner.__doc__.splitlines()[0].split())
+            assert f"{name} " in result.stdout
+            assert summary in " ".join(result.stdout.split())
+
+
 class TestSolveCommand:
-    def test_reference_chain(self, runner, tmp_path):
+    def test_reference_chain(self, tmp_path):
         path = write_config(tmp_path, {})
-        result = runner.invoke(main, ["solve", "--config", path])
+        result = run_cli(["solve", "--config", path])
         assert result.exit_code == 0
         record = json.loads(result.output)
         assert abs(record["params"]["separation_um"] - 20.99) < 0.01
@@ -102,7 +125,7 @@ class TestSolveCommand:
             "    main(['solve', '--config', sys.argv[1]])\n"
             "except SystemExit as exc:\n"
             "    assert not exc.code, exc.code\n"
-            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'jsonschema'))\n"
+            "loaded = sorted(m for m in sys.modules if m.partition('.')[0] in ('scipy', 'jsonschema', 'click'))\n"
             "assert not loaded, loaded\n"
         )
         src = str(Path(rydvdw.__file__).resolve().parents[1])
@@ -114,91 +137,91 @@ class TestSolveCommand:
         assert result.returncode == 0, result.stderr
         assert abs(json.loads(result.stdout)["params"]["separation_um"] - 20.99) < 0.01
 
-    def test_fast_drive_duration(self, runner, tmp_path):
+    def test_fast_drive_duration(self, tmp_path):
         path = write_config(
             tmp_path, {"drive": {"omega_control_mhz": 4.6, "omega_target_mhz": 4.6}}
         )
-        result = runner.invoke(main, ["solve", "--config", path])
+        result = run_cli(["solve", "--config", path])
         record = json.loads(result.output)
         assert abs(record["params"]["t_gate_us"] - 0.594) < 0.005
 
-    def test_malformed_config_exits_2(self, runner, tmp_path):
+    def test_malformed_config_exits_2(self, tmp_path):
         path = write_config(tmp_path, {"noise": {"sigma_z0_um": -1.0}})
-        result = runner.invoke(main, ["solve", "--config", path])
+        result = run_cli(["solve", "--config", path])
         assert result.exit_code == 2
         assert "sigma_z0_um" in result.output
 
     @pytest.mark.parametrize("c6_text", ["1e305", "1e400"])  # json reads 1e400 as inf
-    def test_non_finite_c6_exits_2(self, runner, tmp_path, c6_text):
+    def test_non_finite_c6_exits_2(self, tmp_path, c6_text):
         path = tmp_path / "config.json"
         path.write_text('{"vdw": {"c6_thz_um6": %s}}' % c6_text)
-        result = runner.invoke(main, ["solve", "--config", str(path)])
+        result = run_cli(["solve", "--config", str(path)])
         assert result.exit_code == 2
         assert "config error: invalid config field 'vdw.c6_thz_um6'" in result.output
 
-    def test_interaction_override_rejected_outside_simulate(self, runner, tmp_path):
+    def test_interaction_override_rejected_outside_simulate(self, tmp_path):
         path = write_config(tmp_path, {"overrides": {"interaction_mhz": 0.5}})
-        result = runner.invoke(main, ["solve", "--config", path])
+        result = run_cli(["solve", "--config", path])
         assert result.exit_code == 2
         assert "config error: invalid config field 'overrides.interaction_mhz'" in result.output
 
     @pytest.mark.parametrize("command", ["solve", "fidelity", "sweep"])
-    def test_separation_override_rejected_outside_simulate(self, runner, tmp_path, command):
+    def test_separation_override_rejected_outside_simulate(self, tmp_path, command):
         # the trap separation of the noise model is noise.trap_separation_um
         payload = {
             "overrides": {"separation_um": 21.0},
             "sweep": {"axis": "temperature", "start": 5.0, "stop": 15.0, "points": 2},
             "sampling": {"deltas": [0.5]},
         }
-        result = runner.invoke(main, [command, "--config", write_config(tmp_path, payload)])
+        result = run_cli([command, "--config", write_config(tmp_path, payload)])
         assert result.exit_code == 2
         assert "config error: invalid config field 'overrides.separation_um'" in result.output
 
     @pytest.mark.parametrize("command", ["solve", "simulate", "fidelity"])
-    def test_overflowing_pulse_duration_exits_2(self, runner, tmp_path, command):
+    def test_overflowing_pulse_duration_exits_2(self, tmp_path, command):
         # pi / omega_control overflows to an infinite pulse
         path = write_config(tmp_path, {"drive": {"omega_control_mhz": 1e-320}})
-        result = runner.invoke(main, [command, "--config", path])
+        result = run_cli([command, "--config", path])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "config error: invalid config field 'drive'" in result.stderr
 
     @pytest.mark.parametrize("command", ["solve", "fidelity"])
-    def test_tiny_theta_names_theta(self, runner, tmp_path, command):
+    def test_tiny_theta_names_theta(self, tmp_path, command):
         # theta -> 0 needs an infinite interaction, whatever the drive
         path = write_config(tmp_path, {"gate": {"theta_rad": 1e-20}})
-        result = runner.invoke(main, [command, "--config", path])
+        result = run_cli([command, "--config", path])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "config error: invalid config field 'gate.theta_rad'" in result.stderr
 
     @pytest.mark.parametrize("command", ["fidelity", "simulate"])
     @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_json_number_exits_2(self, runner, tmp_path, command, text):
+    def test_non_finite_json_number_exits_2(self, tmp_path, command, text):
         # Python's json reads these, but they are not JSON numbers
         path = tmp_path / "config.json"
         path.write_text('{"noise": {"temperature_uk": %s}}' % text)
-        result = runner.invoke(main, [command, "--config", str(path)])
+        result = run_cli([command, "--config", str(path)])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "config error: invalid config field 'noise.temperature_uk'" in result.stderr
 
-    def test_numeric_failure_exits_1(self, runner, tmp_path, monkeypatch):
+    def test_numeric_failure_exits_1(self, tmp_path, monkeypatch):
         # no valid config is known to break the eigensolver, so make it fail
         def broken_eigh(matrix):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", broken_eigh)
         path = write_config(tmp_path, {})
-        result = runner.invoke(main, ["simulate", "--config", path])
+        result = run_cli(["simulate", "--config", path])
         assert result.exit_code == 1
         assert "numeric error: eigendecomposition failed" in result.output
 
 
 class TestSimulateCommand:
-    def test_cz_report(self, runner, tmp_path):
+    def test_cz_report(self, tmp_path):
         path = write_config(tmp_path, {})
-        result = runner.invoke(main, ["simulate", "--config", path])
+        result = run_cli(["simulate", "--config", path])
         assert result.exit_code == 0
         record = json.loads(result.output)
         res = record["results"]
@@ -209,18 +232,18 @@ class TestSimulateCommand:
         gate = complex_matrix_from_json(res["gate_matrix"])
         assert np.abs(gate - np.diag([1, 1, 1, -1])).max() < 1e-9
 
-    def test_cnot_report(self, runner, tmp_path):
+    def test_cnot_report(self, tmp_path):
         path = write_config(tmp_path, {"gate": {"kind": "cnot"}})
-        result = runner.invoke(main, ["simulate", "--config", path])
+        result = run_cli(["simulate", "--config", path])
         record = json.loads(result.output)
         gate = complex_matrix_from_json(record["results"]["gate_matrix"])
         ideal = np.zeros((4, 4))
         ideal[0, 0] = ideal[1, 1] = ideal[2, 3] = ideal[3, 2] = 1.0
         assert np.abs(gate - ideal).max() < 1e-9
 
-    def test_zero_interaction_override_gives_identity(self, runner, tmp_path):
+    def test_zero_interaction_override_gives_identity(self, tmp_path):
         path = write_config(tmp_path, {"overrides": {"interaction_mhz": 0.0}})
-        result = runner.invoke(main, ["simulate", "--config", path])
+        result = run_cli(["simulate", "--config", path])
         record = json.loads(result.output)
         gate = complex_matrix_from_json(record["results"]["gate_matrix"])
         assert np.abs(gate - np.eye(4)).max() < 1e-9
@@ -233,10 +256,10 @@ class TestSimulateCommand:
             run_simulate(cfg)
 
     @pytest.mark.parametrize("command", ["simulate", "fidelity"])
-    def test_infinite_decay_error_exits_2_without_output(self, runner, tmp_path, command):
+    def test_infinite_decay_error_exits_2_without_output(self, tmp_path, command):
         # exposure / lifetime overflows to inf: the lifetime is too short to price
         path = write_config(tmp_path, {"noise": {"rydberg_lifetime_ms": 1e-320}})
-        result = runner.invoke(main, [command, "--config", path])
+        result = run_cli([command, "--config", path])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "config error: invalid config field 'noise.rydberg_lifetime_ms'" in result.stderr
@@ -247,9 +270,9 @@ class TestFidelityCommand:
         "sampling": {"mode": "both", "deltas": [0.5, 0.25], "mc_samples": 20000, "mc_truncated": True},
     }
 
-    def test_json_report(self, runner, tmp_path):
+    def test_json_report(self, tmp_path):
         path = write_config(tmp_path, self.CONFIG)
-        result = runner.invoke(main, ["fidelity", "--config", path])
+        result = run_cli(["fidelity", "--config", path])
         assert result.exit_code == 0
         record = json.loads(result.output)
         grid = record["results"]["grid"]
@@ -258,11 +281,10 @@ class TestFidelityCommand:
         mc = record["results"]["mc"]
         assert abs(mc["mean_fidelity"] - grid["mean_fidelity"]) < 0.005
 
-    def test_csv_rows_round_trip(self, runner, tmp_path):
+    def test_csv_rows_round_trip(self, tmp_path):
         path = write_config(tmp_path, self.CONFIG)
         out = tmp_path / "rows.csv"
-        result = runner.invoke(
-            main, ["fidelity", "--config", path, "--format", "csv", "--out", str(out)]
+        result = run_cli(["fidelity", "--config", path, "--format", "csv", "--out", str(out)]
         )
         assert result.exit_code == 0
         rows = rows_from_csv(out.read_text())
@@ -280,10 +302,10 @@ class TestFidelityCommand:
     @pytest.mark.parametrize(
         "noise", [{"sigma_perp0_um": 8.0}, {"trap_separation_um": 0.9}]
     )
-    def test_table_window_at_zero_distance_exits_2(self, runner, tmp_path, noise):
+    def test_table_window_at_zero_distance_exits_2(self, tmp_path, noise):
         # 3 inflated sigma_perp reach past the trap separation: the grid reaches zero distance
         path = write_config(tmp_path, {"noise": noise, "sampling": {"deltas": [0.5]}})
-        result = runner.invoke(main, ["fidelity", "--config", path])
+        result = run_cli(["fidelity", "--config", path])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "config error: invalid config field 'noise.sigma_perp0_um'" in result.stderr
@@ -293,10 +315,10 @@ class TestFidelityCommand:
     @pytest.mark.parametrize(
         "noise", [{"sigma_z0_um": 5.0}, {"trap_separation_um": 5.0}]
     )
-    def test_wide_spreads_away_from_zero_run(self, runner, tmp_path, noise):
+    def test_wide_spreads_away_from_zero_run(self, tmp_path, noise):
         # every sample lies 3 um or more from zero distance, so the table covers them
         payload = {"noise": noise, "sampling": {"mode": "both", "deltas": [0.5], "mc_samples": 2000}}
-        result = runner.invoke(main, ["fidelity", "--config", write_config(tmp_path, payload)])
+        result = run_cli(["fidelity", "--config", write_config(tmp_path, payload)])
         assert result.exit_code == 0, result.output
         results = json.loads(result.stdout)["results"]
         for method in ("grid", "mc"):
@@ -322,13 +344,13 @@ class TestFidelityCommand:
         run(parse_config(payload))
         assert len(calls) == 1
 
-    def test_tiny_sigma_returns_unity(self, runner, tmp_path):
+    def test_tiny_sigma_returns_unity(self, tmp_path):
         payload = {
             "noise": {"sigma_z0_um": 1e-6, "sigma_perp0_um": 1e-6, "temperature_uk": 1e-12},
             "sampling": {"mode": "grid", "deltas": [0.5]},
         }
         path = write_config(tmp_path, payload)
-        result = runner.invoke(main, ["fidelity", "--config", path])
+        result = run_cli(["fidelity", "--config", path])
         record = json.loads(result.output)
         assert abs(record["results"]["grid"]["mean_fidelity"] - 1.0) < 1e-6
 
@@ -366,21 +388,63 @@ class TestFidelityCommand:
         assert abs(grid["estimate"] - 0.992) <= 1e-3
         assert abs(grid["net_fidelity"] - 0.986) <= 1e-3
 
-    def test_seed_flag_changes_mc(self, runner, tmp_path):
+    def test_seed_flag_changes_mc(self, tmp_path):
         path = write_config(tmp_path, {"sampling": {"mode": "mc", "mc_samples": 5000}})
         outputs = []
         for seed in ("1", "1", "2"):
-            result = runner.invoke(main, ["fidelity", "--config", path, "--seed", seed])
+            result = run_cli(["fidelity", "--config", path, "--seed", seed])
             outputs.append(json.loads(result.output)["results"]["mc"]["mean_fidelity"])
         assert outputs[0] == outputs[1]
         assert outputs[0] != outputs[2]
 
+    def test_seed_flag_is_echoed_in_config(self, tmp_path):
+        # re-running the echoed config repeats the flagged run exactly
+        path = write_config(tmp_path, {"sampling": {"mode": "mc", "mc_samples": 2000}})
+        result = run_cli(["fidelity", "--config", path, "--seed", "7"])
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.stdout)
+        assert record["config"]["seed"] == 7
+        again = run_fidelity(parse_config(record["config"])).results["mc"]
+        assert again["mean_fidelity"] == record["results"]["mc"]["mean_fidelity"]
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_flag_exits_2(self, tmp_path, seed):
+        path = write_config(tmp_path, {"sampling": {"mode": "mc", "mc_samples": 2000}})
+        result = run_cli(["fidelity", "--config", path, "--seed", seed])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "config error: invalid config field 'seed'" in result.stderr
+
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("fidelity", {"noise": {"sigma_z0_um": 1e6}}, "sigma_z0_um"),
+            ("fidelity", {"noise": {"sigma_z0_um": 1e300}}, "sigma_z0_um"),
+            ("fidelity", {"noise": {"sigma_z0_um": 1e6}, "sampling": {"mode": "mc"}}, "sigma_z0_um"),
+            ("fidelity", {"noise": {"sigma_z0_um": 1e300}, "sampling": {"mode": "mc"}}, "sigma_z0_um"),
+            ("fidelity", {"noise": {"sigma_perp0_um": 1e4}, "sampling": {"mode": "mc"}}, "sigma_perp0_um"),
+            # inf - inf: every draw is NaN
+            ("fidelity", {"noise": {"sigma_perp0_um": 1e308}, "sampling": {"mode": "mc"}}, "sigma_perp0_um"),
+            ("sweep", {"noise": {"sigma_z0_um": 1e6},
+                       "sweep": {"axis": "temperature", "start": 5.0, "stop": 15.0, "points": 2}},
+             "sigma_z0_um"),
+        ],
+    )
+    def test_table_window_too_wide_exits_2(self, tmp_path, command, payload, field):
+        # the window would need MAX_KNOTS knots or more; the larger spread is named
+        payload["sampling"] = {"deltas": [0.5], "mc_samples": 1000, **payload.get("sampling", {})}
+        result = run_cli([command, "--config", write_config(tmp_path, payload)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"config error: invalid config field 'noise.{field}'" in result.stderr
+        assert "np.float64" not in result.stderr
+
 
 class TestSweepCommand:
-    def test_two_point_sweep_has_two_rows(self, runner, tmp_path):
+    def test_two_point_sweep_has_two_rows(self, tmp_path):
         payload = {"sweep": {"axis": "separation", "start": 20.0, "stop": 22.0, "points": 2}}
         path = write_config(tmp_path, payload)
-        result = runner.invoke(main, ["sweep", "--config", path])
+        result = run_cli(["sweep", "--config", path])
         assert result.exit_code == 0
         rows = rows_from_csv(result.output)
         assert len(rows) == 2
@@ -433,10 +497,10 @@ class TestSweepCommand:
             {"axis": "temperature", "start": 5.0, "stop": 15.0, "points": 2},
         ],
     )
-    def test_csv_cells_parse_as_numbers(self, runner, tmp_path, sweep):
+    def test_csv_cells_parse_as_numbers(self, tmp_path, sweep):
         path = write_config(tmp_path, {"sweep": sweep, "sampling": {"deltas": [0.5]}})
         out = tmp_path / "rows.csv"
-        result = runner.invoke(main, ["sweep", "--config", path, "--out", str(out)])
+        result = run_cli(["sweep", "--config", path, "--out", str(out)])
         assert result.exit_code == 0
         rows = rows_from_csv(out.read_text())
         assert len(rows) == sweep["points"]
@@ -445,10 +509,10 @@ class TestSweepCommand:
             assert all(isinstance(value, float) for value in row.values()), row
 
     @pytest.mark.parametrize("end", ["start", "stop"])
-    def test_overflowing_omega_sweep_end_is_named(self, runner, tmp_path, end):
+    def test_overflowing_omega_sweep_end_is_named(self, tmp_path, end):
         # pi / omega overflows at the 1e-320 MHz end of the sweep
         sweep = {"axis": "omega", "start": 1.0, "stop": 1.0, "points": 2, end: 1e-320}
-        result = runner.invoke(main, ["sweep", "--config", write_config(tmp_path, {"sweep": sweep})])
+        result = run_cli(["sweep", "--config", write_config(tmp_path, {"sweep": sweep})])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert f"config error: invalid config field 'sweep.{end}'" in result.stderr
@@ -463,6 +527,25 @@ class TestSweepCommand:
         )
         rows = run_sweep(cfg).results["rows"]
         assert [row["value"] for row in rows] == sorted(row["value"] for row in rows)
+
+
+class TestInfiniteInteraction:
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("sweep", {"sweep": {"axis": "separation", "start": 1e-60, "stop": 22.0, "points": 2}},
+             "sweep.start"),
+            ("sweep", {"sweep": {"axis": "separation", "start": 22.0, "stop": 1e-60, "points": 2}},
+             "sweep.stop"),
+            ("simulate", {"overrides": {"separation_um": 1e-60}}, "overrides.separation_um"),
+            ("simulate", {"overrides": {"interaction_mhz": 1e308}}, "overrides.interaction_mhz"),
+        ],
+    )
+    def test_config_value_giving_infinite_interaction_is_named(self, tmp_path, command, payload, field):
+        result = run_cli([command, "--config", write_config(tmp_path, payload)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"config error: invalid config field '{field}'" in result.stderr
 
 
 class TestRecords:
