@@ -39,6 +39,7 @@ from .noise import (
     grid_window,
     inflate_sigmas,
     monte_carlo_average_fidelity,
+    spread_field,
 )
 from .protocol import ProtocolParams, build_protocol, hyperfine_leakage_estimate, rydberg_exposure
 from .records import ResultRecord, complex_matrix_to_json, rows_to_csv
@@ -99,12 +100,12 @@ def _noise_config(cfg: RunConfig, params: ProtocolParams) -> NoiseConfig:
 
 
 def _fidelity_table(protocol, vdw, ncfg, sigmas, lo: float, hi: float) -> FidelityTable:
-    """The table over [lo, hi]; a window too wide for it names the larger spread
-    (the grid window keeps 3 sigma_perp under the trap separation)."""
+    """The table over [lo, hi]; a window too wide for it names the field behind the
+    larger spread (the grid window keeps 3 sigma_perp under the trap separation)."""
     if not (hi - lo) / (KNOT_SPACING * ncfg.trap_separation) < MAX_KNOTS:
-        wide = "sigma_z0_um" if sigmas.sigma_z >= sigmas.sigma_perp else "sigma_perp0_um"
+        wide = spread_field(ncfg, sigmas, "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp")
         raise ConfigError(
-            f"invalid config field 'noise.{wide}': spreads sigma_z {sigmas.sigma_z:.4g} and "
+            f"invalid config field '{wide}': spreads sigma_z {sigmas.sigma_z:.4g} and "
             f"sigma_perp {sigmas.sigma_perp:.4g} um need a table window [{lo!r}, {hi!r}] um "
             f"of {MAX_KNOTS} knots or more"
         )
@@ -288,7 +289,8 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         # hottest grid reaches farthest
         hottest = replace(ncfg_base, temperature=float(values[-1]))
         hot = inflate_sigmas(hottest, params.t_gate)
-        table = _fidelity_table(protocol, vdw, hottest, hot, *grid_window(hottest, hot))
+        hot_field = "sweep.stop" if cfg.sweep["stop"] >= cfg.sweep["start"] else "sweep.start"
+        table = _fidelity_table(protocol, vdw, hottest, hot, *grid_window(hottest, hot, hot_field))
         e_decay = decay_error(rydberg_exposure(protocol), ncfg_base.rydberg_lifetime)
         delta = min(cfg.deltas)
         for temp in values:

@@ -86,7 +86,7 @@ SCHEMA = {
                     "minItems": 1,
                     "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1.5},
                 },
-                "mc_samples": {"type": "integer", "minimum": 1},
+                "mc_samples": {"type": "integer", "minimum": 2},
                 "mc_truncated": {"type": "boolean"},
             },
         },

@@ -3,10 +3,11 @@
 Each atom carries the qubit states |0>, |1> and one Rydberg state |r>.
 The pair Hilbert space is 9-dimensional with basis index
 ``3*control + target`` and level ordering (|0>, |1>, |r>).  All
-Hamiltonians are piecewise constant, so propagators are evaluated
-exactly through a Hermitian eigendecomposition rather than by ODE
-stepping; at this matrix size that is both faster and free of
-step-size error.
+Hamiltonians are piecewise constant, so :func:`propagate` moves states
+exactly through one Hermitian eigendecomposition per segment rather
+than by ODE stepping; at this matrix size that is both faster and free
+of step-size error.  The gate matrix and the Rydberg exposure both come
+from that one walk.
 
 Angular frequencies are in rad/us, durations in us (hbar = 1).
 """
@@ -29,7 +30,7 @@ __all__ = [
     "basis_state",
     "build_hamiltonian",
     "exponentiate",
-    "rydberg_exposure_integral",
+    "propagate",
 ]
 
 
@@ -59,6 +60,10 @@ RYDBERG_WEIGHT = np.array(
 def basis_index(control: int, target: int) -> int:
     """Flat index of |control, target> in the two-atom basis."""
     return 3 * int(control) + int(target)
+
+
+#: Flat indices of |00>, |01>, |10>, |11>: the gate's computational inputs.
+COMPUTATIONAL = [basis_index(c, t) for c in (Level.G0, Level.G1) for t in (Level.G0, Level.G1)]
 
 
 def basis_state(control: int, target: int) -> np.ndarray:
@@ -129,77 +134,50 @@ def _check_hermitian(hamiltonian: np.ndarray, tol: float = 1e-12) -> None:
         raise NumericError(f"Hamiltonian is not Hermitian (asymmetry {asymmetry.max():.2e})")
 
 
-def _eigh(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition, with a failure raised as NumericError."""
-    _check_hermitian(hamiltonian)
-    try:
-        return np.linalg.eigh(hamiltonian)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigendecomposition failed: {exc}") from exc
+def propagate(segments: Sequence[tuple[np.ndarray, float]], states, weight=None):
+    """Advance state columns through a piecewise-constant pulse sequence.
+
+    Each segment (H, t) is diagonalized once, H = M diag(E) M^dag, and
+    with amplitudes C = M^dag psi the states move as M exp(-i E t) C;
+    no propagator matrix is formed.  ``segments`` holds Hermitian
+    matrices in rad/us, or stacks of shape (..., n, n) diagonalized in
+    one batched call, with durations >= 0 in us; ``states`` holds the
+    columns of an (n, k) or (..., n, k) array.
+
+    With ``weight``, the length-n diagonal of an observable such as
+    :data:`RYDBERG_WEIGHT`, the same E, M and C give the exact time
+    integral of its expectation value: with W = M^dag diag(weight) M a
+    segment adds (Van Loan, IEEE TAC 23, 395, 1978)
+
+        Re sum_mn conj(C_m) C_n W_mn t exp(i w t/2) sinc(w t/2),
+        w = E_m - E_n.
+
+    Returns the evolved columns, shape (..., n, k), and the integral in
+    us of each column, shape (..., k), or None without ``weight``.
+    """
+    states = np.asarray(states, dtype=complex)
+    integral = None if weight is None else 0.0
+    for hamiltonian, duration in segments:
+        if duration < 0:
+            raise ValueError("duration must be nonnegative")
+        _check_hermitian(hamiltonian)
+        try:
+            energies, modes = np.linalg.eigh(hamiltonian)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"eigendecomposition failed: {exc}") from exc
+        adjoint = modes.conj().swapaxes(-1, -2)
+        coeffs = adjoint @ states
+        if weight is not None:
+            observable = (adjoint * weight) @ modes
+            half = 0.5 * duration * (energies[..., :, None] - energies[..., None, :])
+            kernel = duration * np.exp(1j * half) * np.sinc(half / np.pi)
+            integral = integral + (coeffs.conj() * ((observable * kernel) @ coeffs)).sum(axis=-2).real
+        states = modes @ (np.exp(-1j * energies * duration)[..., :, None] * coeffs)
+    return states, integral
 
 
 def exponentiate(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
-    """Exact propagator exp(-i H t) of a constant Hamiltonian.
-
-    Parameters
-    ----------
-    hamiltonian : ndarray
-        Hermitian matrix in rad/us, or a stack of them with shape
-        (..., n, n); a stack is diagonalized in one batched call.
-    duration : float
-        Evolution time in us, >= 0.
-
-    Returns
-    -------
-    ndarray
-        Unitary matrices of the same shape.
-    """
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    energies, modes = _eigh(hamiltonian)
-    phases = np.exp(-1j * energies * duration)
-    return (modes * phases[..., None, :]) @ modes.conj().swapaxes(-1, -2)
-
-
-def rydberg_exposure_integral(
-    segments: Sequence[tuple[np.ndarray, float]],
-    initial_states: Sequence[np.ndarray],
-) -> float:
-    """Time-integrated Rydberg occupation, averaged over the four gate inputs.
-
-    For every initial state the expected number of Rydberg excitations
-    (single excitations count once, |rr> twice) is integrated exactly
-    over the whole pulse sequence.  In the eigenbasis H = sum_m E_m |m><m|
-    of a constant segment of length T, with amplitudes C = M^dag psi and
-    weight matrix W = M^dag diag(RYDBERG_WEIGHT) M, the segment adds
-
-        Re sum_mn conj(C_m) C_n W_mn T exp(i w T/2) sinc(w T/2),
-        w = E_m - E_n,
-
-    (Van Loan, IEEE TAC 23, 395, 1978).  The sum is divided by 4: the
-    input average runs over the four qubit basis states and callers pass
-    only the states that evolve.
-
-    Parameters
-    ----------
-    segments : sequence of (hamiltonian, duration)
-        Piecewise-constant pulse sequence.
-    initial_states : sequence of ndarray
-        Input states to accumulate (typically |01>, |10>, |11>).
-
-    Returns
-    -------
-    float
-        Exposure time in us.
-    """
-    states = np.stack([np.asarray(state, dtype=complex) for state in initial_states], axis=1)
-    total = 0.0
-    for hamiltonian, duration in segments:
-        energies, modes = _eigh(hamiltonian)
-        coeffs = modes.conj().T @ states
-        weight = (modes.conj().T * RYDBERG_WEIGHT) @ modes
-        half = 0.5 * duration * (energies[:, None] - energies[None, :])
-        kernel = duration * np.exp(1j * half) * np.sinc(half / np.pi)
-        total += float(np.sum(coeffs.conj() * ((weight * kernel) @ coeffs)).real)
-        states = modes @ (np.exp(-1j * energies * duration)[:, None] * coeffs)
-    return total / 4.0
+    """Exact propagator exp(-i H t) of a constant Hamiltonian, or of a
+    stack of them with shape (..., n, n): :func:`propagate` applied to
+    the identity.  Unitary matrices of the same shape."""
+    return propagate([(hamiltonian, duration)], np.eye(np.shape(hamiltonian)[-1]))[0]

@@ -34,10 +34,6 @@ def ideal_gate(protocol: GateProtocol) -> np.ndarray:
     return ideal_cnot() if protocol.kind == "cnot" else ideal_cz(protocol.theta)
 
 
-#: Flat indices of |00>, |01>, |10>, |11> in the two-atom basis.
-_COMPUTATIONAL = [dynamics.basis_index(c, t) for c in (0, 1) for t in (0, 1)]
-
-
 def extract_gate_matrix(protocol: GateProtocol, interaction=None) -> np.ndarray:
     """Simulate the sequence and project it onto the computational basis.
 
@@ -63,16 +59,9 @@ def extract_gate_matrix(protocol: GateProtocol, interaction=None) -> np.ndarray:
         for a scalar interaction; sub-unitary if population leaked out
         of the qubit subspace.
     """
-    unitaries = [
-        dynamics.exponentiate(h, duration)
-        for h, duration in protocol.segments(interaction)
-    ]
-    # Each input state stays a separate (9, 1) column, so every step is a
-    # matrix-vector product: the rounding of propagating one state at a time.
-    states = unitaries[0][..., :, _COMPUTATIONAL].swapaxes(-1, -2)[..., None]
-    for unitary in unitaries[1:]:
-        states = unitary[..., None, :, :] @ states
-    gate = states[..., _COMPUTATIONAL, 0].swapaxes(-1, -2)
+    inputs = np.eye(dynamics.DIM)[:, dynamics.COMPUTATIONAL]
+    states, _ = dynamics.propagate(protocol.segments(interaction), inputs)
+    gate = states[..., dynamics.COMPUTATIONAL, :]
     anchor = gate[..., 0, 0]
     magnitude = np.abs(anchor)
     phase = np.divide(magnitude, anchor, out=np.ones_like(anchor), where=magnitude > 1e-12)
@@ -99,18 +88,23 @@ def pedersen_fidelity(actual: np.ndarray, ideal: np.ndarray):
     return float(fidelity) if fidelity.ndim == 0 else fidelity
 
 
-def gate_fidelity(protocol: GateProtocol, interactions, batch: int = 4001) -> np.ndarray:
+#: Most interactions propagated as one stack; a reference-config fidelity
+#: table is one stack.
+MAX_STACK = 4001
+
+
+def gate_fidelity(protocol: GateProtocol, interactions) -> np.ndarray:
     """Fidelity of the simulated gate to the ideal one at each interaction.
 
     The interactions (rad/us) are propagated in stacks of at most
-    ``batch`` (a reference-config fidelity table is one stack), so memory does
-    not grow with their number.  Returns an array of their shape.
+    ``MAX_STACK``, so memory does not grow with their number.  Returns
+    an array of their shape.
     """
     interactions = np.asarray(interactions, dtype=float)
     flat = interactions.ravel()
     ideal = ideal_gate(protocol)
     fidelity = np.empty(flat.size)
-    for start in range(0, flat.size, batch):
-        stack = extract_gate_matrix(protocol, flat[start : start + batch])
-        fidelity[start : start + batch] = pedersen_fidelity(stack, ideal)
+    for start in range(0, flat.size, MAX_STACK):
+        stack = extract_gate_matrix(protocol, flat[start : start + MAX_STACK])
+        fidelity[start : start + MAX_STACK] = pedersen_fidelity(stack, ideal)
     return fidelity.reshape(interactions.shape)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import KB, RB87_MASS_KG, SIGMA_PERP0_DEFAULT, SIGMA_Z0_DEFAULT
+from .constants import KB, RB87_MASS_KG, SIGMA_PERP0_DEFAULT, SIGMA_Z0_DEFAULT, TEMPERATURE_DEFAULT_UK
 from .errors import ConfigError
 from .gates import gate_fidelity
 from .geometry import VdwModel, vdw_interaction
@@ -46,6 +46,7 @@ __all__ = [
     "inflate_sigmas",
     "FidelityTable",
     "grid_window",
+    "spread_field",
     "draw_distances",
     "grid_average_fidelity",
     "monte_carlo_average_fidelity",
@@ -74,7 +75,7 @@ class NoiseConfig:
     trap_separation: float
     sigma_z0: float = SIGMA_Z0_DEFAULT
     sigma_perp0: float = SIGMA_PERP0_DEFAULT
-    temperature: float = 10.0
+    temperature: float = TEMPERATURE_DEFAULT_UK
     atom_mass: float = RB87_MASS_KG
     rydberg_lifetime: float = 0.311
 
@@ -284,16 +285,29 @@ def _grid_distances(grid: GridSpec, sigmas: InflatedSigmas, separation: float):
     return dist, weights[:, None, None] * folded[None, :, None] * folded[None, None, :]
 
 
-def grid_window(cfg: NoiseConfig, sigmas: InflatedSigmas) -> tuple[float, float]:
+def spread_field(cfg: NoiseConfig, sigmas: InflatedSigmas, axis, temperature_field="noise.temperature_uk"):
+    """The config field behind a spread too wide on ``axis`` ("perp" or "z"): its trap
+    spread, or, where the free flight adds more, the temperature (``temperature_field``)
+    or the atom mass, whichever lies further from 10 uK and Rb-87 towards a faster atom."""
+    if not sigmas.flight_length / 2.0 > getattr(cfg, f"sigma_{axis}0"):
+        return f"noise.sigma_{axis}0_um"
+    hotter, lighter = cfg.temperature / TEMPERATURE_DEFAULT_UK, RB87_MASS_KG / cfg.atom_mass
+    return temperature_field if hotter >= lighter else "noise.atom_mass_kg"
+
+
+def grid_window(
+    cfg: NoiseConfig, sigmas: InflatedSigmas, temperature_field="noise.temperature_uk"
+) -> tuple[float, float]:
     """Nearest and farthest qubit distance on the position grid of any step,
     [L - 3 sigma_perp, sqrt((L + 3 sigma_perp)**2 + (3 sigma_perp)**2 + (3 sigma_z)**2)]:
     the coarsest grid's, as every step's differences end at exactly +-3 sigma.
-    A grid reaching zero distance is a ConfigError naming sigma_perp (sigma_z
-    adds in quadrature)."""
+    A grid reaching zero distance is a ConfigError naming :func:`spread_field`
+    for sigma_perp (sigma_z adds in quadrature)."""
     if 2.0 * GRID_HALF_RANGE * sigmas.sigma_perp >= cfg.trap_separation:
+        field = spread_field(cfg, sigmas, "perp", temperature_field)
         raise ConfigError(
-            "invalid config field 'noise.sigma_perp0_um': the position grid reaches zero distance, "
-            f"as 3 sigma_perp ({sigmas.sigma_perp:.4g} um, inflated at {cfg.temperature:.4g} uK) "
+            f"invalid config field '{field}': the position grid reaches zero distance, "
+            f"as 3 sigma_perp (3 x {sigmas.sigma_perp:.4g} um, inflated at {cfg.temperature:.4g} uK) "
             f"reach the {cfg.trap_separation:.4g} um trap separation"
         )
     dist, _ = _grid_distances(GridSpec(GRID_HALF_RANGE), sigmas, cfg.trap_separation)
@@ -356,11 +370,14 @@ def monte_carlo_average_fidelity(
     table: FidelityTable, distances: np.ndarray, method: str = "mc"
 ) -> FidelityReport:
     """Mean fidelity over the :func:`draw_distances` output, with its
-    standard error, labelled ``method`` ("mc-truncated" for truncated draws)."""
+    standard error, labelled ``method`` ("mc-truncated" for truncated draws);
+    one draw has no standard error."""
+    if len(distances) < 2:
+        raise ValueError(f"a standard error needs 2 or more distances, got {len(distances)}")
     fid = table(distances)
     n_samples = len(fid)
     mean = float(np.mean(fid))
-    stderr = float(np.std(fid, ddof=1) / np.sqrt(n_samples)) if n_samples > 1 else 0.0
+    stderr = float(np.std(fid, ddof=1) / np.sqrt(n_samples))
     return FidelityReport(mean, n_samples, method, stderr)
 
 

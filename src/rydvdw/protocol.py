@@ -290,18 +290,16 @@ def hyperfine_leakage_estimate(omega_target: float, hyperfine_splitting: float) 
 
 
 def rydberg_exposure(protocol: GateProtocol, interaction: float | None = None) -> float:
-    """Average time spent in Rydberg states over the gate inputs, in us.
+    """Average time spent in Rydberg states over the four gate inputs, in us.
 
-    The integral runs over the initial states and is divided by 4 (the
-    number of computational inputs).  For a phase-gate sequence |00> is
-    dark, so it is skipped; the CNOT sequence drives |00> during pulse
-    2, so there all four basis states are included.  Multiplied by
-    1/lifetime this gives the Rydberg decay error.
+    Every computational basis state is propagated through the sequence,
+    its Rydberg excitations (|rr> twice) integrated exactly, and the four
+    integrals averaged.  Multiplied by 1/lifetime this gives the Rydberg
+    decay error.
     """
-    inputs = [(Level.G0, Level.G1), (Level.G1, Level.G0), (Level.G1, Level.G1)]
-    if protocol.kind == "cnot":
-        inputs.insert(0, (Level.G0, Level.G0))
-    return dynamics.rydberg_exposure_integral(
+    _, exposure = dynamics.propagate(
         protocol.segments(interaction),
-        [dynamics.basis_state(control, target) for control, target in inputs],
+        np.eye(dynamics.DIM)[:, dynamics.COMPUTATIONAL],
+        dynamics.RYDBERG_WEIGHT,
     )
+    return float(exposure.mean())

@@ -407,6 +407,15 @@ class TestFidelityCommand:
         again = run_fidelity(parse_config(record["config"])).results["mc"]
         assert again["mean_fidelity"] == record["results"]["mc"]["mean_fidelity"]
 
+    @pytest.mark.parametrize("mode", ["mc", "both"])
+    def test_single_mc_sample_exits_2(self, tmp_path, mode):
+        # one draw has no standard error
+        payload = {"sampling": {"mode": mode, "deltas": [0.5], "mc_samples": 1}}
+        result = run_cli(["fidelity", "--config", write_config(tmp_path, payload)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "config error: invalid config field 'sampling.mc_samples'" in result.stderr
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_out_of_range_seed_flag_exits_2(self, tmp_path, seed):
         path = write_config(tmp_path, {"sampling": {"mode": "mc", "mc_samples": 2000}})
@@ -428,10 +437,21 @@ class TestFidelityCommand:
             ("sweep", {"noise": {"sigma_z0_um": 1e6},
                        "sweep": {"axis": "temperature", "start": 5.0, "stop": 15.0, "points": 2}},
              "sigma_z0_um"),
+            # the free flight widens the spreads: its hot or light atom is named, not a
+            # spread that holds its default (the grid reaches zero distance first)
+            ("fidelity", {"noise": {"temperature_uk": 3e5}}, "temperature_uk"),
+            ("fidelity", {"noise": {"temperature_uk": 1e308}}, "temperature_uk"),
+            ("fidelity", {"noise": {"temperature_uk": 1e308}, "sampling": {"mode": "mc"}}, "temperature_uk"),
+            ("fidelity", {"noise": {"atom_mass_kg": 1e-320}}, "atom_mass_kg"),
+            ("fidelity", {"noise": {"atom_mass_kg": 1e-320}, "sampling": {"mode": "mc"}}, "atom_mass_kg"),
+            ("sweep", {"noise": {"atom_mass_kg": 1e-320},
+                       "sweep": {"axis": "temperature", "start": 5.0, "stop": 15.0, "points": 2}},
+             "atom_mass_kg"),
         ],
     )
     def test_table_window_too_wide_exits_2(self, tmp_path, command, payload, field):
-        # the window would need MAX_KNOTS knots or more; the larger spread is named
+        # the window would need MAX_KNOTS knots or more, or the grid reaches zero
+        # distance; the field behind the larger spread is named
         payload["sampling"] = {"deltas": [0.5], "mc_samples": 1000, **payload.get("sampling", {})}
         result = run_cli([command, "--config", write_config(tmp_path, payload)])
         assert result.exit_code == 2
@@ -441,6 +461,16 @@ class TestFidelityCommand:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("start, stop, field", [(5.0, 3e5, "sweep.stop"), (1e308, 5.0, "sweep.start")])
+    def test_hottest_sweep_end_is_named(self, tmp_path, start, stop, field):
+        # the table serves the hottest temperature, whose grid reaches zero distance
+        payload = {"sweep": {"axis": "temperature", "start": start, "stop": stop, "points": 2},
+                   "sampling": {"deltas": [0.5]}}
+        result = run_cli(["sweep", "--config", write_config(tmp_path, payload)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"config error: invalid config field '{field}'" in result.stderr
+
     def test_two_point_sweep_has_two_rows(self, tmp_path):
         payload = {"sweep": {"axis": "separation", "start": 20.0, "stop": 22.0, "points": 2}}
         path = write_config(tmp_path, payload)

@@ -12,7 +12,7 @@ from rydvdw.dynamics import (
     basis_state,
     build_hamiltonian,
     exponentiate,
-    rydberg_exposure_integral,
+    propagate,
 )
 from rydvdw.errors import NumericError
 
@@ -198,20 +198,23 @@ class TestPhaseLawInvariant:
             assert np.abs(prod @ state - state).max() < 1e-12
 
 
+def cz_segments(hamiltonian_interaction=V):
+    """The CZ pulses designed for V, with the Hamiltonians at another interaction or a stack."""
+    t_pi, t_cycle = np.pi / OMEGA, 2 * np.pi / OBAR
+    return [
+        (build_hamiltonian([("control", 1, 2, OMEGA)], hamiltonian_interaction), t_pi),
+        (build_hamiltonian([("target", 1, 2, OMEGA)], hamiltonian_interaction), t_cycle),
+        (build_hamiltonian([("target", 1, 2, -OMEGA)], hamiltonian_interaction), t_cycle),
+        (build_hamiltonian([("control", 1, 2, -OMEGA)], hamiltonian_interaction), t_pi),
+    ]
+
+
+def driven_inputs():
+    """|01>, |10> and |11> as the columns of one array."""
+    return np.stack([basis_state(0, 1), basis_state(1, 0), basis_state(1, 1)], axis=1)
+
+
 class TestRydbergExposure:
-    def cz_segments(self, omega_c=OMEGA, omega_t=OMEGA, interaction=V):
-        obar = np.hypot(omega_t, interaction)
-        t_pi, t_cycle = np.pi / omega_c, 2 * np.pi / obar
-        return [
-            (build_hamiltonian([("control", 1, 2, omega_c)], interaction), t_pi),
-            (build_hamiltonian([("target", 1, 2, omega_t)], interaction), t_cycle),
-            (build_hamiltonian([("target", 1, 2, -omega_t)], interaction), t_cycle),
-            (build_hamiltonian([("control", 1, 2, -omega_c)], interaction), t_pi),
-        ]
-
-    def inputs(self):
-        return [basis_state(0, 1), basis_state(1, 0), basis_state(1, 1)]
-
     def test_population_counts_excitations(self):
         # the exposure weights: |rr> counts twice, one Rydberg atom once
         assert RYDBERG_WEIGHT[basis_index(2, 2)] == 2.0
@@ -219,8 +222,9 @@ class TestRydbergExposure:
         assert RYDBERG_WEIGHT[basis_index(0, 0)] == 0.0
 
     def test_zero_durations_integrate_to_zero(self):
-        segments = [(h, 0.0) for h, _ in self.cz_segments()]
-        assert rydberg_exposure_integral(segments, self.inputs()) == 0.0
+        segments = [(h, 0.0) for h, _ in cz_segments()]
+        _, integral = propagate(segments, driven_inputs(), RYDBERG_WEIGHT)
+        assert integral.sum() / 4.0 == 0.0
 
     def test_nominal_value_against_closed_form(self):
         # exact piecewise integral of the populations: pi pulses give
@@ -231,6 +235,25 @@ class TestRydbergExposure:
         closed = 0.25 * (
             2 * np.pi / OMEGA + 5.75 * t_cycle - np.sin(OMEGA * t_cycle) / OMEGA
         )
-        value = rydberg_exposure_integral(self.cz_segments(), self.inputs())
+        _, integral = propagate(cz_segments(), driven_inputs(), RYDBERG_WEIGHT)
+        value = integral.sum() / 4.0
         assert abs(value - closed) < 1e-9
         assert abs(value - 1.91) < 0.02
+
+
+class TestPropagate:
+    def test_states_match_the_product_of_propagators(self):
+        states, integral = propagate(cz_segments(), driven_inputs())
+        assert integral is None
+        unitaries = [exponentiate(h, t) for h, t in cz_segments()]
+        for column, state in zip(states.T, driven_inputs().T):
+            assert np.abs(column - evolve(state, unitaries)).max() < 1e-13
+
+    def test_stack_matches_single_calls(self):
+        interactions = np.geomspace(V / 100, 100 * V, 6).reshape(2, 3)
+        states, integral = propagate(cz_segments(interactions), driven_inputs(), RYDBERG_WEIGHT)
+        assert states.shape == (2, 3, DIM, 3) and integral.shape == (2, 3, 3)
+        for index in np.ndindex(interactions.shape):
+            single = propagate(cz_segments(interactions[index]), driven_inputs(), RYDBERG_WEIGHT)
+            assert np.abs(states[index] - single[0]).max() < 1e-13
+            assert np.abs(integral[index] - single[1]).max() < 1e-13

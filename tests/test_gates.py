@@ -13,7 +13,7 @@ from rydvdw.gates import (
     ideal_gate,
     pedersen_fidelity,
 )
-from rydvdw.protocol import ProtocolParams, build_protocol
+from rydvdw.protocol import ProtocolParams, build_protocol, rydberg_exposure
 
 from .oracles import cz_diagonal_entry, expm_gate_matrix
 
@@ -157,7 +157,8 @@ class TestGateFidelity:
         stacks = []
         extract = gates.extract_gate_matrix
         monkeypatch.setattr(gates, "extract_gate_matrix", lambda p, v: stacks.append(v.size) or extract(p, v))
-        values = gate_fidelity(nominal_protocol, interactions, batch=4)
+        monkeypatch.setattr(gates, "MAX_STACK", 4)
+        values = gate_fidelity(nominal_protocol, interactions)
         assert stacks == [4, 4, 2]
         assert values.shape == interactions.shape
         ideal = ideal_gate(nominal_protocol)
@@ -179,3 +180,62 @@ class TestFidelityPeak:
         peak = int(np.argmax(values))
         assert abs(window[peak] - nominal_params.interaction) <= (window[1] - window[0]) / 2
         assert values[peak] > 1 - 1e-9
+
+
+#: Controlled phases in (0, 2 pi).  The design interaction grows as
+#: omega_target * sqrt(pi / theta); below theta = 1e-9 (5.6e4 omega_target)
+#: the rounding of its pulse phases approaches the 1e-12 bounds.
+THETAS = st.floats(1e-9, 2 * np.pi, exclude_max=True)
+
+
+class TestAcrossParameterSpace:
+    """The propagated gate and exposure over random phases and 0.1-10 MHz drives."""
+
+    @given(
+        theta=THETAS,
+        control_exponent=st.floats(-1.0, 1.0),
+        target_exponent=st.floats(-1.0, 1.0),
+        interaction_exponent=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cz_channel_stays_diagonal(
+        self, theta, control_exponent, target_exponent, interaction_exponent
+    ):
+        # criterion 9 off the reference protocol: from V/100 to 100 V
+        params = ProtocolParams.solve(theta, 10.0**control_exponent * MHZ, 10.0**target_exponent * MHZ)
+        protocol = build_protocol(params, "cz")
+        gate = extract_gate_matrix(protocol, params.interaction * 10.0**interaction_exponent)
+        assert np.abs(gate - np.diag(np.diag(gate))).max() < 1e-10
+        assert np.abs(np.diag(gate)[:3] - 1.0).max() < 1e-10
+
+    @given(
+        kind=st.sampled_from(["cz", "cnot"]),
+        theta=THETAS,
+        control_exponent=st.floats(-1.0, 1.0),
+        target_exponent=st.floats(-1.0, 1.0),
+        scale_fraction=st.floats(0.0, 1.0),
+        interaction_exponent=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scaling_both_rabi_frequencies_at_fixed_reduced_interaction(
+        self, kind, theta, control_exponent, target_exponent, scale_fraction, interaction_exponent
+    ):
+        # H = lambda H~(V/lambda) and t = t~/lambda: the gate depends only on V/V0
+        if kind == "cnot":
+            theta = np.pi
+        # lambda keeps both scaled drives inside 0.1-10 MHz too
+        low = -1.0 - min(control_exponent, target_exponent)
+        high = 1.0 - max(control_exponent, target_exponent)
+        scale = 10.0 ** (low + scale_fraction * (high - low))
+        omega_control = 10.0**control_exponent * MHZ
+        omega_target = 10.0**target_exponent * MHZ
+        reduced = 10.0**interaction_exponent
+        fidelities, exposures = [], []
+        for factor in (1.0, scale):
+            params = ProtocolParams.solve(theta, factor * omega_control, factor * omega_target)
+            protocol = build_protocol(params, kind)
+            interaction = reduced * params.interaction
+            fidelities.append(gate_fidelity(protocol, interaction))
+            exposures.append(rydberg_exposure(protocol, interaction) * params.omega_control)
+        assert abs(fidelities[1] - fidelities[0]) < 1e-12
+        assert abs(exposures[1] - exposures[0]) < 1e-12 * exposures[0]

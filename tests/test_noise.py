@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.constants
@@ -20,6 +22,7 @@ from rydvdw.noise import (
     grid_window,
     inflate_sigmas,
     monte_carlo_average_fidelity,
+    spread_field,
 )
 from rydvdw.noise import _difference_weights
 from rydvdw.protocol import ProtocolParams, build_protocol, rydberg_exposure
@@ -316,6 +319,21 @@ class TestGridWindow:
             assert quoted in str(info.value)
 
 
+class TestSpreadField:
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"sigma_z0": 1e6, "temperature": 3e5}, "noise.sigma_z0_um"),
+            # the flight is at fault: the farther of the two from the reference point
+            ({"temperature": 3e5, "atom_mass": 1e-30}, "noise.atom_mass_kg"),
+            ({"temperature": 3e9, "atom_mass": 1e-30}, "noise.temperature_uk"),
+        ],
+    )
+    def test_names_the_field_that_widened_the_spread(self, nominal_noise, nominal_params, changes, field):
+        noise = replace(nominal_noise, **changes)
+        assert spread_field(noise, inflate_sigmas(noise, nominal_params.t_gate), "z") == field
+
+
 class TestMonteCarlo:
     def test_vanishing_sigma(self, nominal_protocol, nominal_noise):
         tiny = InflatedSigmas(sigma_z=1e-9, sigma_perp=1e-9, flight_length=0.0, v_rms=0.0)
@@ -360,6 +378,11 @@ class TestMonteCarlo:
     def test_rejects_zero_samples(self, nominal_sigmas, nominal_noise):
         with pytest.raises(ValueError):
             draw_distances(nominal_sigmas, nominal_noise.trap_separation, n_samples=0, seed=1)
+
+    def test_rejects_a_single_distance(self, nominal_table):
+        # one draw has no standard error
+        with pytest.raises(ValueError, match="standard error"):
+            monte_carlo_average_fidelity(nominal_table, np.array([nominal_table.trap_separation]))
 
 
 class TestDecayError:
