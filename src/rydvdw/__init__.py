@@ -27,12 +27,7 @@ from .noise import (
 )
 from .protocol import (
     GateProtocol,
-    ProtocolParams,
-    Pulse,
-    build_cnot_protocol,
-    build_cz_protocol,
     hyperfine_leakage_estimate,
-    phase_from_interaction,
     rydberg_exposure,
     solve_interaction_for_phase,
 )

@@ -41,7 +41,7 @@ from .noise import (
     monte_carlo_average_fidelity,
     spread_field,
 )
-from .protocol import ProtocolParams, build_protocol, hyperfine_leakage_estimate, rydberg_exposure
+from .protocol import GateProtocol, hyperfine_leakage_estimate, rydberg_exposure
 from .records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
 __all__ = ["main", "run_solve", "run_simulate", "run_fidelity", "run_sweep"]
@@ -49,9 +49,9 @@ __all__ = ["main", "run_solve", "run_simulate", "run_fidelity", "run_sweep"]
 
 def _solve_point(
     cfg: RunConfig, allow_overrides: bool = False, drive_field: str = "drive"
-) -> tuple[ProtocolParams, VdwModel]:
-    """The design point of the config, its Rabi frequencies set by ``drive_field``;
-    only ``simulate`` takes ``overrides``."""
+) -> tuple[GateProtocol, VdwModel]:
+    """The gate at the design point of the config, its Rabi frequencies set by
+    ``drive_field``; only ``simulate`` takes ``overrides``."""
     overrides = cfg.raw.get("overrides", {})
     if overrides and not allow_overrides:
         raise ConfigError(
@@ -59,36 +59,36 @@ def _solve_point(
             "only 'simulate' accepts overrides"
         )
     vdw = VdwModel(cfg.c6)
-    params = ProtocolParams.solve(cfg.theta, cfg.omega_control, cfg.omega_target, vdw)
+    protocol = GateProtocol.solve(cfg.theta, cfg.omega_control, cfg.omega_target, vdw, cfg.kind)
     # a tiny or huge frequency overflows a pulse duration, the gate time or the separation
-    t_pi = np.pi / params.omega_control
-    if not (t_pi > 0 and params.t_cycle > 0 and np.isfinite([params.t_gate, params.separation]).all()):
+    t_pi = np.pi / protocol.omega_control
+    if not (t_pi > 0 and protocol.t_cycle > 0 and np.isfinite([protocol.t_gate, protocol.separation]).all()):
         # theta -> 0 needs an infinite interaction whatever the finite drive
-        theta_at_fault = np.isinf(params.interaction) and np.isfinite(params.omega_target)
+        theta_at_fault = np.isinf(protocol.nominal_interaction) and np.isfinite(protocol.omega_target)
         field = "gate.theta_rad" if theta_at_fault else drive_field
         raise ConfigError(
             f"invalid config field '{field}': Rabi frequencies {cfg.omega_control / MHZ!r} and "
             f"{cfg.omega_target / MHZ!r} MHz at theta_rad {cfg.theta!r} give pulses of "
-            f"{t_pi:.4g} and {params.t_cycle:.4g} us and a {params.separation:.4g} um "
+            f"{t_pi:.4g} and {protocol.t_cycle:.4g} us and a {protocol.separation:.4g} um "
             "separation; each must be positive and finite"
         )
-    return params, vdw
+    return protocol, vdw
 
 
-def _params_dict(params: ProtocolParams) -> dict:
+def _params_dict(protocol: GateProtocol) -> dict:
     return {
-        "theta_rad": params.theta,
-        "omega_control_mhz": params.omega_control / MHZ,
-        "omega_target_mhz": params.omega_target / MHZ,
-        "interaction_mhz": params.interaction / MHZ,
-        "t_cycle_us": params.t_cycle,
-        "t_gate_us": params.t_gate,
-        "separation_um": params.separation,
+        "theta_rad": protocol.theta,
+        "omega_control_mhz": protocol.omega_control / MHZ,
+        "omega_target_mhz": protocol.omega_target / MHZ,
+        "interaction_mhz": protocol.nominal_interaction / MHZ,
+        "t_cycle_us": protocol.t_cycle,
+        "t_gate_us": protocol.t_gate,
+        "separation_um": protocol.separation,
     }
 
 
-def _noise_config(cfg: RunConfig, params: ProtocolParams) -> NoiseConfig:
-    separation = cfg.trap_separation or params.separation
+def _noise_config(cfg: RunConfig, protocol: GateProtocol) -> NoiseConfig:
+    separation = cfg.trap_separation or protocol.separation
     return NoiseConfig(
         trap_separation=separation,
         sigma_z0=cfg.sigma_z0,
@@ -123,20 +123,19 @@ def _interaction_at(vdw: VdwModel, dist, field: str):
 
 def run_solve(cfg: RunConfig) -> ResultRecord:
     """Solve theta -> interaction, separation and timings (no dynamics)."""
-    params, _ = _solve_point(cfg)
-    leakage = hyperfine_leakage_estimate(params.omega_target, HYPERFINE_SPLITTING_RB87)
+    protocol, _ = _solve_point(cfg)
+    leakage = hyperfine_leakage_estimate(protocol.omega_target, HYPERFINE_SPLITTING_RB87)
     return ResultRecord(
         command="solve",
         config=cfg.raw,
-        params=_params_dict(params),
+        params=_params_dict(protocol),
         results={"hyperfine_leakage_estimate": leakage},
     )
 
 
 def run_simulate(cfg: RunConfig) -> ResultRecord:
     """Simulate one gate (design point or override); report its matrix and decay budget."""
-    params, vdw = _solve_point(cfg, allow_overrides=True)
-    protocol = build_protocol(params, cfg.kind)
+    protocol, vdw = _solve_point(cfg, allow_overrides=True)
     interaction = cfg.interaction_override
     if cfg.separation_override is not None:
         if interaction is not None:
@@ -151,9 +150,9 @@ def run_simulate(cfg: RunConfig) -> ResultRecord:
     return ResultRecord(
         command="simulate",
         config=cfg.raw,
-        params=_params_dict(params),
+        params=_params_dict(protocol),
         results={
-            "interaction_used_mhz": (params.interaction if interaction is None else interaction) / MHZ,
+            "interaction_used_mhz": (protocol.nominal_interaction if interaction is None else interaction) / MHZ,
             "gate_matrix": complex_matrix_to_json(gate),
             "nominal_fidelity": fidelity,
             "rydberg_exposure_us": exposure,
@@ -179,10 +178,9 @@ def _report_dict(report: FidelityReport, e_decay: float) -> dict:
 
 def run_fidelity(cfg: RunConfig) -> ResultRecord:
     """Average the gate fidelity over position fluctuations, on the grid and/or by Monte Carlo."""
-    params, vdw = _solve_point(cfg)
-    protocol = build_protocol(params, cfg.kind)
-    ncfg = _noise_config(cfg, params)
-    sigmas = inflate_sigmas(ncfg, params.t_gate)
+    protocol, vdw = _solve_point(cfg)
+    ncfg = _noise_config(cfg, protocol)
+    sigmas = inflate_sigmas(ncfg, protocol.t_gate)
     # the table spans exactly the distances the averages look up
     lo, hi = grid_window(ncfg, sigmas) if cfg.mode in ("grid", "both") else (np.inf, 0.0)
     if cfg.mode in ("mc", "both"):
@@ -234,7 +232,7 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
         report = timed("mc", "mc", monte_carlo_average_fidelity, distances, method)
         results["mc"] = _report_dict(report, e_decay)
     return ResultRecord(
-        command="fidelity", config=cfg.raw, params=_params_dict(params), results=results
+        command="fidelity", config=cfg.raw, params=_params_dict(protocol), results=results
     )
 
 
@@ -249,10 +247,9 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         raise ConfigError("invalid config field 'sweep': required for the sweep command")
     axis = cfg.sweep["axis"]
     values = np.sort(np.linspace(cfg.sweep["start"], cfg.sweep["stop"], cfg.sweep["points"]))
-    params, vdw = _solve_point(cfg)
+    protocol, vdw = _solve_point(cfg)
     rows = []
     if axis == "separation":
-        protocol = build_protocol(params, cfg.kind)
         nearest = "sweep.start" if cfg.sweep["start"] <= cfg.sweep["stop"] else "sweep.stop"
         interactions = _interaction_at(vdw, values, nearest)
         fidelities = gate_fidelity(protocol, interactions)
@@ -268,33 +265,31 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
             omega = float(omega_mhz) * MHZ
             field = "sweep.start" if omega_mhz == cfg.sweep["start"] else "sweep.stop"
             point = replace(cfg, omega_control=omega, omega_target=omega)
-            p, _ = _solve_point(point, drive_field=field)
-            protocol = build_protocol(p, cfg.kind)
-            gate = extract_gate_matrix(protocol)
-            exposure = rydberg_exposure(protocol)
+            swept, _ = _solve_point(point, drive_field=field)
+            gate = extract_gate_matrix(swept)
+            exposure = rydberg_exposure(swept)
             rows.append({
                 "axis": axis,
                 "value": float(omega_mhz),
-                "interaction_mhz": p.interaction / MHZ,
-                "separation_um": p.separation,
-                "t_gate_us": p.t_gate,
+                "interaction_mhz": swept.nominal_interaction / MHZ,
+                "separation_um": swept.separation,
+                "t_gate_us": swept.t_gate,
                 "rydberg_exposure_us": exposure,
                 "decay_error_300k": decay_error(exposure, LIFETIME_97S_300K_MS),
-                "nominal_fidelity": pedersen_fidelity(gate, ideal_gate(protocol)),
+                "nominal_fidelity": pedersen_fidelity(gate, ideal_gate(swept)),
             })
     elif axis == "temperature":
-        protocol = build_protocol(params, cfg.kind)
-        ncfg_base = _noise_config(cfg, params)
+        ncfg_base = _noise_config(cfg, protocol)
         # one table for every temperature: both sigmas grow with it, so the
         # hottest grid reaches farthest
         hottest = replace(ncfg_base, temperature=float(values[-1]))
-        hot = inflate_sigmas(hottest, params.t_gate)
+        hot = inflate_sigmas(hottest, protocol.t_gate)
         hot_field = "sweep.stop" if cfg.sweep["stop"] >= cfg.sweep["start"] else "sweep.start"
         table = _fidelity_table(protocol, vdw, hottest, hot, *grid_window(hottest, hot, hot_field))
         e_decay = decay_error(rydberg_exposure(protocol), ncfg_base.rydberg_lifetime)
         delta = min(cfg.deltas)
         for temp in values:
-            sigmas = inflate_sigmas(replace(ncfg_base, temperature=float(temp)), params.t_gate)
+            sigmas = inflate_sigmas(replace(ncfg_base, temperature=float(temp)), protocol.t_gate)
             report = grid_average_fidelity(table, sigmas, GridSpec(delta))
             rows.append({
                 "axis": axis,
@@ -308,7 +303,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     else:  # unreachable behind schema validation
         raise ConfigError(f"invalid config field 'sweep.axis': unknown axis {axis!r}")
     return ResultRecord(
-        command="sweep", config=cfg.raw, params=_params_dict(params), results={"rows": rows}
+        command="sweep", config=cfg.raw, params=_params_dict(protocol), results={"rows": rows}
     )
 
 

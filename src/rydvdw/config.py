@@ -81,12 +81,14 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "mode": {"enum": ["grid", "mc", "both"]},
+                # deltas, mc_samples and sweep.points size arrays; at the reference
+                # point each bound keeps the peak memory under about 0.7 GB
                 "deltas": {
                     "type": "array",
                     "minItems": 1,
-                    "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1.5},
+                    "items": {"type": "number", "minimum": 0.02, "maximum": 1.5},
                 },
-                "mc_samples": {"type": "integer", "minimum": 2},
+                "mc_samples": {"type": "integer", "minimum": 2, "maximum": 10**7},
                 "mc_truncated": {"type": "boolean"},
             },
         },
@@ -106,7 +108,7 @@ SCHEMA = {
                 "axis": {"enum": ["separation", "omega", "temperature"]},
                 "start": _positive,
                 "stop": _positive,
-                "points": {"type": "integer", "minimum": 2},
+                "points": {"type": "integer", "minimum": 2, "maximum": 10**6},
             },
         },
         "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},

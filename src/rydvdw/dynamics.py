@@ -141,8 +141,8 @@ def propagate(segments: Sequence[tuple[np.ndarray, float]], states, weight=None)
     with amplitudes C = M^dag psi the states move as M exp(-i E t) C;
     no propagator matrix is formed.  ``segments`` holds Hermitian
     matrices in rad/us, or stacks of shape (..., n, n) diagonalized in
-    one batched call, with durations >= 0 in us; ``states`` holds the
-    columns of an (n, k) or (..., n, k) array.
+    one batched call, with finite durations >= 0 in us; ``states`` holds
+    the columns of an (n, k) or (..., n, k) array.
 
     With ``weight``, the length-n diagonal of an observable such as
     :data:`RYDBERG_WEIGHT`, the same E, M and C give the exact time
@@ -158,8 +158,8 @@ def propagate(segments: Sequence[tuple[np.ndarray, float]], states, weight=None)
     states = np.asarray(states, dtype=complex)
     integral = None if weight is None else 0.0
     for hamiltonian, duration in segments:
-        if duration < 0:
-            raise ValueError("duration must be nonnegative")
+        if not 0 <= duration < np.inf:
+            raise ValueError(f"duration must be nonnegative and finite; got {duration!r}")
         _check_hermitian(hamiltonian)
         try:
             energies, modes = np.linalg.eigh(hamiltonian)

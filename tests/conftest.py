@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from rydvdw import MHZ, FidelityTable, NoiseConfig, ProtocolParams, VdwModel
+from rydvdw import MHZ, FidelityTable, GateProtocol, NoiseConfig, VdwModel
 from rydvdw.noise import grid_window, inflate_sigmas
-from rydvdw.protocol import build_cz_protocol
 
 #: (criterion number, description, passed, detail) tuples filled in by
 #: tests/test_acceptance.py and printed at the end of the run.
@@ -20,24 +19,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 @pytest.fixture(scope="session")
-def nominal_params():
-    """Reference CZ operating point: theta=pi, 0.8 MHz Rabi frequencies."""
-    return ProtocolParams.solve(np.pi, 0.8 * MHZ, 0.8 * MHZ)
+def nominal_protocol():
+    """Reference CZ gate: theta=pi, 0.8 MHz Rabi frequencies."""
+    return GateProtocol.solve(np.pi, 0.8 * MHZ, 0.8 * MHZ)
 
 
 @pytest.fixture(scope="session")
-def nominal_protocol(nominal_params):
-    return build_cz_protocol(nominal_params)
+def nominal_noise(nominal_protocol):
+    return NoiseConfig(trap_separation=nominal_protocol.separation)
 
 
 @pytest.fixture(scope="session")
-def nominal_noise(nominal_params):
-    return NoiseConfig(trap_separation=nominal_params.separation)
-
-
-@pytest.fixture(scope="session")
-def nominal_sigmas(nominal_noise, nominal_params):
-    return inflate_sigmas(nominal_noise, nominal_params.t_gate)
+def nominal_sigmas(nominal_noise, nominal_protocol):
+    return inflate_sigmas(nominal_noise, nominal_protocol.t_gate)
 
 
 @pytest.fixture(scope="session")

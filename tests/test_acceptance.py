@@ -19,7 +19,7 @@ from rydvdw.noise import (
     inflate_sigmas,
     monte_carlo_average_fidelity,
 )
-from rydvdw.protocol import ProtocolParams, build_cnot_protocol, build_cz_protocol, rydberg_exposure
+from rydvdw.protocol import GateProtocol, rydberg_exposure
 
 from .conftest import ACCEPTANCE_RESULTS
 from .oracles import rk4_propagator
@@ -63,8 +63,7 @@ def test_criterion_2_controlled_phase_matrices():
     tic = time.perf_counter()
     worst = 0.0
     for theta in (np.pi / 2, np.pi, 1.5 * np.pi):
-        params = ProtocolParams.solve(theta, OMEGA, OMEGA)
-        gate = extract_gate_matrix(build_cz_protocol(params))
+        gate = extract_gate_matrix(GateProtocol.solve(theta, OMEGA, OMEGA))
         worst = max(worst, np.abs(gate - ideal_cz(theta)).max())
     elapsed = time.perf_counter() - tic
     check(
@@ -77,9 +76,9 @@ def test_criterion_2_controlled_phase_matrices():
 
 def test_criterion_3_cnot_fidelity():
     tic = time.perf_counter()
-    params = ProtocolParams.solve(np.pi, OMEGA, OMEGA)
-    assert abs(params.omega_target / params.interaction - np.sqrt(3)) < 1e-12
-    gate = extract_gate_matrix(build_cnot_protocol(params))
+    params = GateProtocol.solve(np.pi, OMEGA, OMEGA, kind="cnot")
+    assert abs(params.omega_target / params.nominal_interaction - np.sqrt(3)) < 1e-12
+    gate = extract_gate_matrix(params)
     fidelity = pedersen_fidelity(gate, ideal_cnot())
     elapsed = time.perf_counter() - tic
     check(
@@ -91,8 +90,8 @@ def test_criterion_3_cnot_fidelity():
 
 
 def test_criterion_4_parameter_chain():
-    slow = ProtocolParams.solve(np.pi, OMEGA, OMEGA)
-    fast = ProtocolParams.solve(np.pi, 4.6 * MHZ, 4.6 * MHZ)
+    slow = GateProtocol.solve(np.pi, OMEGA, OMEGA)
+    fast = GateProtocol.solve(np.pi, 4.6 * MHZ, 4.6 * MHZ)
     ok = (
         abs(slow.separation - 20.99) <= 0.01
         and abs(slow.t_gate - 3.42) <= 0.02
@@ -106,9 +105,9 @@ def test_criterion_4_parameter_chain():
     )
 
 
-def test_criterion_5_decay_budget(nominal_protocol, nominal_params):
+def test_criterion_5_decay_budget(nominal_protocol):
     exposure = rydberg_exposure(nominal_protocol)
-    ratio = exposure / (2 * np.pi / nominal_params.omega_control)
+    ratio = exposure / (2 * np.pi / nominal_protocol.omega_control)
     e_room = exposure / (0.311 * 1e3)
     e_cold = exposure / (1.10 * 1e3)
     ok = (
@@ -125,8 +124,8 @@ def test_criterion_5_decay_budget(nominal_protocol, nominal_params):
     )
 
 
-def test_criterion_6_sigma_inflation(nominal_noise, nominal_params):
-    sigmas = inflate_sigmas(nominal_noise, nominal_params.t_gate)
+def test_criterion_6_sigma_inflation(nominal_noise, nominal_protocol):
+    sigmas = inflate_sigmas(nominal_noise, nominal_protocol.t_gate)
     ok = abs(sigmas.sigma_z - 1.52) <= 0.01 and abs(sigmas.sigma_perp - 0.32) <= 0.01
     check(
         6,

@@ -77,6 +77,22 @@ class TestConfig:
         else:
             assert results["mc"]["sample_count"] == 300
 
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            # each would allocate tens to hundreds of GiB
+            ("fidelity", {"sampling": {"deltas": [0.001]}}, "sampling.deltas.0"),
+            ("fidelity", {"sampling": {"mode": "mc", "mc_samples": 1e10}}, "sampling.mc_samples"),
+            ("sweep", {"sweep": {"axis": "separation", "start": 20.0, "stop": 22.0, "points": 1e10}},
+             "sweep.points"),
+        ],
+    )
+    def test_array_sizing_fields_are_bounded(self, tmp_path, command, payload, field):
+        result = run_cli([command, "--config", write_config(tmp_path, payload)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert f"config error: invalid config field '{field}'" in result.stderr
+
 
 class TestUsage:
     @pytest.mark.parametrize(

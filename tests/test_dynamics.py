@@ -65,6 +65,8 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian([("elsewhere", Level.G1, Level.RYD, 1.0)])
         with pytest.raises(ValueError):
+            build_hamiltonian([("control", 3, Level.RYD, 1.0)])
+        with pytest.raises(ValueError):
             build_hamiltonian([], interaction=np.nan)
 
     @given(drives=drive_strategy(), interaction=st.floats(-50, 50))
@@ -116,8 +118,9 @@ class TestExponentiate:
         assert np.abs(exponentiate(h, t) - rk4_propagator(h, t)).max() < 1e-6
 
     def test_rejects_negative_duration_and_nonhermitian(self):
-        with pytest.raises(ValueError):
-            exponentiate(np.zeros((DIM, DIM)), -1.0)
+        for duration in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                exponentiate(np.zeros((DIM, DIM)), duration)
         bad = np.zeros((DIM, DIM), dtype=complex)
         bad[0, 1] = 1.0
         with pytest.raises(NumericError):

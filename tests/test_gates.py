@@ -13,7 +13,7 @@ from rydvdw.gates import (
     ideal_gate,
     pedersen_fidelity,
 )
-from rydvdw.protocol import ProtocolParams, build_protocol, rydberg_exposure
+from rydvdw.protocol import GateProtocol, rydberg_exposure
 
 from .oracles import cz_diagonal_entry, expm_gate_matrix
 
@@ -38,24 +38,25 @@ class TestIdealGates:
 
 
 class TestExtractGateMatrix:
-    def test_nominal_cz(self, nominal_protocol, nominal_params):
+    def test_nominal_cz(self, nominal_protocol):
         gate = extract_gate_matrix(nominal_protocol)
-        assert np.abs(gate - ideal_cz(nominal_params.theta)).max() < 1e-9
+        assert np.abs(gate - ideal_cz(nominal_protocol.theta)).max() < 1e-9
 
     def test_zero_interaction_gives_identity(self, nominal_protocol):
         gate = extract_gate_matrix(nominal_protocol, interaction=0.0)
         assert np.abs(gate - np.eye(4)).max() < 1e-9
 
-    def test_off_nominal_matches_two_level_oracle(self, nominal_protocol, nominal_params):
-        v = 1.1 * nominal_params.interaction
+    def test_off_nominal_matches_two_level_oracle(self, nominal_protocol):
+        v = 1.1 * nominal_protocol.nominal_interaction
         gate = extract_gate_matrix(nominal_protocol, v)
         off_diag = gate - np.diag(np.diag(gate))
         assert np.abs(off_diag).max() < 1e-12
         entry = gate[3, 3]
         assert abs(entry) < 1.0 - 1e-6  # leakage out of |11> (fourth order in the mismatch)
-        mismatch = (np.angle(entry) - nominal_params.theta) % (2 * np.pi)
+        mismatch = (np.angle(entry) - nominal_protocol.theta) % (2 * np.pi)
         assert min(mismatch, 2 * np.pi - mismatch) > 1e-3
-        oracle = cz_diagonal_entry(nominal_params.omega_target, nominal_params.interaction, v)
+        design = nominal_protocol.nominal_interaction
+        oracle = cz_diagonal_entry(nominal_protocol.omega_target, design, v)
         assert np.isclose(entry, oracle, atol=1e-10)
 
     def test_global_phase_normalization(self, nominal_protocol):
@@ -79,7 +80,7 @@ class TestExtractGateMatrix:
         # log-uniform in 0.1-10 MHz, so the slow decade holding 0.8 MHz gets half the draws
         omega_control = 10.0**omega_control_exponent * MHZ
         omega_target = 10.0**omega_target_exponent * MHZ
-        protocol = build_protocol(ProtocolParams.solve(theta, omega_control, omega_target), kind)
+        protocol = GateProtocol.solve(theta, omega_control, omega_target, kind=kind)
         design = protocol.nominal_interaction
         interactions = design * 10.0 ** np.array([-2.0, 0.0, 2.0, *exponents])
         batch = extract_gate_matrix(protocol, interactions)
@@ -152,8 +153,9 @@ class TestPedersenFidelity:
 
 
 class TestGateFidelity:
-    def test_chunked_stacks_match_pointwise(self, nominal_protocol, nominal_params, monkeypatch):
-        interactions = np.linspace(0.5, 1.5, 10).reshape(2, 5) * nominal_params.interaction
+    def test_chunked_stacks_match_pointwise(self, nominal_protocol, monkeypatch):
+        design = nominal_protocol.nominal_interaction
+        interactions = np.linspace(0.5, 1.5, 10).reshape(2, 5) * design
         stacks = []
         extract = gates.extract_gate_matrix
         monkeypatch.setattr(gates, "extract_gate_matrix", lambda p, v: stacks.append(v.size) or extract(p, v))
@@ -165,20 +167,21 @@ class TestGateFidelity:
         for v, value in zip(interactions.ravel(), values.ravel()):
             assert abs(value - pedersen_fidelity(extract(nominal_protocol, v), ideal)) < 1e-13
 
-    def test_scalar_gives_zero_dim_array(self, nominal_protocol, nominal_params):
-        value = gate_fidelity(nominal_protocol, nominal_params.interaction)
+    def test_scalar_gives_zero_dim_array(self, nominal_protocol):
+        value = gate_fidelity(nominal_protocol, nominal_protocol.nominal_interaction)
         assert value.shape == () and abs(value - 1.0) < 1e-9
 
 
 class TestFidelityPeak:
-    def test_maximum_sits_at_design_interaction(self, nominal_protocol, nominal_params):
-        ideal = ideal_cz(nominal_params.theta)
-        window = np.linspace(0.8, 1.2, 401) * nominal_params.interaction
+    def test_maximum_sits_at_design_interaction(self, nominal_protocol):
+        ideal = ideal_cz(nominal_protocol.theta)
+        design = nominal_protocol.nominal_interaction
+        window = np.linspace(0.8, 1.2, 401) * design
         values = [
             pedersen_fidelity(extract_gate_matrix(nominal_protocol, v), ideal) for v in window
         ]
         peak = int(np.argmax(values))
-        assert abs(window[peak] - nominal_params.interaction) <= (window[1] - window[0]) / 2
+        assert abs(window[peak] - design) <= (window[1] - window[0]) / 2
         assert values[peak] > 1 - 1e-9
 
 
@@ -202,9 +205,8 @@ class TestAcrossParameterSpace:
         self, theta, control_exponent, target_exponent, interaction_exponent
     ):
         # criterion 9 off the reference protocol: from V/100 to 100 V
-        params = ProtocolParams.solve(theta, 10.0**control_exponent * MHZ, 10.0**target_exponent * MHZ)
-        protocol = build_protocol(params, "cz")
-        gate = extract_gate_matrix(protocol, params.interaction * 10.0**interaction_exponent)
+        protocol = GateProtocol.solve(theta, 10.0**control_exponent * MHZ, 10.0**target_exponent * MHZ)
+        gate = extract_gate_matrix(protocol, protocol.nominal_interaction * 10.0**interaction_exponent)
         assert np.abs(gate - np.diag(np.diag(gate))).max() < 1e-10
         assert np.abs(np.diag(gate)[:3] - 1.0).max() < 1e-10
 
@@ -232,10 +234,11 @@ class TestAcrossParameterSpace:
         reduced = 10.0**interaction_exponent
         fidelities, exposures = [], []
         for factor in (1.0, scale):
-            params = ProtocolParams.solve(theta, factor * omega_control, factor * omega_target)
-            protocol = build_protocol(params, kind)
-            interaction = reduced * params.interaction
+            protocol = GateProtocol.solve(
+                theta, factor * omega_control, factor * omega_target, kind=kind
+            )
+            interaction = reduced * protocol.nominal_interaction
             fidelities.append(gate_fidelity(protocol, interaction))
-            exposures.append(rydberg_exposure(protocol, interaction) * params.omega_control)
+            exposures.append(rydberg_exposure(protocol, interaction) * protocol.omega_control)
         assert abs(fidelities[1] - fidelities[0]) < 1e-12
         assert abs(exposures[1] - exposures[0]) < 1e-12 * exposures[0]

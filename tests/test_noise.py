@@ -25,7 +25,7 @@ from rydvdw.noise import (
     spread_field,
 )
 from rydvdw.noise import _difference_weights
-from rydvdw.protocol import ProtocolParams, build_protocol, rydberg_exposure
+from rydvdw.protocol import GateProtocol, rydberg_exposure
 
 from .oracles import cubic_spline, grid_mean_full
 
@@ -75,23 +75,23 @@ class CountingTable:
 
 
 class TestInflateSigmas:
-    def test_reference_point(self, nominal_noise, nominal_params):
-        sigmas = inflate_sigmas(nominal_noise, nominal_params.t_gate)
+    def test_reference_point(self, nominal_noise, nominal_protocol):
+        sigmas = inflate_sigmas(nominal_noise, nominal_protocol.t_gate)
         assert abs(sigmas.sigma_z - 1.52) < 0.01
         assert abs(sigmas.sigma_perp - 0.32) < 0.01
 
-    def test_vrms_against_constants_arithmetic(self, nominal_noise, nominal_params):
-        sigmas = inflate_sigmas(nominal_noise, nominal_params.t_gate)
+    def test_vrms_against_constants_arithmetic(self, nominal_noise, nominal_protocol):
+        sigmas = inflate_sigmas(nominal_noise, nominal_protocol.t_gate)
         # oracle: sqrt(kB * T / m) from scipy.constants, in m/s == um/us
         mass = 86.909180527 * scipy.constants.atomic_mass
         expected = np.sqrt(scipy.constants.k * 10e-6 / mass)
         assert np.isclose(sigmas.v_rms, expected, rtol=1e-12)
         assert abs(sigmas.v_rms - 0.031) < 1e-4
-        assert np.isclose(sigmas.flight_length, expected * nominal_params.t_gate, rtol=1e-12)
+        assert np.isclose(sigmas.flight_length, expected * nominal_protocol.t_gate, rtol=1e-12)
 
-    def test_cold_limit_recovers_bare_sigmas(self, nominal_params):
+    def test_cold_limit_recovers_bare_sigmas(self, nominal_protocol):
         cfg = NoiseConfig(trap_separation=21.0, temperature=1e-30)
-        sigmas = inflate_sigmas(cfg, nominal_params.t_gate)
+        sigmas = inflate_sigmas(cfg, nominal_protocol.t_gate)
         assert np.isclose(sigmas.sigma_z, cfg.sigma_z0, atol=1e-12)
         assert np.isclose(sigmas.sigma_perp, cfg.sigma_perp0, atol=1e-12)
 
@@ -249,10 +249,10 @@ class TestFidelityTable:
     def test_spline_error_bound(self, cnot, theta, omega_mhz, temperature, seed):
         # the window a fidelity command tabulates: the grid plus 2e4 draws
         theta = np.pi if cnot else theta
-        params = ProtocolParams.solve(theta, omega_mhz * MHZ, omega_mhz * MHZ, VDW)
-        protocol = build_protocol(params, "cnot" if cnot else "cz")
-        noise = NoiseConfig(trap_separation=params.separation, temperature=temperature)
-        sigmas = inflate_sigmas(noise, params.t_gate)
+        kind = "cnot" if cnot else "cz"
+        protocol = GateProtocol.solve(theta, omega_mhz * MHZ, omega_mhz * MHZ, VDW, kind)
+        noise = NoiseConfig(trap_separation=protocol.separation, temperature=temperature)
+        sigmas = inflate_sigmas(noise, protocol.t_gate)
         lo, hi = grid_window(noise, sigmas)
         distances = draw_distances(sigmas, noise.trap_separation, 20_000, seed)
         lo, hi = min(lo, distances.min()), max(hi, distances.max())
@@ -282,6 +282,34 @@ class TestGridAverage:
         second = abs(means[0.125] - means[0.25])
         assert second < first
 
+    @given(
+        cnot=st.booleans(),
+        theta=st.floats(1e-9, 2 * np.pi, exclude_max=True),
+        control_exponent=st.floats(-1.0, 1.0),
+        target_exponent=st.floats(-1.0, 1.0),
+        reach=st.floats(0.01, 0.99),
+        aspect_exponent=st.floats(-1.0, 0.7),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_paired_equals_full_enumeration_across_parameter_space(
+        self, cnot, theta, control_exponent, target_exponent, reach, aspect_exponent
+    ):
+        # CZ(theta) or CNOT at 0.1-10 MHz drives; 3 sigma_perp = reach * L, and
+        # sigma_z from sigma_perp / 10 to 5 sigma_perp
+        kind, theta = ("cnot", np.pi) if cnot else ("cz", theta)
+        protocol = GateProtocol.solve(
+            theta, 10.0**control_exponent * MHZ, 10.0**target_exponent * MHZ, VDW, kind
+        )
+        noise = NoiseConfig(trap_separation=protocol.separation)
+        sigma_perp = reach * protocol.separation / 3
+        sigma_z = sigma_perp * 10.0**aspect_exponent
+        sigmas = InflatedSigmas(sigma_z=sigma_z, sigma_perp=sigma_perp, flight_length=0.0, v_rms=0.0)
+        table = FidelityTable(protocol, VDW, noise.trap_separation, *grid_window(noise, sigmas))
+        for delta in (0.75, 0.5):
+            paired = grid_average_fidelity(table, sigmas, GridSpec(delta)).mean_fidelity
+            full = grid_mean_full(table, delta, sigma_perp, sigma_z, noise.trap_separation)
+            assert abs(paired - full) < 1e-12
+
     def test_sample_count(self, nominal_sigmas, nominal_table):
         report = grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(0.25))
         assert report.sample_count == 13**6
@@ -310,9 +338,9 @@ class TestGridWindow:
         (dist,) = counting.looked_up
         assert (dist.min(), dist.max()) == grid_window(nominal_noise, nominal_sigmas)
 
-    def test_grid_reaching_zero_distance_names_sigma_perp(self, nominal_params):
+    def test_grid_reaching_zero_distance_names_sigma_perp(self, nominal_protocol):
         noise = NoiseConfig(trap_separation=0.9, temperature=12.5)
-        sigmas = inflate_sigmas(noise, nominal_params.t_gate)
+        sigmas = inflate_sigmas(noise, nominal_protocol.t_gate)
         with pytest.raises(ConfigError, match="'noise.sigma_perp0_um'") as info:
             grid_window(noise, sigmas)
         for quoted in (f"{sigmas.sigma_perp:.4g} um, inflated at 12.5 uK", "0.9 um trap separation"):
@@ -329,9 +357,11 @@ class TestSpreadField:
             ({"temperature": 3e9, "atom_mass": 1e-30}, "noise.temperature_uk"),
         ],
     )
-    def test_names_the_field_that_widened_the_spread(self, nominal_noise, nominal_params, changes, field):
+    def test_names_the_field_that_widened_the_spread(
+        self, nominal_noise, nominal_protocol, changes, field
+    ):
         noise = replace(nominal_noise, **changes)
-        assert spread_field(noise, inflate_sigmas(noise, nominal_params.t_gate), "z") == field
+        assert spread_field(noise, inflate_sigmas(noise, nominal_protocol.t_gate), "z") == field
 
 
 class TestMonteCarlo:

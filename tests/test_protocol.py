@@ -5,17 +5,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from rydvdw import MHZ
-from rydvdw.dynamics import CONTROL, TARGET, Level, basis_state, exponentiate
+from rydvdw.dynamics import CONTROL, TARGET, Level, basis_state, build_hamiltonian, exponentiate
 from rydvdw.gates import extract_gate_matrix, ideal_cnot, pedersen_fidelity
 from rydvdw.protocol import (
     GateProtocol,
-    ProtocolParams,
-    Pulse,
-    build_cnot_protocol,
-    build_cz_protocol,
-    build_protocol,
     hyperfine_leakage_estimate,
-    phase_from_interaction,
     rydberg_exposure,
     solve_interaction_for_phase,
 )
@@ -48,7 +42,7 @@ class TestSolveInteraction:
     def test_round_trip_across_theta_grid(self):
         for theta in np.arange(0.1, 6.25, 0.1):
             v = solve_interaction_for_phase(theta, OMEGA)
-            assert abs(phase_from_interaction(v, OMEGA) - theta) < 1e-12
+            assert abs(2 * np.pi * (1 - v / np.hypot(OMEGA, v)) - theta) < 1e-12
 
     def test_rejects_out_of_range_theta(self):
         for theta in (0.0, -1.0, 2 * np.pi, 7.0):
@@ -58,42 +52,52 @@ class TestSolveInteraction:
             solve_interaction_for_phase(np.pi, -1.0)
 
 
-class TestProtocolParams:
+class TestGateProtocol:
     def test_solved_fields_are_consistent(self):
-        p = ProtocolParams.solve(np.pi, OMEGA, OMEGA)
-        obar = np.hypot(p.omega_target, p.interaction)
+        p = GateProtocol.solve(np.pi, OMEGA, OMEGA)
+        obar = np.hypot(p.omega_target, p.nominal_interaction)
         assert np.isclose(p.t_cycle, 2 * np.pi / obar, rtol=1e-14)
         assert np.isclose(p.t_gate, 2 * np.pi / p.omega_control + 2 * p.t_cycle, rtol=1e-14)
         assert abs(p.separation - 20.99) < 0.01
-        assert np.isclose(phase_from_interaction(p.interaction, p.omega_target), p.theta, atol=1e-12)
+        phase = 2 * np.pi * (1 - p.nominal_interaction / obar)
+        assert np.isclose(phase, p.theta, atol=1e-12)
 
     def test_rejects_nonpositive_rabi(self):
         with pytest.raises(ValueError):
-            ProtocolParams.solve(np.pi, 0.0, OMEGA)
+            GateProtocol.solve(np.pi, 0.0, OMEGA)
+
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            GateProtocol.solve(np.pi, OMEGA, OMEGA, kind="swap")
+
+    def test_segment_durations_sum_to_the_gate_time(self):
+        for kind in ("cz", "cnot"):
+            p = GateProtocol.solve(np.pi, OMEGA, OMEGA, kind=kind)
+            assert np.isclose(sum(duration for _, duration in p.segments()), p.t_gate, rtol=1e-14)
 
 
 class TestCzProtocol:
     def test_pulse_structure(self):
-        p = ProtocolParams.solve(np.pi, OMEGA, 2 * OMEGA)
-        protocol = build_cz_protocol(p)
-        assert [pulse.actor for pulse in protocol.pulses] == [CONTROL, TARGET, TARGET, CONTROL]
-        first_half, second_half = protocol.pulses[1], protocol.pulses[2]
-        assert first_half.duration == second_half.duration == p.t_cycle
-        assert first_half.couplings[0][2] == -second_half.couplings[0][2]
-        # control pulses: equal duration, opposite drive sign
-        assert protocol.pulses[0].duration == protocol.pulses[3].duration
-        assert protocol.pulses[0].couplings[0][2] == -protocol.pulses[3].couplings[0][2]
+        p = GateProtocol.solve(np.pi, OMEGA, 2 * OMEGA)
+        segments = p.segments(0.0)
+        t_pi = np.pi / OMEGA
+        assert [duration for _, duration in segments] == [t_pi, p.t_cycle, p.t_cycle, t_pi]
+        # target cycles and control pulses: each pair with opposite drive signs
+        control = build_hamiltonian([(CONTROL, Level.G1, Level.RYD, OMEGA)])
+        target = build_hamiltonian([(TARGET, Level.G1, Level.RYD, 2 * OMEGA)])
+        for (hamiltonian, _), expected in zip(segments, (control, target, -target, -control)):
+            assert np.array_equal(hamiltonian, expected)
 
     @pytest.mark.parametrize("theta", [np.pi, np.pi / 2])
     def test_nominal_gate_matrix(self, theta):
-        p = ProtocolParams.solve(theta, OMEGA, OMEGA)
-        gate = extract_gate_matrix(build_cz_protocol(p))
+        p = GateProtocol.solve(theta, OMEGA, OMEGA)
+        gate = extract_gate_matrix(p)
         expected = np.diag([1, 1, 1, np.exp(1j * theta)])
         assert np.abs(gate - expected).max() < 1e-9
 
     def test_vanishing_interaction_limit_is_identity(self):
-        p = ProtocolParams.solve(2 * np.pi - 1e-4, OMEGA, OMEGA)
-        gate = extract_gate_matrix(build_cz_protocol(p))
+        p = GateProtocol.solve(2 * np.pi - 1e-4, OMEGA, OMEGA)
+        gate = extract_gate_matrix(p)
         assert np.abs(gate - np.eye(4)).max() < 2e-4
 
     def test_channel_exactness_off_nominal(self, nominal_protocol):
@@ -107,46 +111,42 @@ class TestCzProtocol:
 
 class TestCnotProtocol:
     def test_nominal_matrix_and_fidelity(self):
-        p = ProtocolParams.solve(np.pi, OMEGA, OMEGA)
-        gate = extract_gate_matrix(build_cnot_protocol(p))
+        gate = extract_gate_matrix(GateProtocol.solve(np.pi, OMEGA, OMEGA, kind="cnot"))
         assert np.abs(gate - ideal_cnot()).max() < 1e-9
         assert pedersen_fidelity(gate, ideal_cnot()) > 1 - 1e-9
 
     def test_requires_theta_pi(self):
-        p = ProtocolParams.solve(np.pi / 2, OMEGA, OMEGA)
-        with pytest.raises(ValueError):
-            build_cnot_protocol(p)
+        with pytest.raises(ValueError, match="requires theta = pi"):
+            GateProtocol.solve(np.pi / 2, OMEGA, OMEGA, kind="cnot")
 
     def test_pulses_one_and_three_identical(self):
-        p = ProtocolParams.solve(np.pi, OMEGA, OMEGA)
-        protocol = build_cnot_protocol(p)
-        assert protocol.pulses[0] == protocol.pulses[3]
-        for pulse, sign in ((protocol.pulses[1], 1), (protocol.pulses[2], -1)):
-            amps = sorted((frm, to, amp) for frm, to, amp in pulse.couplings)
-            assert amps[0][:2] == (Level.G0, Level.RYD)
-            assert amps[1][:2] == (Level.G1, Level.RYD)
-            for _, _, amp in amps:
-                assert np.isclose(amp, sign * p.omega_target / np.sqrt(2), rtol=1e-14)
+        # the first and last (control) pulses repeat; the target cycles drive both qubit levels
+        p = GateProtocol.solve(np.pi, OMEGA, OMEGA, kind="cnot")
+        segments = p.segments(0.0)
+        assert np.array_equal(segments[0][0], segments[3][0])
+        assert segments[0][1] == segments[3][1] == np.pi / OMEGA
+        for (hamiltonian, duration), sign in ((segments[1], 1), (segments[2], -1)):
+            amp = sign * p.omega_target / np.sqrt(2)
+            both = [(TARGET, Level.G0, Level.RYD, amp), (TARGET, Level.G1, Level.RYD, amp)]
+            assert np.allclose(hamiltonian, build_hamiltonian(both), rtol=1e-14, atol=0)
+            assert duration == p.t_cycle
 
     def test_dark_state_picks_up_minus_sign(self):
         # control |1>, target (|0>-|1>)/sqrt(2): dark during pulse 2,
         # comes back with an overall -1
-        p = ProtocolParams.solve(np.pi, OMEGA, OMEGA)
-        protocol = build_cnot_protocol(p)
+        protocol = GateProtocol.solve(np.pi, OMEGA, OMEGA, kind="cnot")
         unitaries = [exponentiate(h, t) for h, t in protocol.segments()]
         dark = (basis_state(1, 0) - basis_state(1, 1)) / np.sqrt(2)
         assert np.abs(evolve(dark, unitaries) - (-dark)).max() < 1e-9
 
     def test_input_00_untouched(self):
-        p = ProtocolParams.solve(np.pi, OMEGA, OMEGA)
-        protocol = build_cnot_protocol(p)
+        protocol = GateProtocol.solve(np.pi, OMEGA, OMEGA, kind="cnot")
         unitaries = [exponentiate(h, t) for h, t in protocol.segments()]
         out = evolve(basis_state(0, 0), unitaries)
         assert np.abs(out - basis_state(0, 0)).max() < 1e-9
 
     def test_equivalent_to_cz_in_barred_basis(self):
-        p = ProtocolParams.solve(np.pi, OMEGA, OMEGA)
-        gate = extract_gate_matrix(build_cnot_protocol(p))
+        gate = extract_gate_matrix(GateProtocol.solve(np.pi, OMEGA, OMEGA, kind="cnot"))
         basis_change = barred_basis_change()
         barred = basis_change.conj().T @ gate @ basis_change
         assert np.abs(barred - np.diag([1, 1, -1, 1])).max() < 1e-9
@@ -154,16 +154,16 @@ class TestCnotProtocol:
 
 class TestGateDuration:
     def test_reference_points(self):
-        p = ProtocolParams.solve(np.pi, OMEGA, OMEGA)
+        p = GateProtocol.solve(np.pi, OMEGA, OMEGA)
         assert abs(p.t_gate - 3.4151) < 1e-4
-        fast = ProtocolParams.solve(np.pi, 4.6 * MHZ, 4.6 * MHZ)
+        fast = GateProtocol.solve(np.pi, 4.6 * MHZ, 4.6 * MHZ)
         assert abs(fast.t_gate - 0.594) < 0.005
         # control pi pulse out and back, two detuned cycles on the target
-        cycle = 2 * np.pi / np.hypot(p.omega_target, p.interaction)
+        cycle = 2 * np.pi / np.hypot(p.omega_target, p.nominal_interaction)
         assert np.isclose(p.t_gate, 2 * np.pi / OMEGA + 2 * cycle, rtol=1e-14)
 
     def test_strong_drive_limit(self):
-        p = ProtocolParams.solve(np.pi, OMEGA, 1e9)
+        p = GateProtocol.solve(np.pi, OMEGA, 1e9)
         assert np.isclose(p.t_gate, 2 * np.pi / OMEGA, rtol=1e-8)
 
 
@@ -180,9 +180,10 @@ class TestHyperfineLeakage:
 
 
 class TestRydbergExposure:
-    def test_doubled_control_rabi_against_rk4(self, nominal_params):
-        p = ProtocolParams.solve(np.pi, 2 * nominal_params.omega_control, nominal_params.omega_target)
-        protocol = build_cz_protocol(p)
+    def test_doubled_control_rabi_against_rk4(self, nominal_protocol):
+        protocol = GateProtocol.solve(
+            np.pi, 2 * nominal_protocol.omega_control, nominal_protocol.omega_target
+        )
         value = rydberg_exposure(protocol)
         from rydvdw.dynamics import RYDBERG_WEIGHT
 
@@ -190,13 +191,13 @@ class TestRydbergExposure:
         oracle = rk4_rydberg_exposure(protocol.segments(), inputs, RYDBERG_WEIGHT, step=2e-4)
         assert abs(value - oracle) / oracle < 1e-6
 
-    def test_scaling_with_both_rabis(self, nominal_protocol, nominal_params):
+    def test_scaling_with_both_rabis(self, nominal_protocol):
         # T_exposure / (2*pi/omega_c) stays 1.52 when both drives scale
         base = rydberg_exposure(nominal_protocol)
-        ratio = base / (2 * np.pi / nominal_params.omega_control)
-        scaled_params = ProtocolParams.solve(np.pi, 2.5 * OMEGA, 2.5 * OMEGA)
-        scaled = rydberg_exposure(build_cz_protocol(scaled_params))
-        scaled_ratio = scaled / (2 * np.pi / scaled_params.omega_control)
+        ratio = base / (2 * np.pi / nominal_protocol.omega_control)
+        scaled_protocol = GateProtocol.solve(np.pi, 2.5 * OMEGA, 2.5 * OMEGA)
+        scaled = rydberg_exposure(scaled_protocol)
+        scaled_ratio = scaled / (2 * np.pi / scaled_protocol.omega_control)
         assert abs(ratio - 1.52) < 0.02
         assert abs(ratio - scaled_ratio) < 1e-9
 
@@ -216,7 +217,7 @@ class TestRydbergExposure:
             theta = np.pi
         omega_control = 10.0**control_exponent * MHZ
         omega_target = 10.0**target_exponent * MHZ
-        protocol = build_protocol(ProtocolParams.solve(theta, omega_control, omega_target), kind)
+        protocol = GateProtocol.solve(theta, omega_control, omega_target, kind=kind)
         interaction = (
             0.0
             if interaction_exponent is None
@@ -225,20 +226,3 @@ class TestRydbergExposure:
         value = rydberg_exposure(protocol, interaction)
         oracle = van_loan_exposure(kind, theta, omega_control, omega_target, interaction)
         assert abs(value - oracle) <= 1e-10 * oracle
-
-
-class TestPulseValidation:
-    def test_pulse_invariants(self):
-        with pytest.raises(ValueError):
-            Pulse("control", ((Level.G1, Level.RYD, 1.0),), 0.0)
-        with pytest.raises(ValueError):
-            Pulse("nobody", ((Level.G1, Level.RYD, 1.0),), 1.0)
-        with pytest.raises(ValueError):
-            Pulse("control", ((Level.G1, Level.G1, 1.0),), 1.0)
-        with pytest.raises(ValueError):
-            Pulse("control", ((Level.G1, Level.RYD, complex(np.nan, 0)),), 1.0)
-
-    def test_protocol_duration(self):
-        p = ProtocolParams.solve(np.pi, OMEGA, OMEGA)
-        protocol = build_cz_protocol(p)
-        assert np.isclose(protocol.duration, p.t_gate, rtol=1e-14)
