@@ -41,7 +41,12 @@ from .noise import (
     monte_carlo_average_fidelity,
     spread_field,
 )
-from .protocol import GateProtocol, hyperfine_leakage_estimate, rydberg_exposure
+from .protocol import (
+    GateProtocol,
+    hyperfine_leakage_estimate,
+    rydberg_exposure,
+    solve_interaction_for_phase,
+)
 from .records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
 __all__ = ["main", "run_solve", "run_simulate", "run_fidelity", "run_sweep"]
@@ -59,19 +64,16 @@ def _solve_point(
             "only 'simulate' accepts overrides"
         )
     vdw = VdwModel(cfg.c6)
-    protocol = GateProtocol.solve(cfg.theta, cfg.omega_control, cfg.omega_target, vdw, cfg.kind)
-    # a tiny or huge frequency overflows a pulse duration, the gate time or the separation
-    t_pi = np.pi / protocol.omega_control
-    if not (t_pi > 0 and protocol.t_cycle > 0 and np.isfinite([protocol.t_gate, protocol.separation]).all()):
-        # theta -> 0 needs an infinite interaction whatever the finite drive
-        theta_at_fault = np.isinf(protocol.nominal_interaction) and np.isfinite(protocol.omega_target)
+    try:
+        protocol = GateProtocol.solve(cfg.theta, cfg.omega_control, cfg.omega_target, vdw, cfg.kind)
+    except ValueError as exc:
+        # the config is valid, so a tiny or huge frequency overflowed a duration or
+        # the separation, or theta -> 0 needs an infinite interaction whatever the drive
+        with np.errstate(divide="ignore", over="ignore"):
+            interaction = solve_interaction_for_phase(cfg.theta, cfg.omega_target)
+        theta_at_fault = np.isinf(interaction) and np.isfinite(cfg.omega_target)
         field = "gate.theta_rad" if theta_at_fault else drive_field
-        raise ConfigError(
-            f"invalid config field '{field}': Rabi frequencies {cfg.omega_control / MHZ!r} and "
-            f"{cfg.omega_target / MHZ!r} MHz at theta_rad {cfg.theta!r} give pulses of "
-            f"{t_pi:.4g} and {protocol.t_cycle:.4g} us and a {protocol.separation:.4g} um "
-            "separation; each must be positive and finite"
-        )
+        raise ConfigError(f"invalid config field '{field}': {exc}") from None
     return protocol, vdw
 
 

@@ -82,21 +82,40 @@ class GateProtocol:
         theta : float
             Controlled phase in (0, 2*pi); the CNOT requires theta = pi.
         omega_control, omega_target : float
-            Rabi frequencies in rad/us, both positive.
+            Rabi frequencies in rad/us, both positive and finite.
         vdw : VdwModel, optional
             Interaction model used to convert the solved interaction
             into a trap separation.
         kind : str
             ``"cz"`` or ``"cnot"``.
+
+        Raises ValueError where a solved interaction, duration or
+        separation is not positive and finite: theta -> 0 needs an
+        infinite interaction, and a tiny or huge drive overflows a
+        duration or the separation.
         """
         if kind not in ("cz", "cnot"):
             raise ValueError(f"unknown gate kind {kind!r}")
         if kind == "cnot" and abs(theta - np.pi) > 1e-9:
             raise ValueError("the CNOT sequence requires theta = pi (omega_target = sqrt(3)*V)")
-        if omega_control <= 0 or omega_target <= 0:
-            raise ValueError("Rabi frequencies must be positive")
-        interaction = solve_interaction_for_phase(theta, omega_target)
-        t_cycle = TWO_PI / np.hypot(omega_target, interaction)
+        if not (0 < omega_control < np.inf and 0 < omega_target < np.inf):
+            raise ValueError(
+                f"Rabi frequencies {omega_control!r} and {omega_target!r} rad/us must be positive and finite"
+            )
+
+        def positive(name, value):
+            if not 0 < value < np.inf:
+                raise ValueError(
+                    f"theta {theta!r} rad with Rabi frequencies {omega_control!r} and {omega_target!r} "
+                    f"rad/us give {name} {float(value)!r}; each must be positive and finite"
+                )
+            return value
+
+        with np.errstate(divide="ignore", over="ignore"):
+            interaction = positive("interaction", solve_interaction_for_phase(theta, omega_target))
+            t_cycle = positive("t_cycle", TWO_PI / np.hypot(omega_target, interaction))
+            t_gate = positive("t_gate", TWO_PI / omega_control + 2.0 * t_cycle)
+            separation = positive("separation", separation_for_interaction(vdw or VdwModel(), interaction))
         return cls(
             kind=kind,
             theta=theta,
@@ -104,8 +123,8 @@ class GateProtocol:
             omega_target=omega_target,
             nominal_interaction=interaction,
             t_cycle=t_cycle,
-            t_gate=TWO_PI / omega_control + 2.0 * t_cycle,
-            separation=separation_for_interaction(vdw or VdwModel(), interaction),
+            t_gate=t_gate,
+            separation=separation,
         )
 
     def segments(self, interaction=None) -> list[tuple[np.ndarray, float]]:

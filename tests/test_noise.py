@@ -1,4 +1,6 @@
+import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from rydvdw import MHZ
 from rydvdw.errors import ConfigError
 from rydvdw.geometry import VdwModel, vdw_interaction
 from rydvdw.noise import (
+    BLOCK,
     KNOT_SPACING,
     MAX_KNOTS,
     FidelityTable,
@@ -44,6 +47,45 @@ def centered_table(protocol, separation, spacings):
     exactly ``ceil(spacings) + 1`` knots) centered on ``separation``."""
     half = 0.5 * spacings * (1 - 1e-9) * KNOT_SPACING * separation
     return FidelityTable(protocol, VDW, separation, separation - half, separation + half)
+
+
+def horner_reference(table, dist):
+    """The table's spline at ``dist`` in one pass over the whole array."""
+    dist = np.asarray(dist, dtype=float)
+    index = ((dist.ravel() - table.distances[0]) / table._step).astype(np.intp)
+    np.minimum(index, len(table.distances) - 2, out=index)
+    offset = dist.ravel() - table.distances[index]
+    out = table._coefficients[0][index]
+    for row in table._coefficients[1:]:
+        out *= offset
+        out += row[index]
+    return out.reshape(dist.shape)
+
+
+def unfolded_grid_mean(table, sigmas, delta):
+    """The grid mean as the unfolded 3-D sum over all (2m+1)**3 differences,
+    built from scratch (the literal 6-D sum takes about 45 s at delta 0.1)."""
+    m = round(3 / delta)
+    nodes = np.linspace(-1.5, 1.5, m + 1)
+    weights = np.exp(-0.5 * nodes**2)
+    weights = np.convolve(weights, weights) / weights.sum() ** 2
+    offsets = np.linspace(-3.0, 3.0, 2 * m + 1)
+    dx = offsets[:, None, None] * sigmas.sigma_perp - table.trap_separation
+    dy = offsets[None, :, None] * sigmas.sigma_perp
+    dz = offsets[None, None, :] * sigmas.sigma_z
+    fid = table(np.sqrt(dx**2 + dy**2 + dz**2))
+    w = weights[:, None, None] * weights[None, :, None] * weights[None, None, :]
+    return np.sum(w * fid) / np.sum(w)
+
+
+def traced_peak(call):
+    """Peak bytes that numpy and Python allocate during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class ConstantTable:
@@ -148,22 +190,27 @@ class TestWeights:
 
     def test_folded_grid_lookup_count(self, nominal_table, nominal_sigmas):
         # delta 0.1: m = 30 steps per 3 sigma; dx keeps both signs, dy and dz fold
-        sep = nominal_table.trap_separation
         counting = CountingTable(nominal_table)
         paired = grid_average_fidelity(counting, nominal_sigmas, GridSpec(0.1)).mean_fidelity
         assert counting.lookups == 61 * 31**2
-        # the literal 6-D sum takes about 45 s here, so the reference is the
-        # unfolded 3-D sum over all 61**3 differences, built from scratch
-        nodes = np.linspace(-1.5, 1.5, 31)
-        weights = np.exp(-0.5 * nodes**2)
-        weights = np.convolve(weights, weights) / weights.sum() ** 2
-        offsets = np.linspace(-3.0, 3.0, 61)
-        dx = offsets[:, None, None] * nominal_sigmas.sigma_perp - sep
-        dy = offsets[None, :, None] * nominal_sigmas.sigma_perp
-        dz = offsets[None, None, :] * nominal_sigmas.sigma_z
-        fid = nominal_table(np.sqrt(dx**2 + dy**2 + dz**2))
-        w = weights[:, None, None] * weights[None, :, None] * weights[None, None, :]
-        assert abs(paired - np.sum(w * fid) / np.sum(w)) < 1e-12
+        assert abs(paired - unfolded_grid_mean(nominal_table, nominal_sigmas, 0.1)) < 1e-12
+
+    @pytest.mark.parametrize("delta", [0.25, 0.1, 3 / 47])
+    @pytest.mark.parametrize("block", ["1", "7", "plane-1", "plane", "plane+1", "default"])
+    def test_block_edges(self, nominal_table, nominal_sigmas, monkeypatch, delta, block):
+        # a block is whole x-difference rows of (m+1)**2 points, at least one: up
+        # to plane+1 each block is one row, the default holds several and a rest
+        m = round(3 / delta)
+        plane = (m + 1) ** 2
+        sizes = {"1": 1, "7": 7, "plane-1": plane - 1, "plane": plane, "plane+1": plane + 1}
+        unfolded = unfolded_grid_mean(nominal_table, nominal_sigmas, delta)
+        monkeypatch.setattr("rydvdw.noise.BLOCK", sizes.get(block, BLOCK))
+        counting = CountingTable(nominal_table)
+        # looked up in one pass, so that BLOCK splits the grid only
+        counting.table = partial(horner_reference, nominal_table)
+        paired = grid_average_fidelity(counting, nominal_sigmas, GridSpec(delta)).mean_fidelity
+        assert counting.lookups == (2 * m + 1) * plane
+        assert abs(paired - unfolded) < 1e-12
 
 
 class TestFidelityTable:
@@ -260,6 +307,38 @@ class TestFidelityTable:
         probe = np.random.default_rng(seed).uniform(lo, hi, 200)
         assert np.abs(table(probe) - table.evaluate(probe)).max() <= 1e-8
 
+    @pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_blocked_lookup_is_the_one_shot_lookup(self, nominal_table, size):
+        lo, hi = nominal_table.distances[0], nominal_table.distances[-1]
+        dist = np.random.default_rng(size).uniform(lo, hi, size)
+        dist[:2] = (lo, hi)[:size]
+        values = nominal_table(dist)
+        assert values.shape == (size,)
+        assert np.array_equal(values, horner_reference(nominal_table, dist))
+
+    def test_blocked_lookup_keeps_the_input_shape(self, nominal_table):
+        lo, hi = nominal_table.distances[0], nominal_table.distances[-1]
+        grid = np.random.default_rng(5).uniform(lo, hi, (3, BLOCK + 1))
+        values = nominal_table(grid)
+        assert values.shape == grid.shape
+        assert np.array_equal(values, horner_reference(nominal_table, grid))
+        value = nominal_table(np.float64(grid[0, 0]))
+        assert isinstance(value, float) and value == values[0, 0]
+
+    @pytest.mark.parametrize("far", ["below", "above", "nan"])
+    def test_out_of_window_in_the_last_block_raises(self, nominal_table, far):
+        lo, hi = nominal_table.distances[0], nominal_table.distances[-1]
+        bad = {"below": np.nextafter(lo, 0.0), "above": np.nextafter(hi, np.inf), "nan": np.nan}[far]
+        dist = np.full(3 * BLOCK + 7, lo)
+        dist[-2] = bad
+        with pytest.raises(ValueError, match=f"distance {float(bad)!r} um lies outside"):
+            nominal_table(dist)
+
+    def test_lookup_memory_is_its_output(self, nominal_table):
+        # blocked, a lookup holds its output and one block of temporaries
+        dist = np.linspace(nominal_table.distances[0], nominal_table.distances[-1], 10**6)
+        assert traced_peak(lambda: nominal_table(dist)) < 1.5 * dist.nbytes
+
     def test_design_distance_is_perfect(self, nominal_table, nominal_noise):
         assert abs(nominal_table(nominal_noise.trap_separation) - 1.0) < 1e-9
 
@@ -310,6 +389,12 @@ class TestGridAverage:
             full = grid_mean_full(table, delta, sigma_perp, sigma_z, noise.trap_separation)
             assert abs(paired - full) < 1e-12
 
+    def test_finest_grid_memory_is_a_few_blocks(self, nominal_sigmas, nominal_table):
+        # delta 0.02, the finest a config may ask for: 301 * 151**2 distances,
+        # 55 MB as one array, streamed a row at a time
+        peak = traced_peak(lambda: grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(0.02)))
+        assert peak < 4e6
+
     def test_sample_count(self, nominal_sigmas, nominal_table):
         report = grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(0.25))
         assert report.sample_count == 13**6
@@ -335,7 +420,7 @@ class TestGridWindow:
         # 47 * (3/47) is not exactly 3: the grid's ends must still be the window's
         counting = CountingTable(nominal_table)
         grid_average_fidelity(counting, nominal_sigmas, GridSpec(delta))
-        (dist,) = counting.looked_up
+        dist = np.concatenate([block.ravel() for block in counting.looked_up])
         assert (dist.min(), dist.max()) == grid_window(nominal_noise, nominal_sigmas)
 
     def test_grid_reaching_zero_distance_names_sigma_perp(self, nominal_protocol):

@@ -66,6 +66,35 @@ class TestGateProtocol:
         with pytest.raises(ValueError):
             GateProtocol.solve(np.pi, 0.0, OMEGA)
 
+    @pytest.mark.parametrize("omega_control, omega_target", [(np.inf, OMEGA), (OMEGA, np.nan), (-OMEGA, OMEGA)])
+    def test_rejects_non_finite_rabi(self, omega_control, omega_target):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            GateProtocol.solve(np.pi, omega_control, omega_target)
+
+    @pytest.mark.parametrize(
+        "theta, omega_control, omega_target, solved",
+        [
+            (5e-324, OMEGA, OMEGA, "interaction inf"),  # theta -> 0 needs V -> inf
+            (np.pi, 1e-320, OMEGA, "t_gate inf"),  # pi / omega_control overflows
+            (np.pi, OMEGA, 1e-320, "t_cycle inf"),
+        ],
+    )
+    def test_rejects_a_solution_that_overflows(self, theta, omega_control, omega_target, solved):
+        with pytest.raises(ValueError, match=f"give {solved}; each must be positive and finite"):
+            GateProtocol.solve(theta, omega_control, omega_target)
+
+    @given(theta=st.floats(5e-324, 1e-9))
+    @settings(max_examples=50)
+    def test_tiny_theta_raises_or_solves_a_finite_gate(self, theta):
+        # below about 7e-16 rad, 1 - theta / 2 pi rounds to 1 and V overflows
+        try:
+            p = GateProtocol.solve(theta, OMEGA, OMEGA)
+        except ValueError as exc:
+            assert "give interaction inf; each must be positive and finite" in str(exc)
+            return
+        for value in (p.nominal_interaction, p.t_cycle, p.t_gate, p.separation):
+            assert 0 < value < np.inf
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown gate kind"):
             GateProtocol.solve(np.pi, OMEGA, OMEGA, kind="swap")
