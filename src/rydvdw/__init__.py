@@ -3,12 +3,7 @@ Rydberg interactions: pulse-sequence design, exact state-vector
 simulation, decay budget, and position-fluctuation-averaged fidelity."""
 
 from .constants import C6_97S, LIFETIME_97S_4K_MS, LIFETIME_97S_300K_MS, MHZ
-from .dynamics import (
-    Level,
-    basis_state,
-    build_hamiltonian,
-    exponentiate,
-)
+from .dynamics import Level, build_hamiltonian
 from .errors import ConfigError, NumericError
 from .gates import extract_gate_matrix, ideal_cnot, ideal_cz, pedersen_fidelity
 from .geometry import VdwModel, separation_for_interaction, vdw_interaction

@@ -29,7 +29,6 @@ from .geometry import VdwModel, vdw_interaction
 from .noise import (
     KNOT_SPACING,
     MAX_KNOTS,
-    FidelityReport,
     FidelityTable,
     GridSpec,
     NoiseConfig,
@@ -101,17 +100,74 @@ def _noise_config(cfg: RunConfig, protocol: GateProtocol) -> NoiseConfig:
     )
 
 
-def _fidelity_table(protocol, vdw, ncfg, sigmas, lo: float, hi: float) -> FidelityTable:
-    """The table over [lo, hi]; a window too wide for it names the field behind the
-    larger spread (the grid window keeps 3 sigma_perp under the trap separation)."""
-    if not (hi - lo) / (KNOT_SPACING * ncfg.trap_separation) < MAX_KNOTS:
+def _sampled_table(protocol, vdw, ncfg, sigmas, window, draws) -> FidelityTable:
+    """The table over exactly the distances a run looks up: the grid ``window``
+    (lo, hi) joined with the Monte Carlo ``draws``, either one None if not taken.
+    A window too wide for the table names the field behind the larger spread (the
+    grid window keeps 3 sigma_perp under the trap separation); one narrower than a
+    knot spacing (spreads below an ulp of it) gets a table one knot spacing wide."""
+    lo, hi = window or (np.inf, 0.0)
+    if draws is not None:
+        lo, hi = float(np.minimum(lo, draws.min())), float(np.maximum(hi, draws.max()))
+    spacing = KNOT_SPACING * ncfg.trap_separation
+    if not (hi - lo) / spacing < MAX_KNOTS:
         wide = spread_field(ncfg, sigmas, "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp")
         raise ConfigError(
             f"invalid config field '{wide}': spreads sigma_z {sigmas.sigma_z:.4g} and "
             f"sigma_perp {sigmas.sigma_perp:.4g} um need a table window [{lo!r}, {hi!r}] um "
             f"of {MAX_KNOTS} knots or more"
         )
-    return FidelityTable(protocol, vdw, ncfg.trap_separation, lo, hi)
+    return FidelityTable(protocol, vdw, ncfg.trap_separation, lo, max(hi, lo + spacing))
+
+
+def _decay_errors(exposure: float, lifetime_ms: float) -> dict:
+    """The decay error of ``exposure`` at the config lifetime and at the 97S
+    lifetimes at 300 K and 4 K."""
+    return {
+        "decay_error": decay_error(exposure, lifetime_ms),
+        "decay_error_300k": decay_error(exposure, LIFETIME_97S_300K_MS),
+        "decay_error_4k": decay_error(exposure, LIFETIME_97S_4K_MS),
+    }
+
+
+def _position_average(table, sigmas, deltas, errors: dict, draws=None, method="mc") -> dict:
+    """The grid series over ``deltas`` and the Monte Carlo mean (labelled ``method``)
+    over ``draws``, if any, on ``table``, net of the :func:`_decay_errors`
+    ``errors``: the CSV rows and wall times of every average, the "grid" block of
+    the finest step with the series, and the "mc" block."""
+    out: dict = {"csv_rows": [], "wall_times": {}}
+    blocks = {}
+    averages = [(f"grid_{delta}", delta, grid_average_fidelity, sigmas, GridSpec(delta)) for delta in deltas]
+    if draws is not None:
+        averages.append(("mc", "mc", monte_carlo_average_fidelity, draws, method))
+    for key, label, average, *args in averages:
+        tic = time.perf_counter()
+        report = average(table, *args)
+        out["wall_times"][key] = wall = time.perf_counter() - tic
+        mean = report.mean_fidelity
+        out["csv_rows"].append({
+            "delta": label,
+            "meanFidelity": mean,
+            "netFidelity300K": mean - errors["decay_error_300k"],
+            "netFidelity4K": mean - errors["decay_error_4k"],
+            "samples": report.sample_count,
+            "wallTime": wall,
+        })
+        blocks[key] = {
+            "mean_fidelity": mean,
+            "decay_error": errors["decay_error"],
+            "net_fidelity": mean - errors["decay_error"],
+            "sample_count": report.sample_count,
+            "method": report.method,
+            **({} if report.stderr is None else {"stderr": report.stderr}),
+        }
+    if deltas:
+        finest = blocks[f"grid_{min(deltas)}"]
+        series = [[delta, blocks[f"grid_{delta}"]["mean_fidelity"]] for delta in deltas]
+        out["grid"] = {**finest, "convergence": series, "estimate": finest["mean_fidelity"]}
+    if draws is not None:
+        out["mc"] = blocks["mc"]
+    return out
 
 
 def _interaction_at(vdw: VdwModel, dist, field: str):
@@ -127,6 +183,11 @@ def run_solve(cfg: RunConfig) -> ResultRecord:
     """Solve theta -> interaction, separation and timings (no dynamics)."""
     protocol, _ = _solve_point(cfg)
     leakage = hyperfine_leakage_estimate(protocol.omega_target, HYPERFINE_SPLITTING_RB87)
+    if not np.isfinite(leakage):
+        raise ConfigError(
+            f"invalid config field 'drive.omega_target_mhz': the hyperfine leakage "
+            f"estimate of a {protocol.omega_target!r} rad/us drive overflows to {leakage!r}"
+        )
     return ResultRecord(
         command="solve",
         config=cfg.raw,
@@ -158,24 +219,9 @@ def run_simulate(cfg: RunConfig) -> ResultRecord:
             "gate_matrix": complex_matrix_to_json(gate),
             "nominal_fidelity": fidelity,
             "rydberg_exposure_us": exposure,
-            "decay_error": decay_error(exposure, cfg.rydberg_lifetime),
-            "decay_error_300k": decay_error(exposure, LIFETIME_97S_300K_MS),
-            "decay_error_4k": decay_error(exposure, LIFETIME_97S_4K_MS),
+            **_decay_errors(exposure, cfg.rydberg_lifetime),
         },
     )
-
-
-def _report_dict(report: FidelityReport, e_decay: float) -> dict:
-    out = {
-        "mean_fidelity": report.mean_fidelity,
-        "decay_error": e_decay,
-        "net_fidelity": report.mean_fidelity - e_decay,
-        "sample_count": report.sample_count,
-        "method": report.method,
-    }
-    if report.stderr is not None:
-        out["stderr"] = report.stderr
-    return out
 
 
 def run_fidelity(cfg: RunConfig) -> ResultRecord:
@@ -183,56 +229,21 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
     protocol, vdw = _solve_point(cfg)
     ncfg = _noise_config(cfg, protocol)
     sigmas = inflate_sigmas(ncfg, protocol.t_gate)
-    # the table spans exactly the distances the averages look up
-    lo, hi = grid_window(ncfg, sigmas) if cfg.mode in ("grid", "both") else (np.inf, 0.0)
-    if cfg.mode in ("mc", "both"):
-        truncate = 1.5 if cfg.mc_truncated else None
-        distances = draw_distances(sigmas, ncfg.trap_separation, cfg.mc_samples, cfg.seed, truncate)
-        lo, hi = float(np.minimum(lo, distances.min())), float(np.maximum(hi, distances.max()))
-    table = _fidelity_table(protocol, vdw, ncfg, sigmas, lo, hi)
+    grid, mc = cfg.mode in ("grid", "both"), cfg.mode in ("mc", "both")
+    window = grid_window(ncfg, sigmas) if grid else None
+    truncate = 1.5 if cfg.mc_truncated else None
+    draws = draw_distances(sigmas, ncfg.trap_separation, cfg.mc_samples, cfg.seed, truncate) if mc else None
+    table = _sampled_table(protocol, vdw, ncfg, sigmas, window, draws)
     exposure = rydberg_exposure(protocol)
-    e_decay = decay_error(exposure, ncfg.rydberg_lifetime)
-    e_300k = decay_error(exposure, LIFETIME_97S_300K_MS)
-    e_4k = decay_error(exposure, LIFETIME_97S_4K_MS)
-    results: dict = {
+    results = {
         "sigma_z_um": sigmas.sigma_z,
         "sigma_perp_um": sigmas.sigma_perp,
         "rydberg_exposure_us": exposure,
-        "csv_rows": [],
-        "wall_times": {},
+        **_position_average(
+            table, sigmas, cfg.deltas if grid else [], _decay_errors(exposure, ncfg.rydberg_lifetime),
+            draws, "mc-truncated" if truncate else "mc",
+        ),
     }
-
-    def timed(key, label, average, *args):
-        """Run one average on the table, recording its CSV row and wall time."""
-        tic = time.perf_counter()
-        report = average(table, *args)
-        wall = time.perf_counter() - tic
-        results["csv_rows"].append({
-            "delta": label,
-            "meanFidelity": report.mean_fidelity,
-            "netFidelity300K": report.mean_fidelity - e_300k,
-            "netFidelity4K": report.mean_fidelity - e_4k,
-            "samples": report.sample_count,
-            "wallTime": wall,
-        })
-        results["wall_times"][key] = wall
-        return report
-
-    if cfg.mode in ("grid", "both"):
-        series = [
-            (delta, timed(f"grid_{delta}", delta, grid_average_fidelity, sigmas, GridSpec(delta)))
-            for delta in cfg.deltas
-        ]
-        finest = min(series, key=lambda item: item[0])[1]
-        results["grid"] = {
-            **_report_dict(finest, e_decay),
-            "convergence": [[delta, report.mean_fidelity] for delta, report in series],
-            "estimate": finest.mean_fidelity,
-        }
-    if cfg.mode in ("mc", "both"):
-        method = "mc-truncated" if truncate else "mc"
-        report = timed("mc", "mc", monte_carlo_average_fidelity, distances, method)
-        results["mc"] = _report_dict(report, e_decay)
     return ResultRecord(
         command="fidelity", config=cfg.raw, params=_params_dict(protocol), results=results
     )
@@ -277,7 +288,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
                 "separation_um": swept.separation,
                 "t_gate_us": swept.t_gate,
                 "rydberg_exposure_us": exposure,
-                "decay_error_300k": decay_error(exposure, LIFETIME_97S_300K_MS),
+                "decay_error_300k": _decay_errors(exposure, cfg.rydberg_lifetime)["decay_error_300k"],
                 "nominal_fidelity": pedersen_fidelity(gate, ideal_gate(swept)),
             })
     elif axis == "temperature":
@@ -287,20 +298,20 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         hottest = replace(ncfg_base, temperature=float(values[-1]))
         hot = inflate_sigmas(hottest, protocol.t_gate)
         hot_field = "sweep.stop" if cfg.sweep["stop"] >= cfg.sweep["start"] else "sweep.start"
-        table = _fidelity_table(protocol, vdw, hottest, hot, *grid_window(hottest, hot, hot_field))
-        e_decay = decay_error(rydberg_exposure(protocol), ncfg_base.rydberg_lifetime)
+        table = _sampled_table(protocol, vdw, hottest, hot, grid_window(hottest, hot, hot_field), None)
+        errors = _decay_errors(rydberg_exposure(protocol), ncfg_base.rydberg_lifetime)
         delta = min(cfg.deltas)
         for temp in values:
             sigmas = inflate_sigmas(replace(ncfg_base, temperature=float(temp)), protocol.t_gate)
-            report = grid_average_fidelity(table, sigmas, GridSpec(delta))
+            grid = _position_average(table, sigmas, [delta], errors)["grid"]
             rows.append({
                 "axis": axis,
                 "value": float(temp),
                 "sigma_z_um": sigmas.sigma_z,
                 "sigma_perp_um": sigmas.sigma_perp,
                 "delta": delta,
-                "mean_fidelity": report.mean_fidelity,
-                "net_fidelity": report.mean_fidelity - e_decay,
+                "mean_fidelity": grid["mean_fidelity"],
+                "net_fidelity": grid["net_fidelity"],
             })
     else:  # unreachable behind schema validation
         raise ConfigError(f"invalid config field 'sweep.axis': unknown axis {axis!r}")

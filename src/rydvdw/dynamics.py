@@ -27,9 +27,7 @@ __all__ = [
     "CONTROL",
     "TARGET",
     "basis_index",
-    "basis_state",
     "build_hamiltonian",
-    "exponentiate",
     "propagate",
 ]
 
@@ -64,13 +62,6 @@ def basis_index(control: int, target: int) -> int:
 
 #: Flat indices of |00>, |01>, |10>, |11>: the gate's computational inputs.
 COMPUTATIONAL = [basis_index(c, t) for c in (Level.G0, Level.G1) for t in (Level.G0, Level.G1)]
-
-
-def basis_state(control: int, target: int) -> np.ndarray:
-    """Unit amplitude vector for the product state |control, target>."""
-    state = np.zeros(DIM, dtype=complex)
-    state[basis_index(control, target)] = 1.0
-    return state
 
 
 def build_hamiltonian(
@@ -174,10 +165,3 @@ def propagate(segments: Sequence[tuple[np.ndarray, float]], states, weight=None)
             integral = integral + (coeffs.conj() * ((observable * kernel) @ coeffs)).sum(axis=-2).real
         states = modes @ (np.exp(-1j * energies * duration)[..., :, None] * coeffs)
     return states, integral
-
-
-def exponentiate(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
-    """Exact propagator exp(-i H t) of a constant Hamiltonian, or of a
-    stack of them with shape (..., n, n): :func:`propagate` applied to
-    the identity.  Unitary matrices of the same shape."""
-    return propagate([(hamiltonian, duration)], np.eye(np.shape(hamiltonian)[-1]))[0]

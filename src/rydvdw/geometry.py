@@ -35,7 +35,8 @@ def vdw_interaction(model: VdwModel, dist):
     dist = np.asarray(dist, dtype=float)
     if (dist <= 0).any():
         raise ValueError("distance must be positive")
-    return model.c6 / dist**6
+    with np.errstate(divide="ignore", over="ignore"):  # inf or 0 at the float limits
+        return model.c6 / dist**6
 
 
 def separation_for_interaction(model: VdwModel, interaction: float) -> float:

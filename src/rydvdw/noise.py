@@ -191,18 +191,11 @@ class FidelityTable:
             raise ValueError(
                 f"table window [{lo!r}, {hi!r}] um needs 0 < lo < hi and under {MAX_KNOTS} knots"
             )
-        self.protocol = protocol
-        self.vdw = vdw
         self.trap_separation = trap_separation
         self.distances = np.linspace(lo, hi, max(4, math.ceil(intervals) + 1))
-        self.values = self.evaluate(self.distances)
+        self.values = gate_fidelity(protocol, vdw_interaction(vdw, self.distances))
         self._step = (hi - lo) / (len(self.distances) - 1)
         self._coefficients = _spline_coefficients(self.values, self._step)
-
-    def evaluate(self, dist):
-        """Direct (table-free) fidelity at one distance or an array of them."""
-        fidelity = gate_fidelity(self.protocol, vdw_interaction(self.vdw, dist))
-        return float(fidelity) if fidelity.ndim == 0 else fidelity
 
     def __call__(self, dist):
         """Fidelity at a distance (a float) or an array of them (same shape),
@@ -294,19 +287,22 @@ def _grid_distances(grid: GridSpec, sigmas: InflatedSigmas, separation: float):
     n = len(offsets) // 2
     folded = weights[n:].copy()
     folded[1:] += weights[n - 1::-1]
-    dx = offsets * sigmas.sigma_perp  # x_c - x_t
-    dy2 = (offsets[n:] * sigmas.sigma_perp) ** 2
-    dz2 = (offsets[n:] * sigmas.sigma_z) ** 2
+    # near the float limit a distance overflows to inf, and its table window is refused
+    with np.errstate(over="ignore"):
+        dx = offsets * sigmas.sigma_perp  # x_c - x_t
+        dy2 = (offsets[n:] * sigmas.sigma_perp) ** 2
+        dz2 = (offsets[n:] * sigmas.sigma_z) ** 2
     plane = (n + 1) ** 2
     rows = max(1, BLOCK // plane)
 
     def blocks():
         for start in range(0, len(dx), rows):
-            dist = np.sqrt(
-                (dx[start : start + rows, None, None] - separation) ** 2
-                + dy2[None, :, None]
-                + dz2[None, None, :]
-            )
+            with np.errstate(over="ignore"):
+                dist = np.sqrt(
+                    (dx[start : start + rows, None, None] - separation) ** 2
+                    + dy2[None, :, None]
+                    + dz2[None, None, :]
+                )
             yield weights[start : start + rows], dist.reshape(-1, plane)
 
     return np.outer(folded, folded).ravel(), blocks()
@@ -389,12 +385,14 @@ def draw_distances(
         sigmas.sigma_perp,  # y_t
         sigmas.sigma_z,     # z_t
     ])
-    offsets *= scale[:, None]
-    return np.sqrt(
-        (offsets[0] - offsets[3] - separation) ** 2
-        + (offsets[1] - offsets[4]) ** 2
-        + (offsets[2] - offsets[5]) ** 2
-    )
+    # near the float limit a distance overflows to inf or NaN, and its table window is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        offsets *= scale[:, None]
+        return np.sqrt(
+            (offsets[0] - offsets[3] - separation) ** 2
+            + (offsets[1] - offsets[4]) ** 2
+            + (offsets[2] - offsets[5]) ** 2
+        )
 
 
 def monte_carlo_average_fidelity(

@@ -1,8 +1,10 @@
-"""A CLI runner, readers of the CLI's output formats and a plain state propagator.
+"""A CLI runner, readers of the CLI's output formats, basis states and
+plain propagators.
 
 The package only writes its records; these parse them back for the
 tests, ``run_cli`` captures one command line's exit code and streams,
-and ``evolve`` applies propagators to one state vector in turn.
+``exponentiate`` forms the propagator matrix that the package never
+needs, and ``evolve`` applies propagators to one state vector in turn.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from rydvdw.cli import main
+from rydvdw.dynamics import DIM, basis_index, propagate
 
 
 class CliResult(NamedTuple):
@@ -35,6 +38,20 @@ def run_cli(argv):
         except SystemExit as exc:
             code = 0 if exc.code is None else exc.code
     return CliResult(code, stdout.getvalue(), stderr.getvalue())
+
+
+def basis_state(control: int, target: int) -> np.ndarray:
+    """Unit amplitude vector for the product state |control, target>."""
+    state = np.zeros(DIM, dtype=complex)
+    state[basis_index(control, target)] = 1.0
+    return state
+
+
+def exponentiate(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
+    """Exact propagator exp(-i H t) of a constant Hamiltonian, or of a
+    stack of them with shape (..., n, n): ``propagate`` applied to the
+    identity.  Unitary matrices of the same shape."""
+    return propagate([(hamiltonian, duration)], np.eye(np.shape(hamiltonian)[-1]))[0]
 
 
 def evolve(state, unitaries):

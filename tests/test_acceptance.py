@@ -9,7 +9,7 @@ import time
 import numpy as np
 
 from rydvdw import MHZ
-from rydvdw.dynamics import basis_index, basis_state, build_hamiltonian, exponentiate
+from rydvdw.dynamics import basis_index, build_hamiltonian
 from rydvdw.gates import extract_gate_matrix, ideal_cnot, ideal_cz, pedersen_fidelity
 from rydvdw.noise import (
     GridSpec,
@@ -22,6 +22,7 @@ from rydvdw.noise import (
 from rydvdw.protocol import GateProtocol, rydberg_exposure
 
 from .conftest import ACCEPTANCE_RESULTS
+from .helpers import basis_state, exponentiate
 from .oracles import rk4_propagator
 
 OMEGA = 0.8 * MHZ

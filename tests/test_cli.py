@@ -6,12 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rydvdw
 from rydvdw.cli import run_fidelity, run_simulate, run_solve, run_sweep
 from rydvdw.config import SCHEMA, load_config, parse_config
 from rydvdw.errors import ConfigError
-from rydvdw.protocol import rydberg_exposure
+from rydvdw.gates import gate_fidelity
+from rydvdw.geometry import VdwModel
+from rydvdw.protocol import GateProtocol, rydberg_exposure
 from rydvdw.records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
 from .helpers import complex_matrix_from_json, rows_from_csv, run_cli
@@ -222,6 +226,14 @@ class TestSolveCommand:
         assert result.stdout == ""
         assert "config error: invalid config field 'noise.temperature_uk'" in result.stderr
 
+    def test_overflowing_hyperfine_estimate_names_the_target_drive(self, tmp_path):
+        # 2 (omega_target / splitting)^2 overflows to inf, which JSON cannot hold
+        path = write_config(tmp_path, {"drive": {"omega_target_mhz": 1e300}})
+        result = run_cli(["solve", "--config", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "config error: invalid config field 'drive.omega_target_mhz'" in result.stderr
+
     def test_numeric_failure_exits_1(self, tmp_path, monkeypatch):
         # no valid config is known to break the eigensolver, so make it fail
         def broken_eigh(matrix):
@@ -276,6 +288,20 @@ class TestSimulateCommand:
         # exposure / lifetime overflows to inf: the lifetime is too short to price
         path = write_config(tmp_path, {"noise": {"rydberg_lifetime_ms": 1e-320}})
         result = run_cli([command, "--config", path])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "config error: invalid config field 'noise.rydberg_lifetime_ms'" in result.stderr
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            {"axis": "omega", "start": 0.8, "stop": 1.6, "points": 2},
+            {"axis": "temperature", "start": 5.0, "stop": 15.0, "points": 2},
+        ],
+    )
+    def test_infinite_decay_error_on_a_sweep_exits_2(self, tmp_path, sweep):
+        payload = {"noise": {"rydberg_lifetime_ms": 1e-320}, "sampling": {"deltas": [0.5]}, "sweep": sweep}
+        result = run_cli(["sweep", "--config", write_config(tmp_path, payload)])
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "config error: invalid config field 'noise.rydberg_lifetime_ms'" in result.stderr
@@ -339,6 +365,41 @@ class TestFidelityCommand:
         results = json.loads(result.stdout)["results"]
         for method in ("grid", "mc"):
             assert 0.0 < results[method]["mean_fidelity"] < 1.0
+
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            # atoms at rest at the trap centers: every distance is the design separation
+            ({"noise": {"sigma_z0_um": 1e-20, "sigma_perp0_um": 1e-20, "temperature_uk": 1e-30}}, None),
+            # no interaction: CZ(pi) acts as the identity, fidelity (4 + 4) / 20
+            ({"noise": {"trap_separation_um": 1e30}}, 0.4),
+            # the solved separation dwarfs the spreads
+            ({"vdw": {"c6_thz_um6": 1e300}}, 1.0),
+        ],
+    )
+    def test_window_narrower_than_a_knot_spacing_runs(self, payload, expected):
+        # spreads below an ulp of the separation collapse the window to one distance
+        cfg = parse_config({**payload, "sampling": {"mode": "both", "deltas": [0.5, 0.25], "mc_samples": 200}})
+        if expected is None:
+            protocol = GateProtocol.solve(cfg.theta, cfg.omega_control, cfg.omega_target, VdwModel(cfg.c6))
+            expected = gate_fidelity(protocol, protocol.nominal_interaction)
+        results = run_fidelity(cfg).results
+        for method in ("grid", "mc"):
+            assert abs(results[method]["mean_fidelity"] - expected) < 1e-12
+
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [({"noise": {"trap_separation_um": 1e30}}, 0.4), ({"vdw": {"c6_thz_um6": 1e300}}, 1.0)],
+    )
+    def test_window_narrower_than_a_knot_spacing_on_a_temperature_sweep(self, tmp_path, payload, expected):
+        sweep = {"axis": "temperature", "start": 5.0, "stop": 15.0, "points": 3}
+        payload = {**payload, "sampling": {"deltas": [0.5]}, "sweep": sweep}
+        result = run_cli(["sweep", "--config", write_config(tmp_path, payload)])
+        assert result.exit_code == 0, result.output
+        rows = rows_from_csv(result.stdout)
+        assert len(rows) == 3
+        for row in rows:
+            assert abs(row["mean_fidelity"] - expected) < 1e-12
 
     @pytest.mark.parametrize(
         "payload",
@@ -517,6 +578,17 @@ class TestSweepCommand:
         means = [row["mean_fidelity"] for row in rows]
         assert means[0] >= means[1] >= means[2]
 
+    @pytest.mark.parametrize("kind", ["cz", "cnot"])
+    def test_temperature_row_is_the_fidelity_grid_estimate(self, kind):
+        # the row at the config temperature (10 uK) averages as the fidelity command does
+        base = {"gate": {"kind": kind, "theta_rad": np.pi}, "sampling": {"mode": "grid", "deltas": [0.1]}}
+        grid = run_fidelity(parse_config(base)).results["grid"]
+        sweep = {"axis": "temperature", "start": 2.0, "stop": 32.0, "points": 16}
+        rows = run_sweep(parse_config({**base, "sweep": sweep})).results["rows"]
+        (row,) = [row for row in rows if row["value"] == 10.0]
+        assert abs(row["mean_fidelity"] - grid["estimate"]) < 1e-12
+        assert abs(row["net_fidelity"] - grid["net_fidelity"]) < 1e-12
+
     def test_omega_sweep_ignores_drive_block(self):
         # the swept frequency drives both atoms; drive.omega_*_mhz do not enter the rows
         sweep = {"axis": "omega", "start": 0.8, "stop": 4.6, "points": 3}
@@ -592,6 +664,64 @@ class TestInfiniteInteraction:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert f"config error: invalid config field '{field}'" in result.stderr
+
+
+class TestNumberFields:
+    FIELDS = [
+        "drive.omega_control_mhz", "drive.omega_target_mhz", "gate.theta_rad", "vdw.c6_thz_um6",
+        "noise.sigma_z0_um", "noise.sigma_perp0_um", "noise.temperature_uk", "noise.atom_mass_kg",
+        "noise.rydberg_lifetime_ms", "noise.trap_separation_um",
+    ]
+    VALUES = [1e-300, 1e-30, 1e-9, 1e-3, 0.5, 3, 6.28, 1e3, 1e9, 1e30, 1e300]
+    SWEEPS = {
+        "separation": {"axis": "separation", "start": 18.0, "stop": 22.0, "points": 3},
+        "omega": {"axis": "omega", "start": 0.5, "stop": 1.0, "points": 3},
+        "temperature": {"axis": "temperature", "start": 5.0, "stop": 15.0, "points": 3},
+    }
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("fidelity", {"noise": {"sigma_z0_um": 1e300}}),
+            ("fidelity", {"noise": {"trap_separation_um": 1e300}}),
+            ("fidelity", {"noise": {"sigma_perp0_um": 1e308}, "sampling": {"mode": "mc"}}),
+            ("sweep", {"noise": {"sigma_z0_um": 1e300}, "sweep": SWEEPS["temperature"]}),
+            ("sweep", {"noise": {"trap_separation_um": 1e300}, "sweep": SWEEPS["temperature"]}),
+            ("sweep", {"sweep": {"axis": "separation", "start": 1e-60, "stop": 22.0, "points": 2}}),
+            ("simulate", {"overrides": {"separation_um": 1e-60}}),
+        ],
+    )
+    def test_overflow_prints_only_its_config_error(self, tmp_path, command, payload):
+        payload["sampling"] = {"deltas": [0.5], "mc_samples": 200, **payload.get("sampling", {})}
+        result = run_cli([command, "--config", write_config(tmp_path, payload)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("config error: invalid config field '")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(
+        field=st.sampled_from(FIELDS),
+        value=st.sampled_from(VALUES),
+        command=st.sampled_from(["solve", "simulate", "fidelity", *SWEEPS]),
+        mc_samples=st.integers(2, 200),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_number_field_exits_0_or_2(self, tmp_path_factory, field, value, command, mc_samples):
+        block, name = field.split(".")
+        payload = {block: {name: value}, "sampling": {"mode": "both", "deltas": [0.5], "mc_samples": mc_samples}}
+        argv = [command]
+        if command in self.SWEEPS:
+            argv, payload["sweep"] = ["sweep"], self.SWEEPS[command]
+        result = run_cli([*argv, "--config", write_config(tmp_path_factory.getbasetemp(), payload)])
+        assert result.exit_code in (0, 2), result.output
+        assert "Traceback" not in result.output
+        if result.exit_code == 2:
+            assert "invalid config field '" in result.stderr
+            assert result.stdout == ""
+        else:
+            assert result.stdout
 
 
 class TestRecords:

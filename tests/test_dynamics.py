@@ -9,14 +9,12 @@ from rydvdw.dynamics import (
     RYDBERG_WEIGHT,
     Level,
     basis_index,
-    basis_state,
     build_hamiltonian,
-    exponentiate,
     propagate,
 )
 from rydvdw.errors import NumericError
 
-from .helpers import evolve
+from .helpers import basis_state, evolve, exponentiate
 from .oracles import detuned_cycle_amplitude, rk4_propagator
 
 OMEGA = 0.8 * MHZ

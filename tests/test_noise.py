@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from rydvdw import MHZ
 from rydvdw.errors import ConfigError
+from rydvdw.gates import gate_fidelity
 from rydvdw.geometry import VdwModel, vdw_interaction
 from rydvdw.noise import (
     BLOCK,
@@ -214,7 +215,9 @@ class TestWeights:
 
 
 class TestFidelityTable:
-    def test_matches_direct_simulation_on_grid_distances(self, nominal_table, nominal_sigmas, nominal_noise):
+    def test_matches_direct_simulation_on_grid_distances(
+        self, nominal_protocol, nominal_table, nominal_sigmas, nominal_noise
+    ):
         # distances that actually occur on the quadrature grid
         rng = np.random.default_rng(11)
         sep = nominal_noise.trap_separation
@@ -225,7 +228,7 @@ class TestFidelityTable:
             + (3 * nominal_sigmas.sigma_z) ** 2
         )
         for dist in rng.uniform(lo, hi, 50):
-            assert abs(nominal_table(dist) - nominal_table.evaluate(dist)) < 1e-10
+            assert abs(nominal_table(dist) - gate_fidelity(nominal_protocol, vdw_interaction(VDW, dist))) < 1e-10
 
     def test_out_of_window_raises(self, nominal_table):
         lo, hi = nominal_table.distances[0], nominal_table.distances[-1]
@@ -282,7 +285,7 @@ class TestFidelityTable:
 
     def test_batched_build_matches_pointwise_evaluation(self, nominal_protocol, nominal_noise):
         table = centered_table(nominal_protocol, nominal_noise.trap_separation, 100)
-        pointwise = [table.evaluate(float(d)) for d in table.distances]
+        pointwise = [gate_fidelity(nominal_protocol, vdw_interaction(VDW, float(d))) for d in table.distances]
         assert np.abs(table.values - pointwise).max() < 1e-13
 
     @given(
@@ -305,7 +308,7 @@ class TestFidelityTable:
         lo, hi = min(lo, distances.min()), max(hi, distances.max())
         table = FidelityTable(protocol, VDW, noise.trap_separation, lo, hi)
         probe = np.random.default_rng(seed).uniform(lo, hi, 200)
-        assert np.abs(table(probe) - table.evaluate(probe)).max() <= 1e-8
+        assert np.abs(table(probe) - gate_fidelity(protocol, vdw_interaction(VDW, probe))).max() <= 1e-8
 
     @pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     def test_blocked_lookup_is_the_one_shot_lookup(self, nominal_table, size):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from rydvdw import MHZ
-from rydvdw.dynamics import CONTROL, TARGET, Level, basis_state, build_hamiltonian, exponentiate
+from rydvdw.dynamics import CONTROL, TARGET, Level, build_hamiltonian
 from rydvdw.gates import extract_gate_matrix, ideal_cnot, pedersen_fidelity
 from rydvdw.protocol import (
     GateProtocol,
@@ -14,7 +14,7 @@ from rydvdw.protocol import (
     solve_interaction_for_phase,
 )
 
-from .helpers import evolve
+from .helpers import basis_state, evolve, exponentiate
 from .oracles import barred_basis_change, rk4_rydberg_exposure, van_loan_exposure
 
 OMEGA = 0.8 * MHZ
