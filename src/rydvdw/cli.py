@@ -104,13 +104,19 @@ def _sampled_table(protocol, vdw, ncfg, sigmas, window, draws) -> FidelityTable:
     """The table over exactly the distances a run looks up: the grid ``window``
     (lo, hi) joined with the Monte Carlo ``draws``, either one None if not taken.
     A window too wide for the table names the field behind the larger spread (the
-    grid window keeps 3 sigma_perp under the trap separation); one narrower than a
-    knot spacing (spreads below an ulp of it) gets a table one knot spacing wide."""
+    grid window keeps 3 sigma_perp under the trap separation), or the trap separation
+    if a distance overflowed and it exceeds both spreads; one narrower than a knot
+    spacing (spreads below an ulp of it) gets a table one knot spacing wide."""
     lo, hi = window or (np.inf, 0.0)
     if draws is not None:
         lo, hi = float(np.minimum(lo, draws.min())), float(np.maximum(hi, draws.max()))
     spacing = KNOT_SPACING * ncfg.trap_separation
     if not (hi - lo) / spacing < MAX_KNOTS:
+        if not np.isfinite(hi - lo) and ncfg.trap_separation > max(sigmas.sigma_z, sigmas.sigma_perp):
+            raise ConfigError(
+                f"invalid config field 'noise.trap_separation_um': a {ncfg.trap_separation!r} um "
+                f"trap separation overflows the table window to [{lo!r}, {hi!r}] um"
+            )
         wide = spread_field(ncfg, sigmas, "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp")
         raise ConfigError(
             f"invalid config field '{wide}': spreads sigma_z {sigmas.sigma_z:.4g} and "

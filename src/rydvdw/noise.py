@@ -10,7 +10,9 @@ The average fidelity is taken over the six offset coordinates
 (x_c, y_c, z_c, x_t, y_t, z_t), either on a deterministic product grid
 truncated at +/-1.5 sigma per coordinate with Gaussian weights
 normalized coordinate-by-coordinate, or by Monte Carlo sampling of the
-(by default untruncated) Gaussians.
+(by default untruncated) Gaussians.  The distance depends only on the
+three differences x_c - x_t, y_c - y_t and z_c - z_t, so the untruncated
+Monte Carlo draws those, each N(0, 2 sigma**2), instead of six offsets.
 
 Two exact structural reductions keep this cheap.  First, the fidelity
 depends on the offsets only through the scalar distance, so it is
@@ -24,11 +26,13 @@ value.  The y and z differences enter the distance only squared and
 their weights are symmetric, so each is folded onto its nonnegative
 half with the weights of the two signs summed.
 
-Both run in blocks of about ``BLOCK`` points: the table lookup writes
-into one output block by block, and the grid streams whole x-difference
-rows of the folded grid, reducing each block against its weights by two
-matrix-vector products, so no average forms a full-size distance,
-weight or fidelity array.
+Everything runs in blocks of about ``BLOCK`` points: the table lookup
+and the Monte Carlo draw write into one output block by block, the grid
+streams whole x-difference rows of the folded grid, reducing each block
+against its weights by two matrix-vector products, and the Monte Carlo
+mean merges each block's mean and sum of squared deviations.  So no
+average forms a full-size weight or fidelity array, and only the draw
+holds a full-size one, its distances.
 """
 
 from __future__ import annotations
@@ -70,9 +74,9 @@ KNOT_SPACING = 1.0 / 3072
 #: Most knots a table may have: a window some 40 trap separations wide.
 MAX_KNOTS = 2**17
 
-#: Points per block of a table lookup or of the grid average.  A block's
-#: temporaries (128 KB each) stay in cache and in memory already mapped;
-#: 2**13 to 2**15 time alike, 2**17 about twice as slow.
+#: Points per block of a table lookup, a grid average or a Monte Carlo draw.
+#: A block's temporaries (128 KB each) stay in cache and in memory already
+#: mapped; 2**13 to 2**15 time alike, 2**17 about twice as slow.
 BLOCK = 2**14
 
 
@@ -361,38 +365,42 @@ def grid_average_fidelity(
 def draw_distances(
     sigmas: InflatedSigmas, separation: float, n_samples: int, seed: int, truncate: float | None = None
 ) -> np.ndarray:
-    """Qubit distances of ``n_samples`` Monte Carlo position draws.
+    """Qubit distances of ``n_samples`` Monte Carlo position draws, the traps
+    ``separation`` apart, drawn ``BLOCK`` samples at a time into one output.
 
-    Draws the six offsets from independent Gaussians (untruncated by
-    default; set ``truncate=1.5`` to match the grid's support), the
-    traps ``separation`` apart.  Identical seeds give bit-identical
-    distances.
+    The distance depends on the six offsets only through the differences
+    x_c - x_t, y_c - y_t and z_c - z_t.  Untruncated (the default), each is
+    the difference of two independent N(0, sigma**2) offsets, so it is drawn
+    directly as N(0, 2 sigma**2).  With ``truncate=1.5`` (the grid's support)
+    a block draws the six offsets, redraws each until it lies within
+    ``truncate`` sigma, and takes their differences.  Identical seeds give
+    bit-identical distances.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    offsets = rng.standard_normal((6, n_samples))
-    if truncate is not None:
-        bad = np.abs(offsets) > truncate
-        while bad.any():
-            offsets[bad] = rng.standard_normal(int(bad.sum()))
-            bad = np.abs(offsets) > truncate
-    scale = np.array([
-        sigmas.sigma_perp,  # x_c
-        sigmas.sigma_perp,  # y_c
-        sigmas.sigma_z,     # z_c
-        sigmas.sigma_perp,  # x_t
-        sigmas.sigma_perp,  # y_t
-        sigmas.sigma_z,     # z_t
-    ])
+    out = np.empty(n_samples)
     # near the float limit a distance overflows to inf or NaN, and its table window is refused
     with np.errstate(over="ignore", invalid="ignore"):
-        offsets *= scale[:, None]
-        return np.sqrt(
-            (offsets[0] - offsets[3] - separation) ** 2
-            + (offsets[1] - offsets[4]) ** 2
-            + (offsets[2] - offsets[5]) ** 2
-        )
+        scale = np.array([sigmas.sigma_perp, sigmas.sigma_perp, sigmas.sigma_z])[:, None]
+        if truncate is None:
+            scale *= np.sqrt(2.0)
+        for start in range(0, n_samples, BLOCK):
+            size = min(BLOCK, n_samples - start)
+            if truncate is None:
+                diff = rng.standard_normal((3, size))
+            else:
+                offsets = rng.standard_normal((6, size))
+                bad = np.abs(offsets) > truncate
+                while bad.any():
+                    offsets[bad] = rng.standard_normal(int(bad.sum()))
+                    bad = np.abs(offsets) > truncate
+                diff = offsets[:3] - offsets[3:]
+            diff *= scale
+            diff[0] -= separation
+            np.square(diff, out=diff)
+            np.sqrt(diff.sum(axis=0), out=out[start : start + size])
+    return out
 
 
 def monte_carlo_average_fidelity(
@@ -400,13 +408,26 @@ def monte_carlo_average_fidelity(
 ) -> FidelityReport:
     """Mean fidelity over the :func:`draw_distances` output, with its
     standard error, labelled ``method`` ("mc-truncated" for truncated draws);
-    one draw has no standard error."""
-    if len(distances) < 2:
-        raise ValueError(f"a standard error needs 2 or more distances, got {len(distances)}")
-    fid = table(distances)
-    n_samples = len(fid)
-    mean = float(np.mean(fid))
-    stderr = float(np.std(fid, ddof=1) / np.sqrt(n_samples))
+    one draw has no standard error.
+
+    The fidelities are looked up ``BLOCK`` at a time, and each block's mean
+    and sum of squared deviations are merged into the running ones by the
+    pairwise update of Chan, Golub and LeVeque (1979).  A single block gives
+    exactly ``np.mean`` and ``np.std(ddof=1) / sqrt(n)``.
+    """
+    n_samples = len(distances)
+    if n_samples < 2:
+        raise ValueError(f"a standard error needs 2 or more distances, got {n_samples}")
+    mean = squares = 0.0
+    for start in range(0, n_samples, BLOCK):
+        fid = table(distances[start : start + BLOCK])
+        block_mean = float(np.mean(fid))
+        # the block's share of the samples so far: exactly 1 on the first block,
+        # which so adds exactly its own mean and squares
+        shift, share = block_mean - mean, len(fid) / (start + len(fid))
+        mean += shift * share
+        squares += float(np.sum(np.square(fid - block_mean))) + shift**2 * start * share
+    stderr = math.sqrt(squares / (n_samples - 1)) / math.sqrt(n_samples)
     return FidelityReport(mean, n_samples, method, stderr)
 
 

@@ -8,8 +8,11 @@ algebra, the gate matrix is rebuilt from the pulse recipe with
 hand-assembled Hamiltonians and scipy's Pade matrix exponential, the
 exact exposure comes from Van Loan's block-matrix exponential on the
 same Hamiltonians, the grid average is the literal 6-D sum, and the
-table interpolant is scipy's not-a-knot ``CubicSpline``.
+table interpolant is scipy's not-a-knot ``CubicSpline``, and the spread of
+a truncated Gaussian is its closed-form variance.
 """
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -217,3 +220,10 @@ def cubic_spline(distances, values):
     """scipy's not-a-knot cubic spline through the table's knots; NaN
     outside ``[distances[0], distances[-1]]``."""
     return CubicSpline(distances, values, extrapolate=False)
+
+
+def truncated_normal_variance(a):
+    """Variance of a standard normal truncated to [-a, a]:
+    1 - 2 a phi(a) / (2 Phi(a) - 1), where 2 Phi(a) - 1 = erf(a / sqrt(2))."""
+    density = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
+    return 1.0 - 2.0 * a * density / math.erf(a / math.sqrt(2.0))

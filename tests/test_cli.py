@@ -679,25 +679,37 @@ class TestNumberFields:
         "temperature": {"axis": "temperature", "start": 5.0, "stop": 15.0, "points": 3},
     }
 
+    OVERFLOWS = [
+        ("fidelity", {"noise": {"sigma_z0_um": 1e300}}, "noise.sigma_z0_um"),
+        # the squared separation overflows every distance: the separation is named, not a spread
+        ("fidelity", {"noise": {"trap_separation_um": 1e300}}, "noise.trap_separation_um"),
+        ("fidelity", {"noise": {"sigma_perp0_um": 1e308}, "sampling": {"mode": "mc"}},
+         "noise.sigma_perp0_um"),
+        ("sweep", {"noise": {"sigma_z0_um": 1e300}, "sweep": SWEEPS["temperature"]}, "noise.sigma_z0_um"),
+        ("sweep", {"noise": {"trap_separation_um": 1e300}, "sweep": SWEEPS["temperature"]},
+         "noise.trap_separation_um"),
+        ("sweep", {"sweep": {"axis": "separation", "start": 1e-60, "stop": 22.0, "points": 2}},
+         "sweep.start"),
+        ("simulate", {"overrides": {"separation_um": 1e-60}}, "overrides.separation_um"),
+        ("fidelity", {"noise": {"trap_separation_um": 1e300}, "sampling": {"mode": "mc"}},
+         "noise.trap_separation_um"),
+        ("fidelity",
+         {"noise": {"trap_separation_um": 1e300}, "sampling": {"mode": "mc", "mc_truncated": True}},
+         "noise.trap_separation_um"),
+    ]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "command, payload",
-        [
-            ("fidelity", {"noise": {"sigma_z0_um": 1e300}}),
-            ("fidelity", {"noise": {"trap_separation_um": 1e300}}),
-            ("fidelity", {"noise": {"sigma_perp0_um": 1e308}, "sampling": {"mode": "mc"}}),
-            ("sweep", {"noise": {"sigma_z0_um": 1e300}, "sweep": SWEEPS["temperature"]}),
-            ("sweep", {"noise": {"trap_separation_um": 1e300}, "sweep": SWEEPS["temperature"]}),
-            ("sweep", {"sweep": {"axis": "separation", "start": 1e-60, "stop": 22.0, "points": 2}}),
-            ("simulate", {"overrides": {"separation_um": 1e-60}}),
-        ],
+        "command, payload, field",
+        OVERFLOWS,
+        ids=[f"{command}-payload{i}" for i, (command, _, _) in enumerate(OVERFLOWS)],
     )
-    def test_overflow_prints_only_its_config_error(self, tmp_path, command, payload):
+    def test_overflow_prints_only_its_config_error(self, tmp_path, command, payload, field):
         payload["sampling"] = {"deltas": [0.5], "mc_samples": 200, **payload.get("sampling", {})}
         result = run_cli([command, "--config", write_config(tmp_path, payload)])
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert result.stderr.startswith("config error: invalid config field '")
+        assert result.stderr.startswith(f"config error: invalid config field '{field}'")
         assert result.stderr.count("\n") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -31,7 +31,7 @@ from rydvdw.noise import (
 from rydvdw.noise import _difference_weights
 from rydvdw.protocol import GateProtocol, rydberg_exposure
 
-from .oracles import cubic_spline, grid_mean_full
+from .oracles import cubic_spline, grid_mean_full, truncated_normal_variance
 
 VDW = VdwModel()
 
@@ -466,6 +466,43 @@ class TestMonteCarlo:
         assert np.array_equal(a, b)
         c = draw_distances(nominal_sigmas, sep, n_samples=5000, seed=100)
         assert not np.array_equal(a, c)
+        truncated = partial(draw_distances, nominal_sigmas, sep, 5000, 99, truncate=1.5)
+        assert np.array_equal(truncated(), truncated())
+
+    @pytest.mark.parametrize("truncate", [None, 1.5])
+    def test_mean_square_distance(self, nominal_sigmas, nominal_noise, truncate):
+        # d**2 = (dx - L)**2 + dy**2 + dz**2, each difference of two offsets of
+        # variance v sigma**2 (v = 1 untruncated): E[d**2] = L**2 + v (4 sigma_perp**2 + 2 sigma_z**2)
+        sep = nominal_noise.trap_separation
+        square = draw_distances(nominal_sigmas, sep, 10**6, seed=31, truncate=truncate) ** 2
+        v = 1.0 if truncate is None else truncated_normal_variance(truncate)
+        expected = sep**2 + v * (4 * nominal_sigmas.sigma_perp**2 + 2 * nominal_sigmas.sigma_z**2)
+        stderr = np.std(square, ddof=1) / np.sqrt(square.size)
+        assert abs(np.mean(square) - expected) < 5 * stderr
+
+    @pytest.mark.parametrize("truncate", [None, 1.5])
+    def test_draw_memory_is_its_output_and_a_few_blocks(self, nominal_sigmas, nominal_noise, truncate):
+        # blocked, a draw holds its output and one block of six offsets or three differences
+        sep, n = nominal_noise.trap_separation, 10**6
+        peak = traced_peak(lambda: draw_distances(nominal_sigmas, sep, n, seed=5, truncate=truncate))
+        assert peak < 8 * n + 4 * (6 * 8 * BLOCK)
+
+    def test_mean_memory_is_a_few_blocks(self, nominal_table):
+        # the fidelities are looked up and reduced a block at a time: no (n,) temporary
+        dist = np.linspace(nominal_table.distances[0], nominal_table.distances[-1], 10**6)
+        peak = traced_peak(lambda: monte_carlo_average_fidelity(nominal_table, dist))
+        assert peak < 8 * (8 * BLOCK)
+
+    @pytest.mark.parametrize("n_samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_streamed_moments_at_block_edges(self, nominal_table, n_samples):
+        lo, hi = nominal_table.distances[0], nominal_table.distances[-1]
+        distances = np.random.default_rng(n_samples).uniform(lo, hi, n_samples)
+        report = monte_carlo_average_fidelity(nominal_table, distances)
+        fid = nominal_table(distances)
+        assert report.sample_count == n_samples
+        assert abs(report.mean_fidelity - np.mean(fid)) <= 1e-15 * abs(np.mean(fid))
+        stderr = np.std(fid, ddof=1) / np.sqrt(n_samples)
+        assert abs(report.stderr - stderr) <= 1e-15 * stderr
 
     def test_report_is_the_sample_mean(self, nominal_table):
         distances = np.linspace(nominal_table.distances[0], nominal_table.distances[-1], 7)
