@@ -9,7 +9,7 @@ quadrature grid and/or by Monte Carlo; ``sweep`` scans separation,
 Rabi frequency or temperature and emits one row per value.
 
 Exit codes: 0 on success, 1 on numerical failure, 2 on configuration
-errors.
+errors, a malformed command line or an ``--out`` that cannot be written.
 """
 
 from __future__ import annotations
@@ -21,16 +21,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig, load_config, parse_config
-from .constants import LIFETIME_97S_4K_MS, LIFETIME_97S_300K_MS, MHZ, HYPERFINE_SPLITTING_RB87
+from .config import RunConfig, interaction_at, load_config, parse_config, solve_gate
+from .constants import (HYPERFINE_SPLITTING_RB87, LIFETIME_97S_4K_MS, LIFETIME_97S_300K_MS, MHZ,
+                        RB87_MASS_KG, TEMPERATURE_DEFAULT_UK)
 from .errors import ConfigError, NumericError
 from .gates import extract_gate_matrix, gate_fidelity, ideal_gate, pedersen_fidelity
-from .geometry import VdwModel, vdw_interaction
 from .noise import (
+    GRID_HALF_RANGE,
     KNOT_SPACING,
     MAX_KNOTS,
     FidelityTable,
     GridSpec,
+    InflatedSigmas,
     NoiseConfig,
     decay_error,
     draw_distances,
@@ -38,42 +40,21 @@ from .noise import (
     grid_window,
     inflate_sigmas,
     monte_carlo_average_fidelity,
-    spread_field,
 )
-from .protocol import (
-    GateProtocol,
-    hyperfine_leakage_estimate,
-    rydberg_exposure,
-    solve_interaction_for_phase,
-)
+from .protocol import GateProtocol, hyperfine_leakage_estimate, rydberg_exposure
 from .records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
 __all__ = ["main", "run_solve", "run_simulate", "run_fidelity", "run_sweep"]
 
 
-def _solve_point(
-    cfg: RunConfig, allow_overrides: bool = False, drive_field: str = "drive"
-) -> tuple[GateProtocol, VdwModel]:
-    """The gate at the design point of the config, its Rabi frequencies set by
-    ``drive_field``; only ``simulate`` takes ``overrides``."""
+def _reject_overrides(cfg: RunConfig) -> None:
+    """Only ``simulate`` takes ``overrides``."""
     overrides = cfg.raw.get("overrides", {})
-    if overrides and not allow_overrides:
+    if overrides:
         raise ConfigError(
             f"invalid config field 'overrides.{next(iter(overrides))}': "
             "only 'simulate' accepts overrides"
         )
-    vdw = VdwModel(cfg.c6)
-    try:
-        protocol = GateProtocol.solve(cfg.theta, cfg.omega_control, cfg.omega_target, vdw, cfg.kind)
-    except ValueError as exc:
-        # the config is valid, so a tiny or huge frequency overflowed a duration or
-        # the separation, or theta -> 0 needs an infinite interaction whatever the drive
-        with np.errstate(divide="ignore", over="ignore"):
-            interaction = solve_interaction_for_phase(cfg.theta, cfg.omega_target)
-        theta_at_fault = np.isinf(interaction) and np.isfinite(cfg.omega_target)
-        field = "gate.theta_rad" if theta_at_fault else drive_field
-        raise ConfigError(f"invalid config field '{field}': {exc}") from None
-    return protocol, vdw
 
 
 def _params_dict(protocol: GateProtocol) -> dict:
@@ -88,16 +69,29 @@ def _params_dict(protocol: GateProtocol) -> dict:
     }
 
 
-def _noise_config(cfg: RunConfig, protocol: GateProtocol) -> NoiseConfig:
-    separation = cfg.trap_separation or protocol.separation
-    return NoiseConfig(
-        trap_separation=separation,
-        sigma_z0=cfg.sigma_z0,
-        sigma_perp0=cfg.sigma_perp0,
-        temperature=cfg.temperature,
-        atom_mass=cfg.atom_mass,
-        rydberg_lifetime=cfg.rydberg_lifetime,
-    )
+def _spread_field(ncfg: NoiseConfig, sigmas: InflatedSigmas, axis, temperature_field="noise.temperature_uk"):
+    """The config field behind a spread too wide on ``axis`` ("perp" or "z"): its trap
+    spread, or, where the free flight adds more, the temperature (``temperature_field``)
+    or the atom mass, whichever lies further from 10 uK and Rb-87 towards a faster atom."""
+    if not sigmas.flight_length / 2.0 > getattr(ncfg, f"sigma_{axis}0"):
+        return f"noise.sigma_{axis}0_um"
+    hotter, lighter = ncfg.temperature / TEMPERATURE_DEFAULT_UK, RB87_MASS_KG / ncfg.atom_mass
+    return temperature_field if hotter >= lighter else "noise.atom_mass_kg"
+
+
+def _grid_window(ncfg: NoiseConfig, sigmas: InflatedSigmas, temperature_field="noise.temperature_uk"):
+    """The :func:`grid_window`; a grid reaching zero distance names :func:`_spread_field`
+    for sigma_perp (sigma_z adds in quadrature)."""
+    with np.errstate(over="ignore"):  # a spread near the float limit reaches any separation
+        reaches_zero = 2.0 * GRID_HALF_RANGE * sigmas.sigma_perp >= ncfg.trap_separation
+    if reaches_zero:
+        field = _spread_field(ncfg, sigmas, "perp", temperature_field)
+        raise ConfigError(
+            f"invalid config field '{field}': the position grid reaches zero distance, "
+            f"as 3 sigma_perp (3 x {sigmas.sigma_perp:.4g} um, inflated at {ncfg.temperature:.4g} uK) "
+            f"reach the {ncfg.trap_separation:.4g} um trap separation"
+        )
+    return grid_window(ncfg, sigmas)
 
 
 def _sampled_table(protocol, vdw, ncfg, sigmas, window, draws) -> FidelityTable:
@@ -117,7 +111,7 @@ def _sampled_table(protocol, vdw, ncfg, sigmas, window, draws) -> FidelityTable:
                 f"invalid config field 'noise.trap_separation_um': a {ncfg.trap_separation!r} um "
                 f"trap separation overflows the table window to [{lo!r}, {hi!r}] um"
             )
-        wide = spread_field(ncfg, sigmas, "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp")
+        wide = _spread_field(ncfg, sigmas, "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp")
         raise ConfigError(
             f"invalid config field '{wide}': spreads sigma_z {sigmas.sigma_z:.4g} and "
             f"sigma_perp {sigmas.sigma_perp:.4g} um need a table window [{lo!r}, {hi!r}] um "
@@ -128,9 +122,16 @@ def _sampled_table(protocol, vdw, ncfg, sigmas, window, draws) -> FidelityTable:
 
 def _decay_errors(exposure: float, lifetime_ms: float) -> dict:
     """The decay error of ``exposure`` at the config lifetime and at the 97S
-    lifetimes at 300 K and 4 K."""
+    lifetimes at 300 K and 4 K.  The exposure is finite, so an error that is
+    not (a lifetime too short to divide by) names the lifetime field."""
+    error = decay_error(exposure, lifetime_ms)
+    if not np.isfinite(error):
+        raise ConfigError(
+            f"invalid config field 'noise.rydberg_lifetime_ms': {lifetime_ms!r} ms "
+            f"makes the decay error of a {exposure!r} us exposure {error!r}"
+        )
     return {
-        "decay_error": decay_error(exposure, lifetime_ms),
+        "decay_error": error,
         "decay_error_300k": decay_error(exposure, LIFETIME_97S_300K_MS),
         "decay_error_4k": decay_error(exposure, LIFETIME_97S_4K_MS),
     }
@@ -176,18 +177,10 @@ def _position_average(table, sigmas, deltas, errors: dict, draws=None, method="m
     return out
 
 
-def _interaction_at(vdw: VdwModel, dist, field: str):
-    """The interaction at config distance(s) ``dist``; an infinite one names ``field``."""
-    interaction = vdw_interaction(vdw, dist)
-    if not np.isfinite(interaction).all():
-        nearest = float(np.min(dist))
-        raise ConfigError(f"invalid config field '{field}': infinite interaction at {nearest!r} um")
-    return interaction
-
-
 def run_solve(cfg: RunConfig) -> ResultRecord:
     """Solve theta -> interaction, separation and timings (no dynamics)."""
-    protocol, _ = _solve_point(cfg)
+    _reject_overrides(cfg)
+    protocol = cfg.protocol
     leakage = hyperfine_leakage_estimate(protocol.omega_target, HYPERFINE_SPLITTING_RB87)
     if not np.isfinite(leakage):
         raise ConfigError(
@@ -204,15 +197,7 @@ def run_solve(cfg: RunConfig) -> ResultRecord:
 
 def run_simulate(cfg: RunConfig) -> ResultRecord:
     """Simulate one gate (design point or override); report its matrix and decay budget."""
-    protocol, vdw = _solve_point(cfg, allow_overrides=True)
-    interaction = cfg.interaction_override
-    if cfg.separation_override is not None:
-        if interaction is not None:
-            raise ConfigError(
-                "invalid config field 'overrides': give either interaction_mhz "
-                "or separation_um, not both"
-            )
-        interaction = _interaction_at(vdw, cfg.separation_override, "overrides.separation_um")
+    protocol, interaction = cfg.protocol, cfg.interaction_override
     gate = extract_gate_matrix(protocol, interaction)
     fidelity = pedersen_fidelity(gate, ideal_gate(protocol))
     exposure = rydberg_exposure(protocol, interaction)
@@ -225,21 +210,21 @@ def run_simulate(cfg: RunConfig) -> ResultRecord:
             "gate_matrix": complex_matrix_to_json(gate),
             "nominal_fidelity": fidelity,
             "rydberg_exposure_us": exposure,
-            **_decay_errors(exposure, cfg.rydberg_lifetime),
+            **_decay_errors(exposure, cfg.noise.rydberg_lifetime),
         },
     )
 
 
 def run_fidelity(cfg: RunConfig) -> ResultRecord:
     """Average the gate fidelity over position fluctuations, on the grid and/or by Monte Carlo."""
-    protocol, vdw = _solve_point(cfg)
-    ncfg = _noise_config(cfg, protocol)
+    _reject_overrides(cfg)
+    protocol, ncfg = cfg.protocol, cfg.noise
     sigmas = inflate_sigmas(ncfg, protocol.t_gate)
     grid, mc = cfg.mode in ("grid", "both"), cfg.mode in ("mc", "both")
-    window = grid_window(ncfg, sigmas) if grid else None
+    window = _grid_window(ncfg, sigmas) if grid else None
     truncate = 1.5 if cfg.mc_truncated else None
     draws = draw_distances(sigmas, ncfg.trap_separation, cfg.mc_samples, cfg.seed, truncate) if mc else None
-    table = _sampled_table(protocol, vdw, ncfg, sigmas, window, draws)
+    table = _sampled_table(protocol, cfg.vdw, ncfg, sigmas, window, draws)
     exposure = rydberg_exposure(protocol)
     results = {
         "sigma_z_um": sigmas.sigma_z,
@@ -264,13 +249,14 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     """
     if not cfg.sweep:
         raise ConfigError("invalid config field 'sweep': required for the sweep command")
+    _reject_overrides(cfg)
     axis = cfg.sweep["axis"]
     values = np.sort(np.linspace(cfg.sweep["start"], cfg.sweep["stop"], cfg.sweep["points"]))
-    protocol, vdw = _solve_point(cfg)
+    protocol = cfg.protocol
     rows = []
     if axis == "separation":
         nearest = "sweep.start" if cfg.sweep["start"] <= cfg.sweep["stop"] else "sweep.stop"
-        interactions = _interaction_at(vdw, values, nearest)
+        interactions = interaction_at(cfg.vdw, values, nearest)
         fidelities = gate_fidelity(protocol, interactions)
         for sep, interaction, fidelity in zip(values, interactions, fidelities):
             rows.append({
@@ -283,8 +269,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         for omega_mhz in values:
             omega = float(omega_mhz) * MHZ
             field = "sweep.start" if omega_mhz == cfg.sweep["start"] else "sweep.stop"
-            point = replace(cfg, omega_control=omega, omega_target=omega)
-            swept, _ = _solve_point(point, drive_field=field)
+            swept = solve_gate(protocol.theta, omega, omega, cfg.vdw, protocol.kind, field)
             gate = extract_gate_matrix(swept)
             exposure = rydberg_exposure(swept)
             rows.append({
@@ -294,21 +279,20 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
                 "separation_um": swept.separation,
                 "t_gate_us": swept.t_gate,
                 "rydberg_exposure_us": exposure,
-                "decay_error_300k": _decay_errors(exposure, cfg.rydberg_lifetime)["decay_error_300k"],
+                "decay_error_300k": _decay_errors(exposure, cfg.noise.rydberg_lifetime)["decay_error_300k"],
                 "nominal_fidelity": pedersen_fidelity(gate, ideal_gate(swept)),
             })
     elif axis == "temperature":
-        ncfg_base = _noise_config(cfg, protocol)
         # one table for every temperature: both sigmas grow with it, so the
         # hottest grid reaches farthest
-        hottest = replace(ncfg_base, temperature=float(values[-1]))
+        hottest = replace(cfg.noise, temperature=float(values[-1]))
         hot = inflate_sigmas(hottest, protocol.t_gate)
         hot_field = "sweep.stop" if cfg.sweep["stop"] >= cfg.sweep["start"] else "sweep.start"
-        table = _sampled_table(protocol, vdw, hottest, hot, grid_window(hottest, hot, hot_field), None)
-        errors = _decay_errors(rydberg_exposure(protocol), ncfg_base.rydberg_lifetime)
+        table = _sampled_table(protocol, cfg.vdw, hottest, hot, _grid_window(hottest, hot, hot_field), None)
+        errors = _decay_errors(rydberg_exposure(protocol), cfg.noise.rydberg_lifetime)
         delta = min(cfg.deltas)
         for temp in values:
-            sigmas = inflate_sigmas(replace(ncfg_base, temperature=float(temp)), protocol.t_gate)
+            sigmas = inflate_sigmas(replace(cfg.noise, temperature=float(temp)), protocol.t_gate)
             grid = _position_average(table, sigmas, [delta], errors)["grid"]
             rows.append({
                 "axis": axis,
@@ -361,11 +345,15 @@ def _execute(command: str, config_path: str, out, seed, fmt) -> None:
     except (NumericError, ValueError, np.linalg.LinAlgError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         sys.exit(1)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"output error: cannot write output file {out}: {exc}", file=sys.stderr)
+        sys.exit(2)
 
 
 def main(argv: list[str] | None = None) -> None:

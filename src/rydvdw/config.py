@@ -1,11 +1,15 @@
-"""Run configuration: JSON schema, loading, and unit conversion.
+"""Run configuration: the JSON schema, and parsing into the solved design point.
 
-Configuration files are plain JSON.  Frequencies are given in MHz and
-converted internally to rad/us; lengths are um, temperatures uK,
-lifetimes ms, and the controlled phase is in radians.  Every field has
-a default matching the reference operating point (theta = pi CZ gate
-at 0.8 MHz Rabi frequency on the Rb 97S_1/2 state), so ``{}`` is a
-valid configuration.
+Configuration files are plain JSON in MHz, um, uK, ms and radians; every
+field defaults to the reference operating point (theta = pi CZ gate at
+0.8 MHz Rabi frequency on the Rb 97S_1/2 state), so ``{}`` is valid.
+:func:`parse_config` walks :data:`SCHEMA`, converts to internal units and
+solves the :class:`GateProtocol` every command runs on, with its
+:class:`VdwModel` and the :class:`NoiseConfig` that prices it (trap
+separation ``noise.trap_separation_um``, else the solved one), so a
+design-point fault is reported when the config loads.  Every fault is a
+:class:`ConfigError` naming its field; only this module and
+:mod:`rydvdw.cli` name fields.
 """
 
 from __future__ import annotations
@@ -13,21 +17,19 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .constants import (
-    C6_97S,
-    MHZ,
-    RB87_MASS_KG,
-    SIGMA_PERP0_DEFAULT,
-    SIGMA_Z0_DEFAULT,
-    TEMPERATURE_DEFAULT_UK,
-)
-from .errors import ConfigError
-from .noise import GridSpec
+import numpy as np
 
-__all__ = ["SCHEMA", "RunConfig", "load_config", "parse_config", "DEFAULT_SEED"]
+from .constants import C6_97S, MHZ
+from .errors import ConfigError
+from .geometry import VdwModel, vdw_interaction
+from .noise import GridSpec, NoiseConfig
+from .protocol import GateProtocol, solve_interaction_for_phase
+
+__all__ = ["SCHEMA", "RunConfig", "load_config", "parse_config", "solve_gate", "interaction_at",
+           "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20210901
 
@@ -116,30 +118,23 @@ SCHEMA = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration with units converted to internal ones."""
+    """A validated configuration in internal units: the solved gate, its interaction
+    and noise models, the run settings, and ``interaction_override`` (rad/us), the
+    ``overrides`` block with a separation turned into its interaction."""
 
-    kind: str = "cz"
-    theta: float = math.pi
-    omega_control: float = 0.8 * MHZ
-    omega_target: float = 0.8 * MHZ
-    c6: float = C6_97S
-    sigma_z0: float = SIGMA_Z0_DEFAULT
-    sigma_perp0: float = SIGMA_PERP0_DEFAULT
-    temperature: float = TEMPERATURE_DEFAULT_UK
-    atom_mass: float = RB87_MASS_KG
-    rydberg_lifetime: float = 0.311
-    trap_separation: float | None = None
-    mode: str = "grid"
-    deltas: tuple[float, ...] = (0.25, 0.2, 0.15, 0.12, 0.1)
-    mc_samples: int = 100_000
-    mc_truncated: bool = False
-    interaction_override: float | None = None
-    separation_override: float | None = None
-    sweep: dict | None = None
-    seed: int = DEFAULT_SEED
-    raw: dict = field(default_factory=dict)
+    protocol: GateProtocol
+    vdw: VdwModel
+    noise: NoiseConfig
+    mode: str
+    deltas: tuple[float, ...]
+    mc_samples: int
+    mc_truncated: bool
+    interaction_override: float | None
+    sweep: dict | None
+    seed: int
+    raw: dict
 
 
 _TYPES = {
@@ -197,57 +192,85 @@ def _validate(value, schema: dict, path: tuple = ()) -> None:
                 fault(f"Additional properties are not allowed ({key!r} was unexpected)")
 
 
+def solve_gate(theta, omega_control, omega_target, vdw, kind, drive_field="drive") -> GateProtocol:
+    """:meth:`GateProtocol.solve` on a valid config, whose fault is then a tiny or
+    huge frequency that overflowed a duration or the separation, named as
+    ``drive_field``, or theta -> 0, which needs an infinite interaction whatever
+    the drive, named as ``gate.theta_rad``."""
+    try:
+        return GateProtocol.solve(theta, omega_control, omega_target, vdw, kind)
+    except ValueError as exc:
+        with np.errstate(divide="ignore", over="ignore"):
+            interaction = solve_interaction_for_phase(theta, omega_target)
+        theta_at_fault = np.isinf(interaction) and np.isfinite(omega_target)
+        field = "gate.theta_rad" if theta_at_fault else drive_field
+        raise ConfigError(f"invalid config field '{field}': {exc}") from None
+
+
+def interaction_at(vdw: VdwModel, dist, field: str):
+    """The interaction at config distance(s) ``dist``; an infinite one names ``field``."""
+    interaction = vdw_interaction(vdw, dist)
+    if not np.isfinite(interaction).all():
+        nearest = float(np.min(dist))
+        raise ConfigError(f"invalid config field '{field}': infinite interaction at {nearest!r} um")
+    return interaction
+
+
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a configuration dict against the schema and apply units.
+    """Validate a configuration dict against the schema, apply units and
+    solve its design point.
 
     Raises :class:`ConfigError` naming the offending field on any
-    schema violation.
+    schema violation or design-point fault.
     """
     _validate(raw, SCHEMA)
-    cfg = RunConfig(raw=raw)
-    gate = raw.get("gate", {})
-    cfg.kind = gate.get("kind", cfg.kind)
-    cfg.theta = gate.get("theta_rad", cfg.theta)
-    drive = raw.get("drive", {})
-    cfg.omega_control = drive.get("omega_control_mhz", 0.8) * MHZ
-    cfg.omega_target = drive.get("omega_target_mhz", 0.8) * MHZ
-    if "c6_thz_um6" in raw.get("vdw", {}):
-        # h x THz um^6 -> rad/us um^6: 1 THz = 1e6 cycles/us
-        cfg.c6 = MHZ * raw["vdw"]["c6_thz_um6"] * 1e6
-    noise = raw.get("noise", {})
-    cfg.sigma_z0 = noise.get("sigma_z0_um", cfg.sigma_z0)
-    cfg.sigma_perp0 = noise.get("sigma_perp0_um", cfg.sigma_perp0)
-    cfg.temperature = noise.get("temperature_uk", cfg.temperature)
-    cfg.atom_mass = noise.get("atom_mass_kg", cfg.atom_mass)
-    cfg.rydberg_lifetime = noise.get("rydberg_lifetime_ms", cfg.rydberg_lifetime)
-    cfg.trap_separation = noise.get("trap_separation_um", None)
     sampling = raw.get("sampling", {})
-    cfg.mode = sampling.get("mode", cfg.mode)
-    cfg.deltas = tuple(sampling.get("deltas", cfg.deltas))
-    for delta in cfg.deltas:
+    deltas = tuple(sampling.get("deltas", (0.25, 0.2, 0.15, 0.12, 0.1)))
+    for delta in deltas:
         try:
             GridSpec(delta)
         except ValueError as exc:
             raise ConfigError(f"invalid config field 'sampling.deltas': {exc}") from exc
-    # the schema takes 3.0 as an integer; numpy counts and seeds need an int
-    cfg.mc_samples = int(sampling.get("mc_samples", cfg.mc_samples))
-    cfg.mc_truncated = sampling.get("mc_truncated", cfg.mc_truncated)
-    overrides = raw.get("overrides", {})
-    if "interaction_mhz" in overrides:
-        cfg.interaction_override = overrides["interaction_mhz"] * MHZ
-    cfg.separation_override = overrides.get("separation_um", None)
-    if "sweep" in raw:
-        cfg.sweep = {**raw["sweep"], "points": int(raw["sweep"]["points"])}
-    cfg.seed = int(raw.get("seed", cfg.seed))
+    vdw_block, overrides = raw.get("vdw", {}), raw.get("overrides", {})
+    # h x THz um^6 -> rad/us um^6: 1 THz = 1e6 cycles/us
+    c6 = MHZ * vdw_block["c6_thz_um6"] * 1e6 if "c6_thz_um6" in vdw_block else C6_97S
+    interaction = overrides["interaction_mhz"] * MHZ if "interaction_mhz" in overrides else None
     # a finite value can overflow in internal units
-    converted = {"vdw.c6_thz_um6": cfg.c6, "overrides.interaction_mhz": cfg.interaction_override}
-    for name, value in converted.items():
+    for name, value in {"vdw.c6_thz_um6": c6, "overrides.interaction_mhz": interaction}.items():
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"invalid config field '{name}': {value!r} in internal units")
 
-    if cfg.kind == "cnot" and abs(cfg.theta - math.pi) > 1e-9:
+    gate, drive = raw.get("gate", {}), raw.get("drive", {})
+    kind, theta = gate.get("kind", "cz"), gate.get("theta_rad", math.pi)
+    if kind == "cnot" and abs(theta - math.pi) > 1e-9:
         raise ConfigError("invalid config field 'gate.theta_rad': cnot requires theta_rad = pi")
-    return cfg
+    vdw = VdwModel(c6)
+    omega_control = drive.get("omega_control_mhz", 0.8) * MHZ
+    omega_target = drive.get("omega_target_mhz", 0.8) * MHZ
+    protocol = solve_gate(theta, omega_control, omega_target, vdw, kind)
+    if "separation_um" in overrides:
+        if interaction is not None:
+            raise ConfigError(
+                "invalid config field 'overrides': give either interaction_mhz "
+                "or separation_um, not both"
+            )
+        interaction = interaction_at(vdw, overrides["separation_um"], "overrides.separation_um")
+    # each noise field is a NoiseConfig field with its unit appended
+    noise = {key.rsplit("_", 1)[0]: value for key, value in raw.get("noise", {}).items()}
+    return RunConfig(
+        protocol=protocol,
+        vdw=vdw,
+        noise=NoiseConfig(**{"trap_separation": protocol.separation, **noise}),
+        mode=sampling.get("mode", "grid"),
+        deltas=deltas,
+        # the schema takes 3.0 as an integer; numpy counts and seeds need an int
+        mc_samples=int(sampling.get("mc_samples", 100_000)),
+        mc_truncated=sampling.get("mc_truncated", False),
+        interaction_override=interaction,
+        sweep={**raw["sweep"], "points": int(raw["sweep"]["points"])} if "sweep" in raw else None,
+        seed=int(raw.get("seed", DEFAULT_SEED)),
+        raw=raw,
+    )
 
 
 def load_config(path: str | Path) -> RunConfig:

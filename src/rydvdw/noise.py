@@ -38,12 +38,18 @@ holds a full-size one, its distances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import KB, RB87_MASS_KG, SIGMA_PERP0_DEFAULT, SIGMA_Z0_DEFAULT, TEMPERATURE_DEFAULT_UK
-from .errors import ConfigError
+from .constants import (
+    KB,
+    LIFETIME_97S_300K_MS,
+    RB87_MASS_KG,
+    SIGMA_PERP0_DEFAULT,
+    SIGMA_Z0_DEFAULT,
+    TEMPERATURE_DEFAULT_UK,
+)
 from .gates import gate_fidelity
 from .geometry import VdwModel, vdw_interaction
 from .protocol import GateProtocol
@@ -56,7 +62,6 @@ __all__ = [
     "inflate_sigmas",
     "FidelityTable",
     "grid_window",
-    "spread_field",
     "draw_distances",
     "grid_average_fidelity",
     "monte_carlo_average_fidelity",
@@ -92,14 +97,13 @@ class NoiseConfig:
     sigma_perp0: float = SIGMA_PERP0_DEFAULT
     temperature: float = TEMPERATURE_DEFAULT_UK
     atom_mass: float = RB87_MASS_KG
-    rydberg_lifetime: float = 0.311
+    rydberg_lifetime: float = LIFETIME_97S_300K_MS
 
     def __post_init__(self):
-        for name in ("trap_separation", "sigma_z0", "sigma_perp0", "temperature",
-                     "atom_mass", "rydberg_lifetime"):
-            value = getattr(self, name)
+        for item in fields(self):
+            value = getattr(self, item.name)
             if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+                raise ValueError(f"{item.name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -312,31 +316,12 @@ def _grid_distances(grid: GridSpec, sigmas: InflatedSigmas, separation: float):
     return np.outer(folded, folded).ravel(), blocks()
 
 
-def spread_field(cfg: NoiseConfig, sigmas: InflatedSigmas, axis, temperature_field="noise.temperature_uk"):
-    """The config field behind a spread too wide on ``axis`` ("perp" or "z"): its trap
-    spread, or, where the free flight adds more, the temperature (``temperature_field``)
-    or the atom mass, whichever lies further from 10 uK and Rb-87 towards a faster atom."""
-    if not sigmas.flight_length / 2.0 > getattr(cfg, f"sigma_{axis}0"):
-        return f"noise.sigma_{axis}0_um"
-    hotter, lighter = cfg.temperature / TEMPERATURE_DEFAULT_UK, RB87_MASS_KG / cfg.atom_mass
-    return temperature_field if hotter >= lighter else "noise.atom_mass_kg"
-
-
-def grid_window(
-    cfg: NoiseConfig, sigmas: InflatedSigmas, temperature_field="noise.temperature_uk"
-) -> tuple[float, float]:
+def grid_window(cfg: NoiseConfig, sigmas: InflatedSigmas) -> tuple[float, float]:
     """Nearest and farthest qubit distance on the position grid of any step,
     [L - 3 sigma_perp, sqrt((L + 3 sigma_perp)**2 + (3 sigma_perp)**2 + (3 sigma_z)**2)]:
     the coarsest grid's, as every step's differences end at exactly +-3 sigma.
-    A grid reaching zero distance is a ConfigError naming :func:`spread_field`
-    for sigma_perp (sigma_z adds in quadrature)."""
-    if 2.0 * GRID_HALF_RANGE * sigmas.sigma_perp >= cfg.trap_separation:
-        field = spread_field(cfg, sigmas, "perp", temperature_field)
-        raise ConfigError(
-            f"invalid config field '{field}': the position grid reaches zero distance, "
-            f"as 3 sigma_perp (3 x {sigmas.sigma_perp:.4g} um, inflated at {cfg.temperature:.4g} uK) "
-            f"reach the {cfg.trap_separation:.4g} um trap separation"
-        )
+    A grid that reaches zero distance (3 sigma_perp at or past L) is not
+    refused here: its nearest distance is at or near zero."""
     _, blocks = _grid_distances(GridSpec(GRID_HALF_RANGE), sigmas, cfg.trap_separation)
     lows, highs = zip(*((dist.min(), dist.max()) for _, dist in blocks))
     return float(min(lows)), float(max(highs))
@@ -391,10 +376,13 @@ def draw_distances(
                 diff = rng.standard_normal((3, size))
             else:
                 offsets = rng.standard_normal((6, size))
-                bad = np.abs(offsets) > truncate
-                while bad.any():
-                    offsets[bad] = rng.standard_normal(int(bad.sum()))
-                    bad = np.abs(offsets) > truncate
+                # only a redrawn offset can still be out of range: the index of
+                # those shrinks each pass, in the C order a mask would take them
+                flat = offsets.ravel()
+                redraw = np.flatnonzero(np.abs(flat) > truncate)
+                while redraw.size:
+                    flat[redraw] = rng.standard_normal(redraw.size)
+                    redraw = redraw[np.abs(flat[redraw]) > truncate]
                 diff = offsets[:3] - offsets[3:]
             diff *= scale
             diff[0] -= separation
@@ -432,15 +420,6 @@ def monte_carlo_average_fidelity(
 
 
 def decay_error(exposure: float, lifetime_ms: float) -> float:
-    """Rydberg decay error: the exposure (us) over the lifetime (ms), dimensionless.
-
-    The exposure is finite, so a ratio that is not (a lifetime too short
-    to divide by) is a :class:`ConfigError` naming the lifetime field.
-    """
-    error = exposure / (lifetime_ms * 1e3)
-    if not np.isfinite(error):
-        raise ConfigError(
-            f"invalid config field 'noise.rydberg_lifetime_ms': {lifetime_ms!r} ms "
-            f"makes the decay error of a {exposure!r} us exposure {error!r}"
-        )
-    return error
+    """Rydberg decay error: the exposure (us) over the lifetime (ms), dimensionless;
+    infinite for a lifetime too short to divide by."""
+    return exposure / (lifetime_ms * 1e3)

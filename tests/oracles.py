@@ -8,8 +8,9 @@ algebra, the gate matrix is rebuilt from the pulse recipe with
 hand-assembled Hamiltonians and scipy's Pade matrix exponential, the
 exact exposure comes from Van Loan's block-matrix exponential on the
 same Hamiltonians, the grid average is the literal 6-D sum, and the
-table interpolant is scipy's not-a-knot ``CubicSpline``, and the spread of
-a truncated Gaussian is its closed-form variance.
+table interpolant is scipy's not-a-knot ``CubicSpline``, the spread of
+a truncated Gaussian is its closed-form variance, and the truncated
+Monte Carlo draw re-scans every offset of a block after each redraw.
 """
 
 import math
@@ -227,3 +228,23 @@ def truncated_normal_variance(a):
     1 - 2 a phi(a) / (2 Phi(a) - 1), where 2 Phi(a) - 1 = erf(a / sqrt(2))."""
     density = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi)
     return 1.0 - 2.0 * a * density / math.erf(a / math.sqrt(2.0))
+
+
+def truncated_distances_rescan(sigma_perp, sigma_z, separation, n_samples, seed, truncate, block):
+    """Truncated Monte Carlo distances drawn ``block`` samples at a time: six
+    standard normal offsets per sample, every one beyond ``truncate`` redrawn
+    (the whole block re-scanned after each pass) until none is, then the
+    distance of the three scaled differences from the trap ``separation``."""
+    rng = np.random.default_rng(seed)
+    scale = np.array([sigma_perp, sigma_perp, sigma_z])[:, None]
+    out = []
+    for start in range(0, n_samples, block):
+        offsets = rng.standard_normal((6, min(block, n_samples - start)))
+        bad = np.abs(offsets) > truncate
+        while bad.any():
+            offsets[bad] = rng.standard_normal(int(bad.sum()))
+            bad = np.abs(offsets) > truncate
+        diff = (offsets[:3] - offsets[3:]) * scale
+        diff[0] -= separation
+        out.append(np.sqrt(np.sum(diff**2, axis=0)))
+    return np.concatenate(out)

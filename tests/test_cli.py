@@ -1,7 +1,11 @@
+import errno
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rydvdw
-from rydvdw.cli import run_fidelity, run_simulate, run_solve, run_sweep
-from rydvdw.config import SCHEMA, load_config, parse_config
+from rydvdw import MHZ
+from rydvdw.cli import _spread_field, run_fidelity, run_simulate, run_solve, run_sweep
+from rydvdw.config import SCHEMA, RunConfig, load_config, parse_config
 from rydvdw.errors import ConfigError
 from rydvdw.gates import gate_fidelity
-from rydvdw.geometry import VdwModel
+from rydvdw.geometry import VdwModel, vdw_interaction
+from rydvdw.noise import NoiseConfig, inflate_sigmas
 from rydvdw.protocol import GateProtocol, rydberg_exposure
 from rydvdw.records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
@@ -30,7 +36,60 @@ def write_config(tmp_path, payload, name="config.json"):
 class TestConfig:
     def test_defaults_are_a_valid_config(self):
         cfg = parse_config({})
-        assert cfg.kind == "cz" and cfg.mode == "grid"
+        assert cfg.protocol.kind == "cz" and cfg.mode == "grid"
+
+    def test_defaults_are_the_reference_design_point(self):
+        cfg = parse_config({})
+        assert cfg.protocol == GateProtocol.solve(math.pi, 0.8 * MHZ, 0.8 * MHZ)
+        assert cfg.vdw == VdwModel()
+        assert cfg.noise == NoiseConfig(trap_separation=cfg.protocol.separation)
+
+    @pytest.mark.parametrize("kind, theta", [("cz", 2.0), ("cnot", math.pi)])
+    def test_every_field_reaches_its_place(self, kind, theta):
+        # distinct non-default values: a field mapped to the wrong place shows
+        raw = {
+            "gate": {"kind": kind, "theta_rad": theta},
+            "drive": {"omega_control_mhz": 1.3, "omega_target_mhz": 0.6},
+            "vdw": {"c6_thz_um6": 45.0},
+            "noise": {"sigma_z0_um": 1.2, "sigma_perp0_um": 0.3, "temperature_uk": 7.0,
+                      "atom_mass_kg": 1.4e-25, "rydberg_lifetime_ms": 0.5, "trap_separation_um": 19.0},
+            "sampling": {"mode": "mc", "deltas": [0.5, 0.3], "mc_samples": 300, "mc_truncated": True},
+            "overrides": {"interaction_mhz": 0.25},
+            "sweep": {"axis": "omega", "start": 0.5, "stop": 1.0, "points": 4.0},
+            "seed": 7,
+        }
+        vdw = VdwModel(MHZ * 45.0 * 1e6)
+        assert parse_config(raw) == RunConfig(
+            protocol=GateProtocol.solve(theta, 1.3 * MHZ, 0.6 * MHZ, vdw, kind),
+            vdw=vdw,
+            noise=NoiseConfig(trap_separation=19.0, sigma_z0=1.2, sigma_perp0=0.3, temperature=7.0,
+                              atom_mass=1.4e-25, rydberg_lifetime=0.5),
+            mode="mc",
+            deltas=(0.5, 0.3),
+            mc_samples=300,
+            mc_truncated=True,
+            interaction_override=0.25 * MHZ,
+            sweep={"axis": "omega", "start": 0.5, "stop": 1.0, "points": 4},
+            seed=7,
+            raw=raw,
+        )
+
+    def test_separation_override_is_its_interaction(self):
+        cfg = parse_config({"overrides": {"separation_um": 19.0}})
+        assert cfg.interaction_override == vdw_interaction(VdwModel(), 19.0)
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"gate": {"theta_rad": 1e-20}}, "gate.theta_rad"),
+            ({"drive": {"omega_control_mhz": 1e-320}}, "drive"),
+            ({"overrides": {"interaction_mhz": 0.5, "separation_um": 21.0}}, "overrides"),
+            ({"overrides": {"separation_um": 1e-60}}, "overrides.separation_um"),
+        ],
+    )
+    def test_design_point_fault_is_named_on_load(self, payload, field):
+        with pytest.raises(ConfigError, match=re.escape(f"invalid config field '{field}'")):
+            parse_config(payload)
 
     def test_unknown_field_is_named(self):
         with pytest.raises(ConfigError, match="frequency_mhz"):
@@ -116,6 +175,17 @@ class TestUsage:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert "usage: rydvdw" in result.stderr
+
+    @pytest.mark.parametrize("name, code", [("missing/out.json", errno.ENOENT), ("", errno.EISDIR)])
+    def test_unwritable_out_exits_2(self, tmp_path, name, code):
+        # a missing directory, or a directory itself
+        out = os.path.join(tmp_path, name)
+        result = run_cli(["solve", "--config", write_config(tmp_path, {}), "--out", out])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith(f"output error: cannot write output file {out}: ")
+        assert os.strerror(code) in result.stderr
 
     def test_help_lists_each_runner(self):
         result = run_cli(["--help"])
@@ -277,10 +347,10 @@ class TestSimulateCommand:
         assert np.abs(gate - np.eye(4)).max() < 1e-9
 
     def test_conflicting_overrides_rejected(self):
-        cfg = parse_config(
-            {"overrides": {"interaction_mhz": 0.5, "separation_um": 21.0}}
-        )
         with pytest.raises(ConfigError):
+            cfg = parse_config(
+                {"overrides": {"interaction_mhz": 0.5, "separation_um": 21.0}}
+            )
             run_simulate(cfg)
 
     @pytest.mark.parametrize("command", ["simulate", "fidelity"])
@@ -354,6 +424,18 @@ class TestFidelityCommand:
         separation = noise.get("trap_separation_um", 20.99)
         assert f"{separation:.4g} um trap separation" in result.stderr
 
+    def test_grid_reaching_zero_distance_names_sigma_perp(self, tmp_path):
+        payload = {"noise": {"trap_separation_um": 0.9, "temperature_uk": 12.5}}
+        cfg = parse_config(payload)
+        assert cfg.noise == NoiseConfig(trap_separation=0.9, temperature=12.5)
+        sigmas = inflate_sigmas(cfg.noise, cfg.protocol.t_gate)
+        result = run_cli(["fidelity", "--config", write_config(tmp_path, payload)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "config error: invalid config field 'noise.sigma_perp0_um'" in result.stderr
+        for quoted in (f"{sigmas.sigma_perp:.4g} um, inflated at 12.5 uK", "0.9 um trap separation"):
+            assert quoted in result.stderr
+
     @pytest.mark.parametrize(
         "noise", [{"sigma_z0_um": 5.0}, {"trap_separation_um": 5.0}]
     )
@@ -381,7 +463,7 @@ class TestFidelityCommand:
         # spreads below an ulp of the separation collapse the window to one distance
         cfg = parse_config({**payload, "sampling": {"mode": "both", "deltas": [0.5, 0.25], "mc_samples": 200}})
         if expected is None:
-            protocol = GateProtocol.solve(cfg.theta, cfg.omega_control, cfg.omega_target, VdwModel(cfg.c6))
+            protocol = cfg.protocol
             expected = gate_fidelity(protocol, protocol.nominal_interaction)
         results = run_fidelity(cfg).results
         for method in ("grid", "mc"):
@@ -535,6 +617,23 @@ class TestFidelityCommand:
         assert result.stdout == ""
         assert f"config error: invalid config field 'noise.{field}'" in result.stderr
         assert "np.float64" not in result.stderr
+
+
+class TestSpreadField:
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"sigma_z0": 1e6, "temperature": 3e5}, "noise.sigma_z0_um"),
+            # the flight is at fault: the farther of the two from the reference point
+            ({"temperature": 3e5, "atom_mass": 1e-30}, "noise.atom_mass_kg"),
+            ({"temperature": 3e9, "atom_mass": 1e-30}, "noise.temperature_uk"),
+        ],
+    )
+    def test_names_the_field_that_widened_the_spread(
+        self, nominal_noise, nominal_protocol, changes, field
+    ):
+        noise = replace(nominal_noise, **changes)
+        assert _spread_field(noise, inflate_sigmas(noise, nominal_protocol.t_gate), "z") == field
 
 
 class TestSweepCommand:
@@ -696,6 +795,9 @@ class TestNumberFields:
         ("fidelity",
          {"noise": {"trap_separation_um": 1e300}, "sampling": {"mode": "mc", "mc_truncated": True}},
          "noise.trap_separation_um"),
+        # 3 sigma_perp overflow: the grid reaches any separation
+        ("fidelity", {"noise": {"sigma_perp0_um": 1e308}}, "noise.sigma_perp0_um"),
+        ("sweep", {"noise": {"sigma_perp0_um": 1e308}, "sweep": SWEEPS["temperature"]}, "noise.sigma_perp0_um"),
     ]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

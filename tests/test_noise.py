@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydvdw import MHZ
-from rydvdw.errors import ConfigError
 from rydvdw.gates import gate_fidelity
 from rydvdw.geometry import VdwModel, vdw_interaction
 from rydvdw.noise import (
@@ -26,12 +24,11 @@ from rydvdw.noise import (
     grid_window,
     inflate_sigmas,
     monte_carlo_average_fidelity,
-    spread_field,
 )
 from rydvdw.noise import _difference_weights
 from rydvdw.protocol import GateProtocol, rydberg_exposure
 
-from .oracles import cubic_spline, grid_mean_full, truncated_normal_variance
+from .oracles import cubic_spline, grid_mean_full, truncated_distances_rescan, truncated_normal_variance
 
 VDW = VdwModel()
 
@@ -426,31 +423,6 @@ class TestGridWindow:
         dist = np.concatenate([block.ravel() for block in counting.looked_up])
         assert (dist.min(), dist.max()) == grid_window(nominal_noise, nominal_sigmas)
 
-    def test_grid_reaching_zero_distance_names_sigma_perp(self, nominal_protocol):
-        noise = NoiseConfig(trap_separation=0.9, temperature=12.5)
-        sigmas = inflate_sigmas(noise, nominal_protocol.t_gate)
-        with pytest.raises(ConfigError, match="'noise.sigma_perp0_um'") as info:
-            grid_window(noise, sigmas)
-        for quoted in (f"{sigmas.sigma_perp:.4g} um, inflated at 12.5 uK", "0.9 um trap separation"):
-            assert quoted in str(info.value)
-
-
-class TestSpreadField:
-    @pytest.mark.parametrize(
-        "changes, field",
-        [
-            ({"sigma_z0": 1e6, "temperature": 3e5}, "noise.sigma_z0_um"),
-            # the flight is at fault: the farther of the two from the reference point
-            ({"temperature": 3e5, "atom_mass": 1e-30}, "noise.atom_mass_kg"),
-            ({"temperature": 3e9, "atom_mass": 1e-30}, "noise.temperature_uk"),
-        ],
-    )
-    def test_names_the_field_that_widened_the_spread(
-        self, nominal_noise, nominal_protocol, changes, field
-    ):
-        noise = replace(nominal_noise, **changes)
-        assert spread_field(noise, inflate_sigmas(noise, nominal_protocol.t_gate), "z") == field
-
 
 class TestMonteCarlo:
     def test_vanishing_sigma(self, nominal_protocol, nominal_noise):
@@ -468,6 +440,16 @@ class TestMonteCarlo:
         assert not np.array_equal(a, c)
         truncated = partial(draw_distances, nominal_sigmas, sep, 5000, 99, truncate=1.5)
         assert np.array_equal(truncated(), truncated())
+
+    @pytest.mark.parametrize("seed", [1, 20210901])
+    @pytest.mark.parametrize("n_samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_truncated_draw_is_the_rescanning_draw(self, nominal_sigmas, nominal_noise, n_samples, seed):
+        # redrawing only the offsets still out of range keeps the stream and the draws
+        sep = nominal_noise.trap_separation
+        expected = truncated_distances_rescan(
+            nominal_sigmas.sigma_perp, nominal_sigmas.sigma_z, sep, n_samples, seed, 1.5, BLOCK
+        )
+        assert np.array_equal(draw_distances(nominal_sigmas, sep, n_samples, seed, truncate=1.5), expected)
 
     @pytest.mark.parametrize("truncate", [None, 1.5])
     def test_mean_square_distance(self, nominal_sigmas, nominal_noise, truncate):
