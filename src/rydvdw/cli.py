@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 
@@ -28,8 +28,6 @@ from .errors import ConfigError, NumericError
 from .gates import extract_gate_matrix, gate_fidelity, ideal_gate, pedersen_fidelity
 from .noise import (
     GRID_HALF_RANGE,
-    KNOT_SPACING,
-    MAX_KNOTS,
     FidelityTable,
     GridSpec,
     InflatedSigmas,
@@ -79,11 +77,19 @@ def _spread_field(ncfg: NoiseConfig, sigmas: InflatedSigmas, axis, temperature_f
     return temperature_field if hotter >= lighter else "noise.atom_mass_kg"
 
 
-def _grid_window(ncfg: NoiseConfig, sigmas: InflatedSigmas, temperature_field="noise.temperature_uk"):
-    """The :func:`grid_window`; a grid reaching zero distance names :func:`_spread_field`
-    for sigma_perp (sigma_z adds in quadrature)."""
+def _reduced(protocol: GateProtocol, ncfg: NoiseConfig, sigmas: InflatedSigmas):
+    """The spreads and the trap separation in design separations L, the fidelity
+    table's unit: the ``sigmas`` and ``separation`` arguments of the averages."""
+    length = protocol.separation
+    return InflatedSigmas(*(value / length for value in astuple(sigmas))), ncfg.trap_separation / length
+
+
+def _grid_window(ncfg: NoiseConfig, sigmas: InflatedSigmas, reduced, temperature_field="noise.temperature_uk"):
+    """The :func:`grid_window` over the :func:`_reduced` spreads; a grid reaching zero
+    distance names :func:`_spread_field` for sigma_perp (sigma_z adds in quadrature)."""
+    spreads, separation = reduced
     with np.errstate(over="ignore"):  # a spread near the float limit reaches any separation
-        reaches_zero = 2.0 * GRID_HALF_RANGE * sigmas.sigma_perp >= ncfg.trap_separation
+        reaches_zero = 2.0 * GRID_HALF_RANGE * spreads.sigma_perp >= separation
     if reaches_zero:
         field = _spread_field(ncfg, sigmas, "perp", temperature_field)
         raise ConfigError(
@@ -91,33 +97,28 @@ def _grid_window(ncfg: NoiseConfig, sigmas: InflatedSigmas, temperature_field="n
             f"as 3 sigma_perp (3 x {sigmas.sigma_perp:.4g} um, inflated at {ncfg.temperature:.4g} uK) "
             f"reach the {ncfg.trap_separation:.4g} um trap separation"
         )
-    return grid_window(ncfg, sigmas)
+    return grid_window(*reduced)
 
 
-def _sampled_table(protocol, vdw, ncfg, sigmas, window, draws) -> FidelityTable:
-    """The table over exactly the distances a run looks up: the grid ``window``
-    (lo, hi) joined with the Monte Carlo ``draws``, either one None if not taken.
-    A window too wide for the table names the field behind the larger spread (the
-    grid window keeps 3 sigma_perp under the trap separation), or the trap separation
-    if a distance overflowed and it exceeds both spreads; one narrower than a knot
-    spacing (spreads below an ulp of it) gets a table one knot spacing wide."""
+def _sampled_table(protocol, ncfg, sigmas, window, draws) -> FidelityTable:
+    """The table over exactly the reduced distances a run looks up: the grid
+    ``window`` (lo, hi) joined with the Monte Carlo ``draws``, either one None if
+    not taken.  A window the table refuses names the field behind the larger spread
+    (the grid window keeps 3 sigma_perp under the trap separation), or the trap
+    separation if a distance overflowed and it exceeds both spreads."""
     lo, hi = window or (np.inf, 0.0)
     if draws is not None:
         lo, hi = float(np.minimum(lo, draws.min())), float(np.maximum(hi, draws.max()))
-    spacing = KNOT_SPACING * ncfg.trap_separation
-    if not (hi - lo) / spacing < MAX_KNOTS:
-        if not np.isfinite(hi - lo) and ncfg.trap_separation > max(sigmas.sigma_z, sigmas.sigma_perp):
-            raise ConfigError(
-                f"invalid config field 'noise.trap_separation_um': a {ncfg.trap_separation!r} um "
-                f"trap separation overflows the table window to [{lo!r}, {hi!r}] um"
-            )
+    try:
+        return FidelityTable(protocol, lo, hi)
+    except ValueError as exc:
+        overflow = not np.isfinite(hi - lo) and ncfg.trap_separation > max(sigmas.sigma_z, sigmas.sigma_perp)
         wide = _spread_field(ncfg, sigmas, "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp")
         raise ConfigError(
-            f"invalid config field '{wide}': spreads sigma_z {sigmas.sigma_z:.4g} and "
-            f"sigma_perp {sigmas.sigma_perp:.4g} um need a table window [{lo!r}, {hi!r}] um "
-            f"of {MAX_KNOTS} knots or more"
-        )
-    return FidelityTable(protocol, vdw, ncfg.trap_separation, lo, max(hi, lo + spacing))
+            f"invalid config field '{'noise.trap_separation_um' if overflow else wide}': a "
+            f"{ncfg.trap_separation!r} um trap separation and spreads sigma_z {sigmas.sigma_z:.4g} and "
+            f"sigma_perp {sigmas.sigma_perp:.4g} um, in {protocol.separation:.4g} um design separations: {exc}"
+        ) from None
 
 
 def _decay_errors(exposure: float, lifetime_ms: float) -> dict:
@@ -137,14 +138,14 @@ def _decay_errors(exposure: float, lifetime_ms: float) -> dict:
     }
 
 
-def _position_average(table, sigmas, deltas, errors: dict, draws=None, method="mc") -> dict:
-    """The grid series over ``deltas`` and the Monte Carlo mean (labelled ``method``)
-    over ``draws``, if any, on ``table``, net of the :func:`_decay_errors`
-    ``errors``: the CSV rows and wall times of every average, the "grid" block of
-    the finest step with the series, and the "mc" block."""
+def _position_average(table, reduced, deltas, errors: dict, draws=None, method="mc") -> dict:
+    """The grid series over ``deltas`` of the :func:`_reduced` spreads and the Monte
+    Carlo mean (labelled ``method``) over ``draws``, if any, on ``table``, net of the
+    :func:`_decay_errors` ``errors``: the CSV rows and wall times of every average,
+    the "grid" block of the finest step with the series, and the "mc" block."""
     out: dict = {"csv_rows": [], "wall_times": {}}
     blocks = {}
-    averages = [(f"grid_{delta}", delta, grid_average_fidelity, sigmas, GridSpec(delta)) for delta in deltas]
+    averages = [(f"grid_{delta}", delta, grid_average_fidelity, *reduced, GridSpec(delta)) for delta in deltas]
     if draws is not None:
         averages.append(("mc", "mc", monte_carlo_average_fidelity, draws, method))
     for key, label, average, *args in averages:
@@ -220,18 +221,19 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
     _reject_overrides(cfg)
     protocol, ncfg = cfg.protocol, cfg.noise
     sigmas = inflate_sigmas(ncfg, protocol.t_gate)
+    reduced = _reduced(protocol, ncfg, sigmas)
     grid, mc = cfg.mode in ("grid", "both"), cfg.mode in ("mc", "both")
-    window = _grid_window(ncfg, sigmas) if grid else None
-    truncate = 1.5 if cfg.mc_truncated else None
-    draws = draw_distances(sigmas, ncfg.trap_separation, cfg.mc_samples, cfg.seed, truncate) if mc else None
-    table = _sampled_table(protocol, cfg.vdw, ncfg, sigmas, window, draws)
+    window = _grid_window(ncfg, sigmas, reduced) if grid else None
+    truncate = GRID_HALF_RANGE if cfg.mc_truncated else None
+    draws = draw_distances(*reduced, cfg.mc_samples, cfg.seed, truncate) if mc else None
+    table = _sampled_table(protocol, ncfg, sigmas, window, draws)
     exposure = rydberg_exposure(protocol)
     results = {
         "sigma_z_um": sigmas.sigma_z,
         "sigma_perp_um": sigmas.sigma_perp,
         "rydberg_exposure_us": exposure,
         **_position_average(
-            table, sigmas, cfg.deltas if grid else [], _decay_errors(exposure, ncfg.rydberg_lifetime),
+            table, reduced, cfg.deltas if grid else [], _decay_errors(exposure, ncfg.rydberg_lifetime),
             draws, "mc-truncated" if truncate else "mc",
         ),
     }
@@ -288,12 +290,13 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         hottest = replace(cfg.noise, temperature=float(values[-1]))
         hot = inflate_sigmas(hottest, protocol.t_gate)
         hot_field = "sweep.stop" if cfg.sweep["stop"] >= cfg.sweep["start"] else "sweep.start"
-        table = _sampled_table(protocol, cfg.vdw, hottest, hot, _grid_window(hottest, hot, hot_field), None)
+        window = _grid_window(hottest, hot, _reduced(protocol, hottest, hot), hot_field)
+        table = _sampled_table(protocol, hottest, hot, window, None)
         errors = _decay_errors(rydberg_exposure(protocol), cfg.noise.rydberg_lifetime)
         delta = min(cfg.deltas)
         for temp in values:
             sigmas = inflate_sigmas(replace(cfg.noise, temperature=float(temp)), protocol.t_gate)
-            grid = _position_average(table, sigmas, [delta], errors)["grid"]
+            grid = _position_average(table, _reduced(protocol, cfg.noise, sigmas), [delta], errors)["grid"]
             rows.append({
                 "axis": axis,
                 "value": float(temp),

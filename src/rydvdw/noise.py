@@ -15,11 +15,13 @@ three differences x_c - x_t, y_c - y_t and z_c - z_t, so the untruncated
 Monte Carlo draws those, each N(0, 2 sigma**2), instead of six offsets.
 
 Two exact structural reductions keep this cheap.  First, the fidelity
-depends on the offsets only through the scalar distance, so it is
-tabulated once, on knots at most ``KNOT_SPACING`` trap separations
-apart over exactly the distances the grid and the Monte Carlo draws
-reach, and interpolated; a lookup outside that window is an error.  Second, the
-grid sum depends on each coordinate pair only through its difference;
+depends on the offsets only through the distance d, and on d only through
+u = d/L, L the design separation (C6/d**6 = V0 u**-6, V0 = C6/L**6 the
+design interaction), so one table over u serves every drive and C6 at a
+phase.  It is tabulated once over exactly the u the grid and the draws
+reach, which take the spreads and the trap separation in units of L, and
+interpolated; a lookup outside it is an error.  Second, the grid sum
+depends on each coordinate pair only through its difference;
 regrouping the product weights into difference weights (a discrete
 autocorrelation) collapses the 6-D sum to 3-D without changing its
 value.  The y and z differences enter the distance only squared and
@@ -71,12 +73,13 @@ __all__ = [
 #: Per-coordinate truncation of the position grid, in units of sigma.
 GRID_HALF_RANGE = 1.5
 
-#: Largest knot spacing of the fidelity table, in trap separations.  The spline
-#: error goes as its fourth power: at 1/3072 (finer than 6.853 nm on the
-#: reference config) it is about 1e-12 on the grid window.
+#: Largest knot spacing of the fidelity table in u = d/L, times lo for a window
+#: from lo > 1: so a window far beyond L keeps distinct knots, where 1/3072 falls
+#: below an ulp.  The spline error goes as its fourth power: at 1/3072 (6.833 nm
+#: on the reference config) it is about 1e-12 on the grid window.
 KNOT_SPACING = 1.0 / 3072
 
-#: Most knots a table may have: a window some 40 trap separations wide.
+#: Most knots a table may have: a window some 40 design separations wide.
 MAX_KNOTS = 2**17
 
 #: Points per block of a table lookup, a grid average or a Monte Carlo draw.
@@ -175,33 +178,27 @@ def inflate_sigmas(cfg: NoiseConfig, t_gate: float) -> InflatedSigmas:
 
 
 class FidelityTable:
-    """Dense 1-D table of gate fidelity versus qubit distance.
+    """Dense 1-D table of gate fidelity versus reduced qubit distance u = d/L.
 
-    The fidelity of a fixed pulse sequence depends on the atom
-    positions only through their distance, via the van der Waals
-    interaction.  Propagating all tabulated distances as one batch and
-    interpolating with a not-a-knot cubic spline on the uniform knots
-    turns the millions of grid/sample evaluations into lookups.  At least
-    four knots run from ``lo`` to ``hi``, at most ``KNOT_SPACING *
-    trap_separation`` apart; a lookup outside them raises ValueError.
+    The fidelity of a fixed pulse sequence depends on the atom positions only
+    through the interaction V0 u**-6, V0 = ``protocol.nominal_interaction``.
+    Propagating all tabulated distances as one batch and interpolating with
+    a not-a-knot cubic spline on the uniform knots turns the millions of
+    grid/sample evaluations into lookups.  At least four knots run from
+    ``lo`` to ``hi``, at most ``KNOT_SPACING * max(1, lo)`` apart, over at
+    least one such spacing; a lookup outside them raises ValueError.
     """
 
-    def __init__(
-        self,
-        protocol: GateProtocol,
-        vdw: VdwModel,
-        trap_separation: float,
-        lo: float,
-        hi: float,
-    ):
-        intervals = (hi - lo) / (KNOT_SPACING * trap_separation)
-        if not (0.0 < lo and 0.0 < intervals < MAX_KNOTS):
+    def __init__(self, protocol: GateProtocol, lo: float, hi: float):
+        spacing = KNOT_SPACING * max(1.0, lo)
+        if not (0.0 < lo <= hi and (hi - lo) / spacing < MAX_KNOTS):
             raise ValueError(
-                f"table window [{lo!r}, {hi!r}] um needs 0 < lo < hi and under {MAX_KNOTS} knots"
+                f"table window [{lo!r}, {hi!r}] needs 0 < lo <= hi and under {MAX_KNOTS} knots"
             )
-        self.trap_separation = trap_separation
-        self.distances = np.linspace(lo, hi, max(4, math.ceil(intervals) + 1))
-        self.values = gate_fidelity(protocol, vdw_interaction(vdw, self.distances))
+        hi = max(hi, lo + spacing)
+        self.distances = np.linspace(lo, hi, max(4, math.ceil((hi - lo) / spacing) + 1))
+        design = VdwModel(protocol.nominal_interaction)
+        self.values = gate_fidelity(protocol, vdw_interaction(design, self.distances))
         self._step = (hi - lo) / (len(self.distances) - 1)
         self._coefficients = _spline_coefficients(self.values, self._step)
 
@@ -217,8 +214,8 @@ class FidelityTable:
             inside = (block >= lo) & (block <= hi)
             if not inside.all():
                 raise ValueError(
-                    f"distance {float(block[~inside][0])!r} um lies outside the "
-                    f"fidelity table's window [{lo!r}, {hi!r}] um"
+                    f"distance {float(block[~inside][0])!r} lies outside the "
+                    f"fidelity table's window [{lo!r}, {hi!r}]"
                 )
             # Horner's rule on the cubic of each distance's interval (the last closes at hi)
             index = ((block - lo) / self._step).astype(np.intp)
@@ -316,29 +313,29 @@ def _grid_distances(grid: GridSpec, sigmas: InflatedSigmas, separation: float):
     return np.outer(folded, folded).ravel(), blocks()
 
 
-def grid_window(cfg: NoiseConfig, sigmas: InflatedSigmas) -> tuple[float, float]:
-    """Nearest and farthest qubit distance on the position grid of any step,
-    [L - 3 sigma_perp, sqrt((L + 3 sigma_perp)**2 + (3 sigma_perp)**2 + (3 sigma_z)**2)]:
+def grid_window(sigmas: InflatedSigmas, separation: float) -> tuple[float, float]:
+    """Nearest and farthest qubit distance on the position grid of any step, traps s apart,
+    [s - 3 sigma_perp, sqrt((s + 3 sigma_perp)**2 + (3 sigma_perp)**2 + (3 sigma_z)**2)]:
     the coarsest grid's, as every step's differences end at exactly +-3 sigma.
-    A grid that reaches zero distance (3 sigma_perp at or past L) is not
+    A grid that reaches zero distance (3 sigma_perp at or past s) is not
     refused here: its nearest distance is at or near zero."""
-    _, blocks = _grid_distances(GridSpec(GRID_HALF_RANGE), sigmas, cfg.trap_separation)
+    _, blocks = _grid_distances(GridSpec(GRID_HALF_RANGE), sigmas, separation)
     lows, highs = zip(*((dist.min(), dist.max()) for _, dist in blocks))
     return float(min(lows)), float(max(highs))
 
 
 def grid_average_fidelity(
-    table: FidelityTable, sigmas: InflatedSigmas, grid: GridSpec
+    table: FidelityTable, sigmas: InflatedSigmas, separation: float, grid: GridSpec
 ) -> FidelityReport:
     """Deterministic grid average of the fidelity over qubit positions.
 
     Every coordinate is sampled on {-1.5, ..., +1.5} sigma with step
     ``delta`` and Gaussian weights normalized per coordinate; the pair
     interaction is recomputed from the actual distance of each offset
-    tuple (around the table's trap separation), summed through the
-    exact difference-coordinate regrouping, block by block.
+    tuple (the traps ``separation`` apart, in the table's unit), summed
+    through the exact difference-coordinate regrouping, block by block.
     """
-    plane_weights, blocks = _grid_distances(grid, sigmas, table.trap_separation)
+    plane_weights, blocks = _grid_distances(grid, sigmas, separation)
     total = norm = 0.0
     for x_weights, dist in blocks:
         total += x_weights @ (table(dist) @ plane_weights)
@@ -351,15 +348,15 @@ def draw_distances(
     sigmas: InflatedSigmas, separation: float, n_samples: int, seed: int, truncate: float | None = None
 ) -> np.ndarray:
     """Qubit distances of ``n_samples`` Monte Carlo position draws, the traps
-    ``separation`` apart, drawn ``BLOCK`` samples at a time into one output.
+    ``separation`` apart (the spreads' unit), ``BLOCK`` samples at a time.
 
     The distance depends on the six offsets only through the differences
     x_c - x_t, y_c - y_t and z_c - z_t.  Untruncated (the default), each is
     the difference of two independent N(0, sigma**2) offsets, so it is drawn
-    directly as N(0, 2 sigma**2).  With ``truncate=1.5`` (the grid's support)
-    a block draws the six offsets, redraws each until it lies within
-    ``truncate`` sigma, and takes their differences.  Identical seeds give
-    bit-identical distances.
+    directly as N(0, 2 sigma**2).  With ``truncate=GRID_HALF_RANGE`` (the
+    grid's support) a block draws the six offsets, redraws each until it
+    lies within ``truncate`` sigma, and takes their differences.  Identical
+    seeds give bit-identical distances.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")

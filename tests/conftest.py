@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rydvdw import MHZ, FidelityTable, GateProtocol, NoiseConfig, VdwModel
+from rydvdw import MHZ, FidelityTable, GateProtocol, NoiseConfig
+from rydvdw.cli import _reduced
 from rydvdw.noise import grid_window, inflate_sigmas
 
 #: (criterion number, description, passed, detail) tuples filled in by
@@ -35,7 +36,13 @@ def nominal_sigmas(nominal_noise, nominal_protocol):
 
 
 @pytest.fixture(scope="session")
-def nominal_table(nominal_protocol, nominal_noise, nominal_sigmas):
+def reduced_sigmas(nominal_protocol, nominal_noise, nominal_sigmas):
+    """The nominal spreads in design separations L, the table's unit: there the
+    nominal traps sit exactly 1 apart."""
+    return _reduced(nominal_protocol, nominal_noise, nominal_sigmas)[0]
+
+
+@pytest.fixture(scope="session")
+def nominal_table(nominal_protocol, reduced_sigmas):
     """The table over the grid window, which also holds every draw truncated at 1.5 sigma."""
-    window = grid_window(nominal_noise, nominal_sigmas)
-    return FidelityTable(nominal_protocol, VdwModel(), nominal_noise.trap_separation, *window)
+    return FidelityTable(nominal_protocol, *grid_window(reduced_sigmas, 1.0))

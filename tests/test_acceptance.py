@@ -136,11 +136,11 @@ def test_criterion_6_sigma_inflation(nominal_noise, nominal_protocol):
     )
 
 
-def test_criterion_7_grid_fidelity_series(nominal_protocol, nominal_sigmas, nominal_table):
+def test_criterion_7_grid_fidelity_series(nominal_protocol, reduced_sigmas, nominal_table):
     tic = time.perf_counter()
     series = {}
     for delta in REFERENCE_SERIES:
-        series[delta] = grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(delta))
+        series[delta] = grid_average_fidelity(nominal_table, reduced_sigmas, 1.0, GridSpec(delta))
     elapsed = time.perf_counter() - tic
     deviations = {
         delta: abs(series[delta].mean_fidelity - reference)
@@ -200,12 +200,10 @@ def test_criterion_9_channel_exactness(nominal_protocol):
     )
 
 
-def test_criterion_10_grid_vs_truncated_mc(nominal_sigmas, nominal_table):
+def test_criterion_10_grid_vs_truncated_mc(reduced_sigmas, nominal_table):
     tic = time.perf_counter()
-    grid = grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(0.1))
-    distances = draw_distances(
-        nominal_sigmas, nominal_table.trap_separation, 1_000_000, seed=20210901, truncate=1.5
-    )
+    grid = grid_average_fidelity(nominal_table, reduced_sigmas, 1.0, GridSpec(0.1))
+    distances = draw_distances(reduced_sigmas, 1.0, 1_000_000, seed=20210901, truncate=1.5)
     mc = monte_carlo_average_fidelity(nominal_table, distances, "mc-truncated")
     elapsed = time.perf_counter() - tic
     gap = abs(mc.mean_fidelity - grid.mean_fidelity)

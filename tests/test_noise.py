@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydvdw import MHZ
+from rydvdw.cli import _reduced
 from rydvdw.gates import gate_fidelity
 from rydvdw.geometry import VdwModel, vdw_interaction
 from rydvdw.noise import (
@@ -34,17 +35,18 @@ VDW = VdwModel()
 
 
 def mc_average(protocol, noise, sigmas, n_samples, seed, truncate=None):
-    """The fidelity command's Monte Carlo path: draw, tabulate over the draws, average."""
-    distances = draw_distances(sigmas, noise.trap_separation, n_samples, seed, truncate)
-    table = FidelityTable(protocol, VDW, noise.trap_separation, distances.min(), distances.max())
+    """The fidelity command's Monte Carlo path: draw in design separations,
+    tabulate over the draws, average."""
+    distances = draw_distances(*_reduced(protocol, noise, sigmas), n_samples, seed, truncate)
+    table = FidelityTable(protocol, distances.min(), distances.max())
     return monte_carlo_average_fidelity(table, distances, "mc" if truncate is None else "mc-truncated")
 
 
-def centered_table(protocol, separation, spacings):
+def centered_table(protocol, spacings):
     """A table ``spacings`` knot spacings wide (just under, so that it has
-    exactly ``ceil(spacings) + 1`` knots) centered on ``separation``."""
-    half = 0.5 * spacings * (1 - 1e-9) * KNOT_SPACING * separation
-    return FidelityTable(protocol, VDW, separation, separation - half, separation + half)
+    exactly ``ceil(spacings) + 1`` knots) centered on the design separation."""
+    half = 0.5 * spacings * (1 - 1e-9) * KNOT_SPACING
+    return FidelityTable(protocol, 1.0 - half, 1.0 + half)
 
 
 def horner_reference(table, dist):
@@ -60,7 +62,7 @@ def horner_reference(table, dist):
     return out.reshape(dist.shape)
 
 
-def unfolded_grid_mean(table, sigmas, delta):
+def unfolded_grid_mean(table, sigmas, separation, delta):
     """The grid mean as the unfolded 3-D sum over all (2m+1)**3 differences,
     built from scratch (the literal 6-D sum takes about 45 s at delta 0.1)."""
     m = round(3 / delta)
@@ -68,7 +70,7 @@ def unfolded_grid_mean(table, sigmas, delta):
     weights = np.exp(-0.5 * nodes**2)
     weights = np.convolve(weights, weights) / weights.sum() ** 2
     offsets = np.linspace(-3.0, 3.0, 2 * m + 1)
-    dx = offsets[:, None, None] * sigmas.sigma_perp - table.trap_separation
+    dx = offsets[:, None, None] * sigmas.sigma_perp - separation
     dy = offsets[None, :, None] * sigmas.sigma_perp
     dz = offsets[None, None, :] * sigmas.sigma_z
     fid = table(np.sqrt(dx**2 + dy**2 + dz**2))
@@ -89,9 +91,8 @@ def traced_peak(call):
 class ConstantTable:
     """Stand-in fidelity table returning a fixed value."""
 
-    def __init__(self, value=1.0, trap_separation=21.0):
+    def __init__(self, value=1.0):
         self.value = value
-        self.trap_separation = trap_separation
 
     def __call__(self, dist):
         return self.value * np.ones_like(np.asarray(dist, dtype=float))
@@ -102,7 +103,6 @@ class CountingTable:
 
     def __init__(self, table):
         self.table = table
-        self.trap_separation = table.trap_separation
         self.looked_up = []
 
     def __call__(self, dist):
@@ -166,7 +166,7 @@ class TestWeights:
     def test_average_of_constant_is_one(self, delta):
         table = ConstantTable(1.0)
         sigmas = InflatedSigmas(sigma_z=1.5, sigma_perp=0.3, flight_length=0.1, v_rms=0.03)
-        mean = grid_average_fidelity(table, sigmas, GridSpec(delta)).mean_fidelity
+        mean = grid_average_fidelity(table, sigmas, 21.0, GridSpec(delta)).mean_fidelity
         assert abs(mean - 1.0) < 1e-14
 
     def test_difference_weights_normalized_and_symmetric(self):
@@ -176,37 +176,36 @@ class TestWeights:
         assert np.allclose(offsets, -offsets[::-1], atol=1e-15)
         assert len(offsets) == 2 * 13 - 1
 
-    def test_paired_equals_full_enumeration(self, nominal_table, nominal_sigmas):
-        sep = nominal_table.trap_separation
+    def test_paired_equals_full_enumeration(self, nominal_table, reduced_sigmas):
         for delta in (0.75, 0.5, 0.25):
             spec = GridSpec(delta)
-            paired = grid_average_fidelity(nominal_table, nominal_sigmas, spec).mean_fidelity
+            paired = grid_average_fidelity(nominal_table, reduced_sigmas, 1.0, spec).mean_fidelity
             full = grid_mean_full(
-                nominal_table, delta, nominal_sigmas.sigma_perp, nominal_sigmas.sigma_z, sep
+                nominal_table, delta, reduced_sigmas.sigma_perp, reduced_sigmas.sigma_z, 1.0
             )
             assert abs(paired - full) < 1e-12
 
-    def test_folded_grid_lookup_count(self, nominal_table, nominal_sigmas):
+    def test_folded_grid_lookup_count(self, nominal_table, reduced_sigmas):
         # delta 0.1: m = 30 steps per 3 sigma; dx keeps both signs, dy and dz fold
         counting = CountingTable(nominal_table)
-        paired = grid_average_fidelity(counting, nominal_sigmas, GridSpec(0.1)).mean_fidelity
+        paired = grid_average_fidelity(counting, reduced_sigmas, 1.0, GridSpec(0.1)).mean_fidelity
         assert counting.lookups == 61 * 31**2
-        assert abs(paired - unfolded_grid_mean(nominal_table, nominal_sigmas, 0.1)) < 1e-12
+        assert abs(paired - unfolded_grid_mean(nominal_table, reduced_sigmas, 1.0, 0.1)) < 1e-12
 
     @pytest.mark.parametrize("delta", [0.25, 0.1, 3 / 47])
     @pytest.mark.parametrize("block", ["1", "7", "plane-1", "plane", "plane+1", "default"])
-    def test_block_edges(self, nominal_table, nominal_sigmas, monkeypatch, delta, block):
+    def test_block_edges(self, nominal_table, reduced_sigmas, monkeypatch, delta, block):
         # a block is whole x-difference rows of (m+1)**2 points, at least one: up
         # to plane+1 each block is one row, the default holds several and a rest
         m = round(3 / delta)
         plane = (m + 1) ** 2
         sizes = {"1": 1, "7": 7, "plane-1": plane - 1, "plane": plane, "plane+1": plane + 1}
-        unfolded = unfolded_grid_mean(nominal_table, nominal_sigmas, delta)
+        unfolded = unfolded_grid_mean(nominal_table, reduced_sigmas, 1.0, delta)
         monkeypatch.setattr("rydvdw.noise.BLOCK", sizes.get(block, BLOCK))
         counting = CountingTable(nominal_table)
         # looked up in one pass, so that BLOCK splits the grid only
         counting.table = partial(horner_reference, nominal_table)
-        paired = grid_average_fidelity(counting, nominal_sigmas, GridSpec(delta)).mean_fidelity
+        paired = grid_average_fidelity(counting, reduced_sigmas, 1.0, GridSpec(delta)).mean_fidelity
         assert counting.lookups == (2 * m + 1) * plane
         assert abs(paired - unfolded) < 1e-12
 
@@ -215,7 +214,7 @@ class TestFidelityTable:
     def test_matches_direct_simulation_on_grid_distances(
         self, nominal_protocol, nominal_table, nominal_sigmas, nominal_noise
     ):
-        # distances that actually occur on the quadrature grid
+        # distances (um) that actually occur on the quadrature grid, looked up at u = d/L
         rng = np.random.default_rng(11)
         sep = nominal_noise.trap_separation
         lo = sep - 3 * nominal_sigmas.sigma_perp
@@ -225,7 +224,8 @@ class TestFidelityTable:
             + (3 * nominal_sigmas.sigma_z) ** 2
         )
         for dist in rng.uniform(lo, hi, 50):
-            assert abs(nominal_table(dist) - gate_fidelity(nominal_protocol, vdw_interaction(VDW, dist))) < 1e-10
+            direct = gate_fidelity(nominal_protocol, vdw_interaction(VDW, dist))
+            assert abs(nominal_table(dist / nominal_protocol.separation) - direct) < 1e-10
 
     def test_out_of_window_raises(self, nominal_table):
         lo, hi = nominal_table.distances[0], nominal_table.distances[-1]
@@ -238,8 +238,8 @@ class TestFidelityTable:
             nominal_table(np.nan)
 
     @pytest.mark.parametrize("n_knots", [4, 7, 101, 4001])
-    def test_matches_scipy_spline_oracle(self, nominal_protocol, nominal_noise, n_knots):
-        table = centered_table(nominal_protocol, nominal_noise.trap_separation, n_knots - 1)
+    def test_matches_scipy_spline_oracle(self, nominal_protocol, n_knots):
+        table = centered_table(nominal_protocol, n_knots - 1)
         assert len(table.distances) == n_knots
         spline = cubic_spline(table.distances, table.values)
         lo, hi = table.distances[0], table.distances[-1]
@@ -254,35 +254,48 @@ class TestFidelityTable:
             value = table(np.float64(d))
             assert isinstance(value, float) and abs(value - spline(d)) < 1e-13
 
-    def test_needs_four_knots(self, nominal_protocol, nominal_noise):
-        # a window narrower than three knot spacings still gets the four a
-        # not-a-knot spline needs, and its ends exactly
-        sep = nominal_noise.trap_separation
-        table = FidelityTable(nominal_protocol, VDW, sep, sep - 1e-4, sep + 1e-4)
+    def test_needs_four_knots(self, nominal_protocol):
+        # a window narrower than three knot spacings (here 1.5) still gets the
+        # four a not-a-knot spline needs, and its ends exactly
+        lo, hi = 1.0 - 2.5e-4, 1.0 + 2.5e-4
+        table = FidelityTable(nominal_protocol, lo, hi)
         assert len(table.distances) == 4
-        assert table.distances[0] == sep - 1e-4 and table.distances[-1] == sep + 1e-4
+        assert table.distances[0] == lo and table.distances[-1] == hi
         spline = cubic_spline(table.distances, table.values)
-        probe = np.linspace(sep - 1e-4, sep + 1e-4, 9)
+        probe = np.linspace(lo, hi, 9)
         assert np.abs(table(probe) - spline(probe)).max() < 1e-13
 
+    @pytest.mark.parametrize("u, width", [(0.9, 0.0), (1.0, 1e-5), (4.8e28, 0.0)])
+    def test_collapsed_window_gets_one_knot_spacing(self, nominal_protocol, u, width):
+        # atoms at rest, or spreads below an ulp of the trap separation, give
+        # lo == hi; 4.8e28 is a 1e30 um trap on the reference design, where
+        # 1/3072 lies below one ulp and only a spacing scaled by lo stays distinct
+        table = FidelityTable(nominal_protocol, u, u + width)
+        spacing = KNOT_SPACING * max(1.0, u)
+        assert len(table.distances) == 4 and len(np.unique(table.distances)) == 4
+        assert table.distances[0] == u and table.distances[-1] == u + spacing
+        assert table(u) == table.values[0]
+
     def test_knot_spacing_scales_with_separation(self, nominal_protocol):
-        for sep, lo, hi in ((20.99, 19.0, 24.0), (5.0, 3.2, 11.4)):
-            table = FidelityTable(nominal_protocol, VDW, sep, lo, hi)
-            spacing = KNOT_SPACING * sep
+        # KNOT_SPACING design separations apart, or KNOT_SPACING * lo for a window beyond L
+        for lo, hi in ((0.9, 1.15), (0.15, 0.55), (1.6, 2.3), (3.2, 11.4)):
+            table = FidelityTable(nominal_protocol, lo, hi)
+            spacing = KNOT_SPACING * max(1.0, lo)
             assert len(table.distances) == int(np.ceil((hi - lo) / spacing)) + 1
             assert np.diff(table.distances).max() <= spacing * (1 + 1e-9)
             assert table.distances[0] == lo and table.distances[-1] == hi
         with pytest.raises(ValueError, match=f"under {MAX_KNOTS} knots"):
-            FidelityTable(nominal_protocol, VDW, 20.99, 1.0, 2e6)
+            FidelityTable(nominal_protocol, 0.05, 1e5)
 
     def test_rejects_range_reaching_zero_distance(self, nominal_protocol):
-        for lo, hi in ((0.0, 5.0), (-1.0, 5.0), (5.0, 5.0), (6.0, 5.0), (np.nan, 5.0)):
-            with pytest.raises(ValueError, match="0 < lo < hi"):
-                FidelityTable(nominal_protocol, VDW, 5.0, lo, hi)
+        for lo, hi in ((0.0, 5.0), (-1.0, 5.0), (6.0, 5.0), (np.nan, 5.0)):
+            with pytest.raises(ValueError, match="0 < lo <= hi"):
+                FidelityTable(nominal_protocol, lo, hi)
 
-    def test_batched_build_matches_pointwise_evaluation(self, nominal_protocol, nominal_noise):
-        table = centered_table(nominal_protocol, nominal_noise.trap_separation, 100)
-        pointwise = [gate_fidelity(nominal_protocol, vdw_interaction(VDW, float(d))) for d in table.distances]
+    def test_batched_build_matches_pointwise_evaluation(self, nominal_protocol):
+        table = centered_table(nominal_protocol, 100)
+        design = VdwModel(nominal_protocol.nominal_interaction)
+        pointwise = [gate_fidelity(nominal_protocol, vdw_interaction(design, float(u))) for u in table.distances]
         assert np.abs(table.values - pointwise).max() < 1e-13
 
     @given(
@@ -294,18 +307,20 @@ class TestFidelityTable:
     )
     @settings(max_examples=20, deadline=None)
     def test_spline_error_bound(self, cnot, theta, omega_mhz, temperature, seed):
-        # the window a fidelity command tabulates: the grid plus 2e4 draws
+        # the window a fidelity command tabulates: the grid plus 2e4 draws, in
+        # design separations, against the fidelity at the distance in um
         theta = np.pi if cnot else theta
         kind = "cnot" if cnot else "cz"
         protocol = GateProtocol.solve(theta, omega_mhz * MHZ, omega_mhz * MHZ, VDW, kind)
         noise = NoiseConfig(trap_separation=protocol.separation, temperature=temperature)
-        sigmas = inflate_sigmas(noise, protocol.t_gate)
-        lo, hi = grid_window(noise, sigmas)
-        distances = draw_distances(sigmas, noise.trap_separation, 20_000, seed)
+        reduced = _reduced(protocol, noise, inflate_sigmas(noise, protocol.t_gate))
+        lo, hi = grid_window(*reduced)
+        distances = draw_distances(*reduced, 20_000, seed)
         lo, hi = min(lo, distances.min()), max(hi, distances.max())
-        table = FidelityTable(protocol, VDW, noise.trap_separation, lo, hi)
+        table = FidelityTable(protocol, lo, hi)
         probe = np.random.default_rng(seed).uniform(lo, hi, 200)
-        assert np.abs(table(probe) - gate_fidelity(protocol, vdw_interaction(VDW, probe))).max() <= 1e-8
+        direct = gate_fidelity(protocol, vdw_interaction(VDW, probe * protocol.separation))
+        assert np.abs(table(probe) - direct).max() <= 1e-8
 
     @pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     def test_blocked_lookup_is_the_one_shot_lookup(self, nominal_table, size):
@@ -331,7 +346,7 @@ class TestFidelityTable:
         bad = {"below": np.nextafter(lo, 0.0), "above": np.nextafter(hi, np.inf), "nan": np.nan}[far]
         dist = np.full(3 * BLOCK + 7, lo)
         dist[-2] = bad
-        with pytest.raises(ValueError, match=f"distance {float(bad)!r} um lies outside"):
+        with pytest.raises(ValueError, match=f"distance {float(bad)!r} lies outside"):
             nominal_table(dist)
 
     def test_lookup_memory_is_its_output(self, nominal_table):
@@ -339,23 +354,58 @@ class TestFidelityTable:
         dist = np.linspace(nominal_table.distances[0], nominal_table.distances[-1], 10**6)
         assert traced_peak(lambda: nominal_table(dist)) < 1.5 * dist.nbytes
 
-    def test_design_distance_is_perfect(self, nominal_table, nominal_noise):
-        assert abs(nominal_table(nominal_noise.trap_separation) - 1.0) < 1e-9
+    def test_design_distance_is_perfect(self, nominal_table):
+        assert abs(nominal_table(1.0) - 1.0) < 1e-9
+
+
+#: A drive in MHz, log-uniform over 0.1-10.
+DRIVES_MHZ = st.floats(np.log(0.1), np.log(10.0)).map(np.exp)
+
+
+class TestReducedDistance:
+    @given(
+        cnot=st.booleans(),
+        theta=st.floats(0.2, 2 * np.pi - 0.2),
+        drives=st.tuples(DRIVES_MHZ, DRIVES_MHZ, DRIVES_MHZ, DRIVES_MHZ),
+        c6_exponent=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_one_table_serves_every_drive_and_c6(self, cnot, theta, drives, c6_exponent):
+        # two drive pairs, one at C6 scaled by 1e-2 to 1e2: the tables agree, and so
+        # does the fidelity at d = u L propagated in um (at every fourth knot)
+        kind, theta = ("cnot", np.pi) if cnot else ("cz", theta)
+        vdw = VdwModel(VDW.c6 * 10.0**c6_exponent)
+        first = GateProtocol.solve(theta, drives[0] * MHZ, drives[1] * MHZ, VDW, kind)
+        second = GateProtocol.solve(theta, drives[2] * MHZ, drives[3] * MHZ, vdw, kind)
+        table = FidelityTable(first, 0.8, 1.6)
+        assert np.abs(FidelityTable(second, 0.8, 1.6).values - table.values).max() < 1e-13
+        direct = gate_fidelity(second, vdw_interaction(vdw, table.distances[::4] * second.separation))
+        assert np.abs(direct - table.values[::4]).max() < 1e-13
+
+    @given(control_mhz=DRIVES_MHZ, target_mhz=DRIVES_MHZ)
+    @settings(max_examples=6, deadline=None)
+    def test_cnot_table_is_the_cz_pi_table(self, control_mhz, target_mhz):
+        # the CNOT is CZ(pi) in the target's bright/dark basis, which Pedersen's
+        # formula does not see
+        cnot, cz = (
+            GateProtocol.solve(np.pi, control_mhz * MHZ, target_mhz * MHZ, VDW, kind)
+            for kind in ("cnot", "cz")
+        )
+        assert np.abs(FidelityTable(cnot, 0.8, 1.6).values - FidelityTable(cz, 0.8, 1.6).values).max() < 1e-13
 
 
 class TestGridAverage:
-    def test_vanishing_sigma_gives_unity(self, nominal_protocol, nominal_noise):
-        tiny = InflatedSigmas(sigma_z=1e-7, sigma_perp=1e-7, flight_length=0.0, v_rms=0.0)
-        window = grid_window(nominal_noise, tiny)
-        table = FidelityTable(nominal_protocol, VDW, nominal_noise.trap_separation, *window)
-        report = grid_average_fidelity(table, tiny, GridSpec(0.25))
+    def test_vanishing_sigma_gives_unity(self, nominal_protocol):
+        tiny = InflatedSigmas(sigma_z=5e-9, sigma_perp=5e-9, flight_length=0.0, v_rms=0.0)
+        table = FidelityTable(nominal_protocol, *grid_window(tiny, 1.0))
+        report = grid_average_fidelity(table, tiny, 1.0, GridSpec(0.25))
         assert abs(report.mean_fidelity - 1.0) < 1e-9
 
-    def test_monotone_refinement(self, nominal_sigmas, nominal_table):
+    def test_monotone_refinement(self, reduced_sigmas, nominal_table):
         means = {}
         for delta in (0.5, 0.25, 0.125):
             means[delta] = grid_average_fidelity(
-                nominal_table, nominal_sigmas, GridSpec(delta)
+                nominal_table, reduced_sigmas, 1.0, GridSpec(delta)
             ).mean_fidelity
         first = abs(means[0.25] - means[0.5])
         second = abs(means[0.125] - means[0.25])
@@ -374,29 +424,28 @@ class TestGridAverage:
         self, cnot, theta, control_exponent, target_exponent, reach, aspect_exponent
     ):
         # CZ(theta) or CNOT at 0.1-10 MHz drives; 3 sigma_perp = reach * L, and
-        # sigma_z from sigma_perp / 10 to 5 sigma_perp
+        # sigma_z from sigma_perp / 10 to 5 sigma_perp, in design separations L
         kind, theta = ("cnot", np.pi) if cnot else ("cz", theta)
         protocol = GateProtocol.solve(
             theta, 10.0**control_exponent * MHZ, 10.0**target_exponent * MHZ, VDW, kind
         )
-        noise = NoiseConfig(trap_separation=protocol.separation)
-        sigma_perp = reach * protocol.separation / 3
+        sigma_perp = reach / 3
         sigma_z = sigma_perp * 10.0**aspect_exponent
         sigmas = InflatedSigmas(sigma_z=sigma_z, sigma_perp=sigma_perp, flight_length=0.0, v_rms=0.0)
-        table = FidelityTable(protocol, VDW, noise.trap_separation, *grid_window(noise, sigmas))
+        table = FidelityTable(protocol, *grid_window(sigmas, 1.0))
         for delta in (0.75, 0.5):
-            paired = grid_average_fidelity(table, sigmas, GridSpec(delta)).mean_fidelity
-            full = grid_mean_full(table, delta, sigma_perp, sigma_z, noise.trap_separation)
+            paired = grid_average_fidelity(table, sigmas, 1.0, GridSpec(delta)).mean_fidelity
+            full = grid_mean_full(table, delta, sigma_perp, sigma_z, 1.0)
             assert abs(paired - full) < 1e-12
 
-    def test_finest_grid_memory_is_a_few_blocks(self, nominal_sigmas, nominal_table):
+    def test_finest_grid_memory_is_a_few_blocks(self, reduced_sigmas, nominal_table):
         # delta 0.02, the finest a config may ask for: 301 * 151**2 distances,
         # 55 MB as one array, streamed a row at a time
-        peak = traced_peak(lambda: grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(0.02)))
+        peak = traced_peak(lambda: grid_average_fidelity(nominal_table, reduced_sigmas, 1.0, GridSpec(0.02)))
         assert peak < 4e6
 
-    def test_sample_count(self, nominal_sigmas, nominal_table):
-        report = grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(0.25))
+    def test_sample_count(self, reduced_sigmas, nominal_table):
+        report = grid_average_fidelity(nominal_table, reduced_sigmas, 1.0, GridSpec(0.25))
         assert report.sample_count == 13**6
         assert report.method == "grid-paired" and report.stderr is None
 
@@ -404,7 +453,7 @@ class TestGridAverage:
 class TestGridWindow:
     def test_closed_form(self, nominal_noise, nominal_sigmas):
         sep, perp, z = nominal_noise.trap_separation, nominal_sigmas.sigma_perp, nominal_sigmas.sigma_z
-        lo, hi = grid_window(nominal_noise, nominal_sigmas)
+        lo, hi = grid_window(nominal_sigmas, sep)  # in um, the spreads' unit
         assert lo == sep - 3 * perp
         assert np.isclose(hi, np.sqrt((sep + 3 * perp) ** 2 + (3 * perp) ** 2 + (3 * z) ** 2), rtol=1e-15)
 
@@ -416,12 +465,12 @@ class TestGridWindow:
             assert offsets[0] == -3.0 and offsets[n] == 0.0 and offsets[-1] == 3.0
 
     @pytest.mark.parametrize("delta", [0.5, 0.1, 3 / 47])
-    def test_holds_every_grid_distance_to_the_bit(self, nominal_table, nominal_noise, nominal_sigmas, delta):
+    def test_holds_every_grid_distance_to_the_bit(self, nominal_table, reduced_sigmas, delta):
         # 47 * (3/47) is not exactly 3: the grid's ends must still be the window's
         counting = CountingTable(nominal_table)
-        grid_average_fidelity(counting, nominal_sigmas, GridSpec(delta))
+        grid_average_fidelity(counting, reduced_sigmas, 1.0, GridSpec(delta))
         dist = np.concatenate([block.ravel() for block in counting.looked_up])
-        assert (dist.min(), dist.max()) == grid_window(nominal_noise, nominal_sigmas)
+        assert (dist.min(), dist.max()) == grid_window(reduced_sigmas, 1.0)
 
 
 class TestMonteCarlo:
@@ -496,7 +545,7 @@ class TestMonteCarlo:
 
     def test_truncated_sampler_stays_within_bounds(self, nominal_protocol, nominal_noise, nominal_sigmas):
         truncated = draw_distances(nominal_sigmas, nominal_noise.trap_separation, 50_000, 17, truncate=1.5)
-        lo, hi = grid_window(nominal_noise, nominal_sigmas)
+        lo, hi = grid_window(nominal_sigmas, nominal_noise.trap_separation)
         assert lo <= truncated.min() and truncated.max() <= hi
         report = mc_average(nominal_protocol, nominal_noise, nominal_sigmas, 50_000, 17, truncate=1.5)
         assert report.method == "mc-truncated"
@@ -504,11 +553,9 @@ class TestMonteCarlo:
         untruncated = mc_average(nominal_protocol, nominal_noise, nominal_sigmas, 50_000, 17)
         assert report.mean_fidelity > untruncated.mean_fidelity
 
-    def test_agrees_with_grid_oracle(self, nominal_sigmas, nominal_table):
-        grid = grid_average_fidelity(nominal_table, nominal_sigmas, GridSpec(0.1))
-        distances = draw_distances(
-            nominal_sigmas, nominal_table.trap_separation, 200_000, seed=7, truncate=1.5
-        )
+    def test_agrees_with_grid_oracle(self, reduced_sigmas, nominal_table):
+        grid = grid_average_fidelity(nominal_table, reduced_sigmas, 1.0, GridSpec(0.1))
+        distances = draw_distances(reduced_sigmas, 1.0, 200_000, seed=7, truncate=1.5)
         mc = monte_carlo_average_fidelity(nominal_table, distances, "mc-truncated")
         assert abs(mc.mean_fidelity - grid.mean_fidelity) < max(3 * mc.stderr, 1e-3)
 
@@ -519,7 +566,7 @@ class TestMonteCarlo:
     def test_rejects_a_single_distance(self, nominal_table):
         # one draw has no standard error
         with pytest.raises(ValueError, match="standard error"):
-            monte_carlo_average_fidelity(nominal_table, np.array([nominal_table.trap_separation]))
+            monte_carlo_average_fidelity(nominal_table, np.array([1.0]))
 
 
 class TestDecayError:

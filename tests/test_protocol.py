@@ -209,6 +209,22 @@ class TestHyperfineLeakage:
 
 
 class TestRydbergExposure:
+    @given(
+        cnot=st.booleans(),
+        theta=st.floats(0.2, 2 * np.pi - 0.2),
+        control_mhz=st.floats(np.log(0.1), np.log(10.0)).map(np.exp),
+        target_mhz=st.floats(np.log(0.1), np.log(10.0)).map(np.exp),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_design_exposure_splits_by_drive(self, cnot, theta, control_mhz, target_mhz):
+        # 1/(4 f_c) + B(theta)/f_t us (f in MHz): the two control pi pulses hold half
+        # the inputs in |r> for pi/omega_c on average; B is measured at 1 MHz each
+        kind, theta = ("cnot", np.pi) if cnot else ("cz", theta)
+        shape = rydberg_exposure(GateProtocol.solve(theta, MHZ, MHZ, kind=kind)) - 0.25
+        protocol = GateProtocol.solve(theta, control_mhz * MHZ, target_mhz * MHZ, kind=kind)
+        expected = 0.25 / control_mhz + shape / target_mhz
+        assert abs(rydberg_exposure(protocol) - expected) <= 1e-13 * expected
+
     def test_doubled_control_rabi_against_rk4(self, nominal_protocol):
         protocol = GateProtocol.solve(
             np.pi, 2 * nominal_protocol.omega_control, nominal_protocol.omega_target
