@@ -5,7 +5,7 @@ simulation, decay budget, and position-fluctuation-averaged fidelity."""
 from .constants import C6_97S, LIFETIME_97S_4K_MS, LIFETIME_97S_300K_MS, MHZ
 from .dynamics import Level, build_hamiltonian
 from .errors import ConfigError, NumericError
-from .gates import extract_gate_matrix, ideal_cnot, ideal_cz, pedersen_fidelity
+from .gates import ideal_cnot, ideal_cz, pedersen_fidelity, simulate
 from .geometry import VdwModel, separation_for_interaction, vdw_interaction
 from .noise import (
     FidelityReport,
@@ -23,7 +23,6 @@ from .noise import (
 from .protocol import (
     GateProtocol,
     hyperfine_leakage_estimate,
-    rydberg_exposure,
     solve_interaction_for_phase,
 )
 

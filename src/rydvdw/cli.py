@@ -25,7 +25,7 @@ from .config import RunConfig, interaction_at, load_config, parse_config, solve_
 from .constants import (HYPERFINE_SPLITTING_RB87, LIFETIME_97S_4K_MS, LIFETIME_97S_300K_MS, MHZ,
                         RB87_MASS_KG, TEMPERATURE_DEFAULT_UK)
 from .errors import ConfigError, NumericError
-from .gates import extract_gate_matrix, gate_fidelity, ideal_gate, pedersen_fidelity
+from .gates import gate_fidelity, ideal_gate, pedersen_fidelity, simulate
 from .noise import (
     GRID_HALF_RANGE,
     FidelityTable,
@@ -39,7 +39,7 @@ from .noise import (
     inflate_sigmas,
     monte_carlo_average_fidelity,
 )
-from .protocol import GateProtocol, hyperfine_leakage_estimate, rydberg_exposure
+from .protocol import GateProtocol, hyperfine_leakage_estimate
 from .records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
 __all__ = ["main", "run_solve", "run_simulate", "run_fidelity", "run_sweep"]
@@ -199,9 +199,7 @@ def run_solve(cfg: RunConfig) -> ResultRecord:
 def run_simulate(cfg: RunConfig) -> ResultRecord:
     """Simulate one gate (design point or override); report its matrix and decay budget."""
     protocol, interaction = cfg.protocol, cfg.interaction_override
-    gate = extract_gate_matrix(protocol, interaction)
-    fidelity = pedersen_fidelity(gate, ideal_gate(protocol))
-    exposure = rydberg_exposure(protocol, interaction)
+    gate, exposure = simulate(protocol, interaction)
     return ResultRecord(
         command="simulate",
         config=cfg.raw,
@@ -209,7 +207,7 @@ def run_simulate(cfg: RunConfig) -> ResultRecord:
         results={
             "interaction_used_mhz": (protocol.nominal_interaction if interaction is None else interaction) / MHZ,
             "gate_matrix": complex_matrix_to_json(gate),
-            "nominal_fidelity": fidelity,
+            "nominal_fidelity": pedersen_fidelity(gate, ideal_gate(protocol)),
             "rydberg_exposure_us": exposure,
             **_decay_errors(exposure, cfg.noise.rydberg_lifetime),
         },
@@ -227,7 +225,7 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
     truncate = GRID_HALF_RANGE if cfg.mc_truncated else None
     draws = draw_distances(*reduced, cfg.mc_samples, cfg.seed, truncate) if mc else None
     table = _sampled_table(protocol, ncfg, sigmas, window, draws)
-    exposure = rydberg_exposure(protocol)
+    exposure = simulate(protocol)[1]
     results = {
         "sigma_z_um": sigmas.sigma_z,
         "sigma_perp_um": sigmas.sigma_perp,
@@ -272,8 +270,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
             omega = float(omega_mhz) * MHZ
             field = "sweep.start" if omega_mhz == cfg.sweep["start"] else "sweep.stop"
             swept = solve_gate(protocol.theta, omega, omega, cfg.vdw, protocol.kind, field)
-            gate = extract_gate_matrix(swept)
-            exposure = rydberg_exposure(swept)
+            gate, exposure = simulate(swept)
             rows.append({
                 "axis": axis,
                 "value": float(omega_mhz),
@@ -292,7 +289,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         hot_field = "sweep.stop" if cfg.sweep["stop"] >= cfg.sweep["start"] else "sweep.start"
         window = _grid_window(hottest, hot, _reduced(protocol, hottest, hot), hot_field)
         table = _sampled_table(protocol, hottest, hot, window, None)
-        errors = _decay_errors(rydberg_exposure(protocol), cfg.noise.rydberg_lifetime)
+        errors = _decay_errors(simulate(protocol)[1], cfg.noise.rydberg_lifetime)
         delta = min(cfg.deltas)
         for temp in values:
             sigmas = inflate_sigmas(replace(cfg.noise, temperature=float(temp)), protocol.t_gate)

@@ -7,7 +7,7 @@ Hamiltonians are piecewise constant, so :func:`propagate` moves states
 exactly through one Hermitian eigendecomposition per segment rather
 than by ODE stepping; at this matrix size that is both faster and free
 of step-size error.  The gate matrix and the Rydberg exposure both come
-from that one walk.
+from that one walk (:func:`rydvdw.gates.simulate`).
 
 Angular frequencies are in rad/us, durations in us (hbar = 1).
 """

@@ -1,10 +1,12 @@
-"""Gate-matrix extraction and average-fidelity scoring.
+"""Gate simulation and average-fidelity scoring.
 
 The simulated gate is summarized by the 4x4 matrix of computational
-basis amplitudes after the full pulse sequence.  Population left in
-Rydberg levels makes the matrix sub-unitary; that leakage is kept and
-scored by the average-fidelity formula of Pedersen, Moller and Molmer,
-Phys. Lett. A 367, 47 (2007), which is valid for non-unitary actuals.
+basis amplitudes after the full pulse sequence, and its decay cost by
+the time its inputs spend in Rydberg states; one walk gives both.
+Population left in Rydberg levels makes the matrix sub-unitary; that
+leakage is kept and scored by the average-fidelity formula of Pedersen,
+Moller and Molmer, Phys. Lett. A 367, 47 (2007), which is valid for
+non-unitary actuals.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from . import dynamics
 from .protocol import GateProtocol
 
-__all__ = ["extract_gate_matrix", "gate_fidelity", "ideal_cz", "ideal_cnot", "ideal_gate", "pedersen_fidelity"]
+__all__ = ["gate_fidelity", "ideal_cz", "ideal_cnot", "ideal_gate", "pedersen_fidelity", "simulate"]
 
 
 def ideal_cz(theta: float) -> np.ndarray:
@@ -34,13 +36,28 @@ def ideal_gate(protocol: GateProtocol) -> np.ndarray:
     return ideal_cnot() if protocol.kind == "cnot" else ideal_cz(protocol.theta)
 
 
-def extract_gate_matrix(protocol: GateProtocol, interaction=None) -> np.ndarray:
-    """Simulate the sequence and project it onto the computational basis.
+#: The four computational basis states, as columns.
+_INPUTS = np.eye(dynamics.DIM)[:, dynamics.COMPUTATIONAL]
 
-    Each qubit basis state is propagated through the full 9-dimensional
-    dynamics; column j of the result holds the computational-basis
-    amplitudes of the evolved state j.  A global phase is removed by
-    making the |00> -> |00> element real and positive.
+
+def _gate_block(states: np.ndarray) -> np.ndarray:
+    """The computational rows of the evolved ``_INPUTS``, the global phase
+    removed by making the |00> -> |00> element real and positive."""
+    gate = states[..., dynamics.COMPUTATIONAL, :]
+    anchor = gate[..., 0, 0]
+    magnitude = np.abs(anchor)
+    phase = np.divide(magnitude, anchor, out=np.ones_like(anchor), where=magnitude > 1e-12)
+    return gate * phase[..., None, None]
+
+
+def simulate(protocol: GateProtocol, interaction=None):
+    """Walk the sequence once for the gate matrix and the Rydberg exposure.
+
+    Each computational basis state is propagated through the full
+    9-dimensional dynamics; column j of the gate holds the computational
+    amplitudes of the evolved state j.  The same walk integrates each
+    input's Rydberg excitations (|rr> twice) exactly; their mean over the
+    four inputs, times 1/lifetime, is the Rydberg decay error.
 
     Parameters
     ----------
@@ -54,18 +71,17 @@ def extract_gate_matrix(protocol: GateProtocol, interaction=None) -> np.ndarray:
 
     Returns
     -------
-    ndarray
+    gate : ndarray
         Complex matrices of shape ``interaction.shape + (4, 4)``, (4, 4)
         for a scalar interaction; sub-unitary if population leaked out
         of the qubit subspace.
+    exposure : float or ndarray
+        Time in Rydberg states averaged over the four inputs, in us: a
+        float for a scalar interaction, else an array of its shape.
     """
-    inputs = np.eye(dynamics.DIM)[:, dynamics.COMPUTATIONAL]
-    states, _ = dynamics.propagate(protocol.segments(interaction), inputs)
-    gate = states[..., dynamics.COMPUTATIONAL, :]
-    anchor = gate[..., 0, 0]
-    magnitude = np.abs(anchor)
-    phase = np.divide(magnitude, anchor, out=np.ones_like(anchor), where=magnitude > 1e-12)
-    return gate * phase[..., None, None]
+    states, integral = dynamics.propagate(protocol.segments(interaction), _INPUTS, dynamics.RYDBERG_WEIGHT)
+    exposure = integral.mean(axis=-1)
+    return _gate_block(states), float(exposure) if exposure.ndim == 0 else exposure
 
 
 def pedersen_fidelity(actual: np.ndarray, ideal: np.ndarray):
@@ -97,14 +113,15 @@ def gate_fidelity(protocol: GateProtocol, interactions) -> np.ndarray:
     """Fidelity of the simulated gate to the ideal one at each interaction.
 
     The interactions (rad/us) are propagated in stacks of at most
-    ``MAX_STACK``, so memory does not grow with their number.  Returns
-    an array of their shape.
+    ``MAX_STACK``, so memory does not grow with their number; the walk
+    skips :func:`simulate`'s exposure integral, which doubles its cost.
+    Returns an array of their shape.
     """
     interactions = np.asarray(interactions, dtype=float)
     flat = interactions.ravel()
     ideal = ideal_gate(protocol)
     fidelity = np.empty(flat.size)
     for start in range(0, flat.size, MAX_STACK):
-        stack = extract_gate_matrix(protocol, flat[start : start + MAX_STACK])
-        fidelity[start : start + MAX_STACK] = pedersen_fidelity(stack, ideal)
+        states, _ = dynamics.propagate(protocol.segments(flat[start : start + MAX_STACK]), _INPUTS)
+        fidelity[start : start + MAX_STACK] = pedersen_fidelity(_gate_block(states), ideal)
     return fidelity.reshape(interactions.shape)

@@ -76,7 +76,9 @@ GRID_HALF_RANGE = 1.5
 #: Largest knot spacing of the fidelity table in u = d/L, times lo for a window
 #: from lo > 1: so a window far beyond L keeps distinct knots, where 1/3072 falls
 #: below an ulp.  The spline error goes as its fourth power: at 1/3072 (6.833 nm
-#: on the reference config) it is about 1e-12 on the grid window.
+#: on the reference config) it is about 1e-12 on windows near u = 1, such as the
+#: reference grid window, but 1.8e-6 on u in [0.25, 0.35] (a 6.28 um trap on the
+#: reference design) and 6.4e-6 on [0.001, 0.4]; no record reports it yet.
 KNOT_SPACING = 1.0 / 3072
 
 #: Most knots a table may have: a window some 40 design separations wide.

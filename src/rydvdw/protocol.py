@@ -38,7 +38,6 @@ __all__ = [
     "GateProtocol",
     "solve_interaction_for_phase",
     "hyperfine_leakage_estimate",
-    "rydberg_exposure",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -197,19 +196,3 @@ def hyperfine_leakage_estimate(omega_target: float, hyperfine_splitting: float) 
         raise ValueError("hyperfine splitting must be positive")
     ratio = omega_target / hyperfine_splitting
     return 2.0 * ratio * ratio
-
-
-def rydberg_exposure(protocol: GateProtocol, interaction: float | None = None) -> float:
-    """Average time spent in Rydberg states over the four gate inputs, in us.
-
-    Every computational basis state is propagated through the sequence,
-    its Rydberg excitations (|rr> twice) integrated exactly, and the four
-    integrals averaged.  Multiplied by 1/lifetime this gives the Rydberg
-    decay error.
-    """
-    _, exposure = dynamics.propagate(
-        protocol.segments(interaction),
-        np.eye(dynamics.DIM)[:, dynamics.COMPUTATIONAL],
-        dynamics.RYDBERG_WEIGHT,
-    )
-    return float(exposure.mean())

@@ -10,7 +10,7 @@ import numpy as np
 
 from rydvdw import MHZ
 from rydvdw.dynamics import basis_index, build_hamiltonian
-from rydvdw.gates import extract_gate_matrix, ideal_cnot, ideal_cz, pedersen_fidelity
+from rydvdw.gates import ideal_cnot, ideal_cz, pedersen_fidelity, simulate
 from rydvdw.noise import (
     GridSpec,
     NoiseConfig,
@@ -19,7 +19,7 @@ from rydvdw.noise import (
     inflate_sigmas,
     monte_carlo_average_fidelity,
 )
-from rydvdw.protocol import GateProtocol, rydberg_exposure
+from rydvdw.protocol import GateProtocol
 
 from .conftest import ACCEPTANCE_RESULTS
 from .helpers import basis_state, exponentiate
@@ -64,7 +64,7 @@ def test_criterion_2_controlled_phase_matrices():
     tic = time.perf_counter()
     worst = 0.0
     for theta in (np.pi / 2, np.pi, 1.5 * np.pi):
-        gate = extract_gate_matrix(GateProtocol.solve(theta, OMEGA, OMEGA))
+        gate = simulate(GateProtocol.solve(theta, OMEGA, OMEGA))[0]
         worst = max(worst, np.abs(gate - ideal_cz(theta)).max())
     elapsed = time.perf_counter() - tic
     check(
@@ -79,7 +79,7 @@ def test_criterion_3_cnot_fidelity():
     tic = time.perf_counter()
     params = GateProtocol.solve(np.pi, OMEGA, OMEGA, kind="cnot")
     assert abs(params.omega_target / params.nominal_interaction - np.sqrt(3)) < 1e-12
-    gate = extract_gate_matrix(params)
+    gate = simulate(params)[0]
     fidelity = pedersen_fidelity(gate, ideal_cnot())
     elapsed = time.perf_counter() - tic
     check(
@@ -107,7 +107,7 @@ def test_criterion_4_parameter_chain():
 
 
 def test_criterion_5_decay_budget(nominal_protocol):
-    exposure = rydberg_exposure(nominal_protocol)
+    exposure = simulate(nominal_protocol)[1]
     ratio = exposure / (2 * np.pi / nominal_protocol.omega_control)
     e_room = exposure / (0.311 * 1e3)
     e_cold = exposure / (1.10 * 1e3)
@@ -147,7 +147,7 @@ def test_criterion_7_grid_fidelity_series(nominal_protocol, reduced_sigmas, nomi
         for delta, reference in REFERENCE_SERIES.items()
     }
     estimate = series[0.1].mean_fidelity
-    exposure = rydberg_exposure(nominal_protocol)
+    exposure = simulate(nominal_protocol)[1]
     net_room = estimate - exposure / (0.311 * 1e3)
     net_cold = estimate - exposure / (1.10 * 1e3)
     ok = (
@@ -187,7 +187,7 @@ def test_criterion_9_channel_exactness(nominal_protocol):
     worst_off = 0.0
     worst_diag = 0.0
     for interaction in np.geomspace(nominal / 100, nominal * 100, 20):
-        gate = extract_gate_matrix(nominal_protocol, interaction)
+        gate = simulate(nominal_protocol, interaction)[0]
         off_diag = gate - np.diag(np.diag(gate))
         worst_off = max(worst_off, np.abs(off_diag).max())
         worst_diag = max(worst_diag, np.abs(np.diag(gate)[:3] - 1.0).max())

@@ -18,10 +18,10 @@ from rydvdw import MHZ
 from rydvdw.cli import _spread_field, run_fidelity, run_simulate, run_solve, run_sweep
 from rydvdw.config import SCHEMA, RunConfig, load_config, parse_config
 from rydvdw.errors import ConfigError
-from rydvdw.gates import gate_fidelity
+from rydvdw.gates import gate_fidelity, simulate
 from rydvdw.geometry import VdwModel, vdw_interaction
 from rydvdw.noise import NoiseConfig, inflate_sigmas
-from rydvdw.protocol import GateProtocol, rydberg_exposure
+from rydvdw.protocol import GateProtocol
 from rydvdw.records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
 from .helpers import complex_matrix_from_json, rows_from_csv, run_cli
@@ -496,9 +496,9 @@ class TestFidelityCommand:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return rydberg_exposure(*args, **kwargs)
+            return simulate(*args, **kwargs)
 
-        monkeypatch.setattr("rydvdw.cli.rydberg_exposure", counted)
+        monkeypatch.setattr("rydvdw.cli.simulate", counted)
         run = run_sweep if "sweep" in payload else run_fidelity
         run(parse_config(payload))
         assert len(calls) == 1
@@ -725,6 +725,25 @@ class TestSweepCommand:
             assert row.pop("axis") == sweep["axis"]
             assert all(isinstance(value, float) for value in row.values()), row
 
+    @staticmethod
+    def assert_omega_rows_are_simulate_records(gate):
+        # each row is the simulate record of the config with both drives at the row's omega
+        sweep = {"axis": "omega", "start": 0.5, "stop": 5.0, "points": 3}
+        for row in run_sweep(parse_config({"gate": gate, "sweep": sweep})).results["rows"]:
+            drive = {"omega_control_mhz": row["value"], "omega_target_mhz": row["value"]}
+            record = run_simulate(parse_config({"gate": gate, "drive": drive}))
+            fields = {**record.params, **record.results}
+            for key in ("nominal_fidelity", "rydberg_exposure_us", "decay_error_300k", "t_gate_us", "separation_um"):
+                assert row[key] == fields[key], key
+
+    @given(theta=st.floats(0.2, 2 * np.pi - 0.2))
+    @settings(max_examples=10, deadline=None)
+    def test_cz_omega_row_is_the_simulate_record(self, theta):
+        self.assert_omega_rows_are_simulate_records({"kind": "cz", "theta_rad": theta})
+
+    def test_cnot_omega_row_is_the_simulate_record(self):
+        self.assert_omega_rows_are_simulate_records({"kind": "cnot", "theta_rad": np.pi})
+
     @pytest.mark.parametrize("end", ["start", "stop"])
     def test_overflowing_omega_sweep_end_is_named(self, tmp_path, end):
         # pi / omega overflows at the 1e-320 MHz end of the sweep
@@ -744,6 +763,41 @@ class TestSweepCommand:
         )
         rows = run_sweep(cfg).results["rows"]
         assert [row["value"] for row in rows] == sorted(row["value"] for row in rows)
+
+
+class TestOneWalkPerDesignPoint:
+    """A simulated gate is one propagation: its matrix and its exposure come from the same walk."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        propagate = rydvdw.dynamics.propagate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return propagate(*args, **kwargs)
+
+        monkeypatch.setattr("rydvdw.dynamics.propagate", counted)
+        return calls
+
+    def test_simulate_walks_once(self, walks):
+        run_simulate(parse_config({}))
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("points", [2, 5])
+    def test_omega_sweep_walks_once_per_point(self, walks, points):
+        run_sweep(parse_config({"sweep": {"axis": "omega", "start": 0.5, "stop": 5.0, "points": points}}))
+        assert len(walks) == points
+
+    def test_reference_fidelity_walks_twice(self, walks):
+        # the exposure, and the fidelity table as one stack
+        run_fidelity(load_config(Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json"))
+        assert len(walks) == 2
+
+    def test_temperature_sweep_walks_twice(self, walks):
+        sweep = {"axis": "temperature", "start": 2.0, "stop": 32.0, "points": 4}
+        run_sweep(parse_config({"sweep": sweep, "sampling": {"deltas": [0.5]}}))
+        assert len(walks) == 2
 
 
 class TestInfiniteInteraction:

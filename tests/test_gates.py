@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from rydvdw import MHZ
 from rydvdw import gates
 from rydvdw.gates import (
-    extract_gate_matrix,
     gate_fidelity,
     ideal_cnot,
     ideal_cz,
     ideal_gate,
     pedersen_fidelity,
+    simulate,
 )
-from rydvdw.protocol import GateProtocol, rydberg_exposure
+from rydvdw.protocol import GateProtocol
 
 from .oracles import cz_diagonal_entry, expm_gate_matrix
 
@@ -39,16 +39,16 @@ class TestIdealGates:
 
 class TestExtractGateMatrix:
     def test_nominal_cz(self, nominal_protocol):
-        gate = extract_gate_matrix(nominal_protocol)
+        gate = simulate(nominal_protocol)[0]
         assert np.abs(gate - ideal_cz(nominal_protocol.theta)).max() < 1e-9
 
     def test_zero_interaction_gives_identity(self, nominal_protocol):
-        gate = extract_gate_matrix(nominal_protocol, interaction=0.0)
+        gate = simulate(nominal_protocol, interaction=0.0)[0]
         assert np.abs(gate - np.eye(4)).max() < 1e-9
 
     def test_off_nominal_matches_two_level_oracle(self, nominal_protocol):
         v = 1.1 * nominal_protocol.nominal_interaction
-        gate = extract_gate_matrix(nominal_protocol, v)
+        gate = simulate(nominal_protocol, v)[0]
         off_diag = gate - np.diag(np.diag(gate))
         assert np.abs(off_diag).max() < 1e-12
         entry = gate[3, 3]
@@ -60,7 +60,7 @@ class TestExtractGateMatrix:
         assert np.isclose(entry, oracle, atol=1e-10)
 
     def test_global_phase_normalization(self, nominal_protocol):
-        gate = extract_gate_matrix(nominal_protocol, 0.7 * nominal_protocol.nominal_interaction)
+        gate = simulate(nominal_protocol, 0.7 * nominal_protocol.nominal_interaction)[0]
         assert gate[0, 0].imag == 0.0
         assert gate[0, 0].real > 0.0
 
@@ -83,14 +83,14 @@ class TestExtractGateMatrix:
         protocol = GateProtocol.solve(theta, omega_control, omega_target, kind=kind)
         design = protocol.nominal_interaction
         interactions = design * 10.0 ** np.array([-2.0, 0.0, 2.0, *exponents])
-        batch = extract_gate_matrix(protocol, interactions)
+        batch = simulate(protocol, interactions)[0]
         assert batch.shape == (len(interactions), 4, 4)
         oracle_at_design = expm_gate_matrix(kind, theta, omega_control, omega_target, design)
         assert np.abs(oracle_at_design - ideal_gate(protocol)).max() < 1e-9
         for interaction, gate in zip(interactions, batch):
             oracle = expm_gate_matrix(kind, theta, omega_control, omega_target, interaction)
             assert np.abs(gate - oracle).max() < 1e-10
-            assert np.abs(gate - extract_gate_matrix(protocol, interaction)).max() < 1e-13
+            assert np.abs(gate - simulate(protocol, interaction)[0]).max() < 1e-13
 
 
 class TestPedersenFidelity:
@@ -157,15 +157,20 @@ class TestGateFidelity:
         design = nominal_protocol.nominal_interaction
         interactions = np.linspace(0.5, 1.5, 10).reshape(2, 5) * design
         stacks = []
-        extract = gates.extract_gate_matrix
-        monkeypatch.setattr(gates, "extract_gate_matrix", lambda p, v: stacks.append(v.size) or extract(p, v))
+        propagate = gates.dynamics.propagate
+
+        def counted(segments, *args):
+            stacks.append(len(segments[0][0]))
+            return propagate(segments, *args)
+
+        monkeypatch.setattr(gates.dynamics, "propagate", counted)
         monkeypatch.setattr(gates, "MAX_STACK", 4)
         values = gate_fidelity(nominal_protocol, interactions)
         assert stacks == [4, 4, 2]
         assert values.shape == interactions.shape
         ideal = ideal_gate(nominal_protocol)
         for v, value in zip(interactions.ravel(), values.ravel()):
-            assert abs(value - pedersen_fidelity(extract(nominal_protocol, v), ideal)) < 1e-13
+            assert abs(value - pedersen_fidelity(simulate(nominal_protocol, v)[0], ideal)) < 1e-13
 
     def test_scalar_gives_zero_dim_array(self, nominal_protocol):
         value = gate_fidelity(nominal_protocol, nominal_protocol.nominal_interaction)
@@ -178,7 +183,7 @@ class TestFidelityPeak:
         design = nominal_protocol.nominal_interaction
         window = np.linspace(0.8, 1.2, 401) * design
         values = [
-            pedersen_fidelity(extract_gate_matrix(nominal_protocol, v), ideal) for v in window
+            pedersen_fidelity(simulate(nominal_protocol, v)[0], ideal) for v in window
         ]
         peak = int(np.argmax(values))
         assert abs(window[peak] - design) <= (window[1] - window[0]) / 2
@@ -206,7 +211,7 @@ class TestAcrossParameterSpace:
     ):
         # criterion 9 off the reference protocol: from V/100 to 100 V
         protocol = GateProtocol.solve(theta, 10.0**control_exponent * MHZ, 10.0**target_exponent * MHZ)
-        gate = extract_gate_matrix(protocol, protocol.nominal_interaction * 10.0**interaction_exponent)
+        gate = simulate(protocol, protocol.nominal_interaction * 10.0**interaction_exponent)[0]
         assert np.abs(gate - np.diag(np.diag(gate))).max() < 1e-10
         assert np.abs(np.diag(gate)[:3] - 1.0).max() < 1e-10
 
@@ -239,6 +244,6 @@ class TestAcrossParameterSpace:
             )
             interaction = reduced * protocol.nominal_interaction
             fidelities.append(gate_fidelity(protocol, interaction))
-            exposures.append(rydberg_exposure(protocol, interaction) * protocol.omega_control)
+            exposures.append(simulate(protocol, interaction)[1] * protocol.omega_control)
         assert abs(fidelities[1] - fidelities[0]) < 1e-12
         assert abs(exposures[1] - exposures[0]) < 1e-12 * exposures[0]

@@ -27,7 +27,8 @@ from rydvdw.noise import (
     monte_carlo_average_fidelity,
 )
 from rydvdw.noise import _difference_weights
-from rydvdw.protocol import GateProtocol, rydberg_exposure
+from rydvdw.gates import simulate
+from rydvdw.protocol import GateProtocol
 
 from .oracles import cubic_spline, grid_mean_full, truncated_distances_rescan, truncated_normal_variance
 
@@ -571,12 +572,12 @@ class TestMonteCarlo:
 
 class TestDecayError:
     def test_room_temperature_lifetime(self, nominal_protocol):
-        value = decay_error(rydberg_exposure(nominal_protocol), 0.311)
+        value = decay_error(simulate(nominal_protocol)[1], 0.311)
         assert abs(value - 6.14e-3) / 6.14e-3 < 0.02
 
     def test_cryogenic_lifetime(self, nominal_protocol):
-        value = decay_error(rydberg_exposure(nominal_protocol), 1.10)
+        value = decay_error(simulate(nominal_protocol)[1], 1.10)
         assert abs(value - 1.74e-3) / 1.74e-3 < 0.02
 
     def test_infinite_lifetime_limit(self, nominal_protocol):
-        assert decay_error(rydberg_exposure(nominal_protocol), 1e12) < 1e-12
+        assert decay_error(simulate(nominal_protocol)[1], 1e12) < 1e-12

@@ -6,11 +6,10 @@ from scipy.optimize import brentq
 
 from rydvdw import MHZ
 from rydvdw.dynamics import CONTROL, TARGET, Level, build_hamiltonian
-from rydvdw.gates import extract_gate_matrix, ideal_cnot, pedersen_fidelity
+from rydvdw.gates import ideal_cnot, pedersen_fidelity, simulate
 from rydvdw.protocol import (
     GateProtocol,
     hyperfine_leakage_estimate,
-    rydberg_exposure,
     solve_interaction_for_phase,
 )
 
@@ -120,19 +119,19 @@ class TestCzProtocol:
     @pytest.mark.parametrize("theta", [np.pi, np.pi / 2])
     def test_nominal_gate_matrix(self, theta):
         p = GateProtocol.solve(theta, OMEGA, OMEGA)
-        gate = extract_gate_matrix(p)
+        gate = simulate(p)[0]
         expected = np.diag([1, 1, 1, np.exp(1j * theta)])
         assert np.abs(gate - expected).max() < 1e-9
 
     def test_vanishing_interaction_limit_is_identity(self):
         p = GateProtocol.solve(2 * np.pi - 1e-4, OMEGA, OMEGA)
-        gate = extract_gate_matrix(p)
+        gate = simulate(p)[0]
         assert np.abs(gate - np.eye(4)).max() < 2e-4
 
     def test_channel_exactness_off_nominal(self, nominal_protocol):
         nominal = nominal_protocol.nominal_interaction
         for v in np.geomspace(nominal / 100, nominal * 100, 9):
-            gate = extract_gate_matrix(nominal_protocol, v)
+            gate = simulate(nominal_protocol, v)[0]
             off_diag = gate - np.diag(np.diag(gate))
             assert np.abs(off_diag).max() < 1e-10
             assert np.abs(np.diag(gate)[:3] - 1.0).max() < 1e-10
@@ -140,7 +139,7 @@ class TestCzProtocol:
 
 class TestCnotProtocol:
     def test_nominal_matrix_and_fidelity(self):
-        gate = extract_gate_matrix(GateProtocol.solve(np.pi, OMEGA, OMEGA, kind="cnot"))
+        gate = simulate(GateProtocol.solve(np.pi, OMEGA, OMEGA, kind="cnot"))[0]
         assert np.abs(gate - ideal_cnot()).max() < 1e-9
         assert pedersen_fidelity(gate, ideal_cnot()) > 1 - 1e-9
 
@@ -175,7 +174,7 @@ class TestCnotProtocol:
         assert np.abs(out - basis_state(0, 0)).max() < 1e-9
 
     def test_equivalent_to_cz_in_barred_basis(self):
-        gate = extract_gate_matrix(GateProtocol.solve(np.pi, OMEGA, OMEGA, kind="cnot"))
+        gate = simulate(GateProtocol.solve(np.pi, OMEGA, OMEGA, kind="cnot"))[0]
         basis_change = barred_basis_change()
         barred = basis_change.conj().T @ gate @ basis_change
         assert np.abs(barred - np.diag([1, 1, -1, 1])).max() < 1e-9
@@ -220,16 +219,16 @@ class TestRydbergExposure:
         # 1/(4 f_c) + B(theta)/f_t us (f in MHz): the two control pi pulses hold half
         # the inputs in |r> for pi/omega_c on average; B is measured at 1 MHz each
         kind, theta = ("cnot", np.pi) if cnot else ("cz", theta)
-        shape = rydberg_exposure(GateProtocol.solve(theta, MHZ, MHZ, kind=kind)) - 0.25
+        shape = simulate(GateProtocol.solve(theta, MHZ, MHZ, kind=kind))[1] - 0.25
         protocol = GateProtocol.solve(theta, control_mhz * MHZ, target_mhz * MHZ, kind=kind)
         expected = 0.25 / control_mhz + shape / target_mhz
-        assert abs(rydberg_exposure(protocol) - expected) <= 1e-13 * expected
+        assert abs(simulate(protocol)[1] - expected) <= 1e-13 * expected
 
     def test_doubled_control_rabi_against_rk4(self, nominal_protocol):
         protocol = GateProtocol.solve(
             np.pi, 2 * nominal_protocol.omega_control, nominal_protocol.omega_target
         )
-        value = rydberg_exposure(protocol)
+        value = simulate(protocol)[1]
         from rydvdw.dynamics import RYDBERG_WEIGHT
 
         inputs = [basis_state(0, 1), basis_state(1, 0), basis_state(1, 1)]
@@ -238,10 +237,10 @@ class TestRydbergExposure:
 
     def test_scaling_with_both_rabis(self, nominal_protocol):
         # T_exposure / (2*pi/omega_c) stays 1.52 when both drives scale
-        base = rydberg_exposure(nominal_protocol)
+        base = simulate(nominal_protocol)[1]
         ratio = base / (2 * np.pi / nominal_protocol.omega_control)
         scaled_protocol = GateProtocol.solve(np.pi, 2.5 * OMEGA, 2.5 * OMEGA)
-        scaled = rydberg_exposure(scaled_protocol)
+        scaled = simulate(scaled_protocol)[1]
         scaled_ratio = scaled / (2 * np.pi / scaled_protocol.omega_control)
         assert abs(ratio - 1.52) < 0.02
         assert abs(ratio - scaled_ratio) < 1e-9
@@ -268,6 +267,6 @@ class TestRydbergExposure:
             if interaction_exponent is None
             else protocol.nominal_interaction * 10.0**interaction_exponent
         )
-        value = rydberg_exposure(protocol, interaction)
+        value = simulate(protocol, interaction)[1]
         oracle = van_loan_exposure(kind, theta, omega_control, omega_target, interaction)
         assert abs(value - oracle) <= 1e-10 * oracle
