@@ -84,40 +84,32 @@ def _reduced(protocol: GateProtocol, ncfg: NoiseConfig, sigmas: InflatedSigmas):
     return InflatedSigmas(*(value / length for value in astuple(sigmas))), ncfg.trap_separation / length
 
 
-def _grid_window(ncfg: NoiseConfig, sigmas: InflatedSigmas, reduced, temperature_field="noise.temperature_uk"):
-    """The :func:`grid_window` over the :func:`_reduced` spreads; a grid reaching zero
-    distance names :func:`_spread_field` for sigma_perp (sigma_z adds in quadrature)."""
-    spreads, separation = reduced
-    with np.errstate(over="ignore"):  # a spread near the float limit reaches any separation
-        reaches_zero = 2.0 * GRID_HALF_RANGE * spreads.sigma_perp >= separation
-    if reaches_zero:
-        field = _spread_field(ncfg, sigmas, "perp", temperature_field)
+def _sampled_table(protocol, ncfg, sigmas, reduced, grid, draws, temperature_field) -> FidelityTable:
+    """The table over exactly the :func:`_reduced` distances a run looks up: the
+    :func:`grid_window` if ``grid``, joined with the Monte Carlo ``draws`` unless None.
+    A grid reaching zero distance names :func:`_spread_field` for sigma_perp (sigma_z
+    adds in quadrature); a window the table refuses names the field behind the larger
+    spread, or the trap separation if a distance overflowed and it exceeds both spreads.
+    Either names the temperature as ``temperature_field``."""
+    lo, hi = grid_window(*reduced) if grid else (np.inf, 0.0)
+    if not lo > 0.0:
         raise ConfigError(
-            f"invalid config field '{field}': the position grid reaches zero distance, "
-            f"as 3 sigma_perp (3 x {sigmas.sigma_perp:.4g} um, inflated at {ncfg.temperature:.4g} uK) "
-            f"reach the {ncfg.trap_separation:.4g} um trap separation"
+            f"invalid config field '{_spread_field(ncfg, sigmas, 'perp', temperature_field)}': the "
+            f"position grid reaches zero distance, as 3 sigma_perp (3 x {sigmas.sigma_perp:.4g} um, "
+            f"inflated at {ncfg.temperature:.4g} uK) reach the {ncfg.trap_separation:.4g} um trap separation"
         )
-    return grid_window(*reduced)
-
-
-def _sampled_table(protocol, ncfg, sigmas, window, draws) -> FidelityTable:
-    """The table over exactly the reduced distances a run looks up: the grid
-    ``window`` (lo, hi) joined with the Monte Carlo ``draws``, either one None if
-    not taken.  A window the table refuses names the field behind the larger spread
-    (the grid window keeps 3 sigma_perp under the trap separation), or the trap
-    separation if a distance overflowed and it exceeds both spreads."""
-    lo, hi = window or (np.inf, 0.0)
     if draws is not None:
         lo, hi = float(np.minimum(lo, draws.min())), float(np.maximum(hi, draws.max()))
     try:
         return FidelityTable(protocol, lo, hi)
     except ValueError as exc:
         overflow = not np.isfinite(hi - lo) and ncfg.trap_separation > max(sigmas.sigma_z, sigmas.sigma_perp)
-        wide = _spread_field(ncfg, sigmas, "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp")
+        axis = "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp"
+        field = "noise.trap_separation_um" if overflow else _spread_field(ncfg, sigmas, axis, temperature_field)
         raise ConfigError(
-            f"invalid config field '{'noise.trap_separation_um' if overflow else wide}': a "
-            f"{ncfg.trap_separation!r} um trap separation and spreads sigma_z {sigmas.sigma_z:.4g} and "
-            f"sigma_perp {sigmas.sigma_perp:.4g} um, in {protocol.separation:.4g} um design separations: {exc}"
+            f"invalid config field '{field}': a {ncfg.trap_separation!r} um trap separation and spreads "
+            f"sigma_z {sigmas.sigma_z:.4g} and sigma_perp {sigmas.sigma_perp:.4g} um, "
+            f"in {protocol.separation:.4g} um design separations: {exc}"
         ) from None
 
 
@@ -138,36 +130,40 @@ def _decay_errors(exposure: float, lifetime_ms: float) -> dict:
     }
 
 
-def _position_average(table, reduced, deltas, errors: dict, draws=None, method="mc") -> dict:
+def _position_average(table, reduced, deltas, errors: dict, draws=None, truncated=False) -> dict:
     """The grid series over ``deltas`` of the :func:`_reduced` spreads and the Monte
-    Carlo mean (labelled ``method``) over ``draws``, if any, on ``table``, net of the
+    Carlo mean over ``draws`` (``truncated`` or not), if any, on ``table``, net of the
     :func:`_decay_errors` ``errors``: the CSV rows and wall times of every average,
-    the "grid" block of the finest step with the series, and the "mc" block."""
+    the "grid" block of the finest step with the series, and the "mc" block.  A grid
+    step counts its (m+1)**6 nominal nodes."""
     out: dict = {"csv_rows": [], "wall_times": {}}
     blocks = {}
-    averages = [(f"grid_{delta}", delta, grid_average_fidelity, *reduced, GridSpec(delta)) for delta in deltas]
+    averages = [(f"grid_{delta}", delta, GridSpec(delta)) for delta in deltas]
     if draws is not None:
-        averages.append(("mc", "mc", monte_carlo_average_fidelity, draws, method))
-    for key, label, average, *args in averages:
+        averages.append(("mc", "mc", None))
+    for key, label, grid in averages:
         tic = time.perf_counter()
-        report = average(table, *args)
+        if grid is None:
+            mean, count, stderr = astuple(monte_carlo_average_fidelity(table, draws))
+            labels = {"method": "mc-truncated" if truncated else "mc", "stderr": stderr}
+        else:
+            mean = grid_average_fidelity(table, *reduced, grid)
+            count, labels = len(grid.points()) ** 6, {"method": "grid-paired"}
         out["wall_times"][key] = wall = time.perf_counter() - tic
-        mean = report.mean_fidelity
         out["csv_rows"].append({
             "delta": label,
             "meanFidelity": mean,
             "netFidelity300K": mean - errors["decay_error_300k"],
             "netFidelity4K": mean - errors["decay_error_4k"],
-            "samples": report.sample_count,
+            "samples": count,
             "wallTime": wall,
         })
         blocks[key] = {
             "mean_fidelity": mean,
             "decay_error": errors["decay_error"],
             "net_fidelity": mean - errors["decay_error"],
-            "sample_count": report.sample_count,
-            "method": report.method,
-            **({} if report.stderr is None else {"stderr": report.stderr}),
+            "sample_count": count,
+            **labels,
         }
     if deltas:
         finest = blocks[f"grid_{min(deltas)}"]
@@ -221,10 +217,9 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
     sigmas = inflate_sigmas(ncfg, protocol.t_gate)
     reduced = _reduced(protocol, ncfg, sigmas)
     grid, mc = cfg.mode in ("grid", "both"), cfg.mode in ("mc", "both")
-    window = _grid_window(ncfg, sigmas, reduced) if grid else None
     truncate = GRID_HALF_RANGE if cfg.mc_truncated else None
     draws = draw_distances(*reduced, cfg.mc_samples, cfg.seed, truncate) if mc else None
-    table = _sampled_table(protocol, ncfg, sigmas, window, draws)
+    table = _sampled_table(protocol, ncfg, sigmas, reduced, grid, draws, "noise.temperature_uk")
     exposure = simulate(protocol)[1]
     results = {
         "sigma_z_um": sigmas.sigma_z,
@@ -232,7 +227,7 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
         "rydberg_exposure_us": exposure,
         **_position_average(
             table, reduced, cfg.deltas if grid else [], _decay_errors(exposure, ncfg.rydberg_lifetime),
-            draws, "mc-truncated" if truncate else "mc",
+            draws, cfg.mc_truncated,
         ),
     }
     return ResultRecord(
@@ -287,8 +282,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         hottest = replace(cfg.noise, temperature=float(values[-1]))
         hot = inflate_sigmas(hottest, protocol.t_gate)
         hot_field = "sweep.stop" if cfg.sweep["stop"] >= cfg.sweep["start"] else "sweep.start"
-        window = _grid_window(hottest, hot, _reduced(protocol, hottest, hot), hot_field)
-        table = _sampled_table(protocol, hottest, hot, window, None)
+        table = _sampled_table(protocol, hottest, hot, _reduced(protocol, hottest, hot), True, None, hot_field)
         errors = _decay_errors(simulate(protocol)[1], cfg.noise.rydberg_lifetime)
         delta = min(cfg.deltas)
         for temp in values:

@@ -20,13 +20,14 @@ u = d/L, L the design separation (C6/d**6 = V0 u**-6, V0 = C6/L**6 the
 design interaction), so one table over u serves every drive and C6 at a
 phase.  It is tabulated once over exactly the u the grid and the draws
 reach, which take the spreads and the trap separation in units of L, and
-interpolated; a lookup outside it is an error.  Second, the grid sum
-depends on each coordinate pair only through its difference;
-regrouping the product weights into difference weights (a discrete
-autocorrelation) collapses the 6-D sum to 3-D without changing its
-value.  The y and z differences enter the distance only squared and
-their weights are symmetric, so each is folded onto its nonnegative
-half with the weights of the two signs summed.
+interpolated; a lookup outside it is an error.  The grid reaches the same
+u at every step, in closed form.  Second, the grid sum depends on each
+coordinate pair only through its difference; regrouping the product
+weights into difference weights (a discrete autocorrelation) collapses
+the 6-D sum to 3-D without changing its value.  The y and z differences
+enter the distance only squared and their weights are symmetric, so each
+is folded onto its nonnegative half with the weights of the two signs
+summed.
 
 Everything runs in blocks of about ``BLOCK`` points: the table lookup
 and the Monte Carlo draw write into one output block by block, the grid
@@ -34,7 +35,8 @@ streams whole x-difference rows of the folded grid, reducing each block
 against its weights by two matrix-vector products, and the Monte Carlo
 mean merges each block's mean and sum of squared deviations.  So no
 average forms a full-size weight or fidelity array, and only the draw
-holds a full-size one, its distances.
+holds a full-size one, its distances.  The grid average returns its mean,
+the Monte Carlo average its mean, sample count and standard error.
 """
 
 from __future__ import annotations
@@ -76,9 +78,10 @@ GRID_HALF_RANGE = 1.5
 #: Largest knot spacing of the fidelity table in u = d/L, times lo for a window
 #: from lo > 1: so a window far beyond L keeps distinct knots, where 1/3072 falls
 #: below an ulp.  The spline error goes as its fourth power: at 1/3072 (6.833 nm
-#: on the reference config) it is about 1e-12 on windows near u = 1, such as the
-#: reference grid window, but 1.8e-6 on u in [0.25, 0.35] (a 6.28 um trap on the
-#: reference design) and 6.4e-6 on [0.001, 0.4]; no record reports it yet.
+#: on the reference config) the largest of 1e5 uniform probes against the
+#: closed-form CZ(pi) fidelity is 3.5e-12 on the reference grid window (u in
+#: [0.954, 1.070]), but 2.4e-6 on u in [0.25, 0.35] (a 6.28 um trap on the
+#: reference design) and 1.0e-5 on [0.001, 0.4]; no record reports it yet.
 KNOT_SPACING = 1.0 / 3072
 
 #: Most knots a table may have: a window some 40 design separations wide.
@@ -122,7 +125,6 @@ class InflatedSigmas:
     sigma_z: float
     sigma_perp: float
     flight_length: float
-    v_rms: float
 
 
 @dataclass(frozen=True)
@@ -153,13 +155,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """Outcome of a fidelity-averaging run: the mean over ``sample_count``
-    grid nodes or samples and, for Monte Carlo, its standard error."""
+    """Outcome of a Monte Carlo average: the mean over ``sample_count``
+    samples and its standard error."""
 
     mean_fidelity: float
     sample_count: int
-    method: str
-    stderr: float | None = None
+    stderr: float
 
 
 def inflate_sigmas(cfg: NoiseConfig, t_gate: float) -> InflatedSigmas:
@@ -175,7 +176,6 @@ def inflate_sigmas(cfg: NoiseConfig, t_gate: float) -> InflatedSigmas:
         sigma_z=cfg.sigma_z0 + flight / 2.0,
         sigma_perp=cfg.sigma_perp0 + flight / 2.0,
         flight_length=flight,
-        v_rms=v_rms,
     )
 
 
@@ -284,66 +284,48 @@ def _difference_weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     return diff_offsets, diff_weights
 
 
-def _grid_distances(grid: GridSpec, sigmas: InflatedSigmas, separation: float):
-    """The folded difference grid: the weights of its y-z plane, flattened to
-    (m+1)**2, and an iterator over blocks of whole x-difference rows, about
-    ``BLOCK`` points each, that yields the rows' weights and their distances,
-    shape (rows, (m+1)**2)."""
-    offsets, weights = _difference_weights(grid)
-    # y and z differences enter only squared: fold -k onto +k, summing weights
-    n = len(offsets) // 2
-    folded = weights[n:].copy()
-    folded[1:] += weights[n - 1::-1]
-    # near the float limit a distance overflows to inf, and its table window is refused
-    with np.errstate(over="ignore"):
-        dx = offsets * sigmas.sigma_perp  # x_c - x_t
-        dy2 = (offsets[n:] * sigmas.sigma_perp) ** 2
-        dz2 = (offsets[n:] * sigmas.sigma_z) ** 2
-    plane = (n + 1) ** 2
-    rows = max(1, BLOCK // plane)
-
-    def blocks():
-        for start in range(0, len(dx), rows):
-            with np.errstate(over="ignore"):
-                dist = np.sqrt(
-                    (dx[start : start + rows, None, None] - separation) ** 2
-                    + dy2[None, :, None]
-                    + dz2[None, None, :]
-                )
-            yield weights[start : start + rows], dist.reshape(-1, plane)
-
-    return np.outer(folded, folded).ravel(), blocks()
-
-
 def grid_window(sigmas: InflatedSigmas, separation: float) -> tuple[float, float]:
-    """Nearest and farthest qubit distance on the position grid of any step, traps s apart,
-    [s - 3 sigma_perp, sqrt((s + 3 sigma_perp)**2 + (3 sigma_perp)**2 + (3 sigma_z)**2)]:
-    the coarsest grid's, as every step's differences end at exactly +-3 sigma.
-    A grid that reaches zero distance (3 sigma_perp at or past s) is not
-    refused here: its nearest distance is at or near zero."""
-    _, blocks = _grid_distances(GridSpec(GRID_HALF_RANGE), sigmas, separation)
-    lows, highs = zip(*((dist.min(), dist.max()) for _, dist in blocks))
-    return float(min(lows)), float(max(highs))
+    """Nearest and farthest qubit distance on the position grid of any step, traps s apart:
+    [s - 3 sigma_perp, sqrt((s + 3 sigma_perp)**2 + (3 sigma_perp)**2 + (3 sigma_z)**2)],
+    as every step's differences end at exactly +-3 sigma.  Both ends are the grid's own
+    distances to the bit, summed in :func:`grid_average_fidelity`'s order.  A grid that
+    reaches zero distance (3 sigma_perp at or past s) gets a nearest end at or below 0."""
+    # in Python floats, whose products overflow to inf silently (where ** raises)
+    s, x, z = float(separation), 3.0 * float(sigmas.sigma_perp), 3.0 * float(sigmas.sigma_z)
+    return s - x, math.sqrt((s + x) * (s + x) + x * x + z * z)
 
 
 def grid_average_fidelity(
     table: FidelityTable, sigmas: InflatedSigmas, separation: float, grid: GridSpec
-) -> FidelityReport:
+) -> float:
     """Deterministic grid average of the fidelity over qubit positions.
 
     Every coordinate is sampled on {-1.5, ..., +1.5} sigma with step
     ``delta`` and Gaussian weights normalized per coordinate; the pair
     interaction is recomputed from the actual distance of each offset
     tuple (the traps ``separation`` apart, in the table's unit), summed
-    through the exact difference-coordinate regrouping, block by block.
+    through the exact difference-coordinate regrouping, in blocks of whole
+    x-difference rows of the folded difference grid.
     """
-    plane_weights, blocks = _grid_distances(grid, sigmas, separation)
+    offsets, weights = _difference_weights(grid)
+    # y and z differences enter only squared: fold -k onto +k, summing weights
+    n = len(offsets) // 2
+    folded = weights[n:].copy()
+    folded[1:] += weights[n - 1::-1]
+    plane_weights = np.outer(folded, folded).ravel()
+    rows = max(1, BLOCK // plane_weights.size)
     total = norm = 0.0
-    for x_weights, dist in blocks:
-        total += x_weights @ (table(dist) @ plane_weights)
-        norm += x_weights.sum()
-    mean = float(total / (norm * plane_weights.sum()))
-    return FidelityReport(mean, len(grid.points()) ** 6, "grid-paired")
+    # near the float limit a distance overflows to inf, and its table window is refused
+    with np.errstate(over="ignore"):
+        dx = offsets * sigmas.sigma_perp  # x_c - x_t
+        dy2 = (offsets[n:] * sigmas.sigma_perp) ** 2
+        dz2 = (offsets[n:] * sigmas.sigma_z) ** 2
+        for start in range(0, len(dx), rows):
+            dist = np.sqrt((dx[start : start + rows, None, None] - separation) ** 2 + dy2[None, :, None] + dz2)
+            x_weights = weights[start : start + rows]
+            total += x_weights @ (table(dist.reshape(-1, plane_weights.size)) @ plane_weights)
+            norm += x_weights.sum()
+    return float(total / (norm * plane_weights.sum()))
 
 
 def draw_distances(
@@ -390,12 +372,9 @@ def draw_distances(
     return out
 
 
-def monte_carlo_average_fidelity(
-    table: FidelityTable, distances: np.ndarray, method: str = "mc"
-) -> FidelityReport:
+def monte_carlo_average_fidelity(table: FidelityTable, distances: np.ndarray) -> FidelityReport:
     """Mean fidelity over the :func:`draw_distances` output, with its
-    standard error, labelled ``method`` ("mc-truncated" for truncated draws);
-    one draw has no standard error.
+    standard error; one draw has no standard error.
 
     The fidelities are looked up ``BLOCK`` at a time, and each block's mean
     and sum of squared deviations are merged into the running ones by the
@@ -415,7 +394,7 @@ def monte_carlo_average_fidelity(
         mean += shift * share
         squares += float(np.sum(np.square(fid - block_mean))) + shift**2 * start * share
     stderr = math.sqrt(squares / (n_samples - 1)) / math.sqrt(n_samples)
-    return FidelityReport(mean, n_samples, method, stderr)
+    return FidelityReport(mean, n_samples, stderr)
 
 
 def decay_error(exposure: float, lifetime_ms: float) -> float:

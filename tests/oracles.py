@@ -3,14 +3,15 @@
 Nothing here shares code paths with the package: propagation is done
 by fixed-step RK4 instead of eigendecomposition, populations are
 integrated by the trapezoid rule on the RK4 trajectory, and the
-two-level return amplitude comes from the closed-form SU(2) rotation
-algebra, the gate matrix is rebuilt from the pulse recipe with
-hand-assembled Hamiltonians and scipy's Pade matrix exponential, the
-exact exposure comes from Van Loan's block-matrix exponential on the
-same Hamiltonians, the grid average is the literal 6-D sum, and the
-table interpolant is scipy's not-a-knot ``CubicSpline``, the spread of
-a truncated Gaussian is its closed-form variance, and the truncated
-Monte Carlo draw re-scans every offset of a block after each redraw.
+two-level return amplitude, and with it the phase-gate fidelity, comes
+from the closed-form SU(2) rotation algebra, the gate matrix is rebuilt
+from the pulse recipe with hand-assembled Hamiltonians and scipy's Pade
+matrix exponential, the exact exposure comes from Van Loan's
+block-matrix exponential on the same Hamiltonians, the grid average is
+the literal 6-D sum, and the table interpolant is scipy's not-a-knot
+``CubicSpline``, the spread of a truncated Gaussian is its closed-form
+variance, and the truncated Monte Carlo draw re-scans every offset of a
+block after each redraw.
 """
 
 import math
@@ -94,6 +95,23 @@ def cz_diagonal_entry(omega, nominal_interaction, actual_interaction):
     # angle obar*t about (+-nx, 0, nz) times the phase exp(-iVt/2)
     element = (1.0 - 2.0 * s * s * nz * nz) - 2.0j * c * s * nz
     return np.exp(-1j * actual_interaction * t_cycle) * element
+
+
+def phase_gate_fidelity(theta, omega_target, interaction):
+    """Closed-form average fidelity of the CZ(theta) sequence at an actual
+    interaction against diag(1, 1, 1, e^{i theta}); the CNOT's is the same at
+    theta = pi, as it is CZ(pi) in the target's bright/dark basis.
+
+    The |00>, |01>, |10> entries are exactly 1 and |11> keeps the amplitude k of
+    :func:`cz_diagonal_entry`, so Pedersen's formula with
+    M = diag(1, 1, 1, k e^{-i theta}) gives (Tr M M^dag + |Tr M|^2) / 20
+    = (12 + 6 Re(k e^{-i theta}) + 2 |k|^2) / 20.  The design interaction
+    inverts theta = 2 pi (1 - V/sqrt(w_t^2 + V^2)).
+    """
+    x = 1.0 - theta / (2.0 * np.pi)
+    design = omega_target * x / np.sqrt(1.0 - x * x)
+    kept = cz_diagonal_entry(omega_target, design, interaction)
+    return (12.0 + 6.0 * np.real(kept * np.exp(-1j * theta)) + 2.0 * np.abs(kept) ** 2) / 20.0
 
 
 def barred_basis_change():

@@ -524,6 +524,18 @@ class TestFidelityCommand:
                 row.pop("wallTime")
         assert a == b
 
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_average_blocks_carry_label_and_count(self, truncated):
+        # the grid counts its (m+1)**6 nominal nodes, Monte Carlo its samples
+        sampling = {"mode": "both", "deltas": [0.5, 0.25], "mc_samples": 3000, "mc_truncated": truncated}
+        results = run_fidelity(parse_config({"sampling": sampling})).results
+        grid, mc = results["grid"], results["mc"]
+        assert grid["method"] == "grid-paired" and grid["sample_count"] == 13**6
+        assert "stderr" not in grid
+        assert mc["method"] == ("mc-truncated" if truncated else "mc") and mc["sample_count"] == 3000
+        assert mc["stderr"] > 0.0
+        assert [row["samples"] for row in results["csv_rows"]] == [7**6, 13**6, 3000]
+
     def test_convergence_series_report(self):
         results = run_fidelity(
             parse_config({"sampling": {"mode": "grid", "deltas": [0.5, 0.25]}})
@@ -637,10 +649,20 @@ class TestSpreadField:
 
 
 class TestSweepCommand:
-    @pytest.mark.parametrize("start, stop, field", [(5.0, 3e5, "sweep.stop"), (1e308, 5.0, "sweep.start")])
-    def test_hottest_sweep_end_is_named(self, tmp_path, start, stop, field):
-        # the table serves the hottest temperature, whose grid reaches zero distance
-        payload = {"sweep": {"axis": "temperature", "start": start, "stop": stop, "points": 2},
+    @pytest.mark.parametrize(
+        "noise, start, stop, field",
+        [
+            # the table serves the hottest temperature, whose grid reaches zero distance
+            pytest.param({}, 5.0, 3e5, "sweep.stop", id="5.0-300000.0-sweep.stop"),
+            pytest.param({}, 1e308, 5.0, "sweep.start", id="1e+308-5.0-sweep.start"),
+            # 2100 um traps stay clear of zero distance, but the hottest table window,
+            # u in [1.59, 242.5], needs more than MAX_KNOTS knots
+            pytest.param({"trap_separation_um": 2100}, 10, 1.7e9, "sweep.stop", id="2100um-10-1.7e9-sweep.stop"),
+            pytest.param({"trap_separation_um": 2100}, 1.7e9, 10, "sweep.start", id="2100um-1.7e9-10-sweep.start"),
+        ],
+    )
+    def test_hottest_sweep_end_is_named(self, tmp_path, noise, start, stop, field):
+        payload = {"noise": noise, "sweep": {"axis": "temperature", "start": start, "stop": stop, "points": 2},
                    "sampling": {"deltas": [0.5]}}
         result = run_cli(["sweep", "--config", write_config(tmp_path, payload)])
         assert result.exit_code == 2

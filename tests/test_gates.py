@@ -15,7 +15,7 @@ from rydvdw.gates import (
 )
 from rydvdw.protocol import GateProtocol
 
-from .oracles import cz_diagonal_entry, expm_gate_matrix
+from .oracles import cz_diagonal_entry, expm_gate_matrix, phase_gate_fidelity
 
 OMEGA = 0.8 * MHZ
 
@@ -175,6 +175,25 @@ class TestGateFidelity:
     def test_scalar_gives_zero_dim_array(self, nominal_protocol):
         value = gate_fidelity(nominal_protocol, nominal_protocol.nominal_interaction)
         assert value.shape == () and abs(value - 1.0) < 1e-9
+
+    @given(
+        cnot=st.booleans(),
+        theta=st.floats(0.2, 2 * np.pi - 0.2, exclude_min=True, exclude_max=True),
+        omega_control_exponent=st.floats(-1.0, 1.0),
+        omega_target_exponent=st.floats(-1.0, 1.0),
+        exponents=st.lists(st.floats(-2.0, 2.0), max_size=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_closed_form_oracle(
+        self, cnot, theta, omega_control_exponent, omega_target_exponent, exponents
+    ):
+        # V0/100 to 100 V0 at 0.1-10 MHz drives, for CZ(theta) and CNOT
+        kind, theta = ("cnot", np.pi) if cnot else ("cz", theta)
+        omega_target = 10.0**omega_target_exponent * MHZ
+        protocol = GateProtocol.solve(theta, 10.0**omega_control_exponent * MHZ, omega_target, kind=kind)
+        interactions = protocol.nominal_interaction * 10.0 ** np.array([-2.0, 0.0, 2.0, *exponents])
+        oracle = phase_gate_fidelity(theta, omega_target, interactions)
+        assert np.abs(gate_fidelity(protocol, interactions) - oracle).max() <= 1e-13
 
 
 class TestFidelityPeak:
