@@ -84,13 +84,13 @@ def _reduced(protocol: GateProtocol, ncfg: NoiseConfig, sigmas: InflatedSigmas):
     return InflatedSigmas(*(value / length for value in astuple(sigmas))), ncfg.trap_separation / length
 
 
-def _sampled_table(protocol, ncfg, sigmas, reduced, grid, draws, temperature_field) -> FidelityTable:
-    """The table over exactly the :func:`_reduced` distances a run looks up: the
-    :func:`grid_window` if ``grid``, joined with the Monte Carlo ``draws`` unless None.
-    A grid reaching zero distance names :func:`_spread_field` for sigma_perp (sigma_z
-    adds in quadrature); a window the table refuses names the field behind the larger
-    spread, or the trap separation if a distance overflowed and it exceeds both spreads.
-    Either names the temperature as ``temperature_field``."""
+def _sampled_table(protocol, ncfg, sigmas, reduced, grid, draw, temperature_field):
+    """The table over exactly the :func:`_reduced` distances a run looks up, the :func:`grid_window`
+    if ``grid`` joined with the Monte Carlo distances ``draw()`` gives, and those draws (None without
+    ``draw``).  A grid reaching zero distance names :func:`_spread_field` for sigma_perp (sigma_z adds
+    in quadrature), before the draw; a window the table refuses names the field behind the larger
+    spread, or the trap separation if a distance overflowed and it exceeds both spreads.  Either
+    names the temperature as ``temperature_field``."""
     lo, hi = grid_window(*reduced) if grid else (np.inf, 0.0)
     if not lo > 0.0:
         raise ConfigError(
@@ -98,10 +98,11 @@ def _sampled_table(protocol, ncfg, sigmas, reduced, grid, draws, temperature_fie
             f"position grid reaches zero distance, as 3 sigma_perp (3 x {sigmas.sigma_perp:.4g} um, "
             f"inflated at {ncfg.temperature:.4g} uK) reach the {ncfg.trap_separation:.4g} um trap separation"
         )
+    draws = None if draw is None else draw()
     if draws is not None:
         lo, hi = float(np.minimum(lo, draws.min())), float(np.maximum(hi, draws.max()))
     try:
-        return FidelityTable(protocol, lo, hi)
+        return FidelityTable(protocol, lo, hi), draws
     except ValueError as exc:
         overflow = not np.isfinite(hi - lo) and ncfg.trap_separation > max(sigmas.sigma_z, sigmas.sigma_perp)
         axis = "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp"
@@ -218,8 +219,8 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
     reduced = _reduced(protocol, ncfg, sigmas)
     grid, mc = cfg.mode in ("grid", "both"), cfg.mode in ("mc", "both")
     truncate = GRID_HALF_RANGE if cfg.mc_truncated else None
-    draws = draw_distances(*reduced, cfg.mc_samples, cfg.seed, truncate) if mc else None
-    table = _sampled_table(protocol, ncfg, sigmas, reduced, grid, draws, "noise.temperature_uk")
+    draw = (lambda: draw_distances(*reduced, cfg.mc_samples, cfg.seed, truncate)) if mc else None
+    table, draws = _sampled_table(protocol, ncfg, sigmas, reduced, grid, draw, "noise.temperature_uk")
     exposure = simulate(protocol)[1]
     results = {
         "sigma_z_um": sigmas.sigma_z,
@@ -282,7 +283,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         hottest = replace(cfg.noise, temperature=float(values[-1]))
         hot = inflate_sigmas(hottest, protocol.t_gate)
         hot_field = "sweep.stop" if cfg.sweep["stop"] >= cfg.sweep["start"] else "sweep.start"
-        table = _sampled_table(protocol, hottest, hot, _reduced(protocol, hottest, hot), True, None, hot_field)
+        table, _ = _sampled_table(protocol, hottest, hot, _reduced(protocol, hottest, hot), True, None, hot_field)
         errors = _decay_errors(simulate(protocol)[1], cfg.noise.rydberg_lifetime)
         delta = min(cfg.deltas)
         for temp in values:

@@ -28,7 +28,6 @@ __all__ = [
     "TARGET",
     "basis_index",
     "build_hamiltonian",
-    "propagate",
 ]
 
 
@@ -118,22 +117,18 @@ def build_hamiltonian(
     return hamiltonian
 
 
-def _check_hermitian(hamiltonian: np.ndarray, tol: float = 1e-12) -> None:
-    asymmetry = np.abs(hamiltonian - hamiltonian.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    scale = np.maximum(1.0, np.abs(hamiltonian).max(axis=(-2, -1)))
-    if (asymmetry > tol * scale).any():
-        raise NumericError(f"Hamiltonian is not Hermitian (asymmetry {asymmetry.max():.2e})")
-
-
 def propagate(segments: Sequence[tuple[np.ndarray, float]], states, weight=None):
-    """Advance state columns through a piecewise-constant pulse sequence.
+    """Advance state columns through a piecewise-constant pulse sequence;
+    the step of :func:`rydvdw.gates.simulate` and ``gate_fidelity``.
 
     Each segment (H, t) is diagonalized once, H = M diag(E) M^dag, and
     with amplitudes C = M^dag psi the states move as M exp(-i E t) C;
-    no propagator matrix is formed.  ``segments`` holds Hermitian
-    matrices in rad/us, or stacks of shape (..., n, n) diagonalized in
-    one batched call, with finite durations >= 0 in us; ``states`` holds
-    the columns of an (n, k) or (..., n, k) array.
+    no propagator matrix is formed.  ``segments`` are as
+    :meth:`rydvdw.protocol.GateProtocol.segments` builds them, Hermitian
+    by construction and not re-checked: matrices in rad/us, or stacks of
+    shape (..., n, n) diagonalized in one batched call, with finite
+    durations >= 0 in us; ``states`` holds the columns of an (n, k) or
+    (..., n, k) array.
 
     With ``weight``, the length-n diagonal of an observable such as
     :data:`RYDBERG_WEIGHT`, the same E, M and C give the exact time
@@ -151,7 +146,6 @@ def propagate(segments: Sequence[tuple[np.ndarray, float]], states, weight=None)
     for hamiltonian, duration in segments:
         if not 0 <= duration < np.inf:
             raise ValueError(f"duration must be nonnegative and finite; got {duration!r}")
-        _check_hermitian(hamiltonian)
         try:
             energies, modes = np.linalg.eigh(hamiltonian)
         except np.linalg.LinAlgError as exc:

@@ -40,16 +40,6 @@ def ideal_gate(protocol: GateProtocol) -> np.ndarray:
 _INPUTS = np.eye(dynamics.DIM)[:, dynamics.COMPUTATIONAL]
 
 
-def _gate_block(states: np.ndarray) -> np.ndarray:
-    """The computational rows of the evolved ``_INPUTS``, the global phase
-    removed by making the |00> -> |00> element real and positive."""
-    gate = states[..., dynamics.COMPUTATIONAL, :]
-    anchor = gate[..., 0, 0]
-    magnitude = np.abs(anchor)
-    phase = np.divide(magnitude, anchor, out=np.ones_like(anchor), where=magnitude > 1e-12)
-    return gate * phase[..., None, None]
-
-
 def simulate(protocol: GateProtocol, interaction=None):
     """Walk the sequence once for the gate matrix and the Rydberg exposure.
 
@@ -73,33 +63,37 @@ def simulate(protocol: GateProtocol, interaction=None):
     -------
     gate : ndarray
         Complex matrices of shape ``interaction.shape + (4, 4)``, (4, 4)
-        for a scalar interaction; sub-unitary if population leaked out
-        of the qubit subspace.
+        for a scalar interaction, each with its |00> element made real
+        and positive; sub-unitary if population leaked out of the qubits.
     exposure : float or ndarray
         Time in Rydberg states averaged over the four inputs, in us: a
         float for a scalar interaction, else an array of its shape.
     """
     states, integral = dynamics.propagate(protocol.segments(interaction), _INPUTS, dynamics.RYDBERG_WEIGHT)
+    gate = states[..., dynamics.COMPUTATIONAL, :]
+    anchor = gate[..., 0, 0]
+    magnitude = np.abs(anchor)
+    phase = np.divide(magnitude, anchor, out=np.ones_like(anchor), where=magnitude > 1e-12)
     exposure = integral.mean(axis=-1)
-    return _gate_block(states), float(exposure) if exposure.ndim == 0 else exposure
+    return gate * phase[..., None, None], float(exposure) if exposure.ndim == 0 else exposure
 
 
 def pedersen_fidelity(actual: np.ndarray, ideal: np.ndarray):
     """Average gate fidelity [|Tr(U^d A)|^2 + Tr(U^d A A^d U)] / 20.
 
     ``ideal`` (U) must be unitary; ``actual`` (A) may be any 4x4
-    contraction, or a stack of them with shape (..., 4, 4).  Equals 1
-    exactly when A matches U up to a global phase, and is insensitive
-    to that phase.  Returns a float for one matrix, else an array of
-    the stack's shape.
+    contraction, or a stack of them with shape (..., 4, 4).  Both traces
+    are elementwise sums, no matrix product: sum(conj(U) A), and, as U
+    is unitary, Tr(A A^d) = sum |A|^2.  Equals 1 exactly when A matches
+    U up to a global phase, and is insensitive to that phase.  Returns a
+    float for one matrix, else an array of the stack's shape.
     """
     actual = np.asarray(actual, dtype=complex)
     ideal = np.asarray(ideal, dtype=complex)
     if actual.shape[-2:] != (4, 4) or ideal.shape != (4, 4):
         raise ValueError("gate matrices must be 4x4")
-    overlap = ideal.conj().T @ actual
-    trace = np.trace(overlap, axis1=-2, axis2=-1)
-    purity = np.trace(overlap @ overlap.conj().swapaxes(-1, -2), axis1=-2, axis2=-1).real
+    trace = (ideal.conj() * actual).sum(axis=(-2, -1))
+    purity = (np.abs(actual) ** 2).sum(axis=(-2, -1))
     fidelity = (np.abs(trace) ** 2 + purity) / 20.0
     return float(fidelity) if fidelity.ndim == 0 else fidelity
 
@@ -114,8 +108,9 @@ def gate_fidelity(protocol: GateProtocol, interactions) -> np.ndarray:
 
     The interactions (rad/us) are propagated in stacks of at most
     ``MAX_STACK``, so memory does not grow with their number; the walk
-    skips :func:`simulate`'s exposure integral, which doubles its cost.
-    Returns an array of their shape.
+    skips :func:`simulate`'s exposure integral, which doubles its cost,
+    and its phase fix, which :func:`pedersen_fidelity` cannot see: the
+    raw computational block is scored.  Returns an array of their shape.
     """
     interactions = np.asarray(interactions, dtype=float)
     flat = interactions.ravel()
@@ -123,5 +118,5 @@ def gate_fidelity(protocol: GateProtocol, interactions) -> np.ndarray:
     fidelity = np.empty(flat.size)
     for start in range(0, flat.size, MAX_STACK):
         states, _ = dynamics.propagate(protocol.segments(flat[start : start + MAX_STACK]), _INPUTS)
-        fidelity[start : start + MAX_STACK] = pedersen_fidelity(_gate_block(states), ideal)
+        fidelity[start : start + MAX_STACK] = pedersen_fidelity(states[..., dynamics.COMPUTATIONAL, :], ideal)
     return fidelity.reshape(interactions.shape)

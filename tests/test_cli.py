@@ -424,6 +424,22 @@ class TestFidelityCommand:
         separation = noise.get("trap_separation_um", 20.99)
         assert f"{separation:.4g} um trap separation" in result.stderr
 
+    def test_grid_reaching_zero_distance_exits_before_the_draw(self, tmp_path, monkeypatch):
+        draws = []
+        draw_distances = rydvdw.cli.draw_distances
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return draw_distances(*args, **kwargs)
+
+        monkeypatch.setattr("rydvdw.cli.draw_distances", counted)
+        reference = json.loads((Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json").read_text())
+        payload = {**reference, "noise": {**reference["noise"], "sigma_perp0_um": 8.0}}
+        assert payload["sampling"]["mode"] == "both"
+        result = run_cli(["fidelity", "--config", write_config(tmp_path, payload)])
+        assert (result.exit_code, result.stdout, draws) == (2, "", [])
+        assert "config error: invalid config field 'noise.sigma_perp0_um'" in result.stderr
+
     def test_grid_reaching_zero_distance_names_sigma_perp(self, tmp_path):
         payload = {"noise": {"trap_separation_um": 0.9, "temperature_uk": 12.5}}
         cfg = parse_config(payload)

@@ -12,7 +12,6 @@ from rydvdw.dynamics import (
     build_hamiltonian,
     propagate,
 )
-from rydvdw.errors import NumericError
 
 from .helpers import basis_state, evolve, exponentiate
 from .oracles import detuned_cycle_amplitude, rk4_propagator
@@ -67,11 +66,17 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian([], interaction=np.nan)
 
-    @given(drives=drive_strategy(), interaction=st.floats(-50, 50))
+    @given(
+        drives=drive_strategy(),
+        interactions=st.one_of(
+            st.floats(-50, 50), st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6).map(np.array)
+        ),
+    )
     @settings(max_examples=50)
-    def test_always_hermitian(self, drives, interaction):
-        h = build_hamiltonian(drives, interaction)
-        assert np.abs(h - h.conj().T).max() < 1e-12
+    def test_always_hermitian(self, drives, interactions):
+        # to the bit: the propagator relies on it and does not re-check
+        h = build_hamiltonian(drives, interactions)
+        assert np.array_equal(h, h.conj().swapaxes(-1, -2))
 
     def test_interaction_stack_shares_the_drive_part(self):
         drives = [("control", Level.G1, Level.RYD, OMEGA), ("target", Level.G0, Level.RYD, 0.3j)]
@@ -115,19 +120,10 @@ class TestExponentiate:
         t = 2 * np.pi / OBAR
         assert np.abs(exponentiate(h, t) - rk4_propagator(h, t)).max() < 1e-6
 
-    def test_rejects_negative_duration_and_nonhermitian(self):
+    def test_rejects_negative_and_non_finite_durations(self):
         for duration in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="nonnegative and finite"):
                 exponentiate(np.zeros((DIM, DIM)), duration)
-        bad = np.zeros((DIM, DIM), dtype=complex)
-        bad[0, 1] = 1.0
-        with pytest.raises(NumericError):
-            exponentiate(bad, 1.0)
-        # one bad matrix fails the whole stack, whatever the others' scale
-        stack = build_hamiltonian([("target", 1, 2, 1e3)], np.array([0.0, 0.0]))
-        stack[1] = bad
-        with pytest.raises(NumericError):
-            exponentiate(stack, 1.0)
 
     def test_stack_matches_single_calls(self):
         drives = [("target", Level.G1, Level.RYD, OMEGA), ("control", Level.G0, Level.RYD, -OMEGA)]

@@ -141,6 +141,30 @@ class TestPedersenFidelity:
         base = pedersen_fidelity(actual, ideal)
         assert abs(pedersen_fidelity(np.exp(1j * phase) * actual, ideal) - base) < 1e-12
 
+    @given(
+        seed=st.integers(0, 2**31),
+        scale=st.floats(0.0, 1.0),
+        stack=st.sampled_from([(), (3,), (2, 2)]),
+        cnot=st.booleans(),
+        theta=st.floats(0.0, 2 * np.pi),
+        phase=st.floats(0.0, 2 * np.pi),
+    )
+    @settings(max_examples=60)
+    def test_matches_literal_formula(self, seed, scale, stack, cnot, theta, phase):
+        # the elementwise sums against [|Tr(U^d A)|^2 + Tr(U^d A A^d U)] / 20 with matrix products
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(stack + (4, 4)) + 1j * rng.standard_normal(stack + (4, 4))
+        norm = np.linalg.norm(z, ord=2, axis=(-2, -1))
+        actual = z * (scale / np.where(norm > 0, norm, 1.0))[..., None, None]
+        ideal = ideal_cnot() if cnot else ideal_cz(theta)
+        overlap = ideal.conj().T @ actual
+        purity = np.trace(overlap @ overlap.conj().swapaxes(-1, -2), axis1=-2, axis2=-1).real
+        literal = (np.abs(np.trace(overlap, axis1=-2, axis2=-1)) ** 2 + purity) / 20.0
+        value = pedersen_fidelity(actual, ideal)
+        assert np.shape(value) == stack
+        assert np.abs(value - literal).max() <= 1e-15
+        assert np.abs(pedersen_fidelity(np.exp(1j * phase) * actual, ideal) - value).max() <= 1e-15
+
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=30)
     def test_unitary_purity_term_is_four(self, seed):
@@ -194,6 +218,21 @@ class TestGateFidelity:
         interactions = protocol.nominal_interaction * 10.0 ** np.array([-2.0, 0.0, 2.0, *exponents])
         oracle = phase_gate_fidelity(theta, omega_target, interactions)
         assert np.abs(gate_fidelity(protocol, interactions) - oracle).max() <= 1e-13
+
+
+    @given(
+        cnot=st.booleans(),
+        theta=st.floats(0.2, 2 * np.pi - 0.2),
+        exponent=st.floats(-2.0, 2.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_scores_the_simulated_gate(self, cnot, theta, exponent):
+        # the raw block of the table walk against simulate's phase-fixed matrix, V0/100 to 100 V0
+        kind, theta = ("cnot", np.pi) if cnot else ("cz", theta)
+        protocol = GateProtocol.solve(theta, OMEGA, OMEGA, kind=kind)
+        interaction = protocol.nominal_interaction * 10.0**exponent
+        expected = pedersen_fidelity(simulate(protocol, interaction)[0], ideal_gate(protocol))
+        assert abs(gate_fidelity(protocol, interaction) - expected) <= 1e-15
 
 
 class TestFidelityPeak:
