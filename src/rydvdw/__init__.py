@@ -2,6 +2,9 @@
 Rydberg interactions: pulse-sequence design, exact state-vector
 simulation, decay budget, and position-fluctuation-averaged fidelity."""
 
+# before the submodules, which may read it
+__version__ = "0.1.0"
+
 from .constants import C6_97S, LIFETIME_97S_4K_MS, LIFETIME_97S_300K_MS, MHZ
 from .dynamics import Level, build_hamiltonian
 from .errors import ConfigError, NumericError
@@ -25,5 +28,3 @@ from .protocol import (
     hyperfine_leakage_estimate,
     solve_interaction_for_phase,
 )
-
-__version__ = "0.1.0"

@@ -230,6 +230,7 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
             table, reduced, cfg.deltas if grid else [], _decay_errors(exposure, ncfg.rydberg_lifetime),
             draws, cfg.mc_truncated,
         ),
+        "diagnostics": {"table_knots": len(table.distances), "spline_error": table.spline_error()},
     }
     return ResultRecord(
         command="fidelity", config=cfg.raw, params=_params_dict(protocol), results=results

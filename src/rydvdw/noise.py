@@ -30,7 +30,8 @@ is folded onto its nonnegative half with the weights of the two signs
 summed.
 
 Everything runs in blocks of about ``BLOCK`` points: the table lookup
-and the Monte Carlo draw write into one output block by block, the grid
+and the Monte Carlo draw write into one output block by block, the lookup
+and the grid reuse one set of scratch arrays for every block, the grid
 streams whole x-difference rows of the folded grid, reducing each block
 against its weights by two matrix-vector products, and the Monte Carlo
 mean merges each block's mean and sum of squared deviations.  So no
@@ -81,15 +82,21 @@ GRID_HALF_RANGE = 1.5
 #: on the reference config) the largest of 1e5 uniform probes against the
 #: closed-form CZ(pi) fidelity is 3.5e-12 on the reference grid window (u in
 #: [0.954, 1.070]), but 2.4e-6 on u in [0.25, 0.35] (a 6.28 um trap on the
-#: reference design) and 1.0e-5 on [0.001, 0.4]; no record reports it yet.
+#: reference design) and 1.0e-5 on [0.001, 0.4].  The ``fidelity`` record
+#: reports ``FidelityTable.spline_error``, which bounds it where the knots
+#: resolve the fidelity and comes within 20% of it on those far windows.
 KNOT_SPACING = 1.0 / 3072
 
 #: Most knots a table may have: a window some 40 design separations wide.
 MAX_KNOTS = 2**17
 
 #: Points per block of a table lookup, a grid average or a Monte Carlo draw.
-#: A block's temporaries (128 KB each) stay in cache and in memory already
-#: mapped; 2**13 to 2**15 time alike, 2**17 about twice as slow.
+#: A block's arrays (128 KB each) stay in cache and in memory already
+#: mapped; 2**13 to 2**15 time alike, 2**17 about twice as slow.  Lookups and
+#: the grid reuse theirs from block to block: freeing them each block made
+#: the allocator return the heap top to the system and fault it back in.
+#: The propagation stacks of ``gates.MAX_STACK`` are sized by the same
+#: reasoning.
 BLOCK = 2**14
 
 
@@ -203,10 +210,13 @@ class FidelityTable:
         self.values = gate_fidelity(protocol, vdw_interaction(design, self.distances))
         self._step = (hi - lo) / (len(self.distances) - 1)
         self._coefficients = _spline_coefficients(self.values, self._step)
+        # a lookup block's interval indices, offsets and coefficients, reused by every block
+        self._scratch = np.empty(BLOCK, dtype=np.intp), np.empty(BLOCK), np.empty(BLOCK)
 
     def __call__(self, dist):
         """Fidelity at a distance (a float) or an array of them (same shape),
-        ``BLOCK`` distances at a time into one output array."""
+        ``BLOCK`` distances at a time into one output array.  The blocks share
+        the table's scratch arrays, so a table serves one call at a time."""
         dist = np.asarray(dist, dtype=float)
         flat = dist.ravel()
         out = np.empty(flat.size)
@@ -220,14 +230,35 @@ class FidelityTable:
                     f"fidelity table's window [{lo!r}, {hi!r}]"
                 )
             # Horner's rule on the cubic of each distance's interval (the last closes at hi)
-            index = ((block - lo) / self._step).astype(np.intp)
+            index, offset, coefficient = (scratch[: len(block)] for scratch in self._scratch)
+            np.subtract(block, lo, out=offset)
+            np.divide(offset, self._step, out=offset)
+            np.copyto(index, offset, casting="unsafe")  # truncates, as astype does
             np.minimum(index, len(self.distances) - 2, out=index)
-            offset = block - self.distances[index]
-            np.take(self._coefficients[0], index, out=fid)
+            # every index is in range; mode "raise" would buffer each output
+            np.subtract(block, np.take(self.distances, index, out=offset, mode="clip"), out=offset)
+            np.take(self._coefficients[0], index, out=fid, mode="clip")
             for row in self._coefficients[1:]:
                 fid *= offset
-                fid += row[index]
+                fid += np.take(row, index, out=coefficient, mode="clip")
         return float(out[0]) if dist.ndim == 0 else out.reshape(dist.shape)
+
+    def spline_error(self) -> float | None:
+        """Largest gap, at the knots it skips, between the table and the spline
+        through every other knot: by the O(h**4) bound on the spline's error
+        about 16 times the table's own where the knots resolve the fidelity
+        (de Boor, *A Practical Guide to Splines*, 1978).  Far below the design
+        separation, where the fidelity wiggles within one knot spacing, both
+        sense only that wiggle and the gap comes near the error instead (0.8x
+        on u in [0.25, 0.35]).  None below 7 knots, too few for that spline."""
+        coarse = self.values[::2]
+        if len(coarse) < 4:
+            return None
+        # each skipped knot lies one step into its interval of the coarse spline
+        skipped = np.zeros(len(coarse) - 1)
+        for row in _spline_coefficients(coarse, 2.0 * self._step):
+            skipped = skipped * self._step + row
+        return float(np.abs(skipped - self.values[1:-1:2]).max())
 
 
 def _spline_coefficients(values: np.ndarray, step: float) -> np.ndarray:
@@ -320,9 +351,13 @@ def grid_average_fidelity(
         dx = offsets * sigmas.sigma_perp  # x_c - x_t
         dy2 = (offsets[n:] * sigmas.sigma_perp) ** 2
         dz2 = (offsets[n:] * sigmas.sigma_z) ** 2
+        # one distance block, reused by every x-difference row block
+        buffer = np.empty((rows, len(dy2), len(dz2)))
         for start in range(0, len(dx), rows):
-            dist = np.sqrt((dx[start : start + rows, None, None] - separation) ** 2 + dy2[None, :, None] + dz2)
             x_weights = weights[start : start + rows]
+            dist = buffer[: len(x_weights)]
+            np.add((dx[start : start + rows, None, None] - separation) ** 2 + dy2[None, :, None], dz2, out=dist)
+            np.sqrt(dist, out=dist)
             total += x_weights @ (table(dist.reshape(-1, plane_weights.size)) @ plane_weights)
             norm += x_weights.sum()
     return float(total / (norm * plane_weights.sum()))

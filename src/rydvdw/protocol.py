@@ -129,12 +129,13 @@ class GateProtocol:
     def segments(self, interaction=None) -> list[tuple[np.ndarray, float]]:
         """The four (Hamiltonian, duration) pairs of the sequence.
 
-        ``interaction`` (rad/us, or an array of them built as one stack)
-        defaults to the design value.  Pulse 1 is a pi pulse on the
-        control (+omega_control) and pulses 2 and 3 are one detuned Rabi
-        cycle each on the target, of duration ``t_cycle`` and opposite
-        drive signs.  For CZ the target drive is +/- omega_target on
-        |1> -> |r>, and pulse 4 is the control pi pulse with the drive
+        ``interaction`` (rad/us, or an array of them, whose Hamiltonians are
+        built as one stack; the walks of :mod:`rydvdw.gates` hand it at most
+        ``gates.MAX_STACK`` at a time) defaults to the design value.
+        Pulse 1 is a pi pulse on the control (+omega_control) and pulses 2
+        and 3 are one detuned Rabi cycle each on the target, of duration
+        ``t_cycle`` and opposite drive signs.  For CZ the target drive is
+        +/- omega_target on |1> -> |r>, and pulse 4 is the control pi pulse with the drive
         sign flipped, which undoes the excitation including its phase.
         For CNOT pulse 4 repeats pulse 1, and the target drive is
         +/- omega_target/sqrt(2) on both |0> -> |r> and |1> -> |r>, so

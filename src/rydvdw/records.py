@@ -2,7 +2,8 @@
 
 A :class:`ResultRecord` captures one CLI invocation: the raw config it
 ran from (so the run can be repeated byte-exactly), the solved
-operating point, and the command-specific results.  Records serialize
+operating point, the command-specific results, and the versions of the
+package, numpy and Python it ran with.  Records serialize
 to JSON losslessly; sweep and convergence outputs additionally flatten
 to CSV whose values round-trip through ``repr``.
 """
@@ -12,11 +13,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import platform
 import uuid
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
+
+from . import __version__
 
 __all__ = ["ResultRecord", "complex_matrix_to_json", "rows_to_csv"]
 
@@ -36,6 +40,11 @@ class ResultRecord:
     results: dict
     run_id: str = field(default_factory=lambda: uuid.uuid4().hex)
     timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
+    versions: dict = field(
+        default_factory=lambda: {
+            "rydvdw": __version__, "numpy": np.__version__, "python": platform.python_version()
+        }
+    )
 
     def to_dict(self) -> dict:
         return asdict(self)

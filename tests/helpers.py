@@ -1,5 +1,5 @@
-"""A CLI runner, readers of the CLI's output formats, basis states and
-plain propagators.
+"""A CLI runner, readers of the CLI's output formats, basis states,
+plain propagators and a peak-memory probe.
 
 The package only writes its records; these parse them back for the
 tests, ``run_cli`` captures one command line's exit code and streams,
@@ -10,6 +10,7 @@ needs, and ``evolve`` applies propagators to one state vector in turn.
 import contextlib
 import csv
 import io
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -84,3 +85,13 @@ def rows_from_csv(text):
                     parsed[key] = value
         rows.append(parsed)
     return rows
+
+
+def traced_peak(call):
+    """Peak bytes that numpy and Python allocate during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

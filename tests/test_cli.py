@@ -2,6 +2,7 @@ import errno
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -25,6 +26,20 @@ from rydvdw.protocol import GateProtocol
 from rydvdw.records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
 from .helpers import complex_matrix_from_json, rows_from_csv, run_cli
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The fidelity tables a command builds, in order."""
+    built = []
+
+    class Kept(rydvdw.cli.FidelityTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr("rydvdw.cli.FidelityTable", Kept)
+    return built
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -528,6 +543,14 @@ class TestFidelityCommand:
         result = run_cli(["fidelity", "--config", path])
         record = json.loads(result.output)
         assert abs(record["results"]["grid"]["mean_fidelity"] - 1.0) < 1e-6
+        # its table is the minimum four knots, too few for an every-other-knot spline
+        assert record["results"]["diagnostics"] == {"table_knots": 4, "spline_error": None}
+
+    def test_diagnostics_describe_the_table(self, tables):
+        results = run_fidelity(parse_config(dict(self.CONFIG))).results
+        (table,) = tables
+        diagnostics = {"table_knots": len(table.distances), "spline_error": table.spline_error()}
+        assert results["diagnostics"] == diagnostics and 0.0 < diagnostics["spline_error"] < 1e-8
 
     def test_rerun_from_record_config_reproduces_numbers(self):
         cfg = parse_config(dict(self.CONFIG))
@@ -827,15 +850,22 @@ class TestOneWalkPerDesignPoint:
         run_sweep(parse_config({"sweep": {"axis": "omega", "start": 0.5, "stop": 5.0, "points": points}}))
         assert len(walks) == points
 
-    def test_reference_fidelity_walks_twice(self, walks):
-        # the exposure, and the fidelity table as one stack
-        run_fidelity(load_config(Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json"))
-        assert len(walks) == 2
+    @staticmethod
+    def table_walks(table):
+        return math.ceil(len(table.distances) / rydvdw.gates.MAX_STACK)
 
-    def test_temperature_sweep_walks_twice(self, walks):
+    def test_reference_fidelity_walks_once_per_table_stack(self, walks, tables):
+        # the exposure, and one table in stacks of at most MAX_STACK knots
+        run_fidelity(load_config(Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json"))
+        (table,) = tables
+        assert len(walks) == 1 + self.table_walks(table) > 2
+
+    def test_temperature_sweep_walks_once_per_table_stack(self, walks, tables):
+        # one table for every temperature, and one exposure
         sweep = {"axis": "temperature", "start": 2.0, "stop": 32.0, "points": 4}
         run_sweep(parse_config({"sweep": sweep, "sampling": {"deltas": [0.5]}}))
-        assert len(walks) == 2
+        (table,) = tables
+        assert len(walks) == 1 + self.table_walks(table) > 2
 
 
 class TestInfiniteInteraction:
@@ -931,6 +961,18 @@ class TestNumberFields:
 
 
 class TestRecords:
+    @pytest.mark.parametrize("command, payload", [
+        ("solve", {}),
+        ("simulate", {}),
+        ("fidelity", {"sampling": {"mode": "grid", "deltas": [0.5]}}),
+        ("sweep", {"sweep": {"axis": "omega", "start": 0.5, "stop": 1.0, "points": 2}}),
+    ])
+    def test_every_record_carries_its_versions(self, tmp_path, command, payload):
+        result = run_cli([command, "--config", write_config(tmp_path, payload), "--format", "json"])
+        versions = json.loads(result.stdout)["versions"]
+        python = platform.python_version()
+        assert versions == {"rydvdw": rydvdw.__version__, "numpy": np.__version__, "python": python}
+
     def test_record_json_round_trip(self):
         record = run_solve(parse_config({}))
         clone = ResultRecord(**json.loads(record.to_json()))

@@ -15,6 +15,7 @@ from rydvdw.gates import (
 )
 from rydvdw.protocol import GateProtocol
 
+from .helpers import traced_peak
 from .oracles import cz_diagonal_entry, expm_gate_matrix, phase_gate_fidelity
 
 OMEGA = 0.8 * MHZ
@@ -233,6 +234,31 @@ class TestGateFidelity:
         interaction = protocol.nominal_interaction * 10.0**exponent
         expected = pedersen_fidelity(simulate(protocol, interaction)[0], ideal_gate(protocol))
         assert abs(gate_fidelity(protocol, interaction) - expected) <= 1e-15
+
+
+class TestBoundedWalk:
+    """Interactions are walked ``MAX_STACK`` at a time: the values of one stack,
+    in memory that does not grow with their number."""
+
+    @pytest.fixture
+    def interactions(self, nominal_protocol):
+        return nominal_protocol.nominal_interaction * np.linspace(0.5, 1.5, 4001)
+
+    def test_gate_fidelity(self, nominal_protocol, interactions, monkeypatch):
+        gate_fidelity(nominal_protocol, interactions[:10])  # first-call allocations aside
+        small, full = (traced_peak(lambda: gate_fidelity(nominal_protocol, interactions[:n])) for n in (1000, 4001))
+        assert full <= 4e6 and full <= 1.2 * small
+        stacked = gate_fidelity(nominal_protocol, interactions)
+        monkeypatch.setattr(gates, "MAX_STACK", 4001)
+        assert np.array_equal(stacked, gate_fidelity(nominal_protocol, interactions))
+
+    def test_simulate(self, nominal_protocol, interactions, monkeypatch):
+        simulate(nominal_protocol, interactions[:10])
+        assert traced_peak(lambda: simulate(nominal_protocol, interactions)) < 8e6
+        gate, exposure = simulate(nominal_protocol, interactions)
+        monkeypatch.setattr(gates, "MAX_STACK", 4001)
+        one_gate, one_exposure = simulate(nominal_protocol, interactions)
+        assert np.array_equal(gate, one_gate) and np.array_equal(exposure, one_exposure)
 
 
 class TestFidelityPeak:

@@ -1,4 +1,3 @@
-import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -30,6 +29,7 @@ from rydvdw.noise import _difference_weights
 from rydvdw.gates import simulate
 from rydvdw.protocol import GateProtocol
 
+from .helpers import traced_peak
 from .oracles import (
     cubic_spline,
     grid_mean_full,
@@ -85,16 +85,6 @@ def unfolded_grid_mean(table, sigmas, separation, delta):
     return np.sum(w * fid) / np.sum(w)
 
 
-def traced_peak(call):
-    """Peak bytes that numpy and Python allocate during ``call()``."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class ConstantTable:
     """Stand-in fidelity table returning a fixed value."""
 
@@ -106,14 +96,15 @@ class ConstantTable:
 
 
 class CountingTable:
-    """Wraps a fidelity table and keeps the distances looked up."""
+    """Wraps a fidelity table and keeps a copy of the distances looked up
+    (the grid reuses one distance buffer for every block)."""
 
     def __init__(self, table):
         self.table = table
         self.looked_up = []
 
     def __call__(self, dist):
-        self.looked_up.append(np.asarray(dist))
+        self.looked_up.append(np.array(dist))
         return self.table(dist)
 
     @property
@@ -328,6 +319,10 @@ class TestFidelityTable:
         probe = np.random.default_rng(seed).uniform(lo, hi, 200)
         direct = gate_fidelity(protocol, vdw_interaction(VDW, probe * protocol.separation))
         assert np.abs(table(probe) - direct).max() <= 1e-8
+        # and within the spline error the table reports, at 1e4 probes against the closed form
+        probe = np.random.default_rng(seed).uniform(lo, hi, 10**4)
+        oracle = phase_gate_fidelity(theta, protocol.omega_target, protocol.nominal_interaction * probe**-6.0)
+        assert np.abs(table(probe) - oracle).max() <= table.spline_error()
 
     @pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     def test_blocked_lookup_is_the_one_shot_lookup(self, nominal_table, size):
@@ -368,6 +363,28 @@ class TestFidelityTable:
         interaction = nominal_protocol.nominal_interaction * probe**-6.0
         oracle = phase_gate_fidelity(nominal_protocol.theta, nominal_protocol.omega_target, interaction)
         assert np.abs(nominal_table(probe) - oracle).max() <= 1e-11
+
+    @pytest.mark.parametrize("window, low, high", [((0.9, 1.12), 10, 20), ((1.5, 2.5), 10, 20),
+                                                   ((0.25, 0.35), 0.5, 1), ((0.001, 0.4), 0.5, 1)])
+    def test_spline_error_against_the_table_error(self, nominal_protocol, window, low, high):
+        # about 16x the error of 1e5 probes where the knots resolve the fidelity; far below L
+        # the fidelity wiggles within a knot spacing, and both sense only that wiggle
+        table = FidelityTable(nominal_protocol, *window)
+        probe = np.random.default_rng(3).uniform(*window, 10**5)
+        interaction = nominal_protocol.nominal_interaction * probe**-6.0
+        oracle = phase_gate_fidelity(nominal_protocol.theta, nominal_protocol.omega_target, interaction)
+        assert low <= table.spline_error() / np.abs(table(probe) - oracle).max() <= high
+
+    def test_spline_error_needs_seven_knots(self, nominal_protocol):
+        for knots, reported in [(4, False), (6, False), (7, True), (8, True)]:
+            table = centered_table(nominal_protocol, knots - 1)
+            assert len(table.distances) == knots
+            assert (table.spline_error() is not None) == reported
+
+    def test_spline_error_is_the_gap_to_the_every_other_knot_spline(self, nominal_table):
+        coarse = cubic_spline(nominal_table.distances[::2], nominal_table.values[::2])
+        gap = coarse(nominal_table.distances[1:-1:2]) - nominal_table.values[1:-1:2]
+        assert abs(np.abs(gap).max() - nominal_table.spline_error()) <= 1e-14
 
     def test_design_distance_is_perfect(self, nominal_table):
         assert abs(nominal_table(1.0) - 1.0) < 1e-9
