@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .constants import C6_97S, LIFETIME_97S_4K_MS, LIFETIME_97S_300K_MS, MHZ
 from .dynamics import Level, build_hamiltonian
 from .errors import ConfigError, NumericError
-from .gates import ideal_cnot, ideal_cz, pedersen_fidelity, simulate
+from .gates import gate_fidelity, ideal_cnot, ideal_cz, pedersen_fidelity, simulate
 from .geometry import VdwModel, separation_for_interaction, vdw_interaction
 from .noise import (
     FidelityReport,

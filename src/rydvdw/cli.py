@@ -221,7 +221,10 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
     truncate = GRID_HALF_RANGE if cfg.mc_truncated else None
     draw = (lambda: draw_distances(*reduced, cfg.mc_samples, cfg.seed, truncate)) if mc else None
     table, draws = _sampled_table(protocol, ncfg, sigmas, reduced, grid, draw, "noise.temperature_uk")
-    exposure = simulate(protocol)[1]
+    gate, exposure = simulate(protocol)
+    # the walked design gate scored against the closed form the table is built from
+    walked = pedersen_fidelity(gate, ideal_gate(protocol))
+    kernel_gap = abs(walked - float(gate_fidelity(protocol, protocol.nominal_interaction)))
     results = {
         "sigma_z_um": sigmas.sigma_z,
         "sigma_perp_um": sigmas.sigma_perp,
@@ -230,7 +233,11 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
             table, reduced, cfg.deltas if grid else [], _decay_errors(exposure, ncfg.rydberg_lifetime),
             draws, cfg.mc_truncated,
         ),
-        "diagnostics": {"table_knots": len(table.distances), "spline_error": table.spline_error()},
+        "diagnostics": {
+            "table_knots": len(table.distances),
+            "spline_error": table.spline_error(),
+            "kernel_gap": kernel_gap,
+        },
     }
     return ResultRecord(
         command="fidelity", config=cfg.raw, params=_params_dict(protocol), results=results

@@ -119,7 +119,7 @@ def build_hamiltonian(
 
 def propagate(segments: Sequence[tuple[np.ndarray, float]], states, weight=None):
     """Advance state columns through a piecewise-constant pulse sequence;
-    the step of :func:`rydvdw.gates.simulate` and ``gate_fidelity``.
+    the step of :func:`rydvdw.gates.simulate`.
 
     Each segment (H, t) is diagonalized once, H = M diag(E) M^dag, and
     with amplitudes C = M^dag psi the states move as M exp(-i E t) C;

@@ -2,11 +2,13 @@
 
 The simulated gate is summarized by the 4x4 matrix of computational
 basis amplitudes after the full pulse sequence, and its decay cost by
-the time its inputs spend in Rydberg states; one walk gives both.
-Population left in Rydberg levels makes the matrix sub-unitary; that
-leakage is kept and scored by the average-fidelity formula of Pedersen,
-Moller and Molmer, Phys. Lett. A 367, 47 (2007), which is valid for
-non-unitary actuals.
+the time its inputs spend in Rydberg states; one walk of the 9-level
+dynamics gives both.  Population left in Rydberg levels makes the matrix
+sub-unitary; that leakage is kept and scored by the average-fidelity
+formula of Pedersen, Moller and Molmer, Phys. Lett. A 367, 47 (2007),
+which is valid for non-unitary actuals.  The fidelity at many
+interactions (a table, a separation sweep) needs no walk: the same
+formula on the one amplitude the interaction moves is a closed form.
 """
 
 from __future__ import annotations
@@ -40,31 +42,6 @@ def ideal_gate(protocol: GateProtocol) -> np.ndarray:
 _INPUTS = np.eye(dynamics.DIM)[:, dynamics.COMPUTATIONAL]
 
 
-#: Most interactions propagated as one stack.  A stack's 9x9 complex
-#: Hamiltonians take 166 KB per pulse, about one ``noise.BLOCK`` temporary,
-#: so a walk's temporaries stay in cache and its peak memory does not grow
-#: with the number of interactions; each interaction is propagated on its
-#: own matrix, so the stack size moves no value.  Measured on a 2-core Xeon
-#: at 64, 128, 192 and 256: the peak RSS of a cold reference-config
-#: ``fidelity`` run is 45.6, 46.2, 47.0 and 47.8 MB (53.8 as one stack of
-#: 4001).  128 is the smallest whose 805-knot table builds no slower than as
-#: one stack (median 24.1 against 26.6 ms, faster in 228 of 290
-#: alternating pairs); at 64, 27.2 ms, faster in only 119 of 290.
-MAX_STACK = 128
-
-
-def _walk(protocol: GateProtocol, interactions: np.ndarray, weight=None):
-    """Propagate the four computational inputs at each of the flat
-    ``interactions``, ``MAX_STACK`` at a time.  Yields, per stack, its slice
-    of ``interactions``, the raw computational blocks, shape (stack, 4, 4),
-    and the integral of ``weight`` per input, shape (stack, 4), or None
-    without ``weight`` (see :func:`rydvdw.dynamics.propagate`)."""
-    for start in range(0, interactions.size, MAX_STACK):
-        stack = slice(start, start + MAX_STACK)
-        states, integral = dynamics.propagate(protocol.segments(interactions[stack]), _INPUTS, weight)
-        yield stack, states[..., dynamics.COMPUTATIONAL, :], integral
-
-
 def simulate(protocol: GateProtocol, interaction=None):
     """Walk the sequence once for the gate matrix and the Rydberg exposure.
 
@@ -72,42 +49,31 @@ def simulate(protocol: GateProtocol, interaction=None):
     9-dimensional dynamics; column j of the gate holds the computational
     amplitudes of the evolved state j.  The same walk integrates each
     input's Rydberg excitations (|rr> twice) exactly; their mean over the
-    four inputs, times 1/lifetime, is the Rydberg decay error.  An array of
-    interactions is walked in stacks of at most ``MAX_STACK``, so beyond
-    its outputs memory does not grow with their number.
+    four inputs, times 1/lifetime, is the Rydberg decay error.
 
     Parameters
     ----------
     protocol : GateProtocol
         Pulse sequence to simulate.
-    interaction : float or array_like, optional
-        Pair interaction in rad/us, or an array of them; defaults to the
-        protocol's design value.  Pulse durations are never rescaled, so an
-        off-design value produces exactly the error a fluctuating atom
-        spacing would.
+    interaction : float, optional
+        Pair interaction in rad/us; defaults to the protocol's design
+        value.  Pulse durations are never rescaled, so an off-design value
+        produces exactly the error a fluctuating atom spacing would.
 
     Returns
     -------
     gate : ndarray
-        Complex matrices of shape ``interaction.shape + (4, 4)``, (4, 4)
-        for a scalar interaction, each with its |00> element made real
-        and positive; sub-unitary if population leaked out of the qubits.
-    exposure : float or ndarray
-        Time in Rydberg states averaged over the four inputs, in us: a
-        float for a scalar interaction, else an array of its shape.
+        Complex 4x4 matrix with its |00> element made real and positive;
+        sub-unitary if population leaked out of the qubits.
+    exposure : float
+        Time in Rydberg states averaged over the four inputs, in us.
     """
-    interactions = np.asarray(protocol.nominal_interaction if interaction is None else interaction, dtype=float)
-    gate = np.empty((interactions.size, 4, 4), dtype=complex)
-    exposure = np.empty(interactions.size)
-    for stack, block, integral in _walk(protocol, interactions.ravel(), dynamics.RYDBERG_WEIGHT):
-        anchor = block[:, 0, 0]
-        magnitude = np.abs(anchor)
-        phase = np.divide(magnitude, anchor, out=np.ones_like(anchor), where=magnitude > 1e-12)
-        gate[stack] = block * phase[:, None, None]
-        exposure[stack] = integral.mean(axis=-1)
-    if interactions.ndim == 0:
-        return gate[0], float(exposure[0])
-    return gate.reshape(interactions.shape + (4, 4)), exposure.reshape(interactions.shape)
+    states, integral = dynamics.propagate(protocol.segments(interaction), _INPUTS, dynamics.RYDBERG_WEIGHT)
+    gate = states[dynamics.COMPUTATIONAL]
+    anchor = gate[0, 0]
+    if abs(anchor) > 1e-12:
+        gate = gate * (abs(anchor) / anchor)
+    return gate, float(integral.mean())
 
 
 def pedersen_fidelity(actual: np.ndarray, ideal: np.ndarray):
@@ -131,17 +97,32 @@ def pedersen_fidelity(actual: np.ndarray, ideal: np.ndarray):
 
 
 def gate_fidelity(protocol: GateProtocol, interactions) -> np.ndarray:
-    """Fidelity of the simulated gate to the ideal one at each interaction.
+    """Average fidelity of the simulated gate to the ideal one at each
+    interaction (rad/us), in closed form; an array of their shape.
 
-    The interactions (rad/us) are walked as in :func:`simulate`, in stacks
-    of at most ``MAX_STACK``, but without its exposure integral, which
-    doubles the cost of a walk, and its phase fix, which
-    :func:`pedersen_fidelity` cannot see: the raw computational block is
-    scored.  Returns an array of their shape.
+    Only the |11> input feels the interaction: the sequence returns |00>,
+    |01> and |10> exactly, and |11> with the amplitude k of two detuned Rabi
+    cycles on {|r1>, |rr>}, one per drive sign.  So Pedersen's formula gives
+    F = (12 + 6 Re(k e^{-i theta}) + 2 |k|^2) / 20, the CNOT's at theta = pi
+    (it is CZ(pi) in the target's bright/dark basis).  With w the target
+    drive, t = ``t_cycle``, obar = hypot(w, V) and h = obar t/2,
+
+        k = e^{i (obar - V) t} + e^{-i V t} (2 sin^2 h (w/obar)^2 - i sin 2h (obar - V)/obar),
+
+    where obar - V = w^2/(obar + V) is formed without cancellation, so the
+    far-below-L phase e^{-i V t}, rounded as V t grows, only multiplies
+    terms of order (w/V)^2.  It agrees with :func:`pedersen_fidelity` of
+    :func:`simulate`'s gate to a few ulps.
     """
-    interactions = np.asarray(interactions, dtype=float)
-    ideal = ideal_gate(protocol)
-    fidelity = np.empty(interactions.size)
-    for stack, block, _ in _walk(protocol, interactions.ravel()):
-        fidelity[stack] = pedersen_fidelity(block, ideal)
-    return fidelity.reshape(interactions.shape)
+    v = np.asarray(interactions, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError("interaction must be finite")
+    w, t = protocol.omega_target, protocol.t_cycle
+    theta = np.pi if protocol.kind == "cnot" else protocol.theta
+    obar = np.hypot(w, v)
+    half = 0.5 * obar * t
+    lag = w * (w / (obar + v))  # w / (obar + V) <= 1: no overflow at a huge drive
+    kept = np.exp(1j * lag * t) + np.exp(-1j * v * t) * (
+        2.0 * (np.sin(half) * w / obar) ** 2 - 1j * np.sin(2.0 * half) * lag / obar
+    )
+    return (12.0 + 6.0 * np.real(kept * np.exp(-1j * theta)) + 2.0 * np.abs(kept) ** 2) / 20.0

@@ -95,8 +95,6 @@ MAX_KNOTS = 2**17
 #: mapped; 2**13 to 2**15 time alike, 2**17 about twice as slow.  Lookups and
 #: the grid reuse theirs from block to block: freeing them each block made
 #: the allocator return the heap top to the system and fault it back in.
-#: The propagation stacks of ``gates.MAX_STACK`` are sized by the same
-#: reasoning.
 BLOCK = 2**14
 
 
@@ -191,11 +189,12 @@ class FidelityTable:
 
     The fidelity of a fixed pulse sequence depends on the atom positions only
     through the interaction V0 u**-6, V0 = ``protocol.nominal_interaction``.
-    Propagating all tabulated distances as one batch and interpolating with
-    a not-a-knot cubic spline on the uniform knots turns the millions of
-    grid/sample evaluations into lookups.  At least four knots run from
-    ``lo`` to ``hi``, at most ``KNOT_SPACING * max(1, lo)`` apart, over at
-    least one such spacing; a lookup outside them raises ValueError.
+    Evaluating :func:`rydvdw.gates.gate_fidelity` at the knots in one call
+    and interpolating with a not-a-knot cubic spline on the uniform knots
+    turns the millions of grid/sample evaluations into lookups.  At least
+    four knots run from ``lo`` to ``hi``, at most ``KNOT_SPACING * max(1, lo)``
+    apart, over at least one such spacing; a lookup outside them raises
+    ValueError.
     """
 
     def __init__(self, protocol: GateProtocol, lo: float, hi: float):

@@ -129,9 +129,9 @@ class GateProtocol:
     def segments(self, interaction=None) -> list[tuple[np.ndarray, float]]:
         """The four (Hamiltonian, duration) pairs of the sequence.
 
-        ``interaction`` (rad/us, or an array of them, whose Hamiltonians are
-        built as one stack; the walks of :mod:`rydvdw.gates` hand it at most
-        ``gates.MAX_STACK`` at a time) defaults to the design value.
+        ``interaction`` (rad/us) defaults to the design value; the
+        Hamiltonians are what :func:`rydvdw.gates.simulate` walks, and
+        :func:`rydvdw.gates.gate_fidelity` is their closed form.
         Pulse 1 is a pi pulse on the control (+omega_control) and pulses 2
         and 3 are one detuned Rabi cycle each on the target, of duration
         ``t_cycle`` and opposite drive signs.  For CZ the target drive is

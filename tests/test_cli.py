@@ -19,7 +19,7 @@ from rydvdw import MHZ
 from rydvdw.cli import _spread_field, run_fidelity, run_simulate, run_solve, run_sweep
 from rydvdw.config import SCHEMA, RunConfig, load_config, parse_config
 from rydvdw.errors import ConfigError
-from rydvdw.gates import gate_fidelity, simulate
+from rydvdw.gates import gate_fidelity, ideal_gate, pedersen_fidelity, simulate
 from rydvdw.geometry import VdwModel, vdw_interaction
 from rydvdw.noise import NoiseConfig, inflate_sigmas
 from rydvdw.protocol import GateProtocol
@@ -544,13 +544,20 @@ class TestFidelityCommand:
         record = json.loads(result.output)
         assert abs(record["results"]["grid"]["mean_fidelity"] - 1.0) < 1e-6
         # its table is the minimum four knots, too few for an every-other-knot spline
-        assert record["results"]["diagnostics"] == {"table_knots": 4, "spline_error": None}
+        diagnostics = record["results"]["diagnostics"]
+        assert diagnostics.pop("kernel_gap") <= 3e-15
+        assert diagnostics == {"table_knots": 4, "spline_error": None}
 
     def test_diagnostics_describe_the_table(self, tables):
         results = run_fidelity(parse_config(dict(self.CONFIG))).results
         (table,) = tables
         diagnostics = {"table_knots": len(table.distances), "spline_error": table.spline_error()}
+        # and the walked design gate scored as the closed form the table is built from scores it
+        protocol = parse_config(dict(self.CONFIG)).protocol
+        walked = pedersen_fidelity(simulate(protocol)[0], ideal_gate(protocol))
+        diagnostics["kernel_gap"] = abs(walked - float(gate_fidelity(protocol, protocol.nominal_interaction)))
         assert results["diagnostics"] == diagnostics and 0.0 < diagnostics["spline_error"] < 1e-8
+        assert diagnostics["kernel_gap"] <= 3e-15
 
     def test_rerun_from_record_config_reproduces_numbers(self):
         cfg = parse_config(dict(self.CONFIG))
@@ -827,7 +834,8 @@ class TestSweepCommand:
 
 
 class TestOneWalkPerDesignPoint:
-    """A simulated gate is one propagation: its matrix and its exposure come from the same walk."""
+    """A simulated gate is one propagation: its matrix and its exposure come from the same walk.
+    Fidelities at many interactions, a table's or a separation sweep's, are a closed form."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -850,22 +858,20 @@ class TestOneWalkPerDesignPoint:
         run_sweep(parse_config({"sweep": {"axis": "omega", "start": 0.5, "stop": 5.0, "points": points}}))
         assert len(walks) == points
 
-    @staticmethod
-    def table_walks(table):
-        return math.ceil(len(table.distances) / rydvdw.gates.MAX_STACK)
-
-    def test_reference_fidelity_walks_once_per_table_stack(self, walks, tables):
-        # the exposure, and one table in stacks of at most MAX_STACK knots
+    def test_reference_fidelity_walks_once(self, walks, tables):
+        # for the exposure; its one table is the closed form
         run_fidelity(load_config(Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json"))
-        (table,) = tables
-        assert len(walks) == 1 + self.table_walks(table) > 2
+        assert len(tables) == 1 and len(walks) == 1
 
-    def test_temperature_sweep_walks_once_per_table_stack(self, walks, tables):
+    def test_temperature_sweep_walks_once(self, walks, tables):
         # one table for every temperature, and one exposure
         sweep = {"axis": "temperature", "start": 2.0, "stop": 32.0, "points": 4}
         run_sweep(parse_config({"sweep": sweep, "sampling": {"deltas": [0.5]}}))
-        (table,) = tables
-        assert len(walks) == 1 + self.table_walks(table) > 2
+        assert len(tables) == 1 and len(walks) == 1
+
+    def test_separation_sweep_never_walks(self, walks):
+        run_sweep(parse_config({"sweep": {"axis": "separation", "start": 15.0, "stop": 30.0, "points": 401}}))
+        assert walks == []
 
 
 class TestInfiniteInteraction:
