@@ -132,11 +132,10 @@ def _decay_errors(exposure: float, lifetime_ms: float) -> dict:
 
 
 def _position_average(table, reduced, deltas, errors: dict, draws=None, truncated=False) -> dict:
-    """The grid series over ``deltas`` of the :func:`_reduced` spreads and the Monte
-    Carlo mean over ``draws`` (``truncated`` or not), if any, on ``table``, net of the
-    :func:`_decay_errors` ``errors``: the CSV rows and wall times of every average,
-    the "grid" block of the finest step with the series, and the "mc" block.  A grid
-    step counts its (m+1)**6 nominal nodes."""
+    """The ``fidelity`` record's averages on ``table``, net of the :func:`_decay_errors`
+    ``errors``: its CSV rows and wall times, the "grid" block of the finest of ``deltas``
+    with their series, and the "mc" block over ``draws``, if any.  A grid step counts
+    its (m+1)**6 nominal nodes."""
     out: dict = {"csv_rows": [], "wall_times": {}}
     blocks = {}
     averages = [(f"grid_{delta}", delta, GridSpec(delta)) for delta in deltas]
@@ -292,19 +291,19 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         hot = inflate_sigmas(hottest, protocol.t_gate)
         hot_field = "sweep.stop" if cfg.sweep["stop"] >= cfg.sweep["start"] else "sweep.start"
         table, _ = _sampled_table(protocol, hottest, hot, _reduced(protocol, hottest, hot), True, None, hot_field)
-        errors = _decay_errors(simulate(protocol)[1], cfg.noise.rydberg_lifetime)
+        decay = _decay_errors(simulate(protocol)[1], cfg.noise.rydberg_lifetime)["decay_error"]
         delta = min(cfg.deltas)
         for temp in values:
             sigmas = inflate_sigmas(replace(cfg.noise, temperature=float(temp)), protocol.t_gate)
-            grid = _position_average(table, _reduced(protocol, cfg.noise, sigmas), [delta], errors)["grid"]
+            mean = grid_average_fidelity(table, *_reduced(protocol, cfg.noise, sigmas), GridSpec(delta))
             rows.append({
                 "axis": axis,
                 "value": float(temp),
                 "sigma_z_um": sigmas.sigma_z,
                 "sigma_perp_um": sigmas.sigma_perp,
                 "delta": delta,
-                "mean_fidelity": grid["mean_fidelity"],
-                "net_fidelity": grid["net_fidelity"],
+                "mean_fidelity": mean,
+                "net_fidelity": mean - decay,
             })
     else:  # unreachable behind schema validation
         raise ConfigError(f"invalid config field 'sweep.axis': unknown axis {axis!r}")

@@ -65,15 +65,13 @@ COMPUTATIONAL = [basis_index(c, t) for c in (Level.G0, Level.G1) for t in (Level
 
 def build_hamiltonian(
     drives: Iterable[tuple[str, int, int, complex]],
-    interaction=0.0,
+    interaction: float = 0.0,
 ) -> np.ndarray:
     """Assemble the two-atom Hamiltonian for one pulse segment.
 
     Each drive contributes (amp/2)|to><from| + H.c. on the addressed
     atom (tensored with identity on the other), and the Rydberg pair
-    interaction adds ``interaction`` on |rr><rr|.  Only that entry
-    depends on the interaction, so a whole stack of interactions shares
-    one drive part.
+    interaction adds ``interaction`` on |rr><rr|.
 
     Parameters
     ----------
@@ -81,20 +79,18 @@ def build_hamiltonian(
         ``actor`` is ``"control"`` or ``"target"``; levels are
         :class:`Level` values; ``amplitude`` is a complex Rabi
         frequency in rad/us.
-    interaction : float or array_like
-        Pair-state energy shift V/hbar in rad/us, or an array of them.
-        Positive for the repulsive van der Waals case; a negative value
-        flips the sign of the shift.
+    interaction : float
+        Pair-state energy shift V/hbar in rad/us.  Positive for the
+        repulsive van der Waals case; a negative value flips the sign of
+        the shift.  An array is refused.
 
     Returns
     -------
     ndarray
-        Hermitian complex matrices of shape ``interaction.shape + (9, 9)``;
-        (9, 9) for a scalar interaction.
+        Hermitian complex (9, 9) matrix.
     """
-    interaction = np.asarray(interaction, dtype=float)
-    if not np.isfinite(interaction).all():
-        raise ValueError("interaction must be finite")
+    if np.ndim(interaction) != 0 or not np.isfinite(interaction):
+        raise ValueError(f"interaction must be one finite float; got {interaction!r}")
     single = {
         CONTROL: np.zeros((3, 3), dtype=complex),
         TARGET: np.zeros((3, 3), dtype=complex),
@@ -109,11 +105,10 @@ def build_hamiltonian(
             raise ValueError("drive must couple two distinct levels")
         single[actor][to, frm] += amplitude / 2.0
     eye = np.eye(3)
-    drive = np.kron(single[CONTROL] + single[CONTROL].conj().T, eye)
-    drive += np.kron(eye, single[TARGET] + single[TARGET].conj().T)
-    hamiltonian = np.broadcast_to(drive, interaction.shape + drive.shape).copy()
+    hamiltonian = np.kron(single[CONTROL] + single[CONTROL].conj().T, eye)
+    hamiltonian += np.kron(eye, single[TARGET] + single[TARGET].conj().T)
     rr = basis_index(Level.RYD, Level.RYD)
-    hamiltonian[..., rr, rr] += interaction
+    hamiltonian[rr, rr] += interaction
     return hamiltonian
 
 
@@ -125,12 +120,11 @@ def propagate(segments: Sequence[tuple[np.ndarray, float]], states, weight=None)
     with amplitudes C = M^dag psi the states move as M exp(-i E t) C;
     no propagator matrix is formed.  ``segments`` are as
     :meth:`rydvdw.protocol.GateProtocol.segments` builds them, Hermitian
-    by construction and not re-checked: matrices in rad/us, or stacks of
-    shape (..., n, n) diagonalized in one batched call, with finite
-    durations >= 0 in us; ``states`` holds the columns of an (n, k) or
-    (..., n, k) array.
+    by construction and not re-checked: (9, 9) matrices in rad/us with
+    finite durations >= 0 in us; ``states`` holds the columns of a (9, k)
+    array.  Any other shape is refused.
 
-    With ``weight``, the length-n diagonal of an observable such as
+    With ``weight``, the length-9 diagonal of an observable such as
     :data:`RYDBERG_WEIGHT`, the same E, M and C give the exact time
     integral of its expectation value: with W = M^dag diag(weight) M a
     segment adds (Van Loan, IEEE TAC 23, 395, 1978)
@@ -138,24 +132,28 @@ def propagate(segments: Sequence[tuple[np.ndarray, float]], states, weight=None)
         Re sum_mn conj(C_m) C_n W_mn t exp(i w t/2) sinc(w t/2),
         w = E_m - E_n.
 
-    Returns the evolved columns, shape (..., n, k), and the integral in
-    us of each column, shape (..., k), or None without ``weight``.
+    Returns the evolved (9, k) columns and the integral in us of each
+    column, shape (k,), or None without ``weight``.
     """
     states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or len(states) != DIM:
+        raise ValueError(f"states must be a ({DIM}, k) array; got shape {states.shape}")
     integral = None if weight is None else 0.0
     for hamiltonian, duration in segments:
+        if np.shape(hamiltonian) != (DIM, DIM):
+            raise ValueError(f"a segment needs one ({DIM}, {DIM}) matrix; got shape {np.shape(hamiltonian)}")
         if not 0 <= duration < np.inf:
             raise ValueError(f"duration must be nonnegative and finite; got {duration!r}")
         try:
             energies, modes = np.linalg.eigh(hamiltonian)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"eigendecomposition failed: {exc}") from exc
-        adjoint = modes.conj().swapaxes(-1, -2)
+        adjoint = modes.conj().T
         coeffs = adjoint @ states
         if weight is not None:
             observable = (adjoint * weight) @ modes
-            half = 0.5 * duration * (energies[..., :, None] - energies[..., None, :])
+            half = 0.5 * duration * (energies[:, None] - energies[None, :])
             kernel = duration * np.exp(1j * half) * np.sinc(half / np.pi)
-            integral = integral + (coeffs.conj() * ((observable * kernel) @ coeffs)).sum(axis=-2).real
-        states = modes @ (np.exp(-1j * energies * duration)[..., :, None] * coeffs)
+            integral = integral + (coeffs.conj() * ((observable * kernel) @ coeffs)).sum(axis=0).real
+        states = modes @ (np.exp(-1j * energies * duration)[:, None] * coeffs)
     return states, integral

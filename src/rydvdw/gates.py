@@ -76,24 +76,21 @@ def simulate(protocol: GateProtocol, interaction=None):
     return gate, float(integral.mean())
 
 
-def pedersen_fidelity(actual: np.ndarray, ideal: np.ndarray):
+def pedersen_fidelity(actual: np.ndarray, ideal: np.ndarray) -> float:
     """Average gate fidelity [|Tr(U^d A)|^2 + Tr(U^d A A^d U)] / 20.
 
     ``ideal`` (U) must be unitary; ``actual`` (A) may be any 4x4
-    contraction, or a stack of them with shape (..., 4, 4).  Both traces
-    are elementwise sums, no matrix product: sum(conj(U) A), and, as U
-    is unitary, Tr(A A^d) = sum |A|^2.  Equals 1 exactly when A matches
-    U up to a global phase, and is insensitive to that phase.  Returns a
-    float for one matrix, else an array of the stack's shape.
+    contraction.  Both traces are elementwise sums, no matrix product:
+    sum(conj(U) A), and, as U is unitary, Tr(A A^d) = sum |A|^2.  Equals
+    1 exactly when A matches U up to a global phase, and is insensitive
+    to that phase.
     """
     actual = np.asarray(actual, dtype=complex)
     ideal = np.asarray(ideal, dtype=complex)
-    if actual.shape[-2:] != (4, 4) or ideal.shape != (4, 4):
+    if actual.shape != (4, 4) or ideal.shape != (4, 4):
         raise ValueError("gate matrices must be 4x4")
-    trace = (ideal.conj() * actual).sum(axis=(-2, -1))
-    purity = (np.abs(actual) ** 2).sum(axis=(-2, -1))
-    fidelity = (np.abs(trace) ** 2 + purity) / 20.0
-    return float(fidelity) if fidelity.ndim == 0 else fidelity
+    trace = (ideal.conj() * actual).sum()
+    return float((abs(trace) ** 2 + (np.abs(actual) ** 2).sum()) / 20.0)
 
 
 def gate_fidelity(protocol: GateProtocol, interactions) -> np.ndarray:

@@ -49,10 +49,9 @@ def basis_state(control: int, target: int) -> np.ndarray:
 
 
 def exponentiate(hamiltonian: np.ndarray, duration: float) -> np.ndarray:
-    """Exact propagator exp(-i H t) of a constant Hamiltonian, or of a
-    stack of them with shape (..., n, n): ``propagate`` applied to the
-    identity.  Unitary matrices of the same shape."""
-    return propagate([(hamiltonian, duration)], np.eye(np.shape(hamiltonian)[-1]))[0]
+    """Exact propagator exp(-i H t) of a constant (9, 9) Hamiltonian:
+    ``propagate`` applied to the identity."""
+    return propagate([(hamiltonian, duration)], np.eye(DIM))[0]
 
 
 def evolve(state, unitaries):

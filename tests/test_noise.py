@@ -319,10 +319,12 @@ class TestFidelityTable:
         probe = np.random.default_rng(seed).uniform(lo, hi, 200)
         direct = gate_fidelity(protocol, vdw_interaction(VDW, probe * protocol.separation))
         assert np.abs(table(probe) - direct).max() <= 1e-8
-        # and within the spline error the table reports, at 1e4 probes against the closed form
-        probe = np.random.default_rng(seed).uniform(lo, hi, 10**4)
+        # and near the midpoint error the table reports, at 1e5 probes against the closed form:
+        # 0.907-1.0005x over 1000 windows of this domain (1e4 probes, about ten per knot
+        # interval, can miss a peak in one end interval and read 0.4x of it)
+        probe = np.random.default_rng(seed).uniform(lo, hi, 10**5)
         oracle = phase_gate_fidelity(theta, protocol.omega_target, protocol.nominal_interaction * probe**-6.0)
-        assert np.abs(table(probe) - oracle).max() <= table.spline_error()
+        assert 0.85 <= table.spline_error() / np.abs(table(probe) - oracle).max() <= 1.01
 
     @pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
     def test_blocked_lookup_is_the_one_shot_lookup(self, nominal_table, size):
@@ -364,27 +366,22 @@ class TestFidelityTable:
         oracle = phase_gate_fidelity(nominal_protocol.theta, nominal_protocol.omega_target, interaction)
         assert np.abs(nominal_table(probe) - oracle).max() <= 1e-11
 
-    @pytest.mark.parametrize("window, low, high", [((0.9, 1.12), 10, 20), ((1.5, 2.5), 10, 20),
-                                                   ((0.25, 0.35), 0.5, 1), ((0.001, 0.4), 0.5, 1)])
-    def test_spline_error_against_the_table_error(self, nominal_protocol, window, low, high):
-        # about 16x the error of 1e5 probes where the knots resolve the fidelity; far below L
-        # the fidelity wiggles within a knot spacing, and both sense only that wiggle
+    @pytest.mark.parametrize("window", [(0.9, 1.12), (1.5, 2.5), (0.25, 0.35), (0.001, 0.4)])
+    def test_spline_error_against_the_table_error(self, nominal_protocol, window):
+        # the midpoint error against the error of 1e5 probes: 0.91x on the first two windows,
+        # 0.75x on [0.25, 0.35], where the fidelity wiggles within a knot spacing, 1.00x on the last
         table = FidelityTable(nominal_protocol, *window)
         probe = np.random.default_rng(3).uniform(*window, 10**5)
         interaction = nominal_protocol.nominal_interaction * probe**-6.0
         oracle = phase_gate_fidelity(nominal_protocol.theta, nominal_protocol.omega_target, interaction)
-        assert low <= table.spline_error() / np.abs(table(probe) - oracle).max() <= high
+        assert 0.7 <= table.spline_error() / np.abs(table(probe) - oracle).max() <= 1.0
 
-    def test_spline_error_needs_seven_knots(self, nominal_protocol):
-        for knots, reported in [(4, False), (6, False), (7, True), (8, True)]:
-            table = centered_table(nominal_protocol, knots - 1)
-            assert len(table.distances) == knots
-            assert (table.spline_error() is not None) == reported
-
-    def test_spline_error_is_the_gap_to_the_every_other_knot_spline(self, nominal_table):
-        coarse = cubic_spline(nominal_table.distances[::2], nominal_table.values[::2])
-        gap = coarse(nominal_table.distances[1:-1:2]) - nominal_table.values[1:-1:2]
-        assert abs(np.abs(gap).max() - nominal_table.spline_error()) <= 1e-14
+    def test_spline_error_is_the_midpoint_gap(self, nominal_protocol, nominal_table):
+        midpoints = 0.5 * (nominal_table.distances[:-1] + nominal_table.distances[1:])
+        interaction = nominal_protocol.nominal_interaction * midpoints**-6.0
+        oracle = phase_gate_fidelity(np.pi, nominal_protocol.omega_target, interaction)
+        gap = np.abs(nominal_table(midpoints) - oracle).max()
+        assert abs(gap - nominal_table.spline_error()) <= 1e-14
 
     def test_design_distance_is_perfect(self, nominal_table):
         assert abs(nominal_table(1.0) - 1.0) < 1e-9
