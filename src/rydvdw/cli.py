@@ -28,12 +28,12 @@ from .errors import ConfigError, NumericError
 from .gates import gate_fidelity, ideal_gate, pedersen_fidelity, simulate
 from .noise import (
     GRID_HALF_RANGE,
+    KNOT_SPACING,
     FidelityTable,
     GridSpec,
     InflatedSigmas,
     NoiseConfig,
     decay_error,
-    draw_distances,
     grid_average_fidelity,
     grid_window,
     inflate_sigmas,
@@ -84,34 +84,42 @@ def _reduced(protocol: GateProtocol, ncfg: NoiseConfig, sigmas: InflatedSigmas):
     return InflatedSigmas(*(value / length for value in astuple(sigmas))), ncfg.trap_separation / length
 
 
-def _sampled_table(protocol, ncfg, sigmas, reduced, grid, draw, temperature_field):
-    """The table over exactly the :func:`_reduced` distances a run looks up, the :func:`grid_window`
-    if ``grid`` joined with the Monte Carlo distances ``draw()`` gives, and those draws (None without
-    ``draw``).  A grid reaching zero distance names :func:`_spread_field` for sigma_perp (sigma_z adds
-    in quadrature), before the draw; a window the table refuses names the field behind the larger
-    spread, or the trap separation if a distance overflowed and it exceeds both spreads.  Either
-    names the temperature as ``temperature_field``."""
-    lo, hi = grid_window(*reduced) if grid else (np.inf, 0.0)
+def _spread_error(protocol, ncfg, sigmas, overflow, temperature_field, exc) -> ConfigError:
+    """The config error for reduced distances that the table or the closed form refuses (``exc``
+    says why): it names the field behind the larger spread, or the trap separation if a distance
+    ``overflow``-ed and the separation exceeds both spreads, and the temperature as
+    ``temperature_field``."""
+    axis = "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp"
+    far = overflow and ncfg.trap_separation > max(sigmas.sigma_z, sigmas.sigma_perp)
+    field = "noise.trap_separation_um" if far else _spread_field(ncfg, sigmas, axis, temperature_field)
+    return ConfigError(
+        f"invalid config field '{field}': a {ncfg.trap_separation!r} um trap separation and spreads "
+        f"sigma_z {sigmas.sigma_z:.4g} and sigma_perp {sigmas.sigma_perp:.4g} um, "
+        f"in {protocol.separation:.4g} um design separations: {exc}"
+    )
+
+
+def _sampled_table(protocol, ncfg, sigmas, reduced, grid, temperature_field):
+    """The table over the :func:`grid_window` of the :func:`_reduced` spreads and separation s,
+    which is known before any draw; the Monte Carlo takes its draws beyond it from the closed
+    form.  A window reaching zero distance names :func:`_spread_field` for sigma_perp (sigma_z
+    adds in quadrature) if ``grid``; a Monte Carlo run alone tabulates from s instead, or from
+    one knot spacing if s lies nearer to zero (where the interaction would overflow), and its
+    nearer draws take the closed form.  A window the table refuses is a :func:`_spread_error`,
+    overflowed if either end is not finite."""
+    lo, hi = grid_window(*reduced)
     if not lo > 0.0:
-        raise ConfigError(
-            f"invalid config field '{_spread_field(ncfg, sigmas, 'perp', temperature_field)}': the "
-            f"position grid reaches zero distance, as 3 sigma_perp (3 x {sigmas.sigma_perp:.4g} um, "
-            f"inflated at {ncfg.temperature:.4g} uK) reach the {ncfg.trap_separation:.4g} um trap separation"
-        )
-    draws = None if draw is None else draw()
-    if draws is not None:
-        lo, hi = float(np.minimum(lo, draws.min())), float(np.maximum(hi, draws.max()))
+        if grid:
+            raise ConfigError(
+                f"invalid config field '{_spread_field(ncfg, sigmas, 'perp', temperature_field)}': the "
+                f"position grid reaches zero distance, as 3 sigma_perp (3 x {sigmas.sigma_perp:.4g} um, "
+                f"inflated at {ncfg.temperature:.4g} uK) reach the {ncfg.trap_separation:.4g} um trap separation"
+            )
+        lo = max(reduced[1], KNOT_SPACING)
     try:
-        return FidelityTable(protocol, lo, hi), draws
+        return FidelityTable(protocol, lo, hi)
     except ValueError as exc:
-        overflow = not np.isfinite(hi - lo) and ncfg.trap_separation > max(sigmas.sigma_z, sigmas.sigma_perp)
-        axis = "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp"
-        field = "noise.trap_separation_um" if overflow else _spread_field(ncfg, sigmas, axis, temperature_field)
-        raise ConfigError(
-            f"invalid config field '{field}': a {ncfg.trap_separation!r} um trap separation and spreads "
-            f"sigma_z {sigmas.sigma_z:.4g} and sigma_perp {sigmas.sigma_perp:.4g} um, "
-            f"in {protocol.separation:.4g} um design separations: {exc}"
-        ) from None
+        raise _spread_error(protocol, ncfg, sigmas, not np.isfinite(hi - lo), temperature_field, exc) from None
 
 
 def _decay_errors(exposure: float, lifetime_ms: float) -> dict:
@@ -131,24 +139,29 @@ def _decay_errors(exposure: float, lifetime_ms: float) -> dict:
     }
 
 
-def _position_average(table, reduced, deltas, errors: dict, draws=None, truncated=False) -> dict:
+def _position_average(table, reduced, deltas, errors: dict, monte_carlo=None, truncated=False) -> dict:
     """The ``fidelity`` record's averages on ``table``, net of the :func:`_decay_errors`
     ``errors``: its CSV rows and wall times, the "grid" block of the finest of ``deltas``
-    with their series, and the "mc" block over ``draws``, if any.  A grid step counts
-    its (m+1)**6 nominal nodes."""
-    out: dict = {"csv_rows": [], "wall_times": {}}
+    with their series, and the "mc" block of the report ``monte_carlo()`` returns, if
+    given, timed with its draw; and ``direct_evaluations``, the draws it took from the
+    closed form (0 without it).  A grid step counts its (m+1)**6 nominal nodes.  Each
+    block states its support in sigmas, ``truncation``: None for an untruncated draw."""
+    out: dict = {"csv_rows": [], "wall_times": {}, "direct_evaluations": 0}
     blocks = {}
     averages = [(f"grid_{delta}", delta, GridSpec(delta)) for delta in deltas]
-    if draws is not None:
+    if monte_carlo is not None:
         averages.append(("mc", "mc", None))
     for key, label, grid in averages:
         tic = time.perf_counter()
         if grid is None:
-            mean, count, stderr = astuple(monte_carlo_average_fidelity(table, draws))
-            labels = {"method": "mc-truncated" if truncated else "mc", "stderr": stderr}
+            report = monte_carlo()
+            mean, count = report.mean_fidelity, report.sample_count
+            out["direct_evaluations"] = report.direct_evaluations
+            labels = {"method": "mc-truncated" if truncated else "mc", "stderr": report.stderr,
+                      "truncation": GRID_HALF_RANGE if truncated else None}
         else:
             mean = grid_average_fidelity(table, *reduced, grid)
-            count, labels = len(grid.points()) ** 6, {"method": "grid-paired"}
+            count, labels = len(grid.points()) ** 6, {"method": "grid-paired", "truncation": GRID_HALF_RANGE}
         out["wall_times"][key] = wall = time.perf_counter() - tic
         out["csv_rows"].append({
             "delta": label,
@@ -169,7 +182,7 @@ def _position_average(table, reduced, deltas, errors: dict, draws=None, truncate
         finest = blocks[f"grid_{min(deltas)}"]
         series = [[delta, blocks[f"grid_{delta}"]["mean_fidelity"]] for delta in deltas]
         out["grid"] = {**finest, "convergence": series, "estimate": finest["mean_fidelity"]}
-    if draws is not None:
+    if monte_carlo is not None:
         out["mc"] = blocks["mc"]
     return out
 
@@ -217,25 +230,35 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
     sigmas = inflate_sigmas(ncfg, protocol.t_gate)
     reduced = _reduced(protocol, ncfg, sigmas)
     grid, mc = cfg.mode in ("grid", "both"), cfg.mode in ("mc", "both")
-    truncate = GRID_HALF_RANGE if cfg.mc_truncated else None
-    draw = (lambda: draw_distances(*reduced, cfg.mc_samples, cfg.seed, truncate)) if mc else None
-    table, draws = _sampled_table(protocol, ncfg, sigmas, reduced, grid, draw, "noise.temperature_uk")
+    table = _sampled_table(protocol, ncfg, sigmas, reduced, grid, "noise.temperature_uk")
     gate, exposure = simulate(protocol)
     # the walked design gate scored against the closed form the table is built from
     walked = pedersen_fidelity(gate, ideal_gate(protocol))
     kernel_gap = abs(walked - float(gate_fidelity(protocol, protocol.nominal_interaction)))
+
+    def monte_carlo():
+        truncate = GRID_HALF_RANGE if cfg.mc_truncated else None
+        try:
+            return monte_carlo_average_fidelity(table, *reduced, cfg.mc_samples, cfg.seed, truncate)
+        except ValueError as exc:
+            # a draw beyond the window whose distance, or interaction, overflowed
+            raise _spread_error(protocol, ncfg, sigmas, True, "noise.temperature_uk", exc) from None
+
+    averages = _position_average(
+        table, reduced, cfg.deltas if grid else [], _decay_errors(exposure, ncfg.rydberg_lifetime),
+        monte_carlo if mc else None, cfg.mc_truncated,
+    )
+    direct_evaluations = averages.pop("direct_evaluations")
     results = {
         "sigma_z_um": sigmas.sigma_z,
         "sigma_perp_um": sigmas.sigma_perp,
         "rydberg_exposure_us": exposure,
-        **_position_average(
-            table, reduced, cfg.deltas if grid else [], _decay_errors(exposure, ncfg.rydberg_lifetime),
-            draws, cfg.mc_truncated,
-        ),
+        **averages,
         "diagnostics": {
             "table_knots": len(table.distances),
             "spline_error": table.spline_error(),
             "kernel_gap": kernel_gap,
+            "direct_evaluations": direct_evaluations,
         },
     }
     return ResultRecord(
@@ -290,7 +313,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         hottest = replace(cfg.noise, temperature=float(values[-1]))
         hot = inflate_sigmas(hottest, protocol.t_gate)
         hot_field = "sweep.stop" if cfg.sweep["stop"] >= cfg.sweep["start"] else "sweep.start"
-        table, _ = _sampled_table(protocol, hottest, hot, _reduced(protocol, hottest, hot), True, None, hot_field)
+        table = _sampled_table(protocol, hottest, hot, _reduced(protocol, hottest, hot), True, hot_field)
         decay = _decay_errors(simulate(protocol)[1], cfg.noise.rydberg_lifetime)["decay_error"]
         delta = min(cfg.deltas)
         for temp in values:

@@ -83,9 +83,9 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "mode": {"enum": ["grid", "mc", "both"]},
-                # deltas, mc_samples and sweep.points size arrays; at the reference
-                # point the peak memory at each bound is about 32 MB (deltas), 114 MB
-                # (mc_samples) and 0.49 GB (sweep.points, nearly all rows and CSV text)
+                # deltas and mc_samples set streamed work, sweep.points sizes arrays; at
+                # the reference point the peak memory at each bound is about 32 MB (deltas),
+                # 41 MB (mc_samples) and 0.49 GB (sweep.points, nearly all rows and CSV text)
                 "deltas": {
                     "type": "array",
                     "minItems": 1,

@@ -18,11 +18,13 @@ Two exact structural reductions keep this cheap.  First, the fidelity
 depends on the offsets only through the distance d, and on d only through
 u = d/L, L the design separation (C6/d**6 = V0 u**-6, V0 = C6/L**6 the
 design interaction), so one table over u serves every drive and C6 at a
-phase.  It is tabulated once over exactly the u the grid and the draws
-reach, which take the spreads and the trap separation in units of L, and
-interpolated; a lookup outside it is an error.  The grid reaches the same
-u at every step, in closed form.  Second, the grid sum depends on each
-coordinate pair only through its difference; regrouping the product
+phase.  It is tabulated once over the u the grid reaches, which takes the
+spreads and the trap separation in units of L, and interpolated; a lookup
+outside it is an error.  The grid reaches the same u at every step, in
+closed form, so the window is known before any draw; the Monte Carlo
+takes the few draws beyond it from the closed form and counts them.
+Second, the grid sum depends on each coordinate pair only through its
+difference; regrouping the product
 weights into difference weights (a discrete autocorrelation) collapses
 the 6-D sum to 3-D without changing its value.  The y and z differences
 enter the distance only squared and their weights are symmetric, so each
@@ -30,19 +32,21 @@ is folded onto its nonnegative half with the weights of the two signs
 summed.
 
 Everything runs in blocks of about ``BLOCK`` points: the table lookup
-and the Monte Carlo draw write into one output block by block, the lookup
-and the grid reuse one set of scratch arrays for every block, the grid
-streams whole x-difference rows of the folded grid, reducing each block
-against its weights by two matrix-vector products, and the Monte Carlo
-mean merges each block's mean and sum of squared deviations.  So no
-average forms a full-size weight or fidelity array, and only the draw
-holds a full-size one, its distances.  The grid average returns its mean,
-the Monte Carlo average its mean, sample count and standard error.
+writes into one output block by block, the lookup, the grid and the Monte
+Carlo reuse one set of buffers for every block, the grid streams whole
+x-difference rows of the folded grid, reducing each block against its
+weights by two matrix-vector products, the draw yields its distances a
+block at a time, and the Monte Carlo mean merges each block's mean and
+sum of squared deviations.  So no average forms a full-size distance,
+weight or fidelity array.  The grid average returns its mean, the Monte
+Carlo average its mean, sample count, standard error and the number of
+draws it took from the closed form.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -90,11 +94,12 @@ KNOT_SPACING = 1.0 / 3072
 #: Most knots a table may have: a window some 40 design separations wide.
 MAX_KNOTS = 2**17
 
-#: Points per block of a table lookup, a grid average or a Monte Carlo draw.
+#: Points per block of a table lookup, a grid average, a Monte Carlo draw or the
+#: closed-form fidelities of the draws outside a table's window.
 #: A block's arrays (128 KB each) stay in cache and in memory already
-#: mapped; 2**13 to 2**15 time alike, 2**17 about twice as slow.  Lookups and
-#: the grid reuse theirs from block to block: freeing them each block made
-#: the allocator return the heap top to the system and fault it back in.
+#: mapped; 2**13 to 2**15 time alike, 2**17 about twice as slow.  Lookups, the
+#: grid and the Monte Carlo reuse theirs from block to block: freeing them each
+#: block made the allocator return the heap top to the system and fault it back in.
 BLOCK = 2**14
 
 
@@ -161,11 +166,13 @@ class GridSpec:
 @dataclass(frozen=True)
 class FidelityReport:
     """Outcome of a Monte Carlo average: the mean over ``sample_count``
-    samples and its standard error."""
+    samples, its standard error, and how many of the samples lay outside the
+    table's window and took the closed form."""
 
     mean_fidelity: float
     sample_count: int
     stderr: float
+    direct_evaluations: int
 
 
 def inflate_sigmas(cfg: NoiseConfig, t_gate: float) -> InflatedSigmas:
@@ -221,26 +228,32 @@ class FidelityTable:
         out = np.empty(flat.size)
         lo, hi = self.distances[0], self.distances[-1]
         for start in range(0, flat.size, BLOCK):
-            block, fid = flat[start : start + BLOCK], out[start : start + BLOCK]
+            block = flat[start : start + BLOCK]
             inside = (block >= lo) & (block <= hi)
             if not inside.all():
                 raise ValueError(
                     f"distance {float(block[~inside][0])!r} lies outside the "
                     f"fidelity table's window [{lo!r}, {hi!r}]"
                 )
-            # Horner's rule on the cubic of each distance's interval (the last closes at hi)
-            index, offset, coefficient = (scratch[: len(block)] for scratch in self._scratch)
-            np.subtract(block, lo, out=offset)
-            np.divide(offset, self._step, out=offset)
-            np.copyto(index, offset, casting="unsafe")  # truncates, as astype does
-            np.minimum(index, len(self.distances) - 2, out=index)
-            # every index is in range; mode "raise" would buffer each output
-            np.subtract(block, np.take(self.distances, index, out=offset, mode="clip"), out=offset)
-            np.take(self._coefficients[0], index, out=fid, mode="clip")
-            for row in self._coefficients[1:]:
-                fid *= offset
-                fid += np.take(row, index, out=coefficient, mode="clip")
+            self._interpolate(block, out[start : start + BLOCK])
         return float(out[0]) if dist.ndim == 0 else out.reshape(dist.shape)
+
+    def _interpolate(self, block: np.ndarray, fid: np.ndarray) -> np.ndarray:
+        """The spline at up to ``BLOCK`` distances ``block``, every one in the window,
+        written into and returned as ``fid``."""
+        # Horner's rule on the cubic of each distance's interval (the last closes at hi)
+        index, offset, coefficient = (scratch[: len(block)] for scratch in self._scratch)
+        np.subtract(block, self.distances[0], out=offset)
+        np.divide(offset, self._step, out=offset)
+        np.copyto(index, offset, casting="unsafe")  # truncates, as astype does
+        np.minimum(index, len(self.distances) - 2, out=index)
+        # every index is in range; mode "raise" would buffer each output
+        np.subtract(block, np.take(self.distances, index, out=offset, mode="clip"), out=offset)
+        np.take(self._coefficients[0], index, out=fid, mode="clip")
+        for row in self._coefficients[1:]:
+            fid *= offset
+            fid += np.take(row, index, out=coefficient, mode="clip")
+        return fid
 
     def _exact(self, dist: np.ndarray) -> np.ndarray:
         """The closed-form fidelity at distances ``dist`` in design separations."""
@@ -359,71 +372,131 @@ def grid_average_fidelity(
 
 def draw_distances(
     sigmas: InflatedSigmas, separation: float, n_samples: int, seed: int, truncate: float | None = None
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """Qubit distances of ``n_samples`` Monte Carlo position draws, the traps
-    ``separation`` apart (the spreads' unit), ``BLOCK`` samples at a time.
+    ``separation`` apart (the spreads' unit), yielded ``BLOCK`` samples at a time.
 
     The distance depends on the six offsets only through the differences
     x_c - x_t, y_c - y_t and z_c - z_t.  Untruncated (the default), each is
     the difference of two independent N(0, sigma**2) offsets, so it is drawn
     directly as N(0, 2 sigma**2).  With ``truncate=GRID_HALF_RANGE`` (the
     grid's support) a block draws the six offsets, redraws each until it
-    lies within ``truncate`` sigma, and takes their differences.  Identical
-    seeds give bit-identical distances.
+    lies within ``truncate`` sigma, and takes their differences.  Each block
+    is a view of one buffer that the next block overwrites (copy a block to
+    keep it), so a draw holds a few blocks however many samples it yields.
+    Identical seeds give bit-identical distances.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
-    out = np.empty(n_samples)
-    # near the float limit a distance overflows to inf or NaN, and its table window is refused
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.array([sigmas.sigma_perp, sigmas.sigma_perp, sigmas.sigma_z])[:, None]
-        if truncate is None:
+    rows, size = (3 if truncate is None else 6), min(BLOCK, n_samples)
+    # flat, so that a short last block is a contiguous (rows, m) array too
+    normals, dist = np.empty(rows * size), np.empty(size)
+    differences = None if truncate is None else np.empty(3 * size)
+    scale = np.array([sigmas.sigma_perp, sigmas.sigma_perp, sigmas.sigma_z])[:, None]
+    # near the float limit a distance overflows to inf or NaN, which the average refuses;
+    # the error state is set around each block's arithmetic, never across a yield
+    if truncate is None:
+        with np.errstate(over="ignore"):
             scale *= np.sqrt(2.0)
-        for start in range(0, n_samples, BLOCK):
-            size = min(BLOCK, n_samples - start)
-            if truncate is None:
-                diff = rng.standard_normal((3, size))
-            else:
-                offsets = rng.standard_normal((6, size))
-                # only a redrawn offset can still be out of range: the index of
-                # those shrinks each pass, in the C order a mask would take them
-                flat = offsets.ravel()
-                redraw = np.flatnonzero(np.abs(flat) > truncate)
-                while redraw.size:
-                    flat[redraw] = rng.standard_normal(redraw.size)
-                    redraw = redraw[np.abs(flat[redraw]) > truncate]
-                diff = offsets[:3] - offsets[3:]
+    for start in range(0, n_samples, BLOCK):
+        m = min(BLOCK, n_samples - start)
+        diff = rng.standard_normal(out=normals[: rows * m].reshape(rows, m))
+        if truncate is not None:
+            # only a redrawn offset can still be out of range: the index of
+            # those shrinks each pass, in the C order a mask would take them
+            flat = diff.ravel()
+            redraw = np.flatnonzero(np.abs(flat) > truncate)
+            while redraw.size:
+                flat[redraw] = rng.standard_normal(redraw.size)
+                redraw = redraw[np.abs(flat[redraw]) > truncate]
+            diff = np.subtract(diff[:3], diff[3:], out=differences[: 3 * m].reshape(3, m))
+        with np.errstate(over="ignore", invalid="ignore"):
             diff *= scale
             diff[0] -= separation
             np.square(diff, out=diff)
-            np.sqrt(diff.sum(axis=0), out=out[start : start + size])
-    return out
+            np.sqrt(np.sum(diff, axis=0, out=dist[:m]), out=dist[:m])
+        yield dist[:m]
 
 
-def monte_carlo_average_fidelity(table: FidelityTable, distances: np.ndarray) -> FidelityReport:
-    """Mean fidelity over the :func:`draw_distances` output, with its
-    standard error; one draw has no standard error.
+def _merged(moments, values: np.ndarray, count: int, aside, scratch: np.ndarray):
+    """The running ``moments`` (mean, sum of squared deviations, count) merged
+    with those of ``count`` values by the pairwise update of Chan, Golub and
+    LeVeque (1979): ``values`` but for the positions ``aside``, which hold 0
+    and are overwritten; the deviations are formed in ``scratch``."""
+    mean, squares, total = moments
+    block_mean = float(np.sum(values)) / count
+    values[aside] = block_mean  # which adds nothing to the squares
+    spread = np.subtract(values, block_mean, out=scratch[: len(values)])
+    # the block's share of the samples so far: exactly 1 on the first block,
+    # which so adds exactly its own mean and squares
+    shift, share = block_mean - mean, count / (total + count)
+    squares += float(np.sum(np.square(spread, out=spread))) + shift**2 * total * share
+    return mean + shift * share, squares, total + count
 
-    The fidelities are looked up ``BLOCK`` at a time, and each block's mean
-    and sum of squared deviations are merged into the running ones by the
-    pairwise update of Chan, Golub and LeVeque (1979).  A single block gives
-    exactly ``np.mean`` and ``np.std(ddof=1) / sqrt(n)``.
+
+def monte_carlo_average_fidelity(
+    table: FidelityTable,
+    sigmas: InflatedSigmas,
+    separation: float,
+    n_samples: int,
+    seed: int,
+    truncate: float | None = None,
+) -> FidelityReport:
+    """Mean fidelity over ``n_samples`` :func:`draw_distances` draws (same
+    arguments), with its standard error; one draw has no standard error.
+
+    Each block of draws is looked up in ``table`` where it lies in the table's
+    window.  The draws outside it (NaN included) are set aside and their
+    fidelities taken from the closed form ``BLOCK`` at a time, so in a few
+    batched calls for a window that holds nearly every draw; the report
+    counts them in ``direct_evaluations``.  An outside distance that is not
+    finite, or so near that its interaction overflows, raises ValueError.
+    Each block's looked-up draws and each closed-form batch merge into the
+    running mean and sum of squared deviations (:func:`_merged`); a single
+    block inside the window gives exactly ``np.mean`` and
+    ``np.std(ddof=1) / sqrt(n)``.  The buffers are allocated once per call,
+    and the set-aside draws cost work in their number only.
     """
-    n_samples = len(distances)
     if n_samples < 2:
-        raise ValueError(f"a standard error needs 2 or more distances, got {n_samples}")
-    mean = squares = 0.0
-    for start in range(0, n_samples, BLOCK):
-        fid = table(distances[start : start + BLOCK])
-        block_mean = float(np.mean(fid))
-        # the block's share of the samples so far: exactly 1 on the first block,
-        # which so adds exactly its own mean and squares
-        shift, share = block_mean - mean, len(fid) / (start + len(fid))
-        mean += shift * share
-        squares += float(np.sum(np.square(fid - block_mean))) + shift**2 * start * share
+        raise ValueError(f"a standard error needs 2 or more samples, got {n_samples}")
+    lo, hi = table.distances[0], table.distances[-1]
+    size = min(BLOCK, n_samples)
+    fid, scratch = np.empty(size), np.empty(size)
+    mask, below_hi = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    # the set-aside distances: fewer than BLOCK between batches, plus one block's
+    pending, waiting, direct = np.empty(BLOCK + size), 0, 0
+    moments = (0.0, 0.0, 0)
+
+    def closed_form(dist):
+        if not np.isfinite(dist).all():
+            raise ValueError(f"a Monte Carlo distance is {float(dist[~np.isfinite(dist)][0])!r}")
+        return table._exact(dist)
+
+    for block in draw_distances(sigmas, separation, n_samples, seed, truncate):
+        m = len(block)
+        # outside the window: not lo <= d <= hi, as NaN is not
+        np.greater_equal(block, lo, out=mask[:m])
+        np.logical_and(mask[:m], np.less_equal(block, hi, out=below_hi[:m]), out=mask[:m])
+        outside = np.flatnonzero(np.logical_not(mask[:m], out=mask[:m]))
+        if outside.size:
+            np.take(block, outside, out=pending[waiting : waiting + outside.size])
+            waiting += outside.size
+            direct += outside.size
+            block[outside] = lo
+            if waiting >= BLOCK:
+                moments = _merged(moments, closed_form(pending[:BLOCK]), BLOCK, [], scratch)
+                waiting -= BLOCK
+                pending[:waiting] = pending[BLOCK : BLOCK + waiting]
+        if outside.size < m:
+            values = table._interpolate(block, fid[:m])
+            values[outside] = 0.0
+            moments = _merged(moments, values, m - outside.size, outside, scratch)
+    if waiting:
+        moments = _merged(moments, closed_form(pending[:waiting]), waiting, [], scratch)
+    mean, squares, _ = moments
     stderr = math.sqrt(squares / (n_samples - 1)) / math.sqrt(n_samples)
-    return FidelityReport(mean, n_samples, stderr)
+    return FidelityReport(mean, n_samples, stderr, direct)
 
 
 def decay_error(exposure: float, lifetime_ms: float) -> float:

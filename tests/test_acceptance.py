@@ -14,7 +14,6 @@ from rydvdw.gates import ideal_cnot, ideal_cz, pedersen_fidelity, simulate
 from rydvdw.noise import (
     GridSpec,
     NoiseConfig,
-    draw_distances,
     grid_average_fidelity,
     inflate_sigmas,
     monte_carlo_average_fidelity,
@@ -203,8 +202,7 @@ def test_criterion_9_channel_exactness(nominal_protocol):
 def test_criterion_10_grid_vs_truncated_mc(reduced_sigmas, nominal_table):
     tic = time.perf_counter()
     grid = grid_average_fidelity(nominal_table, reduced_sigmas, 1.0, GridSpec(0.1))
-    distances = draw_distances(reduced_sigmas, 1.0, 1_000_000, seed=20210901, truncate=1.5)
-    mc = monte_carlo_average_fidelity(nominal_table, distances)
+    mc = monte_carlo_average_fidelity(nominal_table, reduced_sigmas, 1.0, 1_000_000, seed=20210901, truncate=1.5)
     elapsed = time.perf_counter() - tic
     gap = abs(mc.mean_fidelity - grid)
     bound = max(3 * mc.stderr, 1e-3)

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 import rydvdw
 from rydvdw import MHZ
-from rydvdw.cli import _spread_field, run_fidelity, run_simulate, run_solve, run_sweep
+from rydvdw.cli import _reduced, _spread_field, run_fidelity, run_simulate, run_solve, run_sweep
 from rydvdw.config import SCHEMA, RunConfig, load_config, parse_config
 from rydvdw.errors import ConfigError
 from rydvdw.gates import gate_fidelity, ideal_gate, pedersen_fidelity, simulate
 from rydvdw.geometry import VdwModel, vdw_interaction
-from rydvdw.noise import NoiseConfig, inflate_sigmas
+from rydvdw.noise import KNOT_SPACING, NoiseConfig, draw_distances, inflate_sigmas
 from rydvdw.protocol import GateProtocol
 from rydvdw.records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
@@ -441,13 +441,13 @@ class TestFidelityCommand:
 
     def test_grid_reaching_zero_distance_exits_before_the_draw(self, tmp_path, monkeypatch):
         draws = []
-        draw_distances = rydvdw.cli.draw_distances
+        monte_carlo = rydvdw.cli.monte_carlo_average_fidelity
 
         def counted(*args, **kwargs):
             draws.append(args)
-            return draw_distances(*args, **kwargs)
+            return monte_carlo(*args, **kwargs)
 
-        monkeypatch.setattr("rydvdw.cli.draw_distances", counted)
+        monkeypatch.setattr("rydvdw.cli.monte_carlo_average_fidelity", counted)
         reference = json.loads((Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json").read_text())
         payload = {**reference, "noise": {**reference["noise"], "sigma_perp0_um": 8.0}}
         assert payload["sampling"]["mode"] == "both"
@@ -471,7 +471,8 @@ class TestFidelityCommand:
         "noise", [{"sigma_z0_um": 5.0}, {"trap_separation_um": 5.0}]
     )
     def test_wide_spreads_away_from_zero_run(self, tmp_path, noise):
-        # every sample lies 3 um or more from zero distance, so the table covers them
+        # every grid distance lies 3 um or more from zero, and the draws beyond the grid
+        # take the closed form
         payload = {"noise": noise, "sampling": {"mode": "both", "deltas": [0.5], "mc_samples": 2000}}
         result = run_cli(["fidelity", "--config", write_config(tmp_path, payload)])
         assert result.exit_code == 0, result.output
@@ -548,7 +549,7 @@ class TestFidelityCommand:
         diagnostics = record["results"]["diagnostics"]
         assert diagnostics.pop("kernel_gap") <= 3e-15
         assert diagnostics.pop("spline_error") <= 1e-12
-        assert diagnostics == {"table_knots": 4}
+        assert diagnostics == {"table_knots": 4, "direct_evaluations": 0}
 
     def test_diagnostics_describe_the_table(self, tables):
         results = run_fidelity(parse_config(dict(self.CONFIG))).results
@@ -558,8 +559,64 @@ class TestFidelityCommand:
         protocol = parse_config(dict(self.CONFIG)).protocol
         walked = pedersen_fidelity(simulate(protocol)[0], ideal_gate(protocol))
         diagnostics["kernel_gap"] = abs(walked - float(gate_fidelity(protocol, protocol.nominal_interaction)))
+        # every draw truncated at the grid's support lies in its window
+        diagnostics["direct_evaluations"] = 0
         assert results["diagnostics"] == diagnostics and 0.0 < diagnostics["spline_error"] < 1e-8
         assert diagnostics["kernel_gap"] <= 3e-15
+
+    def test_both_mode_grid_is_the_grid_mode_grid(self):
+        # the table is the grid window's alone, so the draws no longer move the grid numbers
+        reference = load_config(Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json").raw
+        assert reference["sampling"]["mode"] == "both"
+        both = run_fidelity(parse_config(reference)).results
+        sampling = {**reference["sampling"], "mode": "grid"}
+        grid = run_fidelity(parse_config({**reference, "sampling": sampling})).results
+        assert both["grid"] == grid["grid"] and both["grid"]["convergence"] == grid["grid"]["convergence"]
+        for row in both["csv_rows"] + grid["csv_rows"]:
+            row.pop("wallTime")
+        assert both["csv_rows"][:-1] == grid["csv_rows"]
+        assert both["diagnostics"]["table_knots"] == grid["diagnostics"]["table_knots"] == 357
+        # and the reference draws beyond the window are counted, none without a draw
+        assert (both["diagnostics"]["direct_evaluations"], grid["diagnostics"]["direct_evaluations"]) == (14646, 0)
+
+    def test_mc_run_reaching_zero_distance_tabulates_from_the_traps(self, tables):
+        # 3 sigma_perp reach past a 0.9 um trap separation: a grid run is refused, but a
+        # Monte Carlo run alone tabulates from the traps' distance, and the nearer draws
+        # (and those beyond the window) take the closed form
+        payload = {"noise": {"trap_separation_um": 0.9}, "sampling": {"mode": "mc", "mc_samples": 5000}}
+        cfg = parse_config(payload)
+        results = run_fidelity(cfg).results
+        (table,) = tables
+        sigmas, separation = _reduced(cfg.protocol, cfg.noise, inflate_sigmas(cfg.noise, cfg.protocol.t_gate))
+        assert table.distances[0] == separation == 0.9 / cfg.protocol.separation
+        distances = np.concatenate([block.copy() for block in draw_distances(sigmas, separation, 5000, cfg.seed)])
+        outside = (distances < table.distances[0]) | (distances > table.distances[-1])
+        assert results["diagnostics"]["direct_evaluations"] == np.count_nonzero(outside) > 0
+        assert 0.0 < results["mc"]["mean_fidelity"] < 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mc_run_at_a_vanishing_trap_separation_runs(self, tables):
+        # a 1e-55 um trap: the interaction at the traps' own distance overflows, so the
+        # table starts one knot spacing from zero distance instead
+        sampling = {"mode": "mc", "mc_samples": 2000}
+        cfg = parse_config({"noise": {"trap_separation_um": 1e-55}, "sampling": sampling})
+        results = run_fidelity(cfg).results
+        (table,) = tables
+        assert table.distances[0] == KNOT_SPACING
+        assert 0.0 < results["mc"]["mean_fidelity"] < 1.0 and results["diagnostics"]["direct_evaluations"] > 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_draw_names_the_trap_separation(self, tmp_path):
+        # traps 1e154 design separations apart: the grid window stays finite, but draws
+        # 3.2 sigma_z out overflow to inf; the separation, larger than both spreads, is named
+        length = parse_config({}).protocol.separation
+        noise = {"trap_separation_um": 1e154 * length, "sigma_z0_um": 2e153 * length}
+        for mode in ("mc", "both"):
+            payload = {"noise": noise, "sampling": {"mode": mode, "deltas": [0.5], "mc_samples": 20000}}
+            result = run_cli(["fidelity", "--config", write_config(tmp_path, payload)])
+            assert (result.exit_code, result.stdout) == (2, "")
+            assert "config error: invalid config field 'noise.trap_separation_um'" in result.stderr
+            assert "Monte Carlo distance is inf" in result.stderr
 
     def test_rerun_from_record_config_reproduces_numbers(self):
         cfg = parse_config(dict(self.CONFIG))
@@ -582,6 +639,8 @@ class TestFidelityCommand:
         assert "stderr" not in grid
         assert mc["method"] == ("mc-truncated" if truncated else "mc") and mc["sample_count"] == 3000
         assert mc["stderr"] > 0.0
+        # the support of each: 1.5 sigma per coordinate, or the whole Gaussian
+        assert grid["truncation"] == 1.5 and mc["truncation"] == (1.5 if truncated else None)
         assert [row["samples"] for row in results["csv_rows"]] == [7**6, 13**6, 3000]
 
     def test_convergence_series_report(self):

@@ -42,11 +42,22 @@ VDW = VdwModel()
 
 
 def mc_average(protocol, noise, sigmas, n_samples, seed, truncate=None):
-    """The fidelity command's Monte Carlo path: draw in design separations,
-    tabulate over the draws, average."""
-    distances = draw_distances(*_reduced(protocol, noise, sigmas), n_samples, seed, truncate)
-    table = FidelityTable(protocol, distances.min(), distances.max())
-    return monte_carlo_average_fidelity(table, distances)
+    """The fidelity command's Monte Carlo path: the table over the grid window
+    in design separations, then the average over the draws."""
+    reduced = _reduced(protocol, noise, sigmas)
+    table = FidelityTable(protocol, *grid_window(*reduced))
+    return monte_carlo_average_fidelity(table, *reduced, n_samples, seed, truncate)
+
+
+def drawn(*args, **kwargs):
+    """Every distance of a :func:`draw_distances` draw, each block copied out
+    of the buffer that the next block overwrites."""
+    return np.concatenate([block.copy() for block in draw_distances(*args, **kwargs)])
+
+
+def closed_form(protocol, dist):
+    """The fidelity at distances ``dist`` in design separations, from the kernel."""
+    return gate_fidelity(protocol, vdw_interaction(VdwModel(protocol.nominal_interaction), dist))
 
 
 def centered_table(protocol, spacings):
@@ -305,15 +316,15 @@ class TestFidelityTable:
     )
     @settings(max_examples=20, deadline=None)
     def test_spline_error_bound(self, cnot, theta, omega_mhz, temperature, seed):
-        # the window a fidelity command tabulates: the grid plus 2e4 draws, in
-        # design separations, against the fidelity at the distance in um
+        # a window as wide as the grid and 2e4 draws reach, in design
+        # separations, against the fidelity at the distance in um
         theta = np.pi if cnot else theta
         kind = "cnot" if cnot else "cz"
         protocol = GateProtocol.solve(theta, omega_mhz * MHZ, omega_mhz * MHZ, VDW, kind)
         noise = NoiseConfig(trap_separation=protocol.separation, temperature=temperature)
         reduced = _reduced(protocol, noise, inflate_sigmas(noise, protocol.t_gate))
         lo, hi = grid_window(*reduced)
-        distances = draw_distances(*reduced, 20_000, seed)
+        distances = drawn(*reduced, 20_000, seed)
         lo, hi = min(lo, distances.min()), max(hi, distances.max())
         table = FidelityTable(protocol, lo, hi)
         probe = np.random.default_rng(seed).uniform(lo, hi, 200)
@@ -503,12 +514,12 @@ class TestMonteCarlo:
 
     def test_seed_determinism(self, nominal_sigmas, nominal_noise):
         sep = nominal_noise.trap_separation
-        a = draw_distances(nominal_sigmas, sep, n_samples=5000, seed=99)
-        b = draw_distances(nominal_sigmas, sep, n_samples=5000, seed=99)
+        a = drawn(nominal_sigmas, sep, n_samples=5000, seed=99)
+        b = drawn(nominal_sigmas, sep, n_samples=5000, seed=99)
         assert np.array_equal(a, b)
-        c = draw_distances(nominal_sigmas, sep, n_samples=5000, seed=100)
+        c = drawn(nominal_sigmas, sep, n_samples=5000, seed=100)
         assert not np.array_equal(a, c)
-        truncated = partial(draw_distances, nominal_sigmas, sep, 5000, 99, truncate=1.5)
+        truncated = partial(drawn, nominal_sigmas, sep, 5000, 99, truncate=1.5)
         assert np.array_equal(truncated(), truncated())
 
     @pytest.mark.parametrize("seed", [1, 20210901])
@@ -519,53 +530,106 @@ class TestMonteCarlo:
         expected = truncated_distances_rescan(
             nominal_sigmas.sigma_perp, nominal_sigmas.sigma_z, sep, n_samples, seed, 1.5, BLOCK
         )
-        assert np.array_equal(draw_distances(nominal_sigmas, sep, n_samples, seed, truncate=1.5), expected)
+        assert np.array_equal(drawn(nominal_sigmas, sep, n_samples, seed, truncate=1.5), expected)
 
     @pytest.mark.parametrize("truncate", [None, 1.5])
     def test_mean_square_distance(self, nominal_sigmas, nominal_noise, truncate):
         # d**2 = (dx - L)**2 + dy**2 + dz**2, each difference of two offsets of
         # variance v sigma**2 (v = 1 untruncated): E[d**2] = L**2 + v (4 sigma_perp**2 + 2 sigma_z**2)
         sep = nominal_noise.trap_separation
-        square = draw_distances(nominal_sigmas, sep, 10**6, seed=31, truncate=truncate) ** 2
+        square = drawn(nominal_sigmas, sep, 10**6, seed=31, truncate=truncate) ** 2
         v = 1.0 if truncate is None else truncated_normal_variance(truncate)
         expected = sep**2 + v * (4 * nominal_sigmas.sigma_perp**2 + 2 * nominal_sigmas.sigma_z**2)
         stderr = np.std(square, ddof=1) / np.sqrt(square.size)
         assert abs(np.mean(square) - expected) < 5 * stderr
 
     @pytest.mark.parametrize("truncate", [None, 1.5])
-    def test_draw_memory_is_its_output_and_a_few_blocks(self, nominal_sigmas, nominal_noise, truncate):
-        # blocked, a draw holds its output and one block of six offsets or three differences
-        sep, n = nominal_noise.trap_separation, 10**6
-        peak = traced_peak(lambda: draw_distances(nominal_sigmas, sep, n, seed=5, truncate=truncate))
-        assert peak < 8 * n + 4 * (6 * 8 * BLOCK)
+    def test_monte_carlo_memory_is_a_few_blocks(self, reduced_sigmas, nominal_table, truncate):
+        # 1e6 samples, 8 MB as one distance array: the draw, the lookups and the closed-form
+        # batch of the 1.5% of untruncated draws beyond the grid window go a block at a time
+        # (3.1 and 2.8 MB measured: 1.8 MB of the kernel's temporaries on one batch, or the
+        # truncated draw's redraw masks, and the draw's and the average's buffers)
+        peak = traced_peak(
+            lambda: monte_carlo_average_fidelity(nominal_table, reduced_sigmas, 1.0, 10**6, 5, truncate)
+        )
+        assert peak < 4e6
 
-    def test_mean_memory_is_a_few_blocks(self, nominal_table):
-        # the fidelities are looked up and reduced a block at a time: no (n,) temporary
-        dist = np.linspace(nominal_table.distances[0], nominal_table.distances[-1], 10**6)
-        peak = traced_peak(lambda: monte_carlo_average_fidelity(nominal_table, dist))
-        assert peak < 8 * (8 * BLOCK)
+    def test_mean_memory_is_a_few_blocks(self, nominal_protocol, reduced_sigmas):
+        # a table beyond every draw: all 1e6 fidelities come from the closed form, a block at a time
+        # (3.1 MB measured)
+        table = FidelityTable(nominal_protocol, 2.0, 2.1)
+        peak = traced_peak(lambda: monte_carlo_average_fidelity(table, reduced_sigmas, 1.0, 10**6, 5))
+        assert peak < 4e6
 
     @pytest.mark.parametrize("n_samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
-    def test_streamed_moments_at_block_edges(self, nominal_table, n_samples):
-        lo, hi = nominal_table.distances[0], nominal_table.distances[-1]
-        distances = np.random.default_rng(n_samples).uniform(lo, hi, n_samples)
-        report = monte_carlo_average_fidelity(nominal_table, distances)
-        fid = nominal_table(distances)
-        assert report.sample_count == n_samples
+    def test_streamed_moments_at_block_edges(self, nominal_protocol, reduced_sigmas, n_samples):
+        # a table over every draw: all of them are looked up
+        distances = drawn(reduced_sigmas, 1.0, n_samples, n_samples)
+        table = FidelityTable(nominal_protocol, distances.min(), distances.max())
+        report = monte_carlo_average_fidelity(table, reduced_sigmas, 1.0, n_samples, n_samples)
+        fid = table(distances)
+        assert (report.sample_count, report.direct_evaluations) == (n_samples, 0)
         assert abs(report.mean_fidelity - np.mean(fid)) <= 1e-15 * abs(np.mean(fid))
         stderr = np.std(fid, ddof=1) / np.sqrt(n_samples)
         assert abs(report.stderr - stderr) <= 1e-15 * stderr
 
-    def test_report_is_the_sample_mean(self, nominal_table):
-        distances = np.linspace(nominal_table.distances[0], nominal_table.distances[-1], 7)
-        report = monte_carlo_average_fidelity(nominal_table, distances)
-        fid = nominal_table(distances)
+    def test_report_is_the_sample_mean(self, nominal_protocol, reduced_sigmas):
+        distances = drawn(reduced_sigmas, 1.0, 7, 3)
+        table = FidelityTable(nominal_protocol, distances.min(), distances.max())
+        report = monte_carlo_average_fidelity(table, reduced_sigmas, 1.0, 7, 3)
+        fid = table(distances)
         assert report.sample_count == 7
         assert report.mean_fidelity == np.mean(fid)
         assert report.stderr == np.std(fid, ddof=1) / np.sqrt(7)
 
+    @given(
+        n_samples=st.sampled_from([2, 7, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3]),
+        seed=st.integers(0, 2**32 - 1),
+        truncate=st.sampled_from([None, 1.5]),
+        quantiles=st.one_of(st.just((0.0, 1.0)), st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_draws_outside_the_table_take_the_closed_form(
+        self, nominal_protocol, reduced_sigmas, n_samples, seed, truncate, quantiles
+    ):
+        # a table over the draws between two quantiles (all of them at (0, 1)), and sigmas
+        # twice the nominal ones, so that the draws reach far from the design separation
+        sigmas = InflatedSigmas(2 * reduced_sigmas.sigma_z, 2 * reduced_sigmas.sigma_perp, 0.0)
+        distances = drawn(sigmas, 1.0, n_samples, seed, truncate)
+        table = FidelityTable(nominal_protocol, *np.quantile(distances, sorted(quantiles)))
+        lo, hi = table.distances[0], table.distances[-1]
+        inside = (distances >= lo) & (distances <= hi)
+        fid = closed_form(nominal_protocol, distances)
+        fid[inside] = table(distances[inside])
+        report = monte_carlo_average_fidelity(table, sigmas, 1.0, n_samples, seed, truncate)
+        assert report.direct_evaluations == np.count_nonzero(~inside)
+        assert abs(report.mean_fidelity - np.mean(fid)) <= 1e-15 * np.mean(fid)
+        stderr = np.std(fid, ddof=1) / np.sqrt(n_samples)
+        assert abs(report.stderr - stderr) <= 1e-12 * stderr
+
+    def test_draws_outside_a_narrow_table_take_the_closed_form(self, nominal_protocol, reduced_sigmas):
+        # a table one knot spacing wide at the design separation: nearly every draw is outside,
+        # so the closed form takes them in full batches and a last short one
+        table = FidelityTable(nominal_protocol, 1.0, 1.0)
+        report = monte_carlo_average_fidelity(table, reduced_sigmas, 1.0, 3 * BLOCK + 5, 11)
+        distances = drawn(reduced_sigmas, 1.0, 3 * BLOCK + 5, 11)
+        inside = (distances >= 1.0) & (distances <= table.distances[-1])
+        fid = closed_form(nominal_protocol, distances)
+        fid[inside] = table(distances[inside])
+        assert report.direct_evaluations == np.count_nonzero(~inside) > 2 * BLOCK  # three batches
+        assert abs(report.mean_fidelity - np.mean(fid)) <= 1e-15 * np.mean(fid)
+
+    def test_non_finite_draw_outside_the_table_raises(self):
+        # traps 1e154 design separations apart: the window's far end squares to 1.4e308,
+        # but a draw 3.2 sigma_z out overflows to inf, beyond it
+        protocol = GateProtocol.solve(np.pi, 0.8 * MHZ, 0.8 * MHZ)
+        sigmas = InflatedSigmas(sigma_z=2e153, sigma_perp=1.0, flight_length=0.0)
+        table = FidelityTable(protocol, *grid_window(sigmas, 1e154))
+        with pytest.raises(ValueError, match="Monte Carlo distance is inf"):
+            monte_carlo_average_fidelity(table, sigmas, 1e154, 20_000, 1)
+
     def test_truncated_sampler_stays_within_bounds(self, nominal_protocol, nominal_noise, nominal_sigmas):
-        truncated = draw_distances(nominal_sigmas, nominal_noise.trap_separation, 50_000, 17, truncate=1.5)
+        truncated = drawn(nominal_sigmas, nominal_noise.trap_separation, 50_000, 17, truncate=1.5)
         lo, hi = grid_window(nominal_sigmas, nominal_noise.trap_separation)
         assert lo <= truncated.min() and truncated.max() <= hi
         report = mc_average(nominal_protocol, nominal_noise, nominal_sigmas, 50_000, 17, truncate=1.5)
@@ -575,18 +639,17 @@ class TestMonteCarlo:
 
     def test_agrees_with_grid_oracle(self, reduced_sigmas, nominal_table):
         grid = grid_average_fidelity(nominal_table, reduced_sigmas, 1.0, GridSpec(0.1))
-        distances = draw_distances(reduced_sigmas, 1.0, 200_000, seed=7, truncate=1.5)
-        mc = monte_carlo_average_fidelity(nominal_table, distances)
+        mc = monte_carlo_average_fidelity(nominal_table, reduced_sigmas, 1.0, 200_000, seed=7, truncate=1.5)
         assert abs(mc.mean_fidelity - grid) < max(3 * mc.stderr, 1e-3)
 
     def test_rejects_zero_samples(self, nominal_sigmas, nominal_noise):
         with pytest.raises(ValueError):
-            draw_distances(nominal_sigmas, nominal_noise.trap_separation, n_samples=0, seed=1)
+            next(draw_distances(nominal_sigmas, nominal_noise.trap_separation, n_samples=0, seed=1))
 
-    def test_rejects_a_single_distance(self, nominal_table):
+    def test_rejects_a_single_distance(self, nominal_table, reduced_sigmas):
         # one draw has no standard error
         with pytest.raises(ValueError, match="standard error"):
-            monte_carlo_average_fidelity(nominal_table, np.array([1.0]))
+            monte_carlo_average_fidelity(nominal_table, reduced_sigmas, 1.0, 1, seed=1)
 
 
 class TestDecayError:
