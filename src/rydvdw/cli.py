@@ -143,10 +143,12 @@ def _position_average(table, reduced, deltas, errors: dict, monte_carlo=None, tr
     """The ``fidelity`` record's averages on ``table``, net of the :func:`_decay_errors`
     ``errors``: its CSV rows and wall times, the "grid" block of the finest of ``deltas``
     with their series, and the "mc" block of the report ``monte_carlo()`` returns, if
-    given, timed with its draw; and ``direct_evaluations``, the draws it took from the
-    closed form (0 without it).  A grid step counts its (m+1)**6 nominal nodes.  Each
-    block states its support in sigmas, ``truncation``: None for an untruncated draw."""
-    out: dict = {"csv_rows": [], "wall_times": {}, "direct_evaluations": 0}
+    given, timed with its draw; ``direct_evaluations``, the draws it took from the
+    closed form (0 without it); and ``grid_lookups``, the table lookups of every grid
+    step.  A grid step counts its (m+1)**6 nominal nodes, but looks up (2m+1)(m+1)**2
+    folded differences.  Each block states its support in sigmas, ``truncation``: None
+    for an untruncated draw."""
+    out: dict = {"csv_rows": [], "wall_times": {}, "direct_evaluations": 0, "grid_lookups": 0}
     blocks = {}
     averages = [(f"grid_{delta}", delta, GridSpec(delta)) for delta in deltas]
     if monte_carlo is not None:
@@ -161,7 +163,9 @@ def _position_average(table, reduced, deltas, errors: dict, monte_carlo=None, tr
                       "truncation": GRID_HALF_RANGE if truncated else None}
         else:
             mean = grid_average_fidelity(table, *reduced, grid)
-            count, labels = len(grid.points()) ** 6, {"method": "grid-paired", "truncation": GRID_HALF_RANGE}
+            nodes = len(grid.points())
+            out["grid_lookups"] += (2 * nodes - 1) * nodes**2
+            count, labels = nodes**6, {"method": "grid-paired", "truncation": GRID_HALF_RANGE}
         out["wall_times"][key] = wall = time.perf_counter() - tic
         out["csv_rows"].append({
             "delta": label,
@@ -248,7 +252,7 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
         table, reduced, cfg.deltas if grid else [], _decay_errors(exposure, ncfg.rydberg_lifetime),
         monte_carlo if mc else None, cfg.mc_truncated,
     )
-    direct_evaluations = averages.pop("direct_evaluations")
+    direct_evaluations, grid_lookups = averages.pop("direct_evaluations"), averages.pop("grid_lookups")
     results = {
         "sigma_z_um": sigmas.sigma_z,
         "sigma_perp_um": sigmas.sigma_perp,
@@ -259,6 +263,7 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
             "spline_error": table.spline_error(),
             "kernel_gap": kernel_gap,
             "direct_evaluations": direct_evaluations,
+            "grid_lookups": grid_lookups,
         },
     }
     return ResultRecord(

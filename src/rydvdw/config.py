@@ -85,7 +85,7 @@ SCHEMA = {
                 "mode": {"enum": ["grid", "mc", "both"]},
                 # deltas and mc_samples set streamed work, sweep.points sizes arrays; at
                 # the reference point the peak memory at each bound is about 32 MB (deltas),
-                # 41 MB (mc_samples) and 0.49 GB (sweep.points, nearly all rows and CSV text)
+                # 38 MB (mc_samples) and 0.49 GB (sweep.points, nearly all rows and CSV text)
                 "deltas": {
                     "type": "array",
                     "minItems": 1,

@@ -31,13 +31,16 @@ enter the distance only squared and their weights are symmetric, so each
 is folded onto its nonnegative half with the weights of the two signs
 summed.
 
-Everything runs in blocks of about ``BLOCK`` points: the table lookup
-writes into one output block by block, the lookup, the grid and the Monte
-Carlo reuse one set of buffers for every block, the grid streams whole
-x-difference rows of the folded grid, reducing each block against its
-weights by two matrix-vector products, the draw yields its distances a
-block at a time, and the Monte Carlo mean merges each block's mean and
-sum of squared deviations.  So no average forms a full-size distance,
+Everything runs in blocks of about ``BLOCK`` points, and each block reuses
+one set of buffers.  The table evaluates its spline in knot units, so a
+lookup is an interval index, four gathers and Horner's rule.  The grid
+streams whole x-difference rows of the folded grid: it forms each
+point's knot coordinate from squared differences precomputed in knot
+units, evaluates the block in place and reduces it against its weights by
+two matrix-vector products.  The draw yields its distances a block at a
+time.  The Monte Carlo prices each block's draws beyond the table's
+window by the closed form, in their slots, and merges each block's mean
+and sum of squared deviations.  So no average forms a full-size distance,
 weight or fidelity array.  The grid average returns its mean, the Monte
 Carlo average its mean, sample count, standard error and the number of
 draws it took from the closed form.
@@ -94,12 +97,12 @@ KNOT_SPACING = 1.0 / 3072
 #: Most knots a table may have: a window some 40 design separations wide.
 MAX_KNOTS = 2**17
 
-#: Points per block of a table lookup, a grid average, a Monte Carlo draw or the
-#: closed-form fidelities of the draws outside a table's window.
-#: A block's arrays (128 KB each) stay in cache and in memory already
-#: mapped; 2**13 to 2**15 time alike, 2**17 about twice as slow.  Lookups, the
-#: grid and the Monte Carlo reuse theirs from block to block: freeing them each
-#: block made the allocator return the heap top to the system and fault it back in.
+#: Points per block of a spline evaluation, a grid average (whole rows, at least
+#: one) or a Monte Carlo draw.  A block's arrays (128 KB each) stay in cache and in
+#: memory already mapped; 2**13 to 2**15 time alike, 2**17 about twice as slow.
+#: The table, the grid and the Monte Carlo reuse theirs from block to block: freeing
+#: them each block made the allocator return the heap top to the system and fault it
+#: back in.
 BLOCK = 2**14
 
 
@@ -206,6 +209,7 @@ class FidelityTable:
 
     def __init__(self, protocol: GateProtocol, lo: float, hi: float):
         self.protocol = protocol
+        self._design = VdwModel(protocol.nominal_interaction)
         spacing = KNOT_SPACING * max(1.0, lo)
         if not (0.0 < lo <= hi and (hi - lo) / spacing < MAX_KNOTS):
             raise ValueError(
@@ -214,9 +218,8 @@ class FidelityTable:
         hi = max(hi, lo + spacing)
         self.distances = np.linspace(lo, hi, max(4, math.ceil((hi - lo) / spacing) + 1))
         self.values = self._exact(self.distances)
-        self._step = (hi - lo) / (len(self.distances) - 1)
-        self._coefficients = _spline_coefficients(self.values, self._step)
-        # a lookup block's interval indices, offsets and coefficients, reused by every block
+        self._coefficients = _spline_coefficients(self.values)
+        # a block's interval indices, offsets and coefficients, reused by every block
         self._scratch = np.empty(BLOCK, dtype=np.intp), np.empty(BLOCK), np.empty(BLOCK)
 
     def __call__(self, dist):
@@ -235,30 +238,37 @@ class FidelityTable:
                     f"distance {float(block[~inside][0])!r} lies outside the "
                     f"fidelity table's window [{lo!r}, {hi!r}]"
                 )
-            self._interpolate(block, out[start : start + BLOCK])
+            self._evaluate(self._knot_coordinates(block, out[start : start + BLOCK]))
         return float(out[0]) if dist.ndim == 0 else out.reshape(dist.shape)
 
-    def _interpolate(self, block: np.ndarray, fid: np.ndarray) -> np.ndarray:
-        """The spline at up to ``BLOCK`` distances ``block``, every one in the window,
-        written into and returned as ``fid``."""
-        # Horner's rule on the cubic of each distance's interval (the last closes at hi)
-        index, offset, coefficient = (scratch[: len(block)] for scratch in self._scratch)
-        np.subtract(block, self.distances[0], out=offset)
-        np.divide(offset, self._step, out=offset)
-        np.copyto(index, offset, casting="unsafe")  # truncates, as astype does
-        np.minimum(index, len(self.distances) - 2, out=index)
-        # every index is in range; mode "raise" would buffer each output
-        np.subtract(block, np.take(self.distances, index, out=offset, mode="clip"), out=offset)
-        np.take(self._coefficients[0], index, out=fid, mode="clip")
-        for row in self._coefficients[1:]:
-            fid *= offset
-            fid += np.take(row, index, out=coefficient, mode="clip")
-        return fid
+    def _knot_coordinates(self, dist: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Distances ``dist`` as knot coordinates (d - lo) (n-1) / (hi - lo), knot i at i,
+        written into and returned as ``t``."""
+        lo, hi = self.distances[0], self.distances[-1]
+        return np.multiply(np.subtract(dist, lo, out=t), (len(self.distances) - 1) / (hi - lo), out=t)
+
+    def _evaluate(self, t: np.ndarray) -> np.ndarray:
+        """The spline at the knot coordinates of the 1-D array ``t``, in place, ``BLOCK`` at a time.
+        A coordinate above -1 takes its interval's cubic (truncation toward zero floors it), the
+        last from n-2 on, so one an ulp outside [0, n-1] extrapolates an end cubic by an ulp."""
+        last = len(self.distances) - 2
+        for start in range(0, len(t), BLOCK):
+            block = t[start : start + BLOCK]
+            index, offset, coefficient = (scratch[: len(block)] for scratch in self._scratch)
+            # in floats, which run several times faster than integer minimum and subtraction
+            np.minimum(np.trunc(block, out=offset), last, out=offset)
+            np.copyto(index, offset, casting="unsafe")
+            np.subtract(block, offset, out=offset)
+            # Horner's rule; every index is in range, and mode "raise" would buffer each output
+            np.take(self._coefficients[0], index, out=block, mode="clip")
+            for row in self._coefficients[1:]:
+                block *= offset
+                block += np.take(row, index, out=coefficient, mode="clip")
+        return t
 
     def _exact(self, dist: np.ndarray) -> np.ndarray:
         """The closed-form fidelity at distances ``dist`` in design separations."""
-        design = VdwModel(self.protocol.nominal_interaction)
-        return gate_fidelity(self.protocol, vdw_interaction(design, dist))
+        return gate_fidelity(self.protocol, vdw_interaction(self._design, dist))
 
     def spline_error(self) -> float:
         """Largest gap between the table and the closed-form fidelity at the
@@ -268,17 +278,17 @@ class FidelityTable:
         return float(np.abs(self(midpoints) - self._exact(midpoints)).max())
 
 
-def _spline_coefficients(values: np.ndarray, step: float) -> np.ndarray:
+def _spline_coefficients(values: np.ndarray) -> np.ndarray:
     """Power-basis coefficients, shape (4, n-1), of the not-a-knot cubic
-    spline through ``values`` on knots ``step`` apart.
+    spline through ``values`` at knot coordinates 0, 1, ..., n-1.
 
-    Row k multiplies (d - knot)**(3-k) on each interval.  The knot
-    slopes s solve the tridiagonal equations of C2 continuity plus the
-    not-a-knot end conditions (third derivative continuous across the
-    second and the second-last knot), divided by ``step``; one Thomas
-    sweep solves them, and its last pivot is nonzero for n >= 4.
+    Row k multiplies (t - i)**(3-k) on interval i.  The knot slopes s
+    solve the tridiagonal equations of C2 continuity plus the not-a-knot
+    end conditions (third derivative continuous across the second and the
+    second-last knot); one Thomas sweep solves them, and its last pivot is
+    nonzero for n >= 4.
     """
-    m = np.diff(values) / step
+    m = np.diff(values)
     rhs = np.empty(len(values))
     rhs[0] = (5.0 * m[0] + m[1]) / 2.0
     rhs[1:-1] = 3.0 * (m[:-1] + m[1:])
@@ -294,13 +304,8 @@ def _spline_coefficients(values: np.ndarray, step: float) -> np.ndarray:
     for i in range(len(rhs) - 2, -1, -1):
         rhs[i] -= upper[i] * rhs[i + 1]
     slopes = np.array(rhs)
-    curvature = (slopes[:-1] + slopes[1:] - 2.0 * m) / step
-    return np.stack([
-        curvature / step,
-        (m - slopes[:-1]) / step - curvature,
-        slopes[:-1],
-        values[:-1],
-    ])
+    curvature = slopes[:-1] + slopes[1:] - 2.0 * m
+    return np.stack([curvature, m - slopes[:-1] - curvature, slopes[:-1], values[:-1]])
 
 
 def _difference_weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -325,9 +330,8 @@ def _difference_weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
 def grid_window(sigmas: InflatedSigmas, separation: float) -> tuple[float, float]:
     """Nearest and farthest qubit distance on the position grid of any step, traps s apart:
     [s - 3 sigma_perp, sqrt((s + 3 sigma_perp)**2 + (3 sigma_perp)**2 + (3 sigma_z)**2)],
-    as every step's differences end at exactly +-3 sigma.  Both ends are the grid's own
-    distances to the bit, summed in :func:`grid_average_fidelity`'s order.  A grid that
-    reaches zero distance (3 sigma_perp at or past s) gets a nearest end at or below 0."""
+    as every step's differences end at exactly +-3 sigma.  A grid that reaches zero
+    distance (3 sigma_perp at or past s) gets a nearest end at or below 0."""
     # in Python floats, whose products overflow to inf silently (where ** raises)
     s, x, z = float(separation), 3.0 * float(sigmas.sigma_perp), 3.0 * float(sigmas.sigma_z)
     return s - x, math.sqrt((s + x) * (s + x) + x * x + z * z)
@@ -343,30 +347,40 @@ def grid_average_fidelity(
     interaction is recomputed from the actual distance of each offset
     tuple (the traps ``separation`` apart, in the table's unit), summed
     through the exact difference-coordinate regrouping, in blocks of whole
-    x-difference rows of the folded difference grid.
+    x-difference rows of the folded difference grid.  A :func:`grid_window`
+    outside the table's window raises ValueError before any work.
     """
+    lo, hi = table.distances[0], table.distances[-1]
+    near, far = grid_window(sigmas, separation)
+    if not (lo <= near and far <= hi):
+        raise ValueError(
+            f"grid window [{near!r}, {far!r}] lies outside the fidelity table's window [{lo!r}, {hi!r}]"
+        )
     offsets, weights = _difference_weights(grid)
     # y and z differences enter only squared: fold -k onto +k, summing weights
     n = len(offsets) // 2
     folded = weights[n:].copy()
     folded[1:] += weights[n - 1::-1]
     plane_weights = np.outer(folded, folded).ravel()
-    rows = max(1, BLOCK // plane_weights.size)
+    # the squared differences in knot units, k knots per unit distance: a point's
+    # knot coordinate is k d - k lo, k d the root of its x term plus its y-z term
+    k = (len(table.distances) - 1) / (hi - lo)
+    axial = ((offsets * sigmas.sigma_perp - separation) * k) ** 2  # x_c - x_t
+    dy2, dz2 = (offsets[n:] * sigmas.sigma_perp * k) ** 2, (offsets[n:] * sigmas.sigma_z * k) ** 2
+    plane = np.add.outer(dy2, dz2).ravel()
+    rows = max(1, BLOCK // plane.size)
     total = norm = 0.0
-    # near the float limit a distance overflows to inf, and its table window is refused
-    with np.errstate(over="ignore"):
-        dx = offsets * sigmas.sigma_perp  # x_c - x_t
-        dy2 = (offsets[n:] * sigmas.sigma_perp) ** 2
-        dz2 = (offsets[n:] * sigmas.sigma_z) ** 2
-        # one distance block, reused by every x-difference row block
-        buffer = np.empty((rows, len(dy2), len(dz2)))
-        for start in range(0, len(dx), rows):
-            x_weights = weights[start : start + rows]
-            dist = buffer[: len(x_weights)]
-            np.add((dx[start : start + rows, None, None] - separation) ** 2 + dy2[None, :, None], dz2, out=dist)
-            np.sqrt(dist, out=dist)
-            total += x_weights @ (table(dist.reshape(-1, plane_weights.size)) @ plane_weights)
-            norm += x_weights.sum()
+    # one block of knot coordinates, reused by every x-difference row block
+    buffer = np.empty((rows, plane.size))
+    for start in range(0, len(axial), rows):
+        x_weights = weights[start : start + rows]
+        t = buffer[: len(x_weights)]
+        np.add(axial[start : start + rows, None], plane, out=t)
+        np.sqrt(t, out=t)
+        t -= lo * k
+        table._evaluate(t.reshape(-1))
+        total += x_weights @ (t @ plane_weights)
+        norm += x_weights.sum()
     return float(total / (norm * plane_weights.sum()))
 
 
@@ -419,15 +433,14 @@ def draw_distances(
         yield dist[:m]
 
 
-def _merged(moments, values: np.ndarray, count: int, aside, scratch: np.ndarray):
+def _merged(moments, values: np.ndarray):
     """The running ``moments`` (mean, sum of squared deviations, count) merged
-    with those of ``count`` values by the pairwise update of Chan, Golub and
-    LeVeque (1979): ``values`` but for the positions ``aside``, which hold 0
-    and are overwritten; the deviations are formed in ``scratch``."""
+    with those of ``values`` by the pairwise update of Chan, Golub and LeVeque
+    (1979); ``values`` are overwritten with their deviations."""
     mean, squares, total = moments
+    count = len(values)
     block_mean = float(np.sum(values)) / count
-    values[aside] = block_mean  # which adds nothing to the squares
-    spread = np.subtract(values, block_mean, out=scratch[: len(values)])
+    spread = np.subtract(values, block_mean, out=values)
     # the block's share of the samples so far: exactly 1 on the first block,
     # which so adds exactly its own mean and squares
     shift, share = block_mean - mean, count / (total + count)
@@ -447,32 +460,22 @@ def monte_carlo_average_fidelity(
     arguments), with its standard error; one draw has no standard error.
 
     Each block of draws is looked up in ``table`` where it lies in the table's
-    window.  The draws outside it (NaN included) are set aside and their
-    fidelities taken from the closed form ``BLOCK`` at a time, so in a few
-    batched calls for a window that holds nearly every draw; the report
-    counts them in ``direct_evaluations``.  An outside distance that is not
-    finite, or so near that its interaction overflows, raises ValueError.
-    Each block's looked-up draws and each closed-form batch merge into the
-    running mean and sum of squared deviations (:func:`_merged`); a single
-    block inside the window gives exactly ``np.mean`` and
-    ``np.std(ddof=1) / sqrt(n)``.  The buffers are allocated once per call,
-    and the set-aside draws cost work in their number only.
+    window.  The block's draws outside it (NaN included) take the closed form
+    on their own, written into their slots, so they cost work in their number
+    only; the report counts them in ``direct_evaluations``.  An outside
+    distance that is not finite, or so near that its interaction overflows,
+    raises ValueError.  Each block merges once into the running mean and sum
+    of squared deviations (:func:`_merged`); a single block gives exactly
+    ``np.mean`` and ``np.std(ddof=1) / sqrt(n)``.  The buffers are allocated
+    once per call.
     """
     if n_samples < 2:
         raise ValueError(f"a standard error needs 2 or more samples, got {n_samples}")
     lo, hi = table.distances[0], table.distances[-1]
     size = min(BLOCK, n_samples)
-    fid, scratch = np.empty(size), np.empty(size)
+    fid = np.empty(size)
     mask, below_hi = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-    # the set-aside distances: fewer than BLOCK between batches, plus one block's
-    pending, waiting, direct = np.empty(BLOCK + size), 0, 0
-    moments = (0.0, 0.0, 0)
-
-    def closed_form(dist):
-        if not np.isfinite(dist).all():
-            raise ValueError(f"a Monte Carlo distance is {float(dist[~np.isfinite(dist)][0])!r}")
-        return table._exact(dist)
-
+    moments, direct = (0.0, 0.0, 0), 0
     for block in draw_distances(sigmas, separation, n_samples, seed, truncate):
         m = len(block)
         # outside the window: not lo <= d <= hi, as NaN is not
@@ -480,20 +483,15 @@ def monte_carlo_average_fidelity(
         np.logical_and(mask[:m], np.less_equal(block, hi, out=below_hi[:m]), out=mask[:m])
         outside = np.flatnonzero(np.logical_not(mask[:m], out=mask[:m]))
         if outside.size:
-            np.take(block, outside, out=pending[waiting : waiting + outside.size])
-            waiting += outside.size
-            direct += outside.size
+            far = block[outside]
+            if not np.isfinite(far).all():
+                raise ValueError(f"a Monte Carlo distance is {float(far[~np.isfinite(far)][0])!r}")
+            exact, direct = table._exact(far), direct + outside.size
             block[outside] = lo
-            if waiting >= BLOCK:
-                moments = _merged(moments, closed_form(pending[:BLOCK]), BLOCK, [], scratch)
-                waiting -= BLOCK
-                pending[:waiting] = pending[BLOCK : BLOCK + waiting]
-        if outside.size < m:
-            values = table._interpolate(block, fid[:m])
-            values[outside] = 0.0
-            moments = _merged(moments, values, m - outside.size, outside, scratch)
-    if waiting:
-        moments = _merged(moments, closed_form(pending[:waiting]), waiting, [], scratch)
+        values = table._evaluate(table._knot_coordinates(block, fid[:m]))
+        if outside.size:
+            values[outside] = exact
+        moments = _merged(moments, values)
     mean, squares, _ = moments
     stderr = math.sqrt(squares / (n_samples - 1)) / math.sqrt(n_samples)
     return FidelityReport(mean, n_samples, stderr, direct)

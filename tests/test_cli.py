@@ -549,7 +549,8 @@ class TestFidelityCommand:
         diagnostics = record["results"]["diagnostics"]
         assert diagnostics.pop("kernel_gap") <= 3e-15
         assert diagnostics.pop("spline_error") <= 1e-12
-        assert diagnostics == {"table_knots": 4, "direct_evaluations": 0}
+        # and the one delta-0.5 grid looks up its (2m+1)(m+1)**2 folded points, m = 6
+        assert diagnostics == {"table_knots": 4, "direct_evaluations": 0, "grid_lookups": 13 * 7**2}
 
     def test_diagnostics_describe_the_table(self, tables):
         results = run_fidelity(parse_config(dict(self.CONFIG))).results
@@ -561,6 +562,7 @@ class TestFidelityCommand:
         diagnostics["kernel_gap"] = abs(walked - float(gate_fidelity(protocol, protocol.nominal_interaction)))
         # every draw truncated at the grid's support lies in its window
         diagnostics["direct_evaluations"] = 0
+        diagnostics["grid_lookups"] = 13 * 7**2 + 25 * 13**2  # m = 6 and 12
         assert results["diagnostics"] == diagnostics and 0.0 < diagnostics["spline_error"] < 1e-8
         assert diagnostics["kernel_gap"] <= 3e-15
 
@@ -578,6 +580,17 @@ class TestFidelityCommand:
         assert both["diagnostics"]["table_knots"] == grid["diagnostics"]["table_knots"] == 357
         # and the reference draws beyond the window are counted, none without a draw
         assert (both["diagnostics"]["direct_evaluations"], grid["diagnostics"]["direct_evaluations"]) == (14646, 0)
+
+    def test_grid_lookups_count_the_folded_grid(self):
+        # the reference config's five steps look up sum (2m+1)(m+1)**2 folded points, beside
+        # the (m+1)**6 nominal nodes each reports; an mc-only run looks up none
+        reference = load_config(Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json").raw
+        steps = [round(3 / delta) for delta in reference["sampling"]["deltas"]]
+        results = run_fidelity(parse_config(reference)).results
+        assert results["diagnostics"]["grid_lookups"] == sum((2 * m + 1) * (m + 1) ** 2 for m in steps) == 123339
+        assert [row["samples"] for row in results["csv_rows"][:-1]] == [(m + 1) ** 6 for m in steps]
+        sampling = {**reference["sampling"], "mode": "mc", "mc_samples": 2000}
+        assert run_fidelity(parse_config({**reference, "sampling": sampling})).results["diagnostics"]["grid_lookups"] == 0
 
     def test_mc_run_reaching_zero_distance_tabulates_from_the_traps(self, tables):
         # 3 sigma_perp reach past a 0.9 um trap separation: a grid run is refused, but a

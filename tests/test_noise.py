@@ -1,3 +1,4 @@
+import re
 from functools import partial
 
 import numpy as np
@@ -70,14 +71,20 @@ def centered_table(protocol, spacings):
 def horner_reference(table, dist):
     """The table's spline at ``dist`` in one pass over the whole array."""
     dist = np.asarray(dist, dtype=float)
-    index = ((dist.ravel() - table.distances[0]) / table._step).astype(np.intp)
-    np.minimum(index, len(table.distances) - 2, out=index)
-    offset = dist.ravel() - table.distances[index]
+    lo, hi = table.distances[0], table.distances[-1]
+    t = (dist.ravel() - lo) * ((len(table.distances) - 1) / (hi - lo))
+    return knot_reference(table, t).reshape(dist.shape)
+
+
+def knot_reference(table, t):
+    """The table's spline at the knot coordinates ``t`` (knot i at i) in one pass."""
+    index = np.minimum(t.astype(np.intp), len(table.distances) - 2)
+    offset = t - index
     out = table._coefficients[0][index]
     for row in table._coefficients[1:]:
         out *= offset
         out += row[index]
-    return out.reshape(dist.shape)
+    return out
 
 
 def unfolded_grid_mean(table, sigmas, separation, delta):
@@ -97,30 +104,38 @@ def unfolded_grid_mean(table, sigmas, separation, delta):
 
 
 class ConstantTable:
-    """Stand-in fidelity table returning a fixed value."""
+    """Stand-in fidelity table returning a fixed value on [1e-3, 1e3]."""
+
+    distances = np.array([1e-3, 1e3])
 
     def __init__(self, value=1.0):
         self.value = value
 
-    def __call__(self, dist):
-        return self.value * np.ones_like(np.asarray(dist, dtype=float))
+    def _evaluate(self, t):
+        t[...] = self.value
+        return t
 
 
 class CountingTable:
-    """Wraps a fidelity table and keeps a copy of the distances looked up
-    (the grid reuses one distance buffer for every block)."""
+    """Wraps a fidelity table's spline evaluation (``table._evaluate``, or
+    ``kernel`` on the knot coordinates) and keeps a copy of every knot coordinate
+    it is given and of the value it returns (the grid reuses one buffer for
+    every block)."""
 
-    def __init__(self, table):
-        self.table = table
-        self.looked_up = []
+    def __init__(self, table, kernel=None):
+        self.distances = table.distances
+        self.kernel = table._evaluate if kernel is None else kernel
+        self.evaluated, self.values = [], []
 
-    def __call__(self, dist):
-        self.looked_up.append(np.array(dist))
-        return self.table(dist)
+    def _evaluate(self, t):
+        self.evaluated.append(t.copy())
+        t[...] = self.kernel(t)
+        self.values.append(t.copy())
+        return t
 
     @property
     def lookups(self):
-        return sum(dist.size for dist in self.looked_up)
+        return sum(t.size for t in self.evaluated)
 
 
 class TestInflateSigmas:
@@ -211,9 +226,8 @@ class TestWeights:
         sizes = {"1": 1, "7": 7, "plane-1": plane - 1, "plane": plane, "plane+1": plane + 1}
         unfolded = unfolded_grid_mean(nominal_table, reduced_sigmas, 1.0, delta)
         monkeypatch.setattr("rydvdw.noise.BLOCK", sizes.get(block, BLOCK))
-        counting = CountingTable(nominal_table)
-        # looked up in one pass, so that BLOCK splits the grid only
-        counting.table = partial(horner_reference, nominal_table)
+        # evaluated in one pass, so that BLOCK splits the grid only
+        counting = CountingTable(nominal_table, partial(knot_reference, nominal_table))
         paired = grid_average_fidelity(counting, reduced_sigmas, 1.0, GridSpec(delta))
         assert counting.lookups == (2 * m + 1) * plane
         assert abs(paired - unfolded) < 1e-12
@@ -262,6 +276,24 @@ class TestFidelityTable:
         for d in (lo, hi, inside[0]):
             value = table(np.float64(d))
             assert isinstance(value, float) and abs(value - spline(d)) < 1e-13
+
+    @given(
+        lo=st.one_of(st.floats(0.05, 0.9), st.floats(1.0 - 1e-3, 1.0 + 1e-3), st.floats(30.0, 1e6)),
+        knots=st.integers(4, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_knot_unit_kernel_matches_scipy_spline(self, nominal_protocol, lo, knots, seed):
+        # windows below, at and far beyond the design separation, probed at every knot, at lo
+        # and hi and at random distances, and evaluated at the integer knot coordinates
+        table = FidelityTable(nominal_protocol, lo, lo + (knots - 1) * (1 - 1e-9) * KNOT_SPACING * max(1.0, lo))
+        assert len(table.distances) == knots
+        spline = cubic_spline(table.distances, table.values)
+        lo, hi = table.distances[0], table.distances[-1]
+        probe = np.concatenate([table.distances, [lo, hi], np.random.default_rng(seed).uniform(lo, hi, 500)])
+        assert np.abs(table(probe) - spline(probe)).max() < 1e-13
+        at_knots = table._evaluate(np.arange(knots, dtype=float))
+        assert np.abs(at_knots - spline(table.distances)).max() < 1e-13
 
     def test_needs_four_knots(self, nominal_protocol):
         # a window narrower than three knot spacings (here 1.5) still gets the
@@ -497,12 +529,31 @@ class TestGridWindow:
             assert offsets[0] == -3.0 and offsets[n] == 0.0 and offsets[-1] == 3.0
 
     @pytest.mark.parametrize("delta", [0.5, 0.1, 3 / 47])
-    def test_holds_every_grid_distance_to_the_bit(self, nominal_table, reduced_sigmas, delta):
-        # 47 * (3/47) is not exactly 3: the grid's ends must still be the window's
+    def test_grid_spans_the_table_in_knot_units(self, nominal_table, reduced_sigmas, delta):
+        # the table is the grid window: every knot coordinate the grid evaluates lies
+        # within a few ulps of [0, n-1], and the nearest and farthest points map to its
+        # ends and take the window ends' values (47 * (3/47) is not exactly 3)
         counting = CountingTable(nominal_table)
         grid_average_fidelity(counting, reduced_sigmas, 1.0, GridSpec(delta))
-        dist = np.concatenate([block.ravel() for block in counting.looked_up])
-        assert (dist.min(), dist.max()) == grid_window(reduced_sigmas, 1.0)
+        t, values = np.concatenate(counting.evaluated), np.concatenate(counting.values)
+        lo, hi = nominal_table.distances[0], nominal_table.distances[-1]
+        last = len(nominal_table.distances) - 1
+        ulp = np.spacing(hi * last / (hi - lo))
+        assert abs(t.min()) <= 4 * ulp and abs(t.max() - last) <= 4 * ulp
+        ends = nominal_table(np.array(grid_window(reduced_sigmas, 1.0)))
+        assert np.abs(values[[t.argmin(), t.argmax()]] - ends).max() <= 1e-15
+
+    def test_refuses_a_table_short_of_the_window(self, nominal_protocol, nominal_table, reduced_sigmas):
+        # a table one knot spacing short at either end, or a NaN spread, is refused before any work
+        lo, hi = grid_window(reduced_sigmas, 1.0)
+        for window in ((lo + KNOT_SPACING, hi), (lo, hi - KNOT_SPACING)):
+            table = CountingTable(FidelityTable(nominal_protocol, *window))
+            with pytest.raises(ValueError, match=re.escape(f"grid window [{lo!r}, {hi!r}] lies outside")):
+                grid_average_fidelity(table, reduced_sigmas, 1.0, GridSpec(0.5))
+            assert table.lookups == 0
+        nan = InflatedSigmas(sigma_z=np.nan, sigma_perp=reduced_sigmas.sigma_perp, flight_length=0.0)
+        with pytest.raises(ValueError, match=r"nan\] lies outside the fidelity table's window"):
+            grid_average_fidelity(nominal_table, nan, 1.0, GridSpec(0.5))
 
 
 class TestMonteCarlo:
@@ -545,18 +596,20 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("truncate", [None, 1.5])
     def test_monte_carlo_memory_is_a_few_blocks(self, reduced_sigmas, nominal_table, truncate):
-        # 1e6 samples, 8 MB as one distance array: the draw, the lookups and the closed-form
-        # batch of the 1.5% of untruncated draws beyond the grid window go a block at a time
-        # (3.1 and 2.8 MB measured: 1.8 MB of the kernel's temporaries on one batch, or the
-        # truncated draw's redraw masks, and the draw's and the average's buffers)
+        # 1e6 samples, 8 MB as one distance array: the draw, the lookups and the closed form
+        # of each block's 1.5% of untruncated draws beyond the grid window go a block at a time
+        # (0.76 MB measured, the draw's and the average's buffers; truncated 2.36 MB, most of
+        # it the draw's redraw masks); a first draw imports numpy.random (0.76 MB), which no
+        # later average pays
+        monte_carlo_average_fidelity(nominal_table, reduced_sigmas, 1.0, 2, 5, truncate)
         peak = traced_peak(
             lambda: monte_carlo_average_fidelity(nominal_table, reduced_sigmas, 1.0, 10**6, 5, truncate)
         )
-        assert peak < 4e6
+        assert peak < (1.5e6 if truncate is None else 4e6)
 
     def test_mean_memory_is_a_few_blocks(self, nominal_protocol, reduced_sigmas):
         # a table beyond every draw: all 1e6 fidelities come from the closed form, a block at a time
-        # (3.1 MB measured)
+        # (2.9 MB measured, 1.8 MB of it the closed form's temporaries over one block)
         table = FidelityTable(nominal_protocol, 2.0, 2.1)
         peak = traced_peak(lambda: monte_carlo_average_fidelity(table, reduced_sigmas, 1.0, 10**6, 5))
         assert peak < 4e6
@@ -609,14 +662,14 @@ class TestMonteCarlo:
 
     def test_draws_outside_a_narrow_table_take_the_closed_form(self, nominal_protocol, reduced_sigmas):
         # a table one knot spacing wide at the design separation: nearly every draw is outside,
-        # so the closed form takes them in full batches and a last short one
+        # so the closed form takes nearly all of every block, the last a short one
         table = FidelityTable(nominal_protocol, 1.0, 1.0)
         report = monte_carlo_average_fidelity(table, reduced_sigmas, 1.0, 3 * BLOCK + 5, 11)
         distances = drawn(reduced_sigmas, 1.0, 3 * BLOCK + 5, 11)
         inside = (distances >= 1.0) & (distances <= table.distances[-1])
         fid = closed_form(nominal_protocol, distances)
         fid[inside] = table(distances[inside])
-        assert report.direct_evaluations == np.count_nonzero(~inside) > 2 * BLOCK  # three batches
+        assert report.direct_evaluations == np.count_nonzero(~inside) > 2 * BLOCK
         assert abs(report.mean_fidelity - np.mean(fid)) <= 1e-15 * np.mean(fid)
 
     def test_non_finite_draw_outside_the_table_raises(self):
