@@ -16,12 +16,15 @@ from .noise import (
     GridSpec,
     InflatedSigmas,
     NoiseConfig,
+    PositionAverages,
     decay_error,
     draw_distances,
     grid_average_fidelity,
     grid_window,
     inflate_sigmas,
     monte_carlo_average_fidelity,
+    position_averages,
+    reduced,
 )
 from .protocol import (
     GateProtocol,

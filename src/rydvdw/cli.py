@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,19 +25,8 @@ from .constants import (HYPERFINE_SPLITTING_RB87, LIFETIME_97S_4K_MS, LIFETIME_9
                         RB87_MASS_KG, TEMPERATURE_DEFAULT_UK)
 from .errors import ConfigError, NumericError
 from .gates import gate_fidelity, ideal_gate, pedersen_fidelity, simulate
-from .noise import (
-    GRID_HALF_RANGE,
-    KNOT_SPACING,
-    FidelityTable,
-    GridSpec,
-    InflatedSigmas,
-    NoiseConfig,
-    decay_error,
-    grid_average_fidelity,
-    grid_window,
-    inflate_sigmas,
-    monte_carlo_average_fidelity,
-)
+from .noise import (GRID_HALF_RANGE, KNOT_SPACING, FidelityTable, InflatedSigmas, NoiseConfig, decay_error,
+                    grid_window, position_averages, reduced)
 from .protocol import GateProtocol, hyperfine_leakage_estimate
 from .records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
@@ -77,18 +65,12 @@ def _spread_field(ncfg: NoiseConfig, sigmas: InflatedSigmas, axis, temperature_f
     return temperature_field if hotter >= lighter else "noise.atom_mass_kg"
 
 
-def _reduced(protocol: GateProtocol, ncfg: NoiseConfig, sigmas: InflatedSigmas):
-    """The spreads and the trap separation in design separations L, the fidelity
-    table's unit: the ``sigmas`` and ``separation`` arguments of the averages."""
-    length = protocol.separation
-    return InflatedSigmas(*(value / length for value in astuple(sigmas))), ncfg.trap_separation / length
-
-
-def _spread_error(protocol, ncfg, sigmas, overflow, temperature_field, exc) -> ConfigError:
+def _spread_error(protocol, ncfg, overflow, temperature_field, exc) -> ConfigError:
     """The config error for reduced distances that the table or the closed form refuses (``exc``
     says why): it names the field behind the larger spread, or the trap separation if a distance
     ``overflow``-ed and the separation exceeds both spreads, and the temperature as
     ``temperature_field``."""
+    sigmas = reduced(protocol, ncfg)[0]
     axis = "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp"
     far = overflow and ncfg.trap_separation > max(sigmas.sigma_z, sigmas.sigma_perp)
     field = "noise.trap_separation_um" if far else _spread_field(ncfg, sigmas, axis, temperature_field)
@@ -99,15 +81,16 @@ def _spread_error(protocol, ncfg, sigmas, overflow, temperature_field, exc) -> C
     )
 
 
-def _sampled_table(protocol, ncfg, sigmas, reduced, grid, temperature_field):
-    """The table over the :func:`grid_window` of the :func:`_reduced` spreads and separation s,
+def _sampled_table(protocol, ncfg, grid, temperature_field):
+    """The table over the :func:`grid_window` of the :func:`reduced` spreads and separation s,
     which is known before any draw; the Monte Carlo takes its draws beyond it from the closed
     form.  A window reaching zero distance names :func:`_spread_field` for sigma_perp (sigma_z
     adds in quadrature) if ``grid``; a Monte Carlo run alone tabulates from s instead, or from
     one knot spacing if s lies nearer to zero (where the interaction would overflow), and its
     nearer draws take the closed form.  A window the table refuses is a :func:`_spread_error`,
     overflowed if either end is not finite."""
-    lo, hi = grid_window(*reduced)
+    sigmas, scaled, separation = reduced(protocol, ncfg)
+    lo, hi = grid_window(scaled, separation)
     if not lo > 0.0:
         if grid:
             raise ConfigError(
@@ -115,11 +98,11 @@ def _sampled_table(protocol, ncfg, sigmas, reduced, grid, temperature_field):
                 f"position grid reaches zero distance, as 3 sigma_perp (3 x {sigmas.sigma_perp:.4g} um, "
                 f"inflated at {ncfg.temperature:.4g} uK) reach the {ncfg.trap_separation:.4g} um trap separation"
             )
-        lo = max(reduced[1], KNOT_SPACING)
+        lo = max(separation, KNOT_SPACING)
     try:
         return FidelityTable(protocol, lo, hi)
     except ValueError as exc:
-        raise _spread_error(protocol, ncfg, sigmas, not np.isfinite(hi - lo), temperature_field, exc) from None
+        raise _spread_error(protocol, ncfg, not np.isfinite(hi - lo), temperature_field, exc) from None
 
 
 def _decay_errors(exposure: float, lifetime_ms: float) -> dict:
@@ -139,56 +122,9 @@ def _decay_errors(exposure: float, lifetime_ms: float) -> dict:
     }
 
 
-def _position_average(table, reduced, deltas, errors: dict, monte_carlo=None, truncated=False) -> dict:
-    """The ``fidelity`` record's averages on ``table``, net of the :func:`_decay_errors`
-    ``errors``: its CSV rows and wall times, the "grid" block of the finest of ``deltas``
-    with their series, and the "mc" block of the report ``monte_carlo()`` returns, if
-    given, timed with its draw; ``direct_evaluations``, the draws it took from the
-    closed form (0 without it); and ``grid_lookups``, the table lookups of every grid
-    step.  A grid step counts its (m+1)**6 nominal nodes, but looks up (2m+1)(m+1)**2
-    folded differences.  Each block states its support in sigmas, ``truncation``: None
-    for an untruncated draw."""
-    out: dict = {"csv_rows": [], "wall_times": {}, "direct_evaluations": 0, "grid_lookups": 0}
-    blocks = {}
-    averages = [(f"grid_{delta}", delta, GridSpec(delta)) for delta in deltas]
-    if monte_carlo is not None:
-        averages.append(("mc", "mc", None))
-    for key, label, grid in averages:
-        tic = time.perf_counter()
-        if grid is None:
-            report = monte_carlo()
-            mean, count = report.mean_fidelity, report.sample_count
-            out["direct_evaluations"] = report.direct_evaluations
-            labels = {"method": "mc-truncated" if truncated else "mc", "stderr": report.stderr,
-                      "truncation": GRID_HALF_RANGE if truncated else None}
-        else:
-            mean = grid_average_fidelity(table, *reduced, grid)
-            nodes = len(grid.points())
-            out["grid_lookups"] += (2 * nodes - 1) * nodes**2
-            count, labels = nodes**6, {"method": "grid-paired", "truncation": GRID_HALF_RANGE}
-        out["wall_times"][key] = wall = time.perf_counter() - tic
-        out["csv_rows"].append({
-            "delta": label,
-            "meanFidelity": mean,
-            "netFidelity300K": mean - errors["decay_error_300k"],
-            "netFidelity4K": mean - errors["decay_error_4k"],
-            "samples": count,
-            "wallTime": wall,
-        })
-        blocks[key] = {
-            "mean_fidelity": mean,
-            "decay_error": errors["decay_error"],
-            "net_fidelity": mean - errors["decay_error"],
-            "sample_count": count,
-            **labels,
-        }
-    if deltas:
-        finest = blocks[f"grid_{min(deltas)}"]
-        series = [[delta, blocks[f"grid_{delta}"]["mean_fidelity"]] for delta in deltas]
-        out["grid"] = {**finest, "convergence": series, "estimate": finest["mean_fidelity"]}
-    if monte_carlo is not None:
-        out["mc"] = blocks["mc"]
-    return out
+def _block(mean: float, count: int, decay: float, **labels) -> dict:
+    """A ``fidelity`` record's block of one average over ``count`` samples, net of ``decay``."""
+    return dict(mean_fidelity=mean, decay_error=decay, net_fidelity=mean - decay, sample_count=count, **labels)
 
 
 def run_solve(cfg: RunConfig) -> ResultRecord:
@@ -231,40 +167,50 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
     """Average the gate fidelity over position fluctuations, on the grid and/or by Monte Carlo."""
     _reject_overrides(cfg)
     protocol, ncfg = cfg.protocol, cfg.noise
-    sigmas = inflate_sigmas(ncfg, protocol.t_gate)
-    reduced = _reduced(protocol, ncfg, sigmas)
-    grid, mc = cfg.mode in ("grid", "both"), cfg.mode in ("mc", "both")
-    table = _sampled_table(protocol, ncfg, sigmas, reduced, grid, "noise.temperature_uk")
+    deltas = cfg.deltas if cfg.mode in ("grid", "both") else ()
+    table = _sampled_table(protocol, ncfg, bool(deltas), "noise.temperature_uk")
     gate, exposure = simulate(protocol)
     # the walked design gate scored against the closed form the table is built from
     walked = pedersen_fidelity(gate, ideal_gate(protocol))
     kernel_gap = abs(walked - float(gate_fidelity(protocol, protocol.nominal_interaction)))
-
-    def monte_carlo():
-        truncate = GRID_HALF_RANGE if cfg.mc_truncated else None
-        try:
-            return monte_carlo_average_fidelity(table, *reduced, cfg.mc_samples, cfg.seed, truncate)
-        except ValueError as exc:
-            # a draw beyond the window whose distance, or interaction, overflowed
-            raise _spread_error(protocol, ncfg, sigmas, True, "noise.temperature_uk", exc) from None
-
-    averages = _position_average(
-        table, reduced, cfg.deltas if grid else [], _decay_errors(exposure, ncfg.rydberg_lifetime),
-        monte_carlo if mc else None, cfg.mc_truncated,
-    )
-    direct_evaluations, grid_lookups = averages.pop("direct_evaluations"), averages.pop("grid_lookups")
+    n_samples = cfg.mc_samples if cfg.mode in ("mc", "both") else 0
+    truncate = GRID_HALF_RANGE if cfg.mc_truncated else None
+    try:
+        averages = position_averages(table, ncfg, deltas, n_samples, cfg.seed, truncate)
+    except ValueError as exc:
+        # a draw beyond the window whose distance, or interaction, overflowed
+        raise _spread_error(protocol, ncfg, True, "noise.temperature_uk", exc) from None
+    errors, report = _decay_errors(exposure, ncfg.rydberg_lifetime), averages.mc
+    # (wall-time key, CSV label, mean, sample count) of each average, in the order of its seconds
+    rows = [(f"grid_{delta}", delta, mean, (round(2 * GRID_HALF_RANGE / delta) + 1) ** 6)
+            for delta, mean in zip(deltas, averages.grid)]
+    rows += [] if report is None else [("mc", "mc", report.mean_fidelity, report.sample_count)]
     results = {
-        "sigma_z_um": sigmas.sigma_z,
-        "sigma_perp_um": sigmas.sigma_perp,
+        "sigma_z_um": averages.sigmas.sigma_z,
+        "sigma_perp_um": averages.sigmas.sigma_perp,
         "rydberg_exposure_us": exposure,
-        **averages,
-        "diagnostics": {
-            "table_knots": len(table.distances),
-            "spline_error": table.spline_error(),
-            "kernel_gap": kernel_gap,
-            "direct_evaluations": direct_evaluations,
-            "grid_lookups": grid_lookups,
-        },
+        "csv_rows": [
+            {"delta": label, "meanFidelity": mean, "netFidelity300K": mean - errors["decay_error_300k"],
+             "netFidelity4K": mean - errors["decay_error_4k"], "samples": count, "wallTime": wall}
+            for (_, label, mean, count), wall in zip(rows, averages.seconds)
+        ],
+        "wall_times": {key: wall for (key, *_), wall in zip(rows, averages.seconds)},
+    }
+    if deltas:
+        _, _, mean, count = rows[deltas.index(min(deltas))]
+        finest = _block(mean, count, errors["decay_error"], method="grid-paired", truncation=GRID_HALF_RANGE)
+        convergence = [list(pair) for pair in zip(deltas, averages.grid)]
+        results["grid"] = {**finest, "convergence": convergence, "estimate": mean}
+    if report is not None:
+        method = "mc-truncated" if cfg.mc_truncated else "mc"
+        results["mc"] = _block(report.mean_fidelity, report.sample_count, errors["decay_error"], method=method,
+                               stderr=report.stderr, truncation=truncate)
+    results["diagnostics"] = {
+        "table_knots": len(table.distances),
+        "spline_error": table.spline_error(),
+        "kernel_gap": kernel_gap,
+        "direct_evaluations": 0 if report is None else report.direct_evaluations,
+        "grid_lookups": averages.grid_lookups,
     }
     return ResultRecord(
         command="fidelity", config=cfg.raw, params=_params_dict(protocol), results=results
@@ -315,20 +261,18 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     elif axis == "temperature":
         # one table for every temperature: both sigmas grow with it, so the
         # hottest grid reaches farthest
-        hottest = replace(cfg.noise, temperature=float(values[-1]))
-        hot = inflate_sigmas(hottest, protocol.t_gate)
         hot_field = "sweep.stop" if cfg.sweep["stop"] >= cfg.sweep["start"] else "sweep.start"
-        table = _sampled_table(protocol, hottest, hot, _reduced(protocol, hottest, hot), True, hot_field)
+        table = _sampled_table(protocol, replace(cfg.noise, temperature=float(values[-1])), True, hot_field)
         decay = _decay_errors(simulate(protocol)[1], cfg.noise.rydberg_lifetime)["decay_error"]
         delta = min(cfg.deltas)
         for temp in values:
-            sigmas = inflate_sigmas(replace(cfg.noise, temperature=float(temp)), protocol.t_gate)
-            mean = grid_average_fidelity(table, *_reduced(protocol, cfg.noise, sigmas), GridSpec(delta))
+            averages = position_averages(table, replace(cfg.noise, temperature=float(temp)), (delta,))
+            (mean,) = averages.grid
             rows.append({
                 "axis": axis,
                 "value": float(temp),
-                "sigma_z_um": sigmas.sigma_z,
-                "sigma_perp_um": sigmas.sigma_perp,
+                "sigma_z_um": averages.sigmas.sigma_z,
+                "sigma_perp_um": averages.sigmas.sigma_perp,
                 "delta": delta,
                 "mean_fidelity": mean,
                 "net_fidelity": mean - decay,

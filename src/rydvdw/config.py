@@ -227,11 +227,15 @@ def parse_config(raw: dict) -> RunConfig:
     _validate(raw, SCHEMA)
     sampling = raw.get("sampling", {})
     deltas = tuple(sampling.get("deltas", (0.25, 0.2, 0.15, 0.12, 0.1)))
+    steps: dict[int, float] = {}
     for delta in deltas:
         try:
-            GridSpec(delta)
+            step = len(GridSpec(delta).points()) - 1
+            if step in steps:
+                raise ValueError(f"{steps[step]!r} and {delta!r} make one {step}-step grid")
         except ValueError as exc:
             raise ConfigError(f"invalid config field 'sampling.deltas': {exc}") from exc
+        steps[step] = delta
     vdw_block, overrides = raw.get("vdw", {}), raw.get("overrides", {})
     # h x THz um^6 -> rad/us um^6: 1 THz = 1e6 cycles/us
     c6 = MHZ * vdw_block["c6_thz_um6"] * 1e6 if "c6_thz_um6" in vdw_block else C6_97S

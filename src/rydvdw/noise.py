@@ -19,14 +19,14 @@ depends on the offsets only through the distance d, and on d only through
 u = d/L, L the design separation (C6/d**6 = V0 u**-6, V0 = C6/L**6 the
 design interaction), so one table over u serves every drive and C6 at a
 phase.  It is tabulated once over the u the grid reaches, which takes the
-spreads and the trap separation in units of L, and interpolated; a lookup
-outside it is an error.  The grid reaches the same u at every step, in
-closed form, so the window is known before any draw; the Monte Carlo
-takes the few draws beyond it from the closed form and counts them.
-Second, the grid sum depends on each coordinate pair only through its
-difference; regrouping the product
-weights into difference weights (a discrete autocorrelation) collapses
-the 6-D sum to 3-D without changing its value.  The y and z differences
+spreads and the trap separation in units of L (:func:`reduced`), and
+interpolated; a lookup outside it is an error.  The grid reaches the same
+u at every step, in closed form, so the window is known before any draw;
+the Monte Carlo takes the few draws beyond it from the closed form and
+counts them.  Second, the grid sum depends on each coordinate pair only
+through its difference; regrouping the product weights into difference
+weights (a discrete autocorrelation) collapses the 6-D sum to 3-D without
+changing its value.  The y and z differences
 enter the distance only squared and their weights are symmetric, so each
 is folded onto its nonnegative half with the weights of the two signs
 summed.
@@ -41,16 +41,19 @@ two matrix-vector products.  The draw yields its distances a block at a
 time.  The Monte Carlo prices each block's draws beyond the table's
 window by the closed form, in their slots, and merges each block's mean
 and sum of squared deviations.  So no average forms a full-size distance,
-weight or fidelity array.  The grid average returns its mean, the Monte
-Carlo average its mean, sample count, standard error and the number of
-draws it took from the closed form.
+weight or fidelity array.
+
+:func:`position_averages` prices one design point on one table, for the
+``fidelity`` command and each temperature-sweep row alike: the grid mean at
+each step and the Monte Carlo report, each timed, and the grid's lookups.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -71,12 +74,15 @@ __all__ = [
     "InflatedSigmas",
     "GridSpec",
     "FidelityReport",
+    "PositionAverages",
     "inflate_sigmas",
+    "reduced",
     "FidelityTable",
     "grid_window",
     "draw_distances",
     "grid_average_fidelity",
     "monte_carlo_average_fidelity",
+    "position_averages",
     "decay_error",
 ]
 
@@ -178,6 +184,20 @@ class FidelityReport:
     direct_evaluations: int
 
 
+@dataclass(frozen=True)
+class PositionAverages:
+    """What :func:`position_averages` found: the inflated ``sigmas`` in um, the ``grid`` mean at
+    each step in the order given, the Monte Carlo report ``mc`` (None without draws), the wall
+    ``seconds`` of each average (the grid's, then the Monte Carlo's) and ``grid_lookups``: a step
+    of m intervals per 3 sigma looks up (2m+1)(m+1)**2 folded differences of its (m+1)**6 nodes."""
+
+    sigmas: InflatedSigmas
+    grid: tuple[float, ...]
+    mc: FidelityReport | None
+    seconds: tuple[float, ...]
+    grid_lookups: int
+
+
 def inflate_sigmas(cfg: NoiseConfig, t_gate: float) -> InflatedSigmas:
     """Add the free-flight drift to the trap position spreads.
 
@@ -192,6 +212,14 @@ def inflate_sigmas(cfg: NoiseConfig, t_gate: float) -> InflatedSigmas:
         sigma_perp=cfg.sigma_perp0 + flight / 2.0,
         flight_length=flight,
     )
+
+
+def reduced(protocol: GateProtocol, ncfg: NoiseConfig) -> tuple[InflatedSigmas, InflatedSigmas, float]:
+    """The spreads of ``ncfg`` inflated over ``protocol``'s gate, in um; then those spreads
+    and the trap separation in design separations L, the fidelity table's unit: the
+    ``sigmas`` and ``separation`` arguments of the averages."""
+    sigmas, length = inflate_sigmas(ncfg, protocol.t_gate), protocol.separation
+    return sigmas, InflatedSigmas(*(value / length for value in astuple(sigmas))), ncfg.trap_separation / length
 
 
 class FidelityTable:
@@ -495,6 +523,26 @@ def monte_carlo_average_fidelity(
     mean, squares, _ = moments
     stderr = math.sqrt(squares / (n_samples - 1)) / math.sqrt(n_samples)
     return FidelityReport(mean, n_samples, stderr, direct)
+
+
+def position_averages(table: FidelityTable, ncfg: NoiseConfig, deltas: tuple[float, ...] = (),
+                      n_samples: int = 0, seed: int = 0, truncate: float | None = None) -> PositionAverages:
+    """The fidelity on ``table`` averaged over the positions of ``ncfg``, in the table's unit
+    (:func:`reduced`): a :func:`grid_average_fidelity` at each step of ``deltas``, then, if
+    ``n_samples``, a :func:`monte_carlo_average_fidelity` of that many draws (``seed``,
+    ``truncate``), each timed on its own.  Their ValueErrors propagate."""
+    sigmas, *scaled = reduced(table.protocol, ncfg)
+    grid, seconds, mc = [], [], None
+    for delta in deltas:
+        tic = time.perf_counter()
+        grid.append(grid_average_fidelity(table, *scaled, GridSpec(delta)))
+        seconds.append(time.perf_counter() - tic)
+    if n_samples:
+        tic = time.perf_counter()
+        mc = monte_carlo_average_fidelity(table, *scaled, n_samples, seed, truncate)
+        seconds.append(time.perf_counter() - tic)
+    lookups = sum((2 * m + 1) * (m + 1) ** 2 for m in (round(2.0 * GRID_HALF_RANGE / delta) for delta in deltas))
+    return PositionAverages(sigmas, tuple(grid), mc, tuple(seconds), lookups)
 
 
 def decay_error(exposure: float, lifetime_ms: float) -> float:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rydvdw import MHZ, FidelityTable, GateProtocol, NoiseConfig
-from rydvdw.cli import _reduced
-from rydvdw.noise import grid_window, inflate_sigmas
+from rydvdw.noise import grid_window, inflate_sigmas, reduced
 
 #: (criterion number, description, passed, detail) tuples filled in by
 #: tests/test_acceptance.py and printed at the end of the run.
@@ -36,10 +35,10 @@ def nominal_sigmas(nominal_noise, nominal_protocol):
 
 
 @pytest.fixture(scope="session")
-def reduced_sigmas(nominal_protocol, nominal_noise, nominal_sigmas):
+def reduced_sigmas(nominal_protocol, nominal_noise):
     """The nominal spreads in design separations L, the table's unit: there the
     nominal traps sit exactly 1 apart."""
-    return _reduced(nominal_protocol, nominal_noise, nominal_sigmas)[0]
+    return reduced(nominal_protocol, nominal_noise)[1]
 
 
 @pytest.fixture(scope="session")

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 
 import rydvdw
 from rydvdw import MHZ
-from rydvdw.cli import _reduced, _spread_field, run_fidelity, run_simulate, run_solve, run_sweep
+from rydvdw.cli import _spread_field, run_fidelity, run_simulate, run_solve, run_sweep
 from rydvdw.config import SCHEMA, RunConfig, load_config, parse_config
 from rydvdw.errors import ConfigError
 from rydvdw.gates import gate_fidelity, ideal_gate, pedersen_fidelity, simulate
 from rydvdw.geometry import VdwModel, vdw_interaction
-from rydvdw.noise import KNOT_SPACING, NoiseConfig, draw_distances, inflate_sigmas
+from rydvdw.noise import KNOT_SPACING, NoiseConfig, draw_distances, inflate_sigmas, reduced
 from rydvdw.protocol import GateProtocol
 from rydvdw.records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
@@ -123,6 +123,19 @@ class TestConfig:
     def test_non_dividing_delta_rejected(self):
         with pytest.raises(ConfigError, match="sampling.deltas"):
             parse_config({"sampling": {"deltas": [0.4]}})
+
+    @pytest.mark.parametrize(
+        "deltas, quoted",
+        [([0.5, 0.5, 0.25], "0.5 and 0.5 make one 6-step grid"),
+         ([0.1, 0.1 + 1e-12], f"0.1 and {0.1 + 1e-12!r} make one 30-step grid")],
+        ids=["twice", "one-grid"],
+    )
+    def test_repeated_grid_step_exits_2(self, tmp_path, deltas, quoted):
+        # a step twice, or two steps that round to one grid, would price one grid twice
+        path = write_config(tmp_path, {"sampling": {"deltas": deltas}})
+        result = run_cli(["fidelity", "--config", path])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == f"config error: invalid config field 'sampling.deltas': {quoted}\n"
 
     def test_docs_schema_matches_source(self):
         docs = Path(__file__).resolve().parents[1] / "docs" / "config.schema.json"
@@ -441,13 +454,13 @@ class TestFidelityCommand:
 
     def test_grid_reaching_zero_distance_exits_before_the_draw(self, tmp_path, monkeypatch):
         draws = []
-        monte_carlo = rydvdw.cli.monte_carlo_average_fidelity
+        monte_carlo = rydvdw.noise.monte_carlo_average_fidelity
 
         def counted(*args, **kwargs):
             draws.append(args)
             return monte_carlo(*args, **kwargs)
 
-        monkeypatch.setattr("rydvdw.cli.monte_carlo_average_fidelity", counted)
+        monkeypatch.setattr("rydvdw.noise.monte_carlo_average_fidelity", counted)
         reference = json.loads((Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json").read_text())
         payload = {**reference, "noise": {**reference["noise"], "sigma_perp0_um": 8.0}}
         assert payload["sampling"]["mode"] == "both"
@@ -600,7 +613,7 @@ class TestFidelityCommand:
         cfg = parse_config(payload)
         results = run_fidelity(cfg).results
         (table,) = tables
-        sigmas, separation = _reduced(cfg.protocol, cfg.noise, inflate_sigmas(cfg.noise, cfg.protocol.t_gate))
+        _, sigmas, separation = reduced(cfg.protocol, cfg.noise)
         assert table.distances[0] == separation == 0.9 / cfg.protocol.separation
         distances = np.concatenate([block.copy() for block in draw_distances(sigmas, separation, 5000, cfg.seed)])
         outside = (distances < table.distances[0]) | (distances > table.distances[-1])
@@ -829,6 +842,16 @@ class TestSweepCommand:
         (row,) = [row for row in rows if row["value"] == 10.0]
         assert abs(row["mean_fidelity"] - grid["estimate"]) < 1e-12
         assert abs(row["net_fidelity"] - grid["net_fidelity"]) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["cz", "cnot"])
+    def test_hottest_temperature_row_is_the_fidelity_grid_estimate(self, kind):
+        # the sweep's one table is the 32 uK fidelity run's, so the row equals it exactly
+        base = {"gate": {"kind": kind, "theta_rad": np.pi}, "sampling": {"mode": "grid", "deltas": [0.05]}}
+        sweep = {"axis": "temperature", "start": 2.0, "stop": 32.0, "points": 16}
+        row = run_sweep(parse_config({**base, "sweep": sweep})).results["rows"][-1]
+        grid = run_fidelity(parse_config({**base, "noise": {"temperature_uk": 32.0}})).results["grid"]
+        assert row["value"] == 32.0
+        assert (row["mean_fidelity"], row["net_fidelity"]) == (grid["mean_fidelity"], grid["net_fidelity"])
 
     def test_omega_sweep_ignores_drive_block(self):
         # the swept frequency drives both atoms; drive.omega_*_mhz do not enter the rows

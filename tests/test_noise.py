@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rydvdw import MHZ
-from rydvdw.cli import _reduced
 from rydvdw.gates import gate_fidelity
 from rydvdw.geometry import VdwModel, vdw_interaction
 from rydvdw.noise import (
@@ -25,6 +25,8 @@ from rydvdw.noise import (
     grid_window,
     inflate_sigmas,
     monte_carlo_average_fidelity,
+    position_averages,
+    reduced,
 )
 from rydvdw.noise import _difference_weights
 from rydvdw.gates import simulate
@@ -42,12 +44,11 @@ from .oracles import (
 VDW = VdwModel()
 
 
-def mc_average(protocol, noise, sigmas, n_samples, seed, truncate=None):
+def mc_average(protocol, noise, n_samples, seed, truncate=None):
     """The fidelity command's Monte Carlo path: the table over the grid window
-    in design separations, then the average over the draws."""
-    reduced = _reduced(protocol, noise, sigmas)
-    table = FidelityTable(protocol, *grid_window(*reduced))
-    return monte_carlo_average_fidelity(table, *reduced, n_samples, seed, truncate)
+    in design separations, then the position averages' draw on it."""
+    table = FidelityTable(protocol, *grid_window(*reduced(protocol, noise)[1:]))
+    return position_averages(table, noise, (), n_samples, seed, truncate).mc
 
 
 def drawn(*args, **kwargs):
@@ -354,9 +355,9 @@ class TestFidelityTable:
         kind = "cnot" if cnot else "cz"
         protocol = GateProtocol.solve(theta, omega_mhz * MHZ, omega_mhz * MHZ, VDW, kind)
         noise = NoiseConfig(trap_separation=protocol.separation, temperature=temperature)
-        reduced = _reduced(protocol, noise, inflate_sigmas(noise, protocol.t_gate))
-        lo, hi = grid_window(*reduced)
-        distances = drawn(*reduced, 20_000, seed)
+        scaled = reduced(protocol, noise)[1:]
+        lo, hi = grid_window(*scaled)
+        distances = drawn(*scaled, 20_000, seed)
         lo, hi = min(lo, distances.min()), max(hi, distances.max())
         table = FidelityTable(protocol, lo, hi)
         probe = np.random.default_rng(seed).uniform(lo, hi, 200)
@@ -558,8 +559,9 @@ class TestGridWindow:
 
 class TestMonteCarlo:
     def test_vanishing_sigma(self, nominal_protocol, nominal_noise):
-        tiny = InflatedSigmas(sigma_z=1e-9, sigma_perp=1e-9, flight_length=0.0)
-        report = mc_average(nominal_protocol, nominal_noise, tiny, n_samples=2000, seed=3)
+        # 1e-9 um trap spreads, which a 1e-30 uK free flight widens by some 2e-17 um
+        tiny = replace(nominal_noise, sigma_z0=1e-9, sigma_perp0=1e-9, temperature=1e-30)
+        report = mc_average(nominal_protocol, tiny, n_samples=2000, seed=3)
         assert abs(report.mean_fidelity - 1.0) < 1e-9
         assert report.stderr < 1e-12
 
@@ -685,9 +687,9 @@ class TestMonteCarlo:
         truncated = drawn(nominal_sigmas, nominal_noise.trap_separation, 50_000, 17, truncate=1.5)
         lo, hi = grid_window(nominal_sigmas, nominal_noise.trap_separation)
         assert lo <= truncated.min() and truncated.max() <= hi
-        report = mc_average(nominal_protocol, nominal_noise, nominal_sigmas, 50_000, 17, truncate=1.5)
+        report = mc_average(nominal_protocol, nominal_noise, 50_000, 17, truncate=1.5)
         # truncated support can only raise the mean above the untruncated run
-        untruncated = mc_average(nominal_protocol, nominal_noise, nominal_sigmas, 50_000, 17)
+        untruncated = mc_average(nominal_protocol, nominal_noise, 50_000, 17)
         assert report.mean_fidelity > untruncated.mean_fidelity
 
     def test_agrees_with_grid_oracle(self, reduced_sigmas, nominal_table):
@@ -703,6 +705,23 @@ class TestMonteCarlo:
         # one draw has no standard error
         with pytest.raises(ValueError, match="standard error"):
             monte_carlo_average_fidelity(nominal_table, reduced_sigmas, 1.0, 1, seed=1)
+
+
+class TestPositionAverages:
+    @pytest.mark.parametrize("truncate", [None, 1.5])
+    def test_equals_the_averages_it_calls(self, nominal_protocol, nominal_noise, nominal_table, truncate):
+        averages = position_averages(nominal_table, nominal_noise, (0.25, 0.1), 5000, 9, truncate)
+        sigmas, *scaled = reduced(nominal_protocol, nominal_noise)
+        assert averages.sigmas == sigmas == inflate_sigmas(nominal_noise, nominal_protocol.t_gate)
+        assert averages.grid == tuple(grid_average_fidelity(nominal_table, *scaled, GridSpec(d)) for d in (0.25, 0.1))
+        assert averages.mc == monte_carlo_average_fidelity(nominal_table, *scaled, 5000, 9, truncate)
+        assert len(averages.seconds) == 3 and min(averages.seconds) > 0.0
+        assert averages.grid_lookups == sum((2 * m + 1) * (m + 1) ** 2 for m in (12, 30))
+
+    def test_nothing_to_average(self, nominal_noise, nominal_sigmas, nominal_table):
+        averages = position_averages(nominal_table, nominal_noise)
+        assert (averages.grid, averages.mc, averages.seconds, averages.grid_lookups) == ((), None, (), 0)
+        assert averages.sigmas == nominal_sigmas
 
 
 class TestDecayError:
