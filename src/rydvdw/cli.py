@@ -182,8 +182,8 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
         raise _spread_error(protocol, ncfg, True, "noise.temperature_uk", exc) from None
     errors, report = _decay_errors(exposure, ncfg.rydberg_lifetime), averages.mc
     # (wall-time key, CSV label, mean, sample count) of each average, in the order of its seconds
-    rows = [(f"grid_{delta}", delta, mean, (round(2 * GRID_HALF_RANGE / delta) + 1) ** 6)
-            for delta, mean in zip(deltas, averages.grid)]
+    rows = [(f"grid_{delta}", delta, mean, count)
+            for delta, mean, count in zip(deltas, averages.grid, averages.grid_nodes)]
     rows += [] if report is None else [("mc", "mc", report.mean_fidelity, report.sample_count)]
     results = {
         "sigma_z_um": averages.sigmas.sigma_z,

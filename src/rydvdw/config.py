@@ -230,7 +230,7 @@ def parse_config(raw: dict) -> RunConfig:
     steps: dict[int, float] = {}
     for delta in deltas:
         try:
-            step = len(GridSpec(delta).points()) - 1
+            step = GridSpec(delta).steps
             if step in steps:
                 raise ValueError(f"{steps[step]!r} and {delta!r} make one {step}-step grid")
         except ValueError as exc:

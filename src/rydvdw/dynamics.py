@@ -112,9 +112,9 @@ def build_hamiltonian(
     return hamiltonian
 
 
-def propagate(segments: Sequence[tuple[np.ndarray, float]], states, weight=None):
-    """Advance state columns through a piecewise-constant pulse sequence;
-    the step of :func:`rydvdw.gates.simulate`.
+def propagate(segments: Sequence[tuple[np.ndarray, float]], states):
+    """Advance state columns through a piecewise-constant pulse sequence and
+    integrate their Rydberg exposure; the step of :func:`rydvdw.gates.simulate`.
 
     Each segment (H, t) is diagonalized once, H = M diag(E) M^dag, and
     with amplitudes C = M^dag psi the states move as M exp(-i E t) C;
@@ -124,21 +124,20 @@ def propagate(segments: Sequence[tuple[np.ndarray, float]], states, weight=None)
     finite durations >= 0 in us; ``states`` holds the columns of a (9, k)
     array.  Any other shape is refused.
 
-    With ``weight``, the length-9 diagonal of an observable such as
-    :data:`RYDBERG_WEIGHT`, the same E, M and C give the exact time
-    integral of its expectation value: with W = M^dag diag(weight) M a
-    segment adds (Van Loan, IEEE TAC 23, 395, 1978)
+    The same E, M and C give the exact time integral of the expected
+    number of Rydberg excitations, :data:`RYDBERG_WEIGHT`: with
+    W = M^dag diag(RYDBERG_WEIGHT) M a segment adds (Van Loan, IEEE TAC
+    23, 395, 1978)
 
         Re sum_mn conj(C_m) C_n W_mn t exp(i w t/2) sinc(w t/2),
         w = E_m - E_n.
 
-    Returns the evolved (9, k) columns and the integral in us of each
-    column, shape (k,), or None without ``weight``.
+    Returns the evolved (9, k) columns and each column's exposure in us, shape (k,).
     """
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or len(states) != DIM:
         raise ValueError(f"states must be a ({DIM}, k) array; got shape {states.shape}")
-    integral = None if weight is None else 0.0
+    integral = 0.0
     for hamiltonian, duration in segments:
         if np.shape(hamiltonian) != (DIM, DIM):
             raise ValueError(f"a segment needs one ({DIM}, {DIM}) matrix; got shape {np.shape(hamiltonian)}")
@@ -150,10 +149,9 @@ def propagate(segments: Sequence[tuple[np.ndarray, float]], states, weight=None)
             raise NumericError(f"eigendecomposition failed: {exc}") from exc
         adjoint = modes.conj().T
         coeffs = adjoint @ states
-        if weight is not None:
-            observable = (adjoint * weight) @ modes
-            half = 0.5 * duration * (energies[:, None] - energies[None, :])
-            kernel = duration * np.exp(1j * half) * np.sinc(half / np.pi)
-            integral = integral + (coeffs.conj() * ((observable * kernel) @ coeffs)).sum(axis=0).real
+        observable = (adjoint * RYDBERG_WEIGHT) @ modes
+        half = 0.5 * duration * (energies[:, None] - energies[None, :])
+        kernel = duration * np.exp(1j * half) * np.sinc(half / np.pi)
+        integral = integral + (coeffs.conj() * ((observable * kernel) @ coeffs)).sum(axis=0).real
         states = modes @ (np.exp(-1j * energies * duration)[:, None] * coeffs)
     return states, integral

@@ -45,10 +45,10 @@ _INPUTS = np.eye(dynamics.DIM)[:, dynamics.COMPUTATIONAL]
 def simulate(protocol: GateProtocol, interaction=None):
     """Walk the sequence once for the gate matrix and the Rydberg exposure.
 
-    Each computational basis state is propagated through the full
-    9-dimensional dynamics; column j of the gate holds the computational
-    amplitudes of the evolved state j.  The same walk integrates each
-    input's Rydberg excitations (|rr> twice) exactly; their mean over the
+    One :func:`rydvdw.dynamics.propagate` walks each computational basis state
+    through the 9-dimensional dynamics; column j of the gate holds the
+    computational amplitudes of the evolved state j.  The walk always integrates
+    each input's Rydberg excitations (|rr> twice) exactly; their mean over the
     four inputs, times 1/lifetime, is the Rydberg decay error.
 
     Parameters
@@ -68,7 +68,7 @@ def simulate(protocol: GateProtocol, interaction=None):
     exposure : float
         Time in Rydberg states averaged over the four inputs, in us.
     """
-    states, integral = dynamics.propagate(protocol.segments(interaction), _INPUTS, dynamics.RYDBERG_WEIGHT)
+    states, integral = dynamics.propagate(protocol.segments(interaction), _INPUTS)
     gate = states[dynamics.COMPUTATIONAL]
     anchor = gate[0, 0]
     if abs(anchor) > 1e-12:

@@ -45,7 +45,7 @@ weight or fidelity array.
 
 :func:`position_averages` prices one design point on one table, for the
 ``fidelity`` command and each temperature-sweep row alike: the grid mean at
-each step and the Monte Carlo report, each timed, and the grid's lookups.
+each step and the Monte Carlo report, each timed, and the grid's counts.
 """
 
 from __future__ import annotations
@@ -150,9 +150,9 @@ class InflatedSigmas:
 class GridSpec:
     """Product-grid quadrature step.
 
-    Each coordinate runs over {-1.5, -1.5+delta, ..., 1.5} in units of
-    its own sigma.  ``delta`` must divide the full 3-sigma span so the
-    listed endpoints are actually reachable and the grid stays uniform.
+    Each coordinate runs over {-1.5, -1.5+delta, ..., 1.5} in units of its own
+    sigma, in ``steps`` intervals.  ``delta`` must divide the full 3-sigma span
+    so the listed endpoints are actually reachable and the grid stays uniform.
     """
 
     delta: float
@@ -160,16 +160,19 @@ class GridSpec:
     def __post_init__(self):
         if not 0.0 < self.delta <= GRID_HALF_RANGE:
             raise ValueError(f"delta must lie in (0, {GRID_HALF_RANGE}], got {self.delta!r}")
-        span = 2.0 * GRID_HALF_RANGE
-        if abs(round(span / self.delta) * self.delta - span) > 1e-9:
+        if abs(self.steps * self.delta - 2.0 * GRID_HALF_RANGE) > 1e-9:
             raise ValueError(
                 f"delta {self.delta!r} does not evenly divide the +-{GRID_HALF_RANGE} sigma range"
             )
 
+    @property
+    def steps(self) -> int:
+        """m, the intervals per coordinate: the 3-sigma span over ``delta``, rounded."""
+        return round(2.0 * GRID_HALF_RANGE / self.delta)
+
     def points(self) -> np.ndarray:
         """Dimensionless grid nodes from -1.5 to +1.5 inclusive."""
-        n = round(2.0 * GRID_HALF_RANGE / self.delta)
-        return np.linspace(-GRID_HALF_RANGE, GRID_HALF_RANGE, n + 1)
+        return np.linspace(-GRID_HALF_RANGE, GRID_HALF_RANGE, self.steps + 1)
 
 
 @dataclass(frozen=True)
@@ -188,13 +191,14 @@ class FidelityReport:
 class PositionAverages:
     """What :func:`position_averages` found: the inflated ``sigmas`` in um, the ``grid`` mean at
     each step in the order given, the Monte Carlo report ``mc`` (None without draws), the wall
-    ``seconds`` of each average (the grid's, then the Monte Carlo's) and ``grid_lookups``: a step
-    of m intervals per 3 sigma looks up (2m+1)(m+1)**2 folded differences of its (m+1)**6 nodes."""
+    ``seconds`` of each average (the grid's, then the Monte Carlo's), the (m+1)**6 ``grid_nodes``
+    of each step, m = ``GridSpec.steps``, and the (2m+1)(m+1)**2 folded ``grid_lookups`` of all."""
 
     sigmas: InflatedSigmas
     grid: tuple[float, ...]
     mc: FidelityReport | None
     seconds: tuple[float, ...]
+    grid_nodes: tuple[int, ...]
     grid_lookups: int
 
 
@@ -251,22 +255,17 @@ class FidelityTable:
         self._scratch = np.empty(BLOCK, dtype=np.intp), np.empty(BLOCK), np.empty(BLOCK)
 
     def __call__(self, dist):
-        """Fidelity at a distance (a float) or an array of them (same shape),
-        ``BLOCK`` distances at a time into one output array.  The blocks share
-        the table's scratch arrays, so a table serves one call at a time."""
+        """Fidelity at a distance (a float) or an array of them (same shape).  The input's
+        minimum and maximum check the window (a NaN fails both); then its knot coordinates fill
+        the output, which :meth:`_evaluate` evaluates in place, ``BLOCK`` at a time in the
+        table's scratch arrays, so a table serves one call at a time."""
         dist = np.asarray(dist, dtype=float)
         flat = dist.ravel()
-        out = np.empty(flat.size)
         lo, hi = self.distances[0], self.distances[-1]
-        for start in range(0, flat.size, BLOCK):
-            block = flat[start : start + BLOCK]
-            inside = (block >= lo) & (block <= hi)
-            if not inside.all():
-                raise ValueError(
-                    f"distance {float(block[~inside][0])!r} lies outside the "
-                    f"fidelity table's window [{lo!r}, {hi!r}]"
-                )
-            self._evaluate(self._knot_coordinates(block, out[start : start + BLOCK]))
+        if flat.size and not (lo <= flat.min() and flat.max() <= hi):
+            bad = float(flat[~((flat >= lo) & (flat <= hi))][0])
+            raise ValueError(f"distance {bad!r} lies outside the fidelity table's window [{lo!r}, {hi!r}]")
+        out = self._evaluate(self._knot_coordinates(flat, np.empty(flat.size)))
         return float(out[0]) if dist.ndim == 0 else out.reshape(dist.shape)
 
     def _knot_coordinates(self, dist: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -301,7 +300,9 @@ class FidelityTable:
     def spline_error(self) -> float:
         """Largest gap between the table and the closed-form fidelity at the
         midpoint of every knot interval, where a cubic spline's error peaks:
-        one fidelity call and one lookup over the n-1 midpoints."""
+        one fidelity call and one lookup over the n-1 midpoints.  It normally peaks in the
+        first, not-a-knot interval: on the reference run's 357-knot table 3.24e-12 there,
+        2.28e-12 in the last and at most 1.29e-12 in between."""
         midpoints = 0.5 * (self.distances[:-1] + self.distances[1:])
         return float(np.abs(self(midpoints) - self._exact(midpoints)).max())
 
@@ -350,7 +351,7 @@ def _difference_weights(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     diff_weights = np.convolve(weights, weights[::-1])
     # k/n of the full 2 * 1.5 sigma span, rounded once: the ends are exactly
     # +-3 at every step, as grid_window assumes (k * delta can miss 3 by an ulp)
-    n = len(nodes) - 1
+    n = grid.steps
     diff_offsets = np.arange(-n, n + 1) * (2.0 * GRID_HALF_RANGE) / n
     return diff_offsets, diff_weights
 
@@ -530,19 +531,20 @@ def position_averages(table: FidelityTable, ncfg: NoiseConfig, deltas: tuple[flo
     """The fidelity on ``table`` averaged over the positions of ``ncfg``, in the table's unit
     (:func:`reduced`): a :func:`grid_average_fidelity` at each step of ``deltas``, then, if
     ``n_samples``, a :func:`monte_carlo_average_fidelity` of that many draws (``seed``,
-    ``truncate``), each timed on its own.  Their ValueErrors propagate."""
+    ``truncate``), each timed on its own, and the grid's counts.  Their ValueErrors propagate."""
     sigmas, *scaled = reduced(table.protocol, ncfg)
-    grid, seconds, mc = [], [], None
-    for delta in deltas:
+    grids = [GridSpec(delta) for delta in deltas]
+    means, seconds, mc = [], [], None
+    for grid in grids:
         tic = time.perf_counter()
-        grid.append(grid_average_fidelity(table, *scaled, GridSpec(delta)))
+        means.append(grid_average_fidelity(table, *scaled, grid))
         seconds.append(time.perf_counter() - tic)
     if n_samples:
         tic = time.perf_counter()
         mc = monte_carlo_average_fidelity(table, *scaled, n_samples, seed, truncate)
         seconds.append(time.perf_counter() - tic)
-    lookups = sum((2 * m + 1) * (m + 1) ** 2 for m in (round(2.0 * GRID_HALF_RANGE / delta) for delta in deltas))
-    return PositionAverages(sigmas, tuple(grid), mc, tuple(seconds), lookups)
+    return PositionAverages(sigmas, tuple(means), mc, tuple(seconds), tuple((g.steps + 1) ** 6 for g in grids),
+                            sum((2 * g.steps + 1) * (g.steps + 1) ** 2 for g in grids))
 
 
 def decay_error(exposure: float, lifetime_ms: float) -> float:

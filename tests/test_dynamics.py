@@ -203,7 +203,7 @@ class TestRydbergExposure:
 
     def test_zero_durations_integrate_to_zero(self):
         segments = [(h, 0.0) for h, _ in cz_segments()]
-        _, integral = propagate(segments, driven_inputs(), RYDBERG_WEIGHT)
+        _, integral = propagate(segments, driven_inputs())
         assert integral.sum() / 4.0 == 0.0
 
     def test_nominal_value_against_closed_form(self):
@@ -215,7 +215,7 @@ class TestRydbergExposure:
         closed = 0.25 * (
             2 * np.pi / OMEGA + 5.75 * t_cycle - np.sin(OMEGA * t_cycle) / OMEGA
         )
-        _, integral = propagate(cz_segments(), driven_inputs(), RYDBERG_WEIGHT)
+        _, integral = propagate(cz_segments(), driven_inputs())
         value = integral.sum() / 4.0
         assert abs(value - closed) < 1e-9
         assert abs(value - 1.91) < 0.02
@@ -223,8 +223,7 @@ class TestRydbergExposure:
 
 class TestPropagate:
     def test_states_match_the_product_of_propagators(self):
-        states, integral = propagate(cz_segments(), driven_inputs())
-        assert integral is None
+        states, _ = propagate(cz_segments(), driven_inputs())
         unitaries = [exponentiate(h, t) for h, t in cz_segments()]
         for column, state in zip(states.T, driven_inputs().T):
             assert np.abs(column - evolve(state, unitaries)).max() < 1e-13

@@ -388,12 +388,16 @@ class TestFidelityTable:
         value = nominal_table(np.float64(grid[0, 0]))
         assert isinstance(value, float) and value == values[0, 0]
 
-    @pytest.mark.parametrize("far", ["below", "above", "nan"])
+    @pytest.mark.parametrize("far", ["below", "above", "nan", "above, then nan"])
     def test_out_of_window_in_the_last_block_raises(self, nominal_table, far):
         lo, hi = nominal_table.distances[0], nominal_table.distances[-1]
-        bad = {"below": np.nextafter(lo, 0.0), "above": np.nextafter(hi, np.inf), "nan": np.nan}[far]
+        above = np.nextafter(hi, np.inf)
+        # (second block, last block): the error names the first distance outside the window
+        second, last = {"below": (lo, np.nextafter(lo, 0.0)), "above": (lo, above), "nan": (lo, np.nan),
+                        "above, then nan": (above, np.nan)}[far]
         dist = np.full(3 * BLOCK + 7, lo)
-        dist[-2] = bad
+        dist[BLOCK + 5], dist[-2] = second, last
+        bad = last if second == lo else second
         with pytest.raises(ValueError, match=f"distance {float(bad)!r} lies outside"):
             nominal_table(dist)
 
@@ -528,6 +532,7 @@ class TestGridWindow:
         for n in range(2, 601):
             offsets, _ = _difference_weights(GridSpec(3 / n))
             assert offsets[0] == -3.0 and offsets[n] == 0.0 and offsets[-1] == 3.0
+            assert GridSpec(3 / n).steps == n == len(GridSpec(3 / n).points()) - 1
 
     @pytest.mark.parametrize("delta", [0.5, 0.1, 3 / 47])
     def test_grid_spans_the_table_in_knot_units(self, nominal_table, reduced_sigmas, delta):
@@ -716,11 +721,13 @@ class TestPositionAverages:
         assert averages.grid == tuple(grid_average_fidelity(nominal_table, *scaled, GridSpec(d)) for d in (0.25, 0.1))
         assert averages.mc == monte_carlo_average_fidelity(nominal_table, *scaled, 5000, 9, truncate)
         assert len(averages.seconds) == 3 and min(averages.seconds) > 0.0
-        assert averages.grid_lookups == sum((2 * m + 1) * (m + 1) ** 2 for m in (12, 30))
+        assert averages.grid_nodes == (13**6, 31**6)
+        assert averages.grid_lookups == sum((2 * m + 1) * (m + 1) ** 2 for m in (12, 30)) == 25 * 13**2 + 61 * 31**2
 
     def test_nothing_to_average(self, nominal_noise, nominal_sigmas, nominal_table):
         averages = position_averages(nominal_table, nominal_noise)
-        assert (averages.grid, averages.mc, averages.seconds, averages.grid_lookups) == ((), None, (), 0)
+        assert (averages.grid, averages.mc, averages.seconds, averages.grid_nodes, averages.grid_lookups) == (
+            (), None, (), (), 0)
         assert averages.sigmas == nominal_sigmas
 
 
