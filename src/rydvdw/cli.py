@@ -24,7 +24,7 @@ from .config import RunConfig, interaction_at, load_config, parse_config, solve_
 from .constants import (HYPERFINE_SPLITTING_RB87, LIFETIME_97S_4K_MS, LIFETIME_97S_300K_MS, MHZ,
                         RB87_MASS_KG, TEMPERATURE_DEFAULT_UK)
 from .errors import ConfigError, NumericError
-from .gates import gate_fidelity, ideal_gate, pedersen_fidelity, simulate
+from .gates import design_exposure, gate_fidelity, ideal_gate, pedersen_fidelity, simulate
 from .noise import (GRID_HALF_RANGE, KNOT_SPACING, FidelityTable, InflatedSigmas, NoiseConfig, decay_error,
                     grid_window, position_averages, reduced)
 from .protocol import GateProtocol, hyperfine_leakage_estimate
@@ -169,8 +169,9 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
     protocol, ncfg = cfg.protocol, cfg.noise
     deltas = cfg.deltas if cfg.mode in ("grid", "both") else ()
     table = _sampled_table(protocol, ncfg, bool(deltas), "noise.temperature_uk")
-    gate, exposure = simulate(protocol)
-    # the walked design gate scored against the closed form the table is built from
+    exposure = design_exposure(protocol)
+    # walked once, to check the closed forms that build the table and price the decay
+    gate, walked_exposure = simulate(protocol)
     walked = pedersen_fidelity(gate, ideal_gate(protocol))
     kernel_gap = abs(walked - float(gate_fidelity(protocol, protocol.nominal_interaction)))
     n_samples = cfg.mc_samples if cfg.mode in ("mc", "both") else 0
@@ -205,10 +206,13 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
         method = "mc-truncated" if cfg.mc_truncated else "mc"
         results["mc"] = _block(report.mean_fidelity, report.sample_count, errors["decay_error"], method=method,
                                stderr=report.stderr, truncation=truncate)
+    spline_error, spline_error_interior = table.spline_errors()
     results["diagnostics"] = {
         "table_knots": len(table.distances),
-        "spline_error": table.spline_error(),
+        "spline_error": spline_error,
+        "spline_error_interior": spline_error_interior,
         "kernel_gap": kernel_gap,
+        "exposure_gap": abs(walked_exposure - exposure),
         "direct_evaluations": 0 if report is None else report.direct_evaluations,
         "grid_lookups": averages.grid_lookups,
     }
@@ -263,7 +267,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         # hottest grid reaches farthest
         hot_field = "sweep.stop" if cfg.sweep["stop"] >= cfg.sweep["start"] else "sweep.start"
         table = _sampled_table(protocol, replace(cfg.noise, temperature=float(values[-1])), True, hot_field)
-        decay = _decay_errors(simulate(protocol)[1], cfg.noise.rydberg_lifetime)["decay_error"]
+        decay = _decay_errors(design_exposure(protocol), cfg.noise.rydberg_lifetime)["decay_error"]
         delta = min(cfg.deltas)
         for temp in values:
             averages = position_averages(table, replace(cfg.noise, temperature=float(temp)), (delta,))

@@ -3,12 +3,13 @@
 The simulated gate is summarized by the 4x4 matrix of computational
 basis amplitudes after the full pulse sequence, and its decay cost by
 the time its inputs spend in Rydberg states; one walk of the 9-level
-dynamics gives both.  Population left in Rydberg levels makes the matrix
-sub-unitary; that leakage is kept and scored by the average-fidelity
-formula of Pedersen, Moller and Molmer, Phys. Lett. A 367, 47 (2007),
-which is valid for non-unitary actuals.  The fidelity at many
-interactions (a table, a separation sweep) needs no walk: the same
-formula on the one amplitude the interaction moves is a closed form.
+dynamics gives both at any interaction.  Population left in Rydberg
+levels makes the matrix sub-unitary; that leakage is kept and scored by
+the average-fidelity formula of Pedersen, Moller and Molmer, Phys. Lett.
+A 367, 47 (2007), which is valid for non-unitary actuals.  The fidelity
+at many interactions (a table, a separation sweep) and the exposure at
+the design interaction need no walk: both are closed forms of resonant
+and detuned Rabi cycles.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import numpy as np
 from . import dynamics
 from .protocol import GateProtocol
 
-__all__ = ["gate_fidelity", "ideal_cz", "ideal_cnot", "ideal_gate", "pedersen_fidelity", "simulate"]
+__all__ = [
+    "design_exposure", "gate_fidelity", "ideal_cz", "ideal_cnot", "ideal_gate", "pedersen_fidelity", "simulate",
+]
 
 
 def ideal_cz(theta: float) -> np.ndarray:
@@ -48,8 +51,9 @@ def simulate(protocol: GateProtocol, interaction=None):
     One :func:`rydvdw.dynamics.propagate` walks each computational basis state
     through the 9-dimensional dynamics; column j of the gate holds the
     computational amplitudes of the evolved state j.  The walk always integrates
-    each input's Rydberg excitations (|rr> twice) exactly; their mean over the
-    four inputs, times 1/lifetime, is the Rydberg decay error.
+    each input's Rydberg excitations (|rr> twice) exactly, and reports their
+    mean over the four inputs; at the design interaction that is
+    :func:`design_exposure`, which prices the decay error.
 
     Parameters
     ----------
@@ -123,3 +127,25 @@ def gate_fidelity(protocol: GateProtocol, interactions) -> np.ndarray:
         2.0 * (np.sin(half) * w / obar) ** 2 - 1j * np.sin(2.0 * half) * lag / obar
     )
     return (12.0 + 6.0 * np.real(kept * np.exp(-1j * theta)) + 2.0 * np.abs(kept) ** 2) / 20.0
+
+
+def design_exposure(protocol: GateProtocol) -> float:
+    """Time in Rydberg states (|rr> twice) averaged over the four computational
+    inputs at the design interaction, in us, in closed form: :func:`simulate`'s
+    exposure without the walk.
+
+    With t = ``t_cycle``, w the target drive, obar = hypot(w, V0) and t_pi the
+    control pi pulse, |00> never leaves the ground states; |01> spends
+    t - sin(w t)/w in two resonant partial cycles, the second retracing the first;
+    |10> spends t_pi + 2t with the control excited; and |11> adds to that
+    (w/obar)^2 t, the |rr> occupation of two full detuned cycles.  For the CNOT
+    the bright halves of each input pair sum to the same total.  So
+
+        E = (2 t_pi + 5 t + (w/obar)^2 t - sin(w t)/w) / 4,
+
+    that is 1/(4 f_c) + B(theta)/f_t with B = (5q + q^3 - sin(2 pi q)/(2 pi))/4,
+    q = w/obar, and the drives f in MHz.
+    """
+    w, t = protocol.omega_target, protocol.t_cycle
+    share = (w / np.hypot(w, protocol.nominal_interaction)) ** 2
+    return float((2.0 * np.pi / protocol.omega_control + (5.0 + share) * t - np.sin(w * t) / w) / 4.0)

@@ -10,7 +10,7 @@ import numpy as np
 
 from rydvdw import MHZ
 from rydvdw.dynamics import basis_index, build_hamiltonian
-from rydvdw.gates import ideal_cnot, ideal_cz, pedersen_fidelity, simulate
+from rydvdw.gates import design_exposure, ideal_cnot, ideal_cz, pedersen_fidelity, simulate
 from rydvdw.noise import (
     GridSpec,
     NoiseConfig,
@@ -105,9 +105,8 @@ def test_criterion_4_parameter_chain():
     )
 
 
-def test_criterion_5_decay_budget(nominal_protocol):
-    exposure = simulate(nominal_protocol)[1]
-    ratio = exposure / (2 * np.pi / nominal_protocol.omega_control)
+def check_decay_budget(exposure, protocol, how):
+    ratio = exposure / (2 * np.pi / protocol.omega_control)
     e_room = exposure / (0.311 * 1e3)
     e_cold = exposure / (1.10 * 1e3)
     ok = (
@@ -118,10 +117,19 @@ def test_criterion_5_decay_budget(nominal_protocol):
     )
     check(
         5,
-        "decay budget: exposure 1.91 us (1.52 cycles), errors 6.14e-3 / 1.74e-3",
+        f"decay budget: exposure 1.91 us (1.52 cycles), errors 6.14e-3 / 1.74e-3 ({how})",
         ok,
         f"exposure {exposure:.4f} us, ratio {ratio:.4f}, errors {e_room:.3e} / {e_cold:.3e}",
     )
+
+
+def test_criterion_5_decay_budget(nominal_protocol):
+    check_decay_budget(simulate(nominal_protocol)[1], nominal_protocol, "walked")
+
+
+def test_criterion_5_closed_form_exposure(nominal_protocol):
+    # the exposure that prices the fidelity record's decay
+    check_decay_budget(design_exposure(nominal_protocol), nominal_protocol, "closed form")
 
 
 def test_criterion_6_sigma_inflation(nominal_noise, nominal_protocol):

@@ -19,7 +19,7 @@ from rydvdw import MHZ
 from rydvdw.cli import _spread_field, run_fidelity, run_simulate, run_solve, run_sweep
 from rydvdw.config import SCHEMA, RunConfig, load_config, parse_config
 from rydvdw.errors import ConfigError
-from rydvdw.gates import gate_fidelity, ideal_gate, pedersen_fidelity, simulate
+from rydvdw.gates import design_exposure, gate_fidelity, ideal_gate, pedersen_fidelity, simulate
 from rydvdw.geometry import VdwModel, vdw_interaction
 from rydvdw.noise import KNOT_SPACING, NoiseConfig, draw_distances, inflate_sigmas, reduced
 from rydvdw.protocol import GateProtocol
@@ -537,16 +537,22 @@ class TestFidelityCommand:
         ],
     )
     def test_exposure_computed_once_per_command(self, monkeypatch, payload):
-        calls = []
+        # the closed form prices the decay once; only fidelity walks, for its two gaps
+        calls = {"design_exposure": [], "simulate": []}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return simulate(*args, **kwargs)
+        def counted(name, func):
+            def call(*args, **kwargs):
+                calls[name].append(args)
+                return func(*args, **kwargs)
 
-        monkeypatch.setattr("rydvdw.cli.simulate", counted)
+            return call
+
+        monkeypatch.setattr("rydvdw.cli.design_exposure", counted("design_exposure", design_exposure))
+        monkeypatch.setattr("rydvdw.cli.simulate", counted("simulate", simulate))
         run = run_sweep if "sweep" in payload else run_fidelity
         run(parse_config(payload))
-        assert len(calls) == 1
+        assert len(calls["design_exposure"]) == 1
+        assert len(calls["simulate"]) == (0 if "sweep" in payload else 1)
 
     def test_tiny_sigma_returns_unity(self, tmp_path):
         payload = {
@@ -561,23 +567,30 @@ class TestFidelityCommand:
         # (5.9e-14 measured)
         diagnostics = record["results"]["diagnostics"]
         assert diagnostics.pop("kernel_gap") <= 3e-15
-        assert diagnostics.pop("spline_error") <= 1e-12
+        assert diagnostics.pop("exposure_gap") <= 4e-15
+        interior = diagnostics.pop("spline_error_interior")
+        assert interior <= diagnostics.pop("spline_error") <= 1e-12
         # and the one delta-0.5 grid looks up its (2m+1)(m+1)**2 folded points, m = 6
         assert diagnostics == {"table_knots": 4, "direct_evaluations": 0, "grid_lookups": 13 * 7**2}
 
     def test_diagnostics_describe_the_table(self, tables):
         results = run_fidelity(parse_config(dict(self.CONFIG))).results
         (table,) = tables
-        diagnostics = {"table_knots": len(table.distances), "spline_error": table.spline_error()}
-        # and the walked design gate scored as the closed form the table is built from scores it
+        worst, interior = table.spline_errors()
+        diagnostics = {"table_knots": len(table.distances), "spline_error": worst, "spline_error_interior": interior}
+        # and the walked design gate and exposure against the closed forms the table and decay use
         protocol = parse_config(dict(self.CONFIG)).protocol
-        walked = pedersen_fidelity(simulate(protocol)[0], ideal_gate(protocol))
+        gate, exposure = simulate(protocol)
+        walked = pedersen_fidelity(gate, ideal_gate(protocol))
         diagnostics["kernel_gap"] = abs(walked - float(gate_fidelity(protocol, protocol.nominal_interaction)))
+        diagnostics["exposure_gap"] = abs(exposure - design_exposure(protocol))
+        assert results["rydberg_exposure_us"] == design_exposure(protocol)
         # every draw truncated at the grid's support lies in its window
         diagnostics["direct_evaluations"] = 0
         diagnostics["grid_lookups"] = 13 * 7**2 + 25 * 13**2  # m = 6 and 12
         assert results["diagnostics"] == diagnostics and 0.0 < diagnostics["spline_error"] < 1e-8
-        assert diagnostics["kernel_gap"] <= 3e-15
+        assert interior <= worst
+        assert diagnostics["kernel_gap"] <= 3e-15 and diagnostics["exposure_gap"] <= 4e-15
 
     def test_both_mode_grid_is_the_grid_mode_grid(self):
         # the table is the grid window's alone, so the draws no longer move the grid numbers
@@ -932,7 +945,8 @@ class TestSweepCommand:
 
 class TestOneWalkPerDesignPoint:
     """A simulated gate is one propagation: its matrix and its exposure come from the same walk.
-    Fidelities at many interactions, a table's or a separation sweep's, are a closed form."""
+    Fidelities at many interactions, a table's or a separation sweep's, and the exposure at the
+    design interaction, which prices the decay, are closed forms."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -956,15 +970,15 @@ class TestOneWalkPerDesignPoint:
         assert len(walks) == points
 
     def test_reference_fidelity_walks_once(self, walks, tables):
-        # for the exposure; its one table is the closed form
+        # for its kernel and exposure gaps; its one table and its exposure are closed forms
         run_fidelity(load_config(Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json"))
         assert len(tables) == 1 and len(walks) == 1
 
-    def test_temperature_sweep_walks_once(self, walks, tables):
-        # one table for every temperature, and one exposure
+    def test_temperature_sweep_never_walks(self, walks, tables):
+        # one table for every temperature, and the exposure in closed form
         sweep = {"axis": "temperature", "start": 2.0, "stop": 32.0, "points": 4}
         run_sweep(parse_config({"sweep": sweep, "sampling": {"deltas": [0.5]}}))
-        assert len(tables) == 1 and len(walks) == 1
+        assert len(tables) == 1 and walks == []
 
     def test_separation_sweep_never_walks(self, walks):
         run_sweep(parse_config({"sweep": {"axis": "separation", "start": 15.0, "stop": 30.0, "points": 401}}))

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from rydvdw import MHZ
 from rydvdw.dynamics import CONTROL, TARGET, Level, build_hamiltonian
-from rydvdw.gates import ideal_cnot, pedersen_fidelity, simulate
+from rydvdw.gates import design_exposure, ideal_cnot, pedersen_fidelity, simulate
 from rydvdw.protocol import (
     GateProtocol,
     hyperfine_leakage_estimate,
@@ -217,12 +217,16 @@ class TestRydbergExposure:
     @settings(max_examples=25, deadline=None)
     def test_design_exposure_splits_by_drive(self, cnot, theta, control_mhz, target_mhz):
         # 1/(4 f_c) + B(theta)/f_t us (f in MHz): the two control pi pulses hold half
-        # the inputs in |r> for pi/omega_c on average; B is measured at 1 MHz each
+        # the inputs in |r> for pi/omega_c on average; B is measured at 1 MHz each, and is
+        # (5q + q^3 - sin(2 pi q)/(2 pi))/4 with q = sqrt(1 - (1 - theta/2pi)^2)
         kind, theta = ("cnot", np.pi) if cnot else ("cz", theta)
         shape = simulate(GateProtocol.solve(theta, MHZ, MHZ, kind=kind))[1] - 0.25
+        q = np.sqrt(1.0 - (1.0 - theta / (2 * np.pi)) ** 2)
+        assert abs(shape - (5 * q + q**3 - np.sin(2 * np.pi * q) / (2 * np.pi)) / 4) <= 1e-14
         protocol = GateProtocol.solve(theta, control_mhz * MHZ, target_mhz * MHZ, kind=kind)
         expected = 0.25 / control_mhz + shape / target_mhz
         assert abs(simulate(protocol)[1] - expected) <= 1e-13 * expected
+        assert abs(design_exposure(protocol) - expected) <= 1e-13 * expected
 
     def test_doubled_control_rabi_against_rk4(self, nominal_protocol):
         protocol = GateProtocol.solve(
