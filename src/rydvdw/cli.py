@@ -224,9 +224,9 @@ def run_fidelity(cfg: RunConfig) -> ResultRecord:
 def run_sweep(cfg: RunConfig) -> ResultRecord:
     """Scan separation, Rabi frequency or temperature: one row per value, ascending.
 
-    The ``omega`` axis re-solves the chain per point with both atoms
-    driven at the swept frequency, so ``drive.omega_*_mhz`` do not
-    enter its rows.
+    The ``omega`` axis re-solves the chain per point with both atoms driven at
+    the swept frequency, so ``drive.omega_*_mhz`` do not enter its rows.  No axis
+    walks the dynamics: every row is priced by the closed forms of :mod:`rydvdw.gates`.
     """
     if not cfg.sweep:
         raise ConfigError("invalid config field 'sweep': required for the sweep command")
@@ -251,7 +251,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
             omega = float(omega_mhz) * MHZ
             field = "sweep.start" if omega_mhz == cfg.sweep["start"] else "sweep.stop"
             swept = solve_gate(protocol.theta, omega, omega, cfg.vdw, protocol.kind, field)
-            gate, exposure = simulate(swept)
+            exposure = design_exposure(swept)
             rows.append({
                 "axis": axis,
                 "value": float(omega_mhz),
@@ -260,7 +260,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
                 "t_gate_us": swept.t_gate,
                 "rydberg_exposure_us": exposure,
                 "decay_error_300k": _decay_errors(exposure, cfg.noise.rydberg_lifetime)["decay_error_300k"],
-                "nominal_fidelity": pedersen_fidelity(gate, ideal_gate(swept)),
+                "nominal_fidelity": float(gate_fidelity(swept, swept.nominal_interaction)),
             })
     elif axis == "temperature":
         # one table for every temperature: both sigmas grow with it, so the

@@ -7,9 +7,9 @@ dynamics gives both at any interaction.  Population left in Rydberg
 levels makes the matrix sub-unitary; that leakage is kept and scored by
 the average-fidelity formula of Pedersen, Moller and Molmer, Phys. Lett.
 A 367, 47 (2007), which is valid for non-unitary actuals.  The fidelity
-at many interactions (a table, a separation sweep) and the exposure at
-the design interaction need no walk: both are closed forms of resonant
-and detuned Rabi cycles.
+at any interaction and the exposure at the design interaction are closed
+forms of resonant and detuned Rabi cycles, which price every table and
+sweep row; only the ``simulate`` command and ``fidelity``'s two gaps walk.
 """
 
 from __future__ import annotations

@@ -905,13 +905,23 @@ class TestSweepCommand:
 
     @staticmethod
     def assert_omega_rows_are_simulate_records(gate):
-        # each row is the simulate record of the config with both drives at the row's omega
+        # each row prices the config with both drives at the row's omega from the closed forms,
+        # as the fidelity record does, and sits within 1e-14 of the simulate record's walk
         sweep = {"axis": "omega", "start": 0.5, "stop": 5.0, "points": 3}
         for row in run_sweep(parse_config({"gate": gate, "sweep": sweep})).results["rows"]:
             drive = {"omega_control_mhz": row["value"], "omega_target_mhz": row["value"]}
-            record = run_simulate(parse_config({"gate": gate, "drive": drive}))
+            cfg = parse_config({"gate": gate, "drive": drive})
+            protocol = cfg.protocol
+            assert row["nominal_fidelity"] == float(gate_fidelity(protocol, protocol.nominal_interaction))
+            assert row["rydberg_exposure_us"] == design_exposure(protocol)
+            fidelity = run_fidelity(parse_config({**cfg.raw, "sampling": {"deltas": [0.5]}}))
+            assert row["rydberg_exposure_us"] == fidelity.results["rydberg_exposure_us"]
+            record = run_simulate(cfg)
             fields = {**record.params, **record.results}
-            for key in ("nominal_fidelity", "rydberg_exposure_us", "decay_error_300k", "t_gate_us", "separation_um"):
+            assert abs(row["nominal_fidelity"] - fields["nominal_fidelity"]) < 1e-14
+            for key in ("rydberg_exposure_us", "decay_error_300k"):
+                assert abs(row[key] / fields[key] - 1.0) < 1e-14, key
+            for key in ("t_gate_us", "separation_um"):
                 assert row[key] == fields[key], key
 
     @given(theta=st.floats(0.2, 2 * np.pi - 0.2))
@@ -945,8 +955,9 @@ class TestSweepCommand:
 
 class TestOneWalkPerDesignPoint:
     """A simulated gate is one propagation: its matrix and its exposure come from the same walk.
-    Fidelities at many interactions, a table's or a separation sweep's, and the exposure at the
-    design interaction, which prices the decay, are closed forms."""
+    Only the simulate command and the fidelity record's kernel_gap and exposure_gap walk.
+    Fidelities at many interactions, a table's or a separation sweep's, and the fidelity and
+    exposure at the design interaction, which price an omega row and the decay, are closed forms."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -964,25 +975,41 @@ class TestOneWalkPerDesignPoint:
         run_simulate(parse_config({}))
         assert len(walks) == 1
 
-    @pytest.mark.parametrize("points", [2, 5])
-    def test_omega_sweep_walks_once_per_point(self, walks, points):
-        run_sweep(parse_config({"sweep": {"axis": "omega", "start": 0.5, "stop": 5.0, "points": points}}))
-        assert len(walks) == points
-
     def test_reference_fidelity_walks_once(self, walks, tables):
         # for its kernel and exposure gaps; its one table and its exposure are closed forms
         run_fidelity(load_config(Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json"))
         assert len(tables) == 1 and len(walks) == 1
 
-    def test_temperature_sweep_never_walks(self, walks, tables):
-        # one table for every temperature, and the exposure in closed form
-        sweep = {"axis": "temperature", "start": 2.0, "stop": 32.0, "points": 4}
-        run_sweep(parse_config({"sweep": sweep, "sampling": {"deltas": [0.5]}}))
-        assert len(tables) == 1 and walks == []
+    @pytest.mark.parametrize("points", [2, 5])
+    def test_omega_sweep_walks_once_per_point(self, walks, tables, points):
+        # the name dates from when each row walked; a row is now priced in closed form, so none walks
+        sweep = {"axis": "omega", "start": 0.5, "stop": 5.0, "points": points}
+        assert len(run_sweep(parse_config({"sweep": sweep})).results["rows"]) == points
+        assert walks == [] and tables == []
 
-    def test_separation_sweep_never_walks(self, walks):
-        run_sweep(parse_config({"sweep": {"axis": "separation", "start": 15.0, "stop": 30.0, "points": 401}}))
+    @pytest.mark.parametrize("sweep", [
+        {"axis": "separation", "start": 15.0, "stop": 30.0, "points": 401},
+        {"axis": "temperature", "start": 2.0, "stop": 32.0, "points": 4},
+    ], ids=lambda sweep: sweep["axis"])
+    def test_sweep_never_walks(self, walks, tables, sweep):
+        # a temperature sweep builds one table for every temperature
+        run_sweep(parse_config({"sweep": sweep, "sampling": {"deltas": [0.5]}}))
         assert walks == []
+        assert len(tables) == (1 if sweep["axis"] == "temperature" else 0)
+
+    @pytest.mark.parametrize("gate", [{"kind": "cz", "theta_rad": np.pi}, {"kind": "cnot", "theta_rad": np.pi}],
+                             ids=lambda gate: gate["kind"])
+    def test_walked_and_closed_form_records_differ_by_the_gaps(self, gate):
+        # simulate carries the walked exposure and fidelity, the fidelity record (and an omega row)
+        # the closed forms; the fidelity record's diagnostics are the distance between the two
+        raw = json.loads((Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json").read_text())
+        cfg = parse_config({**raw, "gate": gate, "sampling": {"mode": "grid", "deltas": [0.5]}})
+        walked = run_simulate(cfg).results
+        record = run_fidelity(cfg).results
+        protocol = cfg.protocol
+        closed, gaps = float(gate_fidelity(protocol, protocol.nominal_interaction)), record["diagnostics"]
+        assert abs(walked["rydberg_exposure_us"] - record["rydberg_exposure_us"]) == gaps["exposure_gap"]
+        assert abs(walked["nominal_fidelity"] - closed) == gaps["kernel_gap"]
 
 
 class TestInfiniteInteraction:
