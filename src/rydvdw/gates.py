@@ -9,7 +9,7 @@ the average-fidelity formula of Pedersen, Moller and Molmer, Phys. Lett.
 A 367, 47 (2007), which is valid for non-unitary actuals.  The fidelity
 at any interaction and the exposure at the design interaction are closed
 forms of resonant and detuned Rabi cycles, which price every table and
-sweep row; only the ``simulate`` command and ``fidelity``'s two gaps walk.
+sweep row; only the ``simulate`` command walks, and scores its walk against them.
 """
 
 from __future__ import annotations
@@ -116,13 +116,16 @@ def gate_fidelity(protocol: GateProtocol, interactions) -> np.ndarray:
     :func:`simulate`'s gate to a few ulps.
     """
     v = np.asarray(interactions, dtype=float)
-    if not np.isfinite(v).all():
+    # counted, not reduced: a first logical_and reduction adds about 0.1 MB to a cold simulate's peak
+    if np.count_nonzero(np.isfinite(v)) != v.size:
         raise ValueError("interaction must be finite")
     w, t = protocol.omega_target, protocol.t_cycle
     theta = np.pi if protocol.kind == "cnot" else protocol.theta
     obar = np.hypot(w, v)
     half = 0.5 * obar * t
-    lag = w * (w / (obar + v))  # w / (obar + V) <= 1: no overflow at a huge drive
+    # w / (obar + V) <= 1: no overflow at a huge drive, and 0, the limit, where obar + V overflows
+    with np.errstate(over="ignore"):
+        lag = w * (w / (obar + v))
     kept = np.exp(1j * lag * t) + np.exp(-1j * v * t) * (
         2.0 * (np.sin(half) * w / obar) ** 2 - 1j * np.sin(2.0 * half) * lag / obar
     )

@@ -105,7 +105,12 @@ MAX_KNOTS = 2**17
 
 #: Points per block of a spline evaluation, a grid average (whole rows, at least
 #: one) or a Monte Carlo draw.  A block's arrays (128 KB each) stay in cache and in
-#: memory already mapped; 2**13 to 2**15 time alike, 2**17 about twice as slow.
+#: memory already mapped.  Against 2**14, in 25 interleaved in-process pairs on a
+#: 2-vCPU Xeon (the 16-row temperature sweep at grid step 0.05; the reference
+#: ``fidelity`` run): 2**13 is slower, faster in 1 and 4 pairs (medians 124.9 against
+#: 105.0 ms; 104.9 against 99.3 ms); 2**15 and 2**16 are 3-7% faster, in 21 to 24
+#: pairs, but double or quadruple every buffer; 2**17 is 9% slower on the sweep and 3%
+#: faster on ``fidelity``.
 #: The table, the grid and the Monte Carlo reuse theirs from block to block: freeing
 #: them each block made the allocator return the heap top to the system and fault it
 #: back in.

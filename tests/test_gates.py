@@ -216,6 +216,13 @@ class TestGateFidelity:
         walked = [pedersen_fidelity(simulate(protocol, v)[0], ideal_gate(protocol)) for v in interactions]
         assert np.abs(gate_fidelity(protocol, interactions) - walked).max() <= 1e-14
 
+    @pytest.mark.parametrize("kind", ["cz", "cnot"])
+    def test_overflowing_interaction_sum_takes_the_limit(self, kind):
+        # obar + V overflows at V = 1e308 rad/us, where V t does not: w / (obar + V) takes its limit 0,
+        # without a warning, so k = 1 and |11> returns with no phase, (12 - 6 + 2) / 20 against CZ(pi)
+        protocol = GateProtocol.solve(np.pi, 0.8 * MHZ, 0.8 * MHZ, kind=kind)
+        assert abs(gate_fidelity(protocol, 1e308) - 0.4) < 1e-15
+
     @pytest.mark.parametrize("kind, theta", [("cz", 0.3), ("cz", 1.0), ("cz", np.pi), ("cz", 5.0),
                                              ("cz", 6.0), ("cnot", np.pi)])
     def test_matches_sixty_digit_evaluation(self, kind, theta):
