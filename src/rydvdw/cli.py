@@ -22,12 +22,12 @@ from dataclasses import replace
 import numpy as np
 
 from .config import RunConfig, interaction_at, load_config, parse_config, solve_gate
-from .constants import (HYPERFINE_SPLITTING_RB87, LIFETIME_97S_4K_MS, LIFETIME_97S_300K_MS, MHZ,
-                        RB87_MASS_KG, TEMPERATURE_DEFAULT_UK)
+from .constants import (DRIVE_DEFAULT_MHZ, HYPERFINE_SPLITTING_RB87, LIFETIME_97S_4K_MS, LIFETIME_97S_300K_MS,
+                        MHZ, RB87_MASS_KG, TEMPERATURE_DEFAULT_UK)
 from .errors import ConfigError, NumericError
 from .gates import design_exposure, gate_fidelity, ideal_gate, pedersen_fidelity, simulate
-from .noise import (GRID_HALF_RANGE, KNOT_SPACING, FidelityTable, InflatedSigmas, NoiseConfig, decay_error,
-                    grid_window, position_averages, reduced)
+from .noise import (GRID_HALF_RANGE, KNOT_SPACING, FidelityTable, NoiseConfig, decay_error, grid_window,
+                    inflate_sigmas, position_averages, reduced)
 from .protocol import GateProtocol, hyperfine_leakage_estimate
 from .records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
@@ -56,13 +56,19 @@ def _params_dict(protocol: GateProtocol) -> dict:
     }
 
 
-def _spread_field(ncfg: NoiseConfig, sigmas: InflatedSigmas, axis, temperature_field="noise.temperature_uk"):
-    """The config field behind a spread too wide on ``axis`` ("perp" or "z"): its trap
-    spread, or, where the free flight adds more, the temperature (``temperature_field``)
-    or the atom mass, whichever lies further from 10 uK and Rb-87 towards a faster atom."""
-    if not sigmas.flight_length / 2.0 > getattr(ncfg, f"sigma_{axis}0"):
+def _spread_field(protocol: GateProtocol, ncfg: NoiseConfig, axis, temperature_field="noise.temperature_uk"):
+    """The config field behind a spread too wide on ``axis`` ("perp" or "z") over ``protocol``'s
+    gate: its trap spread, or, where the free flight v_rms t_gate adds more, the factor of the
+    flight furthest from the reference point (10 uK, Rb-87, 0.8 MHz drives) towards a longer one:
+    the temperature (``temperature_field``) or the atom mass, each under v_rms's square root, or
+    the slower drive, whose part of t_gate goes as its inverse."""
+    if not inflate_sigmas(ncfg, protocol.t_gate).flight_length / 2.0 > getattr(ncfg, f"sigma_{axis}0"):
         return f"noise.sigma_{axis}0_um"
     hotter, lighter = ncfg.temperature / TEMPERATURE_DEFAULT_UK, RB87_MASS_KG / ncfg.atom_mass
+    control = protocol.omega_control <= protocol.omega_target
+    slower = DRIVE_DEFAULT_MHZ * MHZ / float(min(protocol.omega_control, protocol.omega_target))
+    if slower * slower > max(hotter, lighter):
+        return "drive.omega_control_mhz" if control else "drive.omega_target_mhz"
     return temperature_field if hotter >= lighter else "noise.atom_mass_kg"
 
 
@@ -74,7 +80,7 @@ def _spread_error(protocol, ncfg, overflow, temperature_field, exc) -> ConfigErr
     sigmas = reduced(protocol, ncfg)[0]
     axis = "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp"
     far = overflow and ncfg.trap_separation > max(sigmas.sigma_z, sigmas.sigma_perp)
-    field = "noise.trap_separation_um" if far else _spread_field(ncfg, sigmas, axis, temperature_field)
+    field = "noise.trap_separation_um" if far else _spread_field(protocol, ncfg, axis, temperature_field)
     return ConfigError(
         f"invalid config field '{field}': a {ncfg.trap_separation!r} um trap separation and spreads "
         f"sigma_z {sigmas.sigma_z:.4g} and sigma_perp {sigmas.sigma_perp:.4g} um, "
@@ -95,7 +101,7 @@ def _sampled_table(protocol, ncfg, grid, temperature_field):
     if not lo > 0.0:
         if grid:
             raise ConfigError(
-                f"invalid config field '{_spread_field(ncfg, sigmas, 'perp', temperature_field)}': the "
+                f"invalid config field '{_spread_field(protocol, ncfg, 'perp', temperature_field)}': the "
                 f"position grid reaches zero distance, as 3 sigma_perp (3 x {sigmas.sigma_perp:.4g} um, "
                 f"inflated at {ncfg.temperature:.4g} uK) reach the {ncfg.trap_separation:.4g} um trap separation"
             )

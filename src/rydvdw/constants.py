@@ -35,5 +35,8 @@ HYPERFINE_SPLITTING_RB87 = 2.0 * np.pi * 6.8e3
 SIGMA_Z0_DEFAULT = 1.47
 SIGMA_PERP0_DEFAULT = 0.27
 
+#: Default Rabi frequency of both drives in MHz.
+DRIVE_DEFAULT_MHZ = 0.8
+
 #: Default atomic temperature in uK.
 TEMPERATURE_DEFAULT_UK = 10.0

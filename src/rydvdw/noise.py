@@ -37,11 +37,15 @@ lookup is an interval index, four gathers and Horner's rule.  The grid
 streams whole x-difference rows of the folded grid: it forms each
 point's knot coordinate from squared differences precomputed in knot
 units, evaluates the block in place and reduces it against its weights by
-two matrix-vector products.  The draw yields its distances a block at a
-time.  The Monte Carlo prices each block's draws beyond the table's
-window by the closed form, in their slots, and merges each block's mean
-and sum of squared deviations.  So no average forms a full-size distance,
-weight or fidelity array.
+two matrix-vector products.  The draw forms its distances a block at a
+time, one coordinate difference after another, from normals of the
+package's own counter-based stream (SplitMix64 and Marsaglia's polar
+method, :class:`_NormalStream`), so no numpy version changes a seed's draws
+and the Monte Carlo never imports ``numpy.random``.  The Monte Carlo
+evaluates each block in place, prices its draws beyond the table's window
+by the closed form, in their slots, and merges each block's mean and sum
+of squared deviations.  So no average forms a full-size distance, weight
+or fidelity array.
 
 :func:`position_averages` prices one design point on one table, for the
 ``fidelity`` command and each temperature-sweep row alike: the grid mean at
@@ -214,8 +218,10 @@ def inflate_sigmas(cfg: NoiseConfig, t_gate: float) -> InflatedSigmas:
     duration ``t_gate`` (us) the average position change is
     v_rms*t_gate/2, which inflates both spreads additively.
     """
-    v_rms = float(np.sqrt(KB * cfg.temperature * 1e-6 / cfg.atom_mass))  # m/s == um/us
-    flight = v_rms * t_gate
+    # in Python floats, whose products overflow to inf silently: a hot or light atom on a slow
+    # gate inflates the spreads to inf, which the averages' windows then refuse
+    v_rms = math.sqrt(KB * float(cfg.temperature) * 1e-6 / float(cfg.atom_mass))  # m/s == um/us
+    flight = v_rms * float(t_gate)
     return InflatedSigmas(
         sigma_z=cfg.sigma_z0 + flight / 2.0,
         sigma_perp=cfg.sigma_perp0 + flight / 2.0,
@@ -421,6 +427,92 @@ def grid_average_fidelity(
     return float(total / (norm * plane_weights.sum()))
 
 
+#: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment of its state and the two
+#: multipliers of its output mix, a bijection of 64-bit words.
+_GAMMA = 0x9E3779B97F4A7C15
+_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_WORD = 2**64 - 1
+
+#: Most polar attempts a :class:`_NormalStream` mixes at once: what it asks for one ``BLOCK``
+#: of normals, BLOCK/2 pairs at an acceptance of pi/4, so a block's difference takes one batch.
+_ATTEMPTS = (BLOCK // 2) * 4 // 3 + 16
+
+
+def _mix(words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mix of the uint64 array ``words``, in place (``scratch`` as long);
+    uint64 arrays wrap silently, where scalars warn."""
+    for shift, multiplier in zip((30, 27), _MULTIPLIERS):
+        words ^= np.right_shift(words, shift, out=scratch)
+        words *= multiplier
+    words ^= np.right_shift(words, 31, out=scratch)
+    return words
+
+
+def _seed_key(seed: int) -> int:
+    """The stream key of a seed in [0, 2**64): its SplitMix64 mix, one to one."""
+    words = np.array([seed], dtype=np.uint64)
+    return int(_mix(words, np.empty_like(words))[0])
+
+
+class _NormalStream:
+    """Standard normals from a counter-based stream: SplitMix64 from state ``key``, whose word c
+    (from 1) is the mix of key + c gamma, and Marsaglia's polar method (Marsaglia & Bray, SIAM
+    Rev. 6, 260, 1964).  Polar attempt a takes words 2a+1 and 2a+2, each read as the uniform
+    (2t+1) 2**-53 on (-1, 1), t its top 53 bits as a signed integer, so never 0; it is accepted
+    if s = u*u + v*v < 1 and gives the normals u r and v r, r = sqrt(-2 ln(s) / s).  A request
+    for n normals takes the next ceil(n/2) accepted attempts, in order, and drops the second
+    normal of the last if n is odd.  The counter ``attempts`` advances only over the attempts
+    used, so the normals do not depend on how many attempts are mixed at once (at most
+    ``_ATTEMPTS``).  Its buffers serve every request."""
+
+    def __init__(self, key: int):
+        self.key, self.attempts = key, 0
+        # the Weyl steps c gamma of one batch's words, the words, their uniforms, and s
+        self._weyl = np.arange(1, 2 * _ATTEMPTS + 1, dtype=np.uint64)
+        self._weyl *= _GAMMA
+        self._words, self._uniforms = np.empty_like(self._weyl), np.empty(2 * _ATTEMPTS)
+        self._squares = np.empty(_ATTEMPTS)
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """Fill the 1-D float array ``out`` with the stream's next normals, and return it."""
+        done, n = 0, len(out)
+        while done < n:
+            pairs = (n - done + 1) // 2
+            count = min(len(self._squares), pairs * 4 // 3 + 16)  # 1/acceptance is 4/pi, 1.27
+            # word c is the mix of key + c gamma: 2 count words from 2 attempts + 1 on
+            batch = np.add(self._weyl[: 2 * count], (self.key + 2 * self.attempts * _GAMMA) & _WORD,
+                           out=self._words[: 2 * count])
+            u = self._uniforms[: 2 * count]
+            _mix(batch, u.view(np.uint64))
+            # 2t+1 from the top 53 bits t as a signed integer: an odd integer below 2**53 in size
+            signed = np.right_shift(batch.view(np.int64), 10, out=batch.view(np.int64))
+            signed |= 1
+            np.copyto(u, signed, casting="unsafe")
+            u *= 2.0**-53
+            square = np.square(u, out=batch.view(float))
+            s = np.add(square[0::2], square[1::2], out=self._squares[:count])
+            used = np.flatnonzero(s < 1.0)[:pairs]
+            k = len(used)
+            self.attempts += count if k < pairs else int(used[-1]) + 1
+            # r for each accepted attempt, in the words' scratch
+            # every index is in range, and mode "raise" would buffer each output
+            accepted = np.take(s, used, out=square[:k], mode="clip")
+            r = np.log(accepted, out=square[count : count + k])
+            r *= -2.0
+            r /= accepted
+            np.sqrt(r, out=r)
+            full = min(k, (n - done) // 2)
+            block = out[done : done + 2 * full]
+            np.take(u.view(complex), used[:full], out=block.view(complex), mode="clip")
+            block[0::2] *= r[:full]
+            block[1::2] *= r[:full]
+            done += 2 * full
+            if full < k:
+                out[done] = u[2 * used[-1]] * r[-1]
+                done += 1
+        return out
+
+
 def draw_distances(
     sigmas: InflatedSigmas, separation: float, n_samples: int, seed: int, truncate: float | None = None
 ) -> Iterator[np.ndarray]:
@@ -430,44 +522,48 @@ def draw_distances(
     The distance depends on the six offsets only through the differences
     x_c - x_t, y_c - y_t and z_c - z_t.  Untruncated (the default), each is
     the difference of two independent N(0, sigma**2) offsets, so it is drawn
-    directly as N(0, 2 sigma**2).  With ``truncate=GRID_HALF_RANGE`` (the
-    grid's support) a block draws the six offsets, redraws each until it
-    lies within ``truncate`` sigma, and takes their differences.  Each block
-    is a view of one buffer that the next block overwrites (copy a block to
-    keep it), so a draw holds a few blocks however many samples it yields.
-    Identical seeds give bit-identical distances.
+    directly as N(0, 2 sigma**2): a block takes BLOCK normals per difference,
+    x, y, then z.  With ``truncate=GRID_HALF_RANGE`` (the grid's support) a
+    block takes the control's then the target's offsets per difference,
+    redraws each until it lies within ``truncate`` sigma, and takes their
+    difference.  The normals come from :class:`_NormalStream`, keyed by
+    ``seed`` (0 to 2**64 - 1), a package-owned stream that no numpy version
+    changes.  A block is formed one difference at a time, in the distance
+    buffer and one buffer of normals; it is a view of the distance buffer that
+    the next block overwrites (copy a block to keep it), so a draw holds a few
+    blocks however many samples it yields.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    rows, size = (3 if truncate is None else 6), min(BLOCK, n_samples)
-    # flat, so that a short last block is a contiguous (rows, m) array too
-    normals, dist = np.empty(rows * size), np.empty(size)
-    differences = None if truncate is None else np.empty(3 * size)
-    scale = np.array([sigmas.sigma_perp, sigmas.sigma_perp, sigmas.sigma_z])[:, None]
-    # near the float limit a distance overflows to inf or NaN, which the average refuses;
-    # the error state is set around each block's arithmetic, never across a yield
-    if truncate is None:
-        with np.errstate(over="ignore"):
-            scale *= np.sqrt(2.0)
+    stream = _NormalStream(_seed_key(seed))
+    size = min(BLOCK, n_samples)
+    dist, normals = np.empty(size), np.empty(size if truncate is None else 2 * size)
+    # in Python floats, whose products overflow to inf silently; a distance that overflows to
+    # inf or NaN is refused by the average, and the error state never spans a yield
+    factor = math.sqrt(2.0) if truncate is None else 1.0
+    perp, z = factor * float(sigmas.sigma_perp), factor * float(sigmas.sigma_z)
     for start in range(0, n_samples, BLOCK):
         m = min(BLOCK, n_samples - start)
-        diff = rng.standard_normal(out=normals[: rows * m].reshape(rows, m))
-        if truncate is not None:
-            # only a redrawn offset can still be out of range: the index of
-            # those shrinks each pass, in the C order a mask would take them
-            flat = diff.ravel()
-            redraw = np.flatnonzero(np.abs(flat) > truncate)
-            while redraw.size:
-                flat[redraw] = rng.standard_normal(redraw.size)
-                redraw = redraw[np.abs(flat[redraw]) > truncate]
-            diff = np.subtract(diff[:3], diff[3:], out=differences[: 3 * m].reshape(3, m))
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff *= scale
-            diff[0] -= separation
-            np.square(diff, out=diff)
-            np.sqrt(np.sum(diff, axis=0, out=dist[:m]), out=dist[:m])
-        yield dist[:m]
+        for axis, scale in enumerate((perp, perp, z)):
+            if truncate is None:
+                diff = stream.fill(normals[:m])
+            else:
+                offsets = stream.fill(normals[: 2 * m])
+                # only a redrawn offset can still be out of range: the index of
+                # those shrinks each pass, in the order a mask would take them
+                redraw = np.flatnonzero(np.abs(offsets) > truncate)
+                while redraw.size:
+                    offsets[redraw] = stream.fill(np.empty(redraw.size))
+                    redraw = redraw[np.abs(offsets[redraw]) > truncate]
+                diff = np.subtract(offsets[:m], offsets[m:], out=offsets[:m])
+            with np.errstate(over="ignore", invalid="ignore"):
+                diff *= scale
+                if axis == 0:
+                    diff -= separation
+                    np.square(diff, out=dist[:m])
+                else:
+                    dist[:m] += np.square(diff, out=diff)
+        yield np.sqrt(dist[:m], out=dist[:m])
 
 
 def _merged(moments, values: np.ndarray):
@@ -496,21 +592,20 @@ def monte_carlo_average_fidelity(
     """Mean fidelity over ``n_samples`` :func:`draw_distances` draws (same
     arguments), with its standard error; one draw has no standard error.
 
-    Each block of draws is looked up in ``table`` where it lies in the table's
-    window.  The block's draws outside it (NaN included) take the closed form
-    on their own, written into their slots, so they cost work in their number
-    only; the report counts them in ``direct_evaluations``.  An outside
-    distance that is not finite, or so near that its interaction overflows,
-    raises ValueError.  Each block merges once into the running mean and sum
-    of squared deviations (:func:`_merged`); a single block gives exactly
-    ``np.mean`` and ``np.std(ddof=1) / sqrt(n)``.  The buffers are allocated
-    once per call.
+    Each block of draws is looked up in ``table``, in place in the draw's
+    buffer, where it lies in the table's window.  The block's draws outside
+    it (NaN included) take the closed form on their own, written into their
+    slots, so they cost work in their number only; the report counts them in
+    ``direct_evaluations``.  An outside distance that is not finite, or so
+    near that its interaction overflows, raises ValueError.  Each block
+    merges once into the running mean and sum of squared deviations
+    (:func:`_merged`); a single block gives exactly ``np.mean`` and
+    ``np.std(ddof=1) / sqrt(n)``.  The buffers are allocated once per call.
     """
     if n_samples < 2:
         raise ValueError(f"a standard error needs 2 or more samples, got {n_samples}")
     lo, hi = table.distances[0], table.distances[-1]
     size = min(BLOCK, n_samples)
-    fid = np.empty(size)
     mask, below_hi = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     moments, direct = (0.0, 0.0, 0), 0
     for block in draw_distances(sigmas, separation, n_samples, seed, truncate):
@@ -525,7 +620,7 @@ def monte_carlo_average_fidelity(
                 raise ValueError(f"a Monte Carlo distance is {float(far[~np.isfinite(far)][0])!r}")
             exact, direct = table._exact(far), direct + outside.size
             block[outside] = lo
-        values = table._evaluate(table._knot_coordinates(block, fid[:m]))
+        values = table._evaluate(table._knot_coordinates(block, block))
         if outside.size:
             values[outside] = exact
         moments = _merged(moments, values)

@@ -10,14 +10,18 @@ matrix exponential, the exact exposure comes from Van Loan's
 block-matrix exponential on the same Hamiltonians, the grid average is
 the literal 6-D sum, and the table interpolant is scipy's not-a-knot
 ``CubicSpline``, the spread of a truncated Gaussian is its closed-form
-variance, and the truncated Monte Carlo draw re-scans every offset of a
-block after each redraw.
+variance, the Monte Carlo's normals come from a scalar SplitMix64 and
+polar-method loop in Python integers and floats, its truncated draw
+re-scans every offset of a block after each redraw, and the position
+averages are Gauss-Hermite and Gauss-Legendre product rules.
 """
 
 import math
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial.hermite_e import hermegauss
+from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 
 
@@ -260,21 +264,125 @@ def truncated_normal_variance(a):
     return 1.0 - 2.0 * a * density / math.erf(a / math.sqrt(2.0))
 
 
-def truncated_distances_rescan(sigma_perp, sigma_z, separation, n_samples, seed, truncate, block):
-    """Truncated Monte Carlo distances drawn ``block`` samples at a time: six
-    standard normal offsets per sample, every one beyond ``truncate`` redrawn
-    (the whole block re-scanned after each pass) until none is, then the
-    distance of the three scaled differences from the trap ``separation``."""
-    rng = np.random.default_rng(seed)
-    scale = np.array([sigma_perp, sigma_perp, sigma_z])[:, None]
+#: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment and 64-bit words.
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+WORD = (1 << 64) - 1
+
+
+def splitmix64_mix(z):
+    """SplitMix64's output mix of the 64-bit word ``z``, in Python ints."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & WORD
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & WORD
+    return z ^ (z >> 31)
+
+
+def splitmix64(state, count):
+    """The first ``count`` words of SplitMix64 from ``state``."""
+    return [splitmix64_mix((state + i * SPLITMIX_GAMMA) & WORD) for i in range(1, count + 1)]
+
+
+class PolarNormals:
+    """Scalar reference of the Monte Carlo's normals, one attempt at a time.
+
+    SplitMix64 runs from the mixed ``seed``; each word becomes the uniform
+    (2t + 1) / 2**53, t its top 53 bits read as a signed integer, and Marsaglia's
+    polar method takes two uniforms per attempt, accepts s = u*u + v*v < 1 and
+    yields u r and v r, r = sqrt(-2 ln(s) / s).  :meth:`take` of n returns the
+    next ceil(n/2) pairs, the second normal of the last dropped if n is odd.
+    The logarithm is numpy's, which differs from the C library's in the last
+    bit for about 0.35% of arguments in (0, 1); every other step is Python
+    integer and float arithmetic.
+    """
+
+    def __init__(self, seed):
+        self.state = splitmix64_mix(seed)
+
+    def _uniform(self):
+        self.state = (self.state + SPLITMIX_GAMMA) & WORD
+        word = splitmix64_mix(self.state)
+        top = (word >> 11) - ((word >> 63) << 53)
+        return (2 * top + 1) * 2.0**-53
+
+    def take(self, n):
+        out = []
+        while len(out) < n:
+            u, v = self._uniform(), self._uniform()
+            s = u * u + v * v
+            if s < 1.0:
+                r = math.sqrt(-2.0 * float(np.log(s)) / s)
+                out += [u * r, v * r]
+        return out[:n]
+
+
+def monte_carlo_distances(sigma_perp, sigma_z, separation, n_samples, seed, truncate, block):
+    """Monte Carlo distances drawn ``block`` samples at a time from :class:`PolarNormals`.
+
+    Untruncated (``truncate`` None), each difference x, y, z in turn takes
+    ``block`` normals times sqrt(2) sigma.  Truncated, each takes the control's
+    then the target's offsets, every one beyond ``truncate`` redrawn (the whole
+    pair of rows re-scanned after each pass) until none is, and their difference
+    times sigma.  The distance is that of the differences from the trap
+    ``separation`` along x.
+    """
+    normals = PolarNormals(seed)
+    factor = math.sqrt(2.0) if truncate is None else 1.0
+    scales = (factor * sigma_perp, factor * sigma_perp, factor * sigma_z)
     out = []
     for start in range(0, n_samples, block):
-        offsets = rng.standard_normal((6, min(block, n_samples - start)))
-        bad = np.abs(offsets) > truncate
-        while bad.any():
-            offsets[bad] = rng.standard_normal(int(bad.sum()))
-            bad = np.abs(offsets) > truncate
-        diff = (offsets[:3] - offsets[3:]) * scale
-        diff[0] -= separation
-        out.append(np.sqrt(np.sum(diff**2, axis=0)))
-    return np.concatenate(out)
+        m = min(block, n_samples - start)
+        squares = [0.0] * m
+        for axis, scale in enumerate(scales):
+            if truncate is None:
+                diff = normals.take(m)
+            else:
+                offsets = normals.take(2 * m)
+                bad = [i for i, x in enumerate(offsets) if abs(x) > truncate]
+                while bad:
+                    for i, x in zip(bad, normals.take(len(bad))):
+                        offsets[i] = x
+                    bad = [i for i, x in enumerate(offsets) if abs(x) > truncate]
+                diff = [c - t for c, t in zip(offsets[:m], offsets[m:])]
+            for i, d in enumerate(diff):
+                d *= scale
+                if axis == 0:
+                    d -= separation
+                    squares[i] = d * d
+                else:
+                    squares[i] += d * d
+        out += [math.sqrt(q) for q in squares]
+    return np.array(out)
+
+
+def design_interaction(theta, omega_target):
+    """The interaction at which the CZ(theta) sequence is exact, inverting
+    theta = 2 pi (1 - V/sqrt(w_t^2 + V^2)), as :func:`phase_gate_fidelity` does."""
+    x = 1.0 - theta / (2.0 * np.pi)
+    return omega_target * x / np.sqrt(1.0 - x * x)
+
+
+def exact_position_average(theta, omega_target, sigma_perp, sigma_z, separation, truncate=None, nodes=20):
+    """The position-averaged :func:`phase_gate_fidelity` by a product rule over
+    the three coordinate differences, distances in design separations.
+
+    Untruncated, each difference is N(0, 2 sigma**2): Gauss-Hermite on ``nodes``
+    nodes per axis (``hermegauss``).  Truncated at ``truncate`` sigma per offset,
+    a difference u (in sigma) has the density e^{-u^2/4} erf(truncate - |u|/2)
+    on |u| <= 2 truncate: Gauss-Legendre on ``nodes`` nodes over |u|, both signs
+    for x; y and z enter squared, so their sign folds away.
+    """
+    if truncate is None:
+        points, weights = hermegauss(nodes)
+        x = y = points * math.sqrt(2.0)
+        wx = wy = weights
+    else:
+        points, weights = leggauss(nodes)
+        y = truncate * (1.0 + points)
+        wy = weights * np.exp(-0.25 * y * y) * np.array([math.erf(truncate - u / 2.0) for u in y])
+        x, wx = np.concatenate([y, -y]), np.concatenate([wy, wy])
+    dx = (x * sigma_perp - separation)[:, None, None]
+    dy = (y * sigma_perp)[None, :, None]
+    dz = (y * sigma_z)[None, None, :]
+    u = np.sqrt(dx * dx + dy * dy + dz * dz)
+    fidelity = phase_gate_fidelity(theta, omega_target, design_interaction(theta, omega_target) / u**6)
+    weight = wx[:, None, None] * wy[None, :, None] * wy[None, None, :]
+    return float(np.sum(weight * fidelity) / np.sum(weight))

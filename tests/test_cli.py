@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import rydvdw
 from rydvdw import MHZ
 from rydvdw.cli import _spread_field, run_fidelity, run_simulate, run_solve, run_sweep
-from rydvdw.config import SCHEMA, RunConfig, load_config, parse_config
+from rydvdw.config import MAX_OVERRIDE_MHZ, SCHEMA, RunConfig, load_config, parse_config
 from rydvdw.errors import ConfigError
 from rydvdw.gates import design_exposure, gate_fidelity, simulate
 from rydvdw.geometry import VdwModel, vdw_interaction
@@ -629,7 +629,25 @@ class TestFidelityCommand:
         assert both["csv_rows"][:-1] == grid["csv_rows"]
         assert both["diagnostics"]["table_knots"] == grid["diagnostics"]["table_knots"] == 357
         # and the reference draws beyond the window are counted, none without a draw
-        assert (both["diagnostics"]["direct_evaluations"], grid["diagnostics"]["direct_evaluations"]) == (14646, 0)
+        assert (both["diagnostics"]["direct_evaluations"], grid["diagnostics"]["direct_evaluations"]) == (14448, 0)
+
+    def test_cold_error_budget_never_loads_numpy_random(self, tmp_path):
+        # the 1e6 reference draws come from the package's stream: numpy.random, and hashlib,
+        # which its first default_rng loads through secrets, stay out of a cold run
+        code = (
+            "import sys\n"
+            "from rydvdw.cli import main\n"
+            "main(['fidelity', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('numpy.random') or m.endswith('hashlib'))\n"
+            "assert not loaded, loaded\n"
+        )
+        config = Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json"
+        src = str(Path(rydvdw.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run([sys.executable, "-c", code, str(config), str(tmp_path / "out.json")],
+                                capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert json.loads((tmp_path / "out.json").read_text())["results"]["mc"]["sample_count"] == 10**6
 
     def test_grid_lookups_count_the_folded_grid(self):
         # the reference config's five steps look up sum (2m+1)(m+1)**2 folded points, beside
@@ -757,6 +775,17 @@ class TestFidelityCommand:
         assert result.stdout == ""
         assert "config error: invalid config field 'sampling.mc_samples'" in result.stderr
 
+    @pytest.mark.parametrize("truncated", [False, True])
+    def test_seeds_at_the_schema_ends_draw(self, tmp_path, truncated):
+        # 0 and 2**64 - 1 key two different streams, with no integer overflow warning
+        path = write_config(tmp_path, {"sampling": {"mode": "mc", "mc_samples": 2000, "mc_truncated": truncated}})
+        means = []
+        for seed in ("0", str(2**64 - 1)):
+            result = run_cli(["fidelity", "--config", path, "--seed", seed])
+            assert (result.exit_code, result.stderr) == (0, "")
+            means.append(json.loads(result.stdout)["results"]["mc"]["mean_fidelity"])
+        assert means[0] != means[1] and all(0.9 < mean < 1.0 for mean in means)
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_out_of_range_seed_flag_exits_2(self, tmp_path, seed):
         path = write_config(tmp_path, {"sampling": {"mode": "mc", "mc_samples": 2000}})
@@ -815,7 +844,23 @@ class TestSpreadField:
         self, nominal_noise, nominal_protocol, changes, field
     ):
         noise = replace(nominal_noise, **changes)
-        assert _spread_field(noise, inflate_sigmas(noise, nominal_protocol.t_gate), "z") == field
+        assert _spread_field(nominal_protocol, noise, "z") == field
+
+    @pytest.mark.parametrize(
+        "drives, changes, field",
+        [
+            # the flight is v_rms t_gate: a drive 1e6 times slower than 0.8 MHz outweighs an atom
+            # 1e11 times hotter, whose v_rms grows by 3e5, but not one 1e13 times hotter
+            ((0.8e-6, 0.8), {"temperature": 1e12}, "drive.omega_control_mhz"),
+            ((0.8, 0.8e-6), {"temperature": 1e12}, "drive.omega_target_mhz"),
+            ((0.8e-6, 0.8), {"temperature": 1e14}, "noise.temperature_uk"),
+            ((0.8e-6, 0.8e-7), {"atom_mass": 1e-38}, "drive.omega_target_mhz"),
+            ((0.8e-6, 0.8), {"atom_mass": 1e-40}, "noise.atom_mass_kg"),
+        ],
+    )
+    def test_names_the_slower_drive_when_the_gate_outlasts_the_heat(self, nominal_noise, drives, changes, field):
+        protocol = GateProtocol.solve(np.pi, drives[0] * MHZ, drives[1] * MHZ)
+        assert _spread_field(protocol, replace(nominal_noise, **changes), "z") == field
 
 
 class TestSweepCommand:
@@ -1055,6 +1100,30 @@ class TestInfiniteInteraction:
         assert f"config error: invalid config field '{field}'" in result.stderr
 
 
+class TestOverrideRange:
+    @pytest.mark.parametrize("interaction", [5e306, 2.8e307])
+    def test_interaction_beyond_the_walk_exits_2(self, tmp_path, interaction):
+        # 5e306 MHz walked to a fidelity 0.056 off the closed form, 2.8e307 MHz to a NaN exposure
+        # that named the lifetime; both lie above the schema's maximum
+        result = run_cli(["simulate", "--config", write_config(tmp_path, {"overrides": {"interaction_mhz": interaction}})])
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr.startswith("config error: invalid config field 'overrides.interaction_mhz'")
+        assert result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("separation, code", [(1e-17, 2), (1e-15, 0)])
+    def test_separation_beyond_the_walk_exits_2(self, tmp_path, separation, code):
+        # 39.5 THz um^6 at 1e-17 um is 4e109 MHz, at 1e-15 um 4e97 MHz
+        result = run_cli(["simulate", "--config", write_config(tmp_path, {"overrides": {"separation_um": separation}})])
+        assert result.exit_code == code
+        if code:
+            assert result.stderr.startswith("config error: invalid config field 'overrides.separation_um'")
+
+    def test_walk_holds_the_closed_form_up_to_the_maximum(self):
+        gaps = [run_simulate(parse_config({"overrides": {"interaction_mhz": float(value)}})).results["diagnostics"]
+                ["kernel_gap"] for value in np.geomspace(1e-3, MAX_OVERRIDE_MHZ, 200)]
+        assert max(gaps) < 1e-14
+
+
 class TestNumberFields:
     FIELDS = [
         "drive.omega_control_mhz", "drive.omega_target_mhz", "gate.theta_rad", "vdw.c6_thz_um6",
@@ -1101,6 +1170,33 @@ class TestNumberFields:
         result = run_cli([command, "--config", write_config(tmp_path, payload)])
         assert result.exit_code == 2
         assert result.stdout == ""
+        assert result.stderr.startswith(f"config error: invalid config field '{field}'")
+        assert result.stderr.count("\n") == 1
+
+    FLIGHTS = [
+        # v_rms t_gate overflows: the slow drive outweighs the heat or the light atom
+        ("fidelity", {"drive": {"omega_control_mhz": 1e-200}, "noise": {"temperature_uk": 1e300}},
+         "drive.omega_control_mhz"),
+        ("fidelity", {"drive": {"omega_control_mhz": 1e-200}, "noise": {"atom_mass_kg": 1e-300},
+                      "sampling": {"mode": "mc"}}, "drive.omega_control_mhz"),
+        ("sweep", {"drive": {"omega_target_mhz": 1e-250},
+                   "sweep": {"axis": "temperature", "start": 5.0, "stop": 1e300, "points": 2}},
+         "drive.omega_target_mhz"),
+        # kB T / m overflows, so v_rms is infinite at any drive
+        ("fidelity", {"noise": {"temperature_uk": 1e300, "atom_mass_kg": 1e-300}}, "noise.temperature_uk"),
+        ("fidelity", {"noise": {"temperature_uk": 1e20, "atom_mass_kg": 1e-320}, "sampling": {"mode": "mc"}},
+         "noise.atom_mass_kg"),
+    ]
+
+    @pytest.mark.parametrize("command, payload, field", FLIGHTS)
+    def test_overflowing_flight_names_the_field_behind_it(self, tmp_path, command, payload, field):
+        # under the suite's warnings-as-errors: the flight is formed in Python floats
+        payload["sampling"] = {"deltas": [0.5], "mc_samples": 200, **payload.get("sampling", {})}
+        cfg = parse_config(payload)
+        hottest = replace(cfg.noise, temperature=payload["sweep"]["stop"]) if command == "sweep" else cfg.noise
+        assert math.isinf(inflate_sigmas(hottest, cfg.protocol.t_gate).flight_length)
+        result = run_cli([command, "--config", write_config(tmp_path, payload)])
+        assert (result.exit_code, result.stdout) == (2, "")
         assert result.stderr.startswith(f"config error: invalid config field '{field}'")
         assert result.stderr.count("\n") == 1
 

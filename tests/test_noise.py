@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import replace
 from functools import partial
@@ -28,16 +29,20 @@ from rydvdw.noise import (
     position_averages,
     reduced,
 )
-from rydvdw.noise import _difference_weights
+from rydvdw import noise
+from rydvdw.noise import _GAMMA, _NormalStream, _difference_weights, _mix, _seed_key
 from rydvdw.gates import simulate
 from rydvdw.protocol import GateProtocol
 
 from .helpers import traced_peak
 from .oracles import (
+    PolarNormals,
     cubic_spline,
+    exact_position_average,
     grid_mean_full,
+    monte_carlo_distances,
     phase_gate_fidelity,
-    truncated_distances_rescan,
+    splitmix64,
     truncated_normal_variance,
 )
 
@@ -568,6 +573,54 @@ class TestGridWindow:
             grid_average_fidelity(nominal_table, nan, 1.0, GridSpec(0.5))
 
 
+SPLITMIX64_FROM_ZERO = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+
+class TestNormalStream:
+    def test_splitmix64_known_answers(self):
+        # the first three words from state 0, and seed 0 mixes to the key 0
+        words = np.arange(1, 4, dtype=np.uint64) * _GAMMA
+        assert _mix(words, np.empty_like(words)).tolist() == SPLITMIX64_FROM_ZERO == splitmix64(0, 3)
+        assert _seed_key(0) == 0
+
+    def test_every_seed_of_the_schema_has_its_own_key(self):
+        # the mix is a bijection of 64-bit words: distinct seeds, distinct keys, none past 2**64
+        seeds = [0, 1, 2, 20210901, 2**32, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1]
+        keys = [_seed_key(seed) for seed in seeds]
+        assert len(set(keys)) == len(seeds) and all(0 <= key < 2**64 for key in keys)
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_normals_are_the_scalar_reference(self, seed):
+        # requests of odd and even sizes, one of a full block: each takes ceil(n/2) pairs
+        stream, reference = _NormalStream(_seed_key(seed)), PolarNormals(seed)
+        for n in (1, 2, 3, 7, BLOCK, 5, 1):
+            assert stream.fill(np.empty(n)).tolist() == reference.take(n)
+
+    @pytest.mark.parametrize("batch", [1, 2, 17, 1000])
+    def test_normals_do_not_depend_on_the_batch(self, monkeypatch, batch):
+        # the counter advances over the attempts used, however many were mixed
+        sizes = (1, 5, 4096, 3, 10_001)
+        default = _NormalStream(_seed_key(3))
+        monkeypatch.setattr(noise, "_ATTEMPTS", batch)
+        small = _NormalStream(_seed_key(3))
+        for n in sizes:
+            assert np.array_equal(small.fill(np.empty(n)), default.fill(np.empty(n)))
+        assert small.attempts == default.attempts
+
+    def test_moments_of_ten_million_normals(self):
+        # mean 0, variance 1 and fourth moment 3, each within 5 standard errors:
+        # sqrt(1/n), sqrt(2/n) and sqrt(96/n), as E x**8 = 105; streamed in 1e6 chunks
+        stream, chunk, n = _NormalStream(_seed_key(20210901)), np.empty(10**6), 10**7
+        total = squares = fourth = 0.0
+        for _ in range(n // len(chunk)):
+            x = stream.fill(chunk)
+            x2 = x * x
+            total, squares, fourth = total + x.sum(), squares + x2.sum(), fourth + x2 @ x2
+        assert abs(total / n) < 5 * math.sqrt(1 / n)
+        assert abs(squares / n - 1.0) < 5 * math.sqrt(2 / n)
+        assert abs(fourth / n - 3.0) < 5 * math.sqrt(96 / n)
+
+
 class TestMonteCarlo:
     def test_vanishing_sigma(self, nominal_protocol, nominal_noise):
         # 1e-9 um trap spreads, which a 1e-30 uK free flight widens by some 2e-17 um
@@ -591,10 +644,26 @@ class TestMonteCarlo:
     def test_truncated_draw_is_the_rescanning_draw(self, nominal_sigmas, nominal_noise, n_samples, seed):
         # redrawing only the offsets still out of range keeps the stream and the draws
         sep = nominal_noise.trap_separation
-        expected = truncated_distances_rescan(
+        expected = monte_carlo_distances(
             nominal_sigmas.sigma_perp, nominal_sigmas.sigma_z, sep, n_samples, seed, 1.5, BLOCK
         )
         assert np.array_equal(drawn(nominal_sigmas, sep, n_samples, seed, truncate=1.5), expected)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("n_samples", [2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_untruncated_draw_is_the_scalar_reference(self, nominal_sigmas, nominal_noise, n_samples, seed):
+        # the schema's first and last seeds, through the whole draw, bit for bit
+        sep = nominal_noise.trap_separation
+        expected = monte_carlo_distances(
+            nominal_sigmas.sigma_perp, nominal_sigmas.sigma_z, sep, n_samples, seed, None, BLOCK
+        )
+        assert np.array_equal(drawn(nominal_sigmas, sep, n_samples, seed), expected)
+
+    @pytest.mark.parametrize("truncate", [None, 1.5])
+    def test_draw_does_not_depend_on_the_stream_batch(self, monkeypatch, reduced_sigmas, truncate):
+        expected = drawn(reduced_sigmas, 1.0, BLOCK + 3, 8, truncate)
+        monkeypatch.setattr(noise, "_ATTEMPTS", 37)
+        assert np.array_equal(drawn(reduced_sigmas, 1.0, BLOCK + 3, 8, truncate), expected)
 
     @pytest.mark.parametrize("truncate", [None, 1.5])
     def test_mean_square_distance(self, nominal_sigmas, nominal_noise, truncate):
@@ -610,10 +679,10 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("truncate", [None, 1.5])
     def test_monte_carlo_memory_is_a_few_blocks(self, reduced_sigmas, nominal_table, truncate):
         # 1e6 samples, 8 MB as one distance array: the draw, the lookups and the closed form
-        # of each block's 1.5% of untruncated draws beyond the grid window go a block at a time
-        # (0.76 MB measured, the draw's and the average's buffers; truncated 2.36 MB, most of
-        # it the draw's redraw masks); a first draw imports numpy.random (0.76 MB), which no
-        # later average pays
+        # of each block's 1.5% of untruncated draws beyond the grid window go a block at a time,
+        # each evaluated in place in the draw's distance buffer (1.00 MB measured: the distance
+        # and normals buffers, 0.26 MB, and the normal stream's, 0.61 MB, mixing one block's
+        # polar attempts at once; truncated 1.34 MB, with the redraw masks of one difference)
         monte_carlo_average_fidelity(nominal_table, reduced_sigmas, 1.0, 2, 5, truncate)
         peak = traced_peak(
             lambda: monte_carlo_average_fidelity(nominal_table, reduced_sigmas, 1.0, 10**6, 5, truncate)
@@ -707,6 +776,25 @@ class TestMonteCarlo:
         grid = grid_average_fidelity(nominal_table, reduced_sigmas, 1.0, GridSpec(0.1))
         mc = monte_carlo_average_fidelity(nominal_table, reduced_sigmas, 1.0, 200_000, seed=7, truncate=1.5)
         assert abs(mc.mean_fidelity - grid) < max(3 * mc.stderr, 1e-3)
+
+    def test_untruncated_mean_is_the_gauss_hermite_average(self, nominal_protocol, reduced_sigmas, nominal_table):
+        # 20 Gauss-Hermite nodes per difference: 0.98454891146465 on the reference (16 nodes
+        # give 0.98454891146641); twenty seeds, each within 5 of its standard errors
+        exact = exact_position_average(np.pi, nominal_protocol.omega_target, reduced_sigmas.sigma_perp,
+                                       reduced_sigmas.sigma_z, 1.0)
+        assert abs(exact - 0.98454891146465) < 1e-13
+        for seed in range(1, 21):
+            mc = monte_carlo_average_fidelity(nominal_table, reduced_sigmas, 1.0, 200_000, seed)
+            assert abs(mc.mean_fidelity - exact) < 5 * mc.stderr, seed
+
+    def test_truncated_mean_is_the_truncated_limit(self, nominal_protocol, reduced_sigmas, nominal_table):
+        # the grid's delta -> 0 limit, 16 Gauss-Legendre nodes on each |difference|
+        exact = exact_position_average(np.pi, nominal_protocol.omega_target, reduced_sigmas.sigma_perp,
+                                       reduced_sigmas.sigma_z, 1.0, truncate=1.5, nodes=16)
+        assert abs(exact - 0.99184259007791) < 1e-13
+        for seed in range(1, 6):
+            mc = monte_carlo_average_fidelity(nominal_table, reduced_sigmas, 1.0, 200_000, seed, truncate=1.5)
+            assert abs(mc.mean_fidelity - exact) < 5 * mc.stderr, seed
 
     def test_rejects_zero_samples(self, nominal_sigmas, nominal_noise):
         with pytest.raises(ValueError):
