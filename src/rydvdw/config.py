@@ -35,10 +35,11 @@ DEFAULT_SEED = 20210901
 
 _positive = {"type": "number", "exclusiveMinimum": 0}
 
-#: Largest interaction ``simulate`` walks under ``overrides``, in MHz.  On the reference design
-#: the walked fidelity holds the closed form within 1.1e-15 up to 1e100 MHz (14901 log-spaced
-#: points from 1e-3 MHz), and first loses it at 2.0e145 MHz: by 0.024 at 3.2e145 MHz, by 0.056 at
-#: 5e306 MHz, and at 2.8e307 MHz the walked exposure is NaN.
+#: Largest interaction ``simulate`` walks under ``overrides``, in MHz.  Over 60 random designs (CZ
+#: at theta 0.01 to 2 pi - 0.01 and CNOT, drives 0.1 to 10 MHz, 1000 log-spaced points each from
+#: 1e-3 MHz) the walked fidelity holds the closed form within 1.6e-15 up to here, and within 1e-14
+#: beyond it until the walk's phases overflow, first at 6.4e306 MHz; at 2.8e307 MHz the walked
+#: exposure is NaN.
 MAX_OVERRIDE_MHZ = 1e100
 
 SCHEMA = {

@@ -6,14 +6,21 @@ The pair Hilbert space is 9-dimensional with basis index
 Hamiltonians are piecewise constant, so :func:`propagate` moves states
 exactly through one Hermitian eigendecomposition per segment rather
 than by ODE stepping; at this matrix size that is both faster and free
-of step-size error.  The gate matrix and the Rydberg exposure both come
-from that one walk (:func:`rydvdw.gates.simulate`), at any interaction.
+of step-size error.  The eigendecomposition is cyclic complex Jacobi
+rotation, not LAPACK: each gate segment is a direct sum of small blocks
+(2x2 for CZ, 3x3 for CNOT) and a rotation never couples two blocks, so
+each block's eigenphases carry errors on that block's own scale, not on
+the interaction's (Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13,
+1204, 1992).  The gate matrix and the Rydberg exposure both come from
+that one walk (:func:`rydvdw.gates.simulate`), at any interaction.
 
 Angular frequencies are in rad/us, durations in us (hbar = 1).
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from enum import IntEnum
 from typing import Iterable, Sequence
 
@@ -112,13 +119,67 @@ def build_hamiltonian(
     return hamiltonian
 
 
+#: Most cyclic Jacobi sweeps one eigendecomposition may take, the last rotating nothing.
+_SWEEPS = 32
+
+
+def _jacobi_eigh(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Energies E and unitary modes M of a Hermitian matrix, H = M diag(E) M^dag, by cyclic
+    complex Jacobi rotations.
+
+    Each sweep visits the upper off-diagonals (p, q) in turn and zeroes every one that is not
+    negligible, |a_pq| > eps (|a_pp| + |a_qq|)/2, by the rotation of its 2x2 block: with
+    g = a_pq/|a_pq|, theta = (a_qq - a_pp)/(2|a_pq|), t = sign(theta)/(|theta| + hypot(theta, 1)),
+    c = 1/hypot(t, 1) and s = t c, the rotation is [[c, s], [-s conj(g), c conj(g)]] in the
+    (p, q) plane and the new diagonal a_pp - t|a_pq|, a_qq + t|a_pq|.  The scalars are Python
+    floats formed by ``math.hypot``, so nothing squares an entry.  It stops after a sweep that
+    rotates nothing, and raises :class:`NumericError` if :data:`_SWEEPS` sweeps do not reach one.
+    """
+    a = np.array(hamiltonian, dtype=complex)
+    modes = np.eye(len(a), dtype=complex)
+    eps = sys.float_info.epsilon
+    diagonal = a.diagonal().real.tolist()
+    for _ in range(_SWEEPS):
+        rotated = False
+        for p in range(len(a) - 1):
+            row = a[p].tolist()
+            for q in range(p + 1, len(a)):
+                apq = row[q]
+                size = abs(apq)
+                app, aqq = diagonal[p], diagonal[q]
+                if size <= eps * (abs(app) + abs(aqq)) / 2:
+                    continue
+                rotated = True
+                theta = (aqq - app) / (2.0 * size)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                back = (apq / size).conjugate()
+                for m in (a, modes):
+                    column = m[:, p].copy()
+                    m[:, p] = c * column - (s * back) * m[:, q]
+                    m[:, q] = s * column + (c * back) * m[:, q]
+                # a Hermitian A: its rows are the conjugated columns, and the block is diagonal
+                a[p] = a[:, p].conj()
+                a[q] = a[:, q].conj()
+                a[p, q] = a[q, p] = 0.0
+                diagonal[p], diagonal[q] = app - t * size, aqq + t * size
+                a[p, p], a[q, q] = diagonal[p], diagonal[q]
+                row = a[p].tolist()
+        if not rotated:
+            return np.array(diagonal), modes
+    raise NumericError(f"eigendecomposition failed: no convergence in {_SWEEPS} Jacobi sweeps")
+
+
 def propagate(segments: Sequence[tuple[np.ndarray, float]], states):
     """Advance state columns through a piecewise-constant pulse sequence and
     integrate their Rydberg exposure; the step of :func:`rydvdw.gates.simulate`.
 
-    Each segment (H, t) is diagonalized once, H = M diag(E) M^dag, and
+    Each segment (H, t) is diagonalized once by Jacobi rotations, H = M diag(E) M^dag, and
     with amplitudes C = M^dag psi the states move as M exp(-i E t) C;
-    no propagator matrix is formed.  ``segments`` are as
+    no propagator matrix is formed.  A block of H far from the others in energy keeps its
+    eigenphases to its own relative precision, so the walk holds the closed forms of
+    :mod:`rydvdw.gates` at any interaction up to ``config.MAX_OVERRIDE_MHZ``.  ``segments`` are as
     :meth:`rydvdw.protocol.GateProtocol.segments` builds them, Hermitian
     by construction and not re-checked: (9, 9) matrices in rad/us with
     finite durations >= 0 in us; ``states`` holds the columns of a (9, k)
@@ -143,10 +204,7 @@ def propagate(segments: Sequence[tuple[np.ndarray, float]], states):
             raise ValueError(f"a segment needs one ({DIM}, {DIM}) matrix; got shape {np.shape(hamiltonian)}")
         if not 0 <= duration < np.inf:
             raise ValueError(f"duration must be nonnegative and finite; got {duration!r}")
-        try:
-            energies, modes = np.linalg.eigh(hamiltonian)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"eigendecomposition failed: {exc}") from exc
+        energies, modes = _jacobi_eigh(hamiltonian)
         adjoint = modes.conj().T
         coeffs = adjoint @ states
         observable = (adjoint * RYDBERG_WEIGHT) @ modes

@@ -40,8 +40,11 @@ units, evaluates the block in place and reduces it against its weights by
 two matrix-vector products.  The draw forms its distances a block at a
 time, one coordinate difference after another, from normals of the
 package's own counter-based stream (SplitMix64 and Marsaglia's polar
-method, :class:`_NormalStream`), so no numpy version changes a seed's draws
-and the Monte Carlo never imports ``numpy.random``.  The Monte Carlo
+method, :class:`_NormalStream`), so a seed draws alike under every numpy
+version and CPU whose float64 ``log`` rounds alike (numpy's vectorized
+``log`` differs from the C library's in the last bit for about 0.35% of
+arguments in (0, 1), so another CPU or build may round some of them
+otherwise), and the Monte Carlo never imports ``numpy.random``.  The Monte Carlo
 evaluates each block in place, prices its draws beyond the table's window
 by the closed form, in their slots, and merges each block's mean and sum
 of squared deviations.  So no average forms a full-size distance, weight
@@ -527,8 +530,10 @@ def draw_distances(
     block takes the control's then the target's offsets per difference,
     redraws each until it lies within ``truncate`` sigma, and takes their
     difference.  The normals come from :class:`_NormalStream`, keyed by
-    ``seed`` (0 to 2**64 - 1), a package-owned stream that no numpy version
-    changes.  A block is formed one difference at a time, in the distance
+    ``seed`` (0 to 2**64 - 1), a package-owned stream: a seed draws alike under
+    every numpy version and CPU whose float64 ``log`` rounds alike, as the
+    normals take numpy's ``log``, whose last bit can differ across CPUs and
+    builds.  A block is formed one difference at a time, in the distance
     buffer and one buffer of normals; it is a view of the distance buffer that
     the next block overwrites (copy a block to keep it), so a draw holds a few
     blocks however many samples it yields.

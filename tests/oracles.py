@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Nothing here shares code paths with the package: propagation is done
-by fixed-step RK4 instead of eigendecomposition, populations are
+by fixed-step RK4 instead of eigendecomposition (also for a whole gate,
+whose leakage it gives), populations are
 integrated by the trapezoid rule on the RK4 trajectory, and the
 two-level return amplitude, and with it the phase-gate fidelity, comes
 from the closed-form SU(2) rotation algebra, the gate matrix is rebuilt
@@ -192,6 +193,17 @@ def expm_gate_matrix(kind, theta, omega_control, omega_target, interaction):
     qubits = [0, 1, 3, 4]
     gate = total[np.ix_(qubits, qubits)]
     return gate * (abs(gate[0, 0]) / gate[0, 0])
+
+
+def rk4_gate_matrix(kind, theta, omega_control, omega_target, interaction, step=1e-4):
+    """4x4 computational block of the CZ(theta) or CNOT sequence at one actual
+    interaction, by :func:`rk4_propagator` of the hand-built Hamiltonians; its
+    global phase is left as the walk makes it."""
+    total = np.eye(9, dtype=complex)
+    for h, duration in _pulse_sequence(kind, theta, omega_control, omega_target, interaction):
+        total = rk4_propagator(h, duration, step) @ total
+    qubits = [0, 1, 3, 4]
+    return total[np.ix_(qubits, qubits)]
 
 
 def van_loan_exposure(kind, theta, omega_control, omega_target, interaction):

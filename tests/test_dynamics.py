@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rydvdw import MHZ
+from rydvdw import MHZ, GateProtocol, dynamics
 from rydvdw.dynamics import (
     DIM,
     RYDBERG_WEIGHT,
     Level,
+    _jacobi_eigh,
     basis_index,
     build_hamiltonian,
     propagate,
 )
+from rydvdw.errors import NumericError
 
 from .helpers import basis_state, evolve, exponentiate
 from .oracles import detuned_cycle_amplitude, rk4_propagator
@@ -234,3 +236,122 @@ class TestPropagate:
             propagate([(np.stack([h, h]), t)], driven_inputs())
         with pytest.raises(ValueError, match=r"\(9, k\) array"):
             propagate([(h, t)], np.stack([driven_inputs()] * 2))
+
+
+EPS = np.finfo(float).eps
+
+
+def hermitian(real, imag):
+    """The Hermitian matrix whose upper triangle and diagonal come from ``real`` + i ``imag``."""
+    upper = np.triu(np.asarray(real) + 1j * np.asarray(imag), 1)
+    return upper + upper.conj().T + np.diag(np.diag(real))
+
+
+def entries(n, scale):
+    return st.lists(st.floats(-scale, scale), min_size=n * n, max_size=n * n).map(
+        lambda values: np.reshape(values, (n, n)))
+
+
+def dense():
+    return st.builds(hermitian, entries(DIM, 1e3), entries(DIM, 1e3))
+
+
+def block_sparse():
+    """A gate segment's shape: a direct sum of 1x1 to 3x3 blocks over a permuted basis, one
+    diagonal entry per block possibly far larger than the rest."""
+    def build(sizes, real, imag, big, order):
+        h = np.zeros((DIM, DIM), dtype=complex)
+        start = 0
+        for size in sizes:
+            block = slice(start, start + size)
+            h[block, block] = hermitian(real[block, block], imag[block, block])
+            h[start + size - 1, start + size - 1] += big
+            start += size
+        return h[np.ix_(order, order)]
+
+    sizes = st.lists(st.integers(1, 3), min_size=3, max_size=9).filter(lambda s: sum(s) >= DIM).map(
+        lambda s: [size for i, size in enumerate(s) if sum(s[:i]) < DIM])
+    return st.builds(
+        lambda sizes, real, imag, big, order: build([*sizes[:-1], DIM - sum(sizes[:-1])], real, imag, big, order),
+        sizes, entries(DIM, 10.0), entries(DIM, 10.0),
+        st.floats(0, 90).map(lambda e: 10.0 ** e), st.permutations(range(DIM)))
+
+
+def degenerate():
+    """Zero, diagonal and repeated-eigenvalue matrices: U diag(E) U^dag with few distinct E."""
+    def build(levels, picks, real, imag, diagonal):
+        energies = np.array([levels[i % len(levels)] for i in picks])
+        if diagonal:
+            return np.diag(energies).astype(complex)
+        q, r = np.linalg.qr(real + 1j * imag + 3.0 * np.eye(DIM))
+        unitary = q * (np.diag(r) / np.abs(np.diag(r)))
+        return hermitian(*(lambda m: (m.real, m.imag))((unitary * energies) @ unitary.conj().T))
+
+    return st.builds(build, st.lists(st.sampled_from([0.0, 1.0, -2.5, 7.0]), min_size=1, max_size=3),
+                     st.lists(st.integers(0, 8), min_size=DIM, max_size=DIM),
+                     entries(DIM, 1.0), entries(DIM, 1.0), st.booleans())
+
+
+def wide_blocks():
+    """A direct sum of 2x2 blocks [[a, b], [conj b, d]] with |d/b| and |b/a| up to 1e100."""
+    def build(blocks, order):
+        h = np.zeros((DIM, DIM), dtype=complex)
+        for k, (scale, ratio, small, phase) in enumerate(blocks):
+            i, j = 2 * k, 2 * k + 1
+            h[i, i], h[j, j] = scale * small, scale * ratio
+            h[i, j] = scale * np.exp(1j * phase)
+            h[j, i] = np.conj(h[i, j])
+        return h[np.ix_(order, order)]
+
+    block = st.tuples(st.floats(-40, 40).map(lambda e: 10.0 ** e), st.floats(-100, 100).map(lambda e: 10.0 ** e),
+                      st.sampled_from([0.0, 1e-100, -1e-30, 1.0]), st.floats(-np.pi, np.pi))
+    return st.builds(build, st.lists(block, min_size=4, max_size=4), st.permutations(range(DIM)))
+
+
+class TestJacobiEigh:
+    """The walk's eigensolver: a Hermitian matrix's eigenpairs to the rounding of the matrix,
+    and a gate segment's to the rounding of each of its blocks."""
+
+    @given(h=st.one_of(dense(), block_sparse(), degenerate(), wide_blocks()))
+    @settings(max_examples=200, deadline=None)
+    def test_eigenpairs_within_rounding(self, h):
+        energies, modes = _jacobi_eigh(h)
+        norm = np.linalg.norm(h, 2)
+        assert np.linalg.norm(h @ modes - modes * energies, 2) <= 50 * EPS * norm
+        assert np.linalg.norm(modes.conj().T @ modes - np.eye(DIM), 2) <= 50 * EPS
+        # numpy's LAPACK eigh, normwise accurate, as the oracle
+        assert np.abs(np.sort(energies) - np.linalg.eigh(h)[0]).max() <= 50 * EPS * norm
+
+    @given(scale=st.floats(-40, 40).map(lambda e: 10.0 ** e), ratio=st.floats(0, 100).map(lambda e: 10.0 ** e),
+           phase=st.floats(-np.pi, np.pi))
+    @settings(max_examples=100, deadline=None)
+    def test_small_eigenvalue_of_a_wide_block_is_relatively_accurate(self, scale, ratio, phase):
+        # the {|r1>, |rr>} block [[0, b], [conj b, V]]: its small eigenvalue is -|b|^2/(V/2 + hypot(V/2, |b|)),
+        # which a normwise-accurate solver gets only to about eps V; here it is off by a few ulps, or,
+        # where |b| <= eps V/2 leaves the block unrotated, by at most eps |b|/2
+        b, v = scale, scale * ratio
+        h = np.zeros((DIM, DIM), dtype=complex)
+        h[3, 3], h[3, 7], h[7, 3], h[7, 7] = 0.0, b * np.exp(1j * phase), b * np.exp(-1j * phase), v
+        energies = _jacobi_eigh(h)[0]
+        small = -b * (b / (v / 2 + np.hypot(v / 2, b)))
+        assert abs(energies[3] - small) <= 4 * EPS * abs(small) + EPS * b / 2
+        assert abs(energies[7] - (v - small)) <= 4 * EPS * abs(v - small)
+
+    @pytest.mark.parametrize("interaction_mhz", [0.0, 0.46, 1e9, 1e100])
+    def test_cz_segment_blocks_converge_after_one_rotation(self, monkeypatch, interaction_mhz):
+        # one sweep rotates each 2x2 block once and leaves it diagonal, so a second rotates nothing
+        protocol = GateProtocol.solve(np.pi, 0.8 * MHZ, 0.8 * MHZ)
+        for hamiltonian, _ in protocol.segments(interaction_mhz * MHZ):
+            monkeypatch.setattr(dynamics, "_SWEEPS", 2)
+            energies, modes = _jacobi_eigh(hamiltonian)
+            rotated = modes.conj().T @ hamiltonian @ modes
+            assert np.abs(rotated - np.diag(energies)).max() <= 4 * EPS * np.abs(hamiltonian).max()
+            monkeypatch.setattr(dynamics, "_SWEEPS", 1)
+            with pytest.raises(NumericError, match="eigendecomposition failed"):
+                _jacobi_eigh(hamiltonian)
+
+    @pytest.mark.parametrize("diagonal", [np.zeros(DIM), np.arange(DIM, dtype=float)], ids=["zero", "distinct"])
+    def test_diagonal_matrix_needs_no_rotation(self, monkeypatch, diagonal):
+        monkeypatch.setattr(dynamics, "_SWEEPS", 1)
+        energies, modes = _jacobi_eigh(np.diag(diagonal))
+        assert np.array_equal(energies, diagonal) and np.array_equal(modes, np.eye(DIM))
