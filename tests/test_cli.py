@@ -1320,3 +1320,79 @@ class TestNoLinalg:
         result = run_cli([command, "--config", write_config(tmp_path, payload)])
         assert result.exit_code == 0, result.output
         assert result.stdout
+
+
+class TestColdExit:
+    """Importing ``rydvdw.cli`` freezes the collector's heap, so a cold command exits without
+    tearing down its imports; the exit still flushes every output and keeps every exit code."""
+
+    SRC = str(Path(rydvdw.__file__).resolve().parents[1])
+
+    def cold(self, *args, text=True):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([self.SRC, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-W", "error", *args],
+                              capture_output=True, text=text, env=env, timeout=120)
+
+    def test_only_the_cli_freezes(self):
+        code = (
+            "import gc\n"
+            "import rydvdw\n"
+            "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n"
+            "import rydvdw.cli\n"
+            "assert gc.get_freeze_count() > 10000, gc.get_freeze_count()\n"
+        )
+        result = self.cold("-c", code)
+        assert result.returncode == 0, result.stderr
+
+    def test_module_run_freezes_before_main(self, tmp_path):
+        # run rydvdw.cli as `python -m` does, and read the freeze count when main parses its arguments
+        code = (
+            "import argparse, gc, runpy, sys\n"
+            "parse_args = argparse.ArgumentParser.parse_args\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    print(f'frozen {gc.get_freeze_count()}', file=sys.stderr)\n"
+            "    return parse_args(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.parse_args = counted\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "sys.argv = ['rydvdw', 'solve', '--config', sys.argv[1]]\n"
+            "runpy.run_module('rydvdw.cli', run_name='__main__', alter_sys=True)\n"
+        )
+        result = self.cold("-c", code, write_config(tmp_path, {}))
+        assert result.returncode == 0, result.stderr
+        counts = re.findall(r"^frozen (\d+)$", result.stderr, re.M)
+        assert len(counts) == 1 and int(counts[0]) > 10000, result.stderr
+        assert abs(json.loads(result.stdout)["params"]["separation_um"] - 20.99) < 0.01
+
+    def test_piped_sweep_is_complete(self, tmp_path):
+        payload = {"sweep": {"axis": "separation", "start": 15.0, "stop": 30.0, "points": 401}}
+        result = self.cold("-m", "rydvdw.cli", "sweep", "--config", write_config(tmp_path, payload), text=False)
+        assert (result.returncode, result.stderr) == (0, b"")
+        expected = rydvdw.cli._render(run_sweep(parse_config(payload)), "csv")
+        assert result.stdout == expected.encode()
+        assert len(rows_from_csv(expected)) == 401
+
+    def test_out_file_is_complete(self, tmp_path):
+        out = tmp_path / "simulate.json"
+        result = self.cold("-m", "rydvdw.cli", "simulate", "--config", write_config(tmp_path, {}), "--out", str(out))
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        assert json.loads(out.read_text())["results"]["diagnostics"]["kernel_gap"] < 1e-12
+
+    def test_config_error_exits_2(self, tmp_path):
+        path = write_config(tmp_path, {"noise": {"sigma_z0_um": -1.0}})
+        result = self.cold("-m", "rydvdw.cli", "solve", "--config", path)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.count("\n") == 1
+        assert result.stderr.startswith("config error: invalid config field 'noise.sigma_z0_um'")
+
+    def test_numeric_failure_exits_1(self, tmp_path):
+        # no valid config is known to break the eigensolver: leave it no sweep to converge in
+        code = (
+            "import sys\n"
+            "import rydvdw.dynamics\n"
+            "rydvdw.dynamics._SWEEPS = 0\n"
+            "from rydvdw.cli import main\n"
+            "main(['simulate', '--config', sys.argv[1]])\n"
+        )
+        result = self.cold("-c", code, write_config(tmp_path, {}))
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("numeric error: eigendecomposition failed")
