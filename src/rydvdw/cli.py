@@ -20,17 +20,15 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from dataclasses import replace
 
 import numpy as np
 
+from .budget import decay_errors, price
 from .config import RunConfig, interaction_at, load_config, parse_config, solve_gate
-from .constants import (DRIVE_DEFAULT_MHZ, HYPERFINE_SPLITTING_RB87, LIFETIME_97S_4K_MS, LIFETIME_97S_300K_MS,
-                        MHZ, RB87_MASS_KG, TEMPERATURE_DEFAULT_UK)
+from .constants import HYPERFINE_SPLITTING_RB87, MHZ
 from .errors import ConfigError, NumericError
 from .gates import design_exposure, gate_fidelity, ideal_gate, pedersen_fidelity, simulate
-from .noise import (GRID_HALF_RANGE, KNOT_SPACING, FidelityTable, NoiseConfig, decay_error, grid_window,
-                    inflate_sigmas, position_averages, reduced)
+from .noise import GRID_HALF_RANGE
 from .protocol import GateProtocol, hyperfine_leakage_estimate
 from .records import ResultRecord, complex_matrix_to_json, rows_to_csv
 
@@ -56,79 +54,6 @@ def _params_dict(protocol: GateProtocol) -> dict:
         "t_cycle_us": protocol.t_cycle,
         "t_gate_us": protocol.t_gate,
         "separation_um": protocol.separation,
-    }
-
-
-def _spread_field(protocol: GateProtocol, ncfg: NoiseConfig, axis, temperature_field="noise.temperature_uk"):
-    """The config field behind a spread too wide on ``axis`` ("perp" or "z") over ``protocol``'s
-    gate: its trap spread, or, where the free flight v_rms t_gate adds more, the factor of the
-    flight furthest from the reference point (10 uK, Rb-87, 0.8 MHz drives) towards a longer one:
-    the temperature (``temperature_field``) or the atom mass, each under v_rms's square root, or
-    the slower drive, whose part of t_gate goes as its inverse."""
-    if not inflate_sigmas(ncfg, protocol.t_gate).flight_length / 2.0 > getattr(ncfg, f"sigma_{axis}0"):
-        return f"noise.sigma_{axis}0_um"
-    hotter, lighter = ncfg.temperature / TEMPERATURE_DEFAULT_UK, RB87_MASS_KG / ncfg.atom_mass
-    control = protocol.omega_control <= protocol.omega_target
-    slower = DRIVE_DEFAULT_MHZ * MHZ / float(min(protocol.omega_control, protocol.omega_target))
-    if slower * slower > max(hotter, lighter):
-        return "drive.omega_control_mhz" if control else "drive.omega_target_mhz"
-    return temperature_field if hotter >= lighter else "noise.atom_mass_kg"
-
-
-def _spread_error(protocol, ncfg, overflow, temperature_field, exc) -> ConfigError:
-    """The config error for reduced distances that the table or the closed form refuses (``exc``
-    says why): it names the field behind the larger spread, or the trap separation if a distance
-    ``overflow``-ed and the separation exceeds both spreads, and the temperature as
-    ``temperature_field``."""
-    sigmas = reduced(protocol, ncfg)[0]
-    axis = "z" if sigmas.sigma_z >= sigmas.sigma_perp else "perp"
-    far = overflow and ncfg.trap_separation > max(sigmas.sigma_z, sigmas.sigma_perp)
-    field = "noise.trap_separation_um" if far else _spread_field(protocol, ncfg, axis, temperature_field)
-    return ConfigError(
-        f"invalid config field '{field}': a {ncfg.trap_separation!r} um trap separation and spreads "
-        f"sigma_z {sigmas.sigma_z:.4g} and sigma_perp {sigmas.sigma_perp:.4g} um, "
-        f"in {protocol.separation:.4g} um design separations: {exc}"
-    )
-
-
-def _sampled_table(protocol, ncfg, grid, temperature_field):
-    """The table over the :func:`grid_window` of the :func:`reduced` spreads and separation s,
-    which is known before any draw; the Monte Carlo takes its draws beyond it from the closed
-    form.  A window reaching zero distance names :func:`_spread_field` for sigma_perp (sigma_z
-    adds in quadrature) if ``grid``; a Monte Carlo run alone tabulates from s instead, or from
-    one knot spacing if s lies nearer to zero (where the interaction would overflow), and its
-    nearer draws take the closed form.  A window the table refuses is a :func:`_spread_error`,
-    overflowed if either end is not finite."""
-    sigmas, scaled, separation = reduced(protocol, ncfg)
-    lo, hi = grid_window(scaled, separation)
-    if not lo > 0.0:
-        if grid:
-            raise ConfigError(
-                f"invalid config field '{_spread_field(protocol, ncfg, 'perp', temperature_field)}': the "
-                f"position grid reaches zero distance, as 3 sigma_perp (3 x {sigmas.sigma_perp:.4g} um, "
-                f"inflated at {ncfg.temperature:.4g} uK) reach the {ncfg.trap_separation:.4g} um trap separation"
-            )
-        lo = max(separation, KNOT_SPACING)
-    try:
-        return FidelityTable(protocol, lo, hi)
-    except ValueError as exc:
-        raise _spread_error(protocol, ncfg, not np.isfinite(hi - lo), temperature_field, exc) from None
-
-
-def _decay_errors(exposure: float, lifetime_ms: float) -> dict:
-    """The decay error of ``exposure`` at the config lifetime and at the 97S
-    lifetimes at 300 K and 4 K.  The exposure is finite, so an error that is
-    not (a lifetime too short to divide by) names the lifetime field."""
-    error = decay_error(exposure, lifetime_ms)
-    if not np.isfinite(error):
-        raise ConfigError(
-            f"invalid config field 'noise.rydberg_lifetime_ms': {lifetime_ms!r} ms "
-            f"makes the decay error of a {exposure!r} us exposure {error!r}"
-        )
-    return {
-        "decay_error": error,
-        "decay_error_300k": decay_error(exposure, LIFETIME_97S_300K_MS),
-        "decay_error_4k": decay_error(exposure, LIFETIME_97S_4K_MS),
     }
 
 
@@ -170,7 +95,7 @@ def run_simulate(cfg: RunConfig) -> ResultRecord:
             "gate_matrix": complex_matrix_to_json(gate),
             "nominal_fidelity": fidelity,
             "rydberg_exposure_us": exposure,
-            **_decay_errors(exposure, cfg.noise.rydberg_lifetime),
+            **decay_errors(exposure, cfg.noise.rydberg_lifetime),
             # the walk against the closed forms that price every other record; the exposure's
             # holds at the design interaction only
             "diagnostics": {
@@ -186,52 +111,46 @@ def run_simulate(cfg: RunConfig) -> ResultRecord:
 def run_fidelity(cfg: RunConfig) -> ResultRecord:
     """Average the gate fidelity over position fluctuations, on the grid and/or by Monte Carlo."""
     _reject_overrides(cfg)
-    protocol, ncfg = cfg.protocol, cfg.noise
     deltas = cfg.deltas if cfg.mode in ("grid", "both") else ()
-    table = _sampled_table(protocol, ncfg, bool(deltas), "noise.temperature_uk")
-    exposure = design_exposure(protocol)
     n_samples = cfg.mc_samples if cfg.mode in ("mc", "both") else 0
     truncate = GRID_HALF_RANGE if cfg.mc_truncated else None
-    try:
-        averages = position_averages(table, ncfg, deltas, n_samples, cfg.seed, truncate)
-    except ValueError as exc:
-        # a draw beyond the window whose distance, or interaction, overflowed
-        raise _spread_error(protocol, ncfg, True, "noise.temperature_uk", exc) from None
-    errors, report = _decay_errors(exposure, ncfg.rydberg_lifetime), averages.mc
+    budget = price(cfg.protocol, cfg.noise, deltas, n_samples, cfg.seed, truncate)
+    (sigmas,), (means,), seconds, errors = budget.sigmas, budget.grid, budget.seconds, budget.decay
+    report = budget.mc[0] if budget.mc else None
     # (wall-time key, CSV label, mean, sample count) of each average, in the order of its seconds
     rows = [(f"grid_{delta}", delta, mean, count)
-            for delta, mean, count in zip(deltas, averages.grid, averages.grid_nodes)]
+            for delta, mean, count in zip(deltas, means, budget.grid_nodes)]
     rows += [] if report is None else [("mc", "mc", report.mean_fidelity, report.sample_count)]
     results = {
-        "sigma_z_um": averages.sigmas.sigma_z,
-        "sigma_perp_um": averages.sigmas.sigma_perp,
-        "rydberg_exposure_us": exposure,
+        "sigma_z_um": sigmas.sigma_z,
+        "sigma_perp_um": sigmas.sigma_perp,
+        "rydberg_exposure_us": budget.exposure,
         "csv_rows": [
             {"delta": label, "meanFidelity": mean, "netFidelity300K": mean - errors["decay_error_300k"],
              "netFidelity4K": mean - errors["decay_error_4k"], "samples": count, "wallTime": wall}
-            for (_, label, mean, count), wall in zip(rows, averages.seconds)
+            for (_, label, mean, count), wall in zip(rows, seconds)
         ],
-        "wall_times": {key: wall for (key, *_), wall in zip(rows, averages.seconds)},
+        "wall_times": {key: wall for (key, *_), wall in zip(rows, seconds)},
     }
     if deltas:
         _, _, mean, count = rows[deltas.index(min(deltas))]
         finest = _block(mean, count, errors["decay_error"], method="grid-paired", truncation=GRID_HALF_RANGE)
-        convergence = [list(pair) for pair in zip(deltas, averages.grid)]
+        convergence = [list(pair) for pair in zip(deltas, means)]
         results["grid"] = {**finest, "convergence": convergence, "estimate": mean}
     if report is not None:
         method = "mc-truncated" if cfg.mc_truncated else "mc"
         results["mc"] = _block(report.mean_fidelity, report.sample_count, errors["decay_error"], method=method,
                                stderr=report.stderr, truncation=truncate)
-    spline_error, spline_error_interior = table.spline_errors()
+    spline_error, spline_error_interior = budget.table.spline_errors()
     results["diagnostics"] = {
-        "table_knots": len(table.distances),
+        "table_knots": len(budget.table.distances),
         "spline_error": spline_error,
         "spline_error_interior": spline_error_interior,
         "direct_evaluations": 0 if report is None else report.direct_evaluations,
-        "grid_lookups": averages.grid_lookups,
+        "grid_lookups": budget.grid_lookups,
     }
     return ResultRecord(
-        command="fidelity", config=cfg.raw, params=_params_dict(protocol), results=results
+        command="fidelity", config=cfg.raw, params=_params_dict(cfg.protocol), results=results
     )
 
 
@@ -273,27 +192,22 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
                 "separation_um": swept.separation,
                 "t_gate_us": swept.t_gate,
                 "rydberg_exposure_us": exposure,
-                "decay_error_300k": _decay_errors(exposure, cfg.noise.rydberg_lifetime)["decay_error_300k"],
+                "decay_error_300k": decay_errors(exposure, cfg.noise.rydberg_lifetime)["decay_error_300k"],
                 "nominal_fidelity": float(gate_fidelity(swept, swept.nominal_interaction)),
             })
     elif axis == "temperature":
-        # one table for every temperature: both sigmas grow with it, so the
-        # hottest grid reaches farthest
         hot_field = "sweep.stop" if cfg.sweep["stop"] >= cfg.sweep["start"] else "sweep.start"
-        table = _sampled_table(protocol, replace(cfg.noise, temperature=float(values[-1])), True, hot_field)
-        decay = _decay_errors(design_exposure(protocol), cfg.noise.rydberg_lifetime)["decay_error"]
-        delta = min(cfg.deltas)
-        for temp in values:
-            averages = position_averages(table, replace(cfg.noise, temperature=float(temp)), (delta,))
-            (mean,) = averages.grid
+        delta, temperatures = min(cfg.deltas), tuple(values.tolist())
+        budget = price(protocol, cfg.noise, (delta,), temperatures=temperatures, temperature_field=hot_field)
+        for temp, sigmas, (mean,) in zip(temperatures, budget.sigmas, budget.grid):
             rows.append({
                 "axis": axis,
-                "value": float(temp),
-                "sigma_z_um": averages.sigmas.sigma_z,
-                "sigma_perp_um": averages.sigmas.sigma_perp,
+                "value": temp,
+                "sigma_z_um": sigmas.sigma_z,
+                "sigma_perp_um": sigmas.sigma_perp,
                 "delta": delta,
                 "mean_fidelity": mean,
-                "net_fidelity": mean - decay,
+                "net_fidelity": mean - budget.decay["decay_error"],
             })
     else:  # unreachable behind schema validation
         raise ConfigError(f"invalid config field 'sweep.axis': unknown axis {axis!r}")

@@ -8,8 +8,8 @@ solves the :class:`GateProtocol` every command runs on, with its
 :class:`VdwModel` and the :class:`NoiseConfig` that prices it (trap
 separation ``noise.trap_separation_um``, else the solved one), so a
 design-point fault is reported when the config loads.  Every fault is a
-:class:`ConfigError` naming its field; only this module and
-:mod:`rydvdw.cli` name fields.
+:class:`ConfigError` naming its field: this module and :mod:`rydvdw.budget` name
+a design point's, :mod:`rydvdw.cli` a command's (``overrides``, ``sweep``, the hyperfine drive).
 """
 
 from __future__ import annotations

@@ -49,16 +49,11 @@ evaluates each block in place, prices its draws beyond the table's window
 by the closed form, in their slots, and merges each block's mean and sum
 of squared deviations.  So no average forms a full-size distance, weight
 or fidelity array.
-
-:func:`position_averages` prices one design point on one table, for the
-``fidelity`` command and each temperature-sweep row alike: the grid mean at
-each step and the Monte Carlo report, each timed, and the grid's counts.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Iterator
 from dataclasses import astuple, dataclass, fields
 
@@ -81,7 +76,6 @@ __all__ = [
     "InflatedSigmas",
     "GridSpec",
     "FidelityReport",
-    "PositionAverages",
     "inflate_sigmas",
     "reduced",
     "FidelityTable",
@@ -89,7 +83,6 @@ __all__ = [
     "draw_distances",
     "grid_average_fidelity",
     "monte_carlo_average_fidelity",
-    "position_averages",
     "decay_error",
 ]
 
@@ -197,21 +190,6 @@ class FidelityReport:
     sample_count: int
     stderr: float
     direct_evaluations: int
-
-
-@dataclass(frozen=True)
-class PositionAverages:
-    """What :func:`position_averages` found: the inflated ``sigmas`` in um, the ``grid`` mean at
-    each step in the order given, the Monte Carlo report ``mc`` (None without draws), the wall
-    ``seconds`` of each average (the grid's, then the Monte Carlo's), the (m+1)**6 ``grid_nodes``
-    of each step, m = ``GridSpec.steps``, and the (2m+1)(m+1)**2 folded ``grid_lookups`` of all."""
-
-    sigmas: InflatedSigmas
-    grid: tuple[float, ...]
-    mc: FidelityReport | None
-    seconds: tuple[float, ...]
-    grid_nodes: tuple[int, ...]
-    grid_lookups: int
 
 
 def inflate_sigmas(cfg: NoiseConfig, t_gate: float) -> InflatedSigmas:
@@ -632,27 +610,6 @@ def monte_carlo_average_fidelity(
     mean, squares, _ = moments
     stderr = math.sqrt(squares / (n_samples - 1)) / math.sqrt(n_samples)
     return FidelityReport(mean, n_samples, stderr, direct)
-
-
-def position_averages(table: FidelityTable, ncfg: NoiseConfig, deltas: tuple[float, ...] = (),
-                      n_samples: int = 0, seed: int = 0, truncate: float | None = None) -> PositionAverages:
-    """The fidelity on ``table`` averaged over the positions of ``ncfg``, in the table's unit
-    (:func:`reduced`): a :func:`grid_average_fidelity` at each step of ``deltas``, then, if
-    ``n_samples``, a :func:`monte_carlo_average_fidelity` of that many draws (``seed``,
-    ``truncate``), each timed on its own, and the grid's counts.  Their ValueErrors propagate."""
-    sigmas, *scaled = reduced(table.protocol, ncfg)
-    grids = [GridSpec(delta) for delta in deltas]
-    means, seconds, mc = [], [], None
-    for grid in grids:
-        tic = time.perf_counter()
-        means.append(grid_average_fidelity(table, *scaled, grid))
-        seconds.append(time.perf_counter() - tic)
-    if n_samples:
-        tic = time.perf_counter()
-        mc = monte_carlo_average_fidelity(table, *scaled, n_samples, seed, truncate)
-        seconds.append(time.perf_counter() - tic)
-    return PositionAverages(sigmas, tuple(means), mc, tuple(seconds), tuple((g.steps + 1) ** 6 for g in grids),
-                            sum((2 * g.steps + 1) * (g.steps + 1) ** 2 for g in grids))
 
 
 def decay_error(exposure: float, lifetime_ms: float) -> float:

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import rydvdw
 from rydvdw import MHZ
-from rydvdw.cli import _spread_field, run_fidelity, run_simulate, run_solve, run_sweep
+from rydvdw.budget import _spread_field
+from rydvdw.cli import run_fidelity, run_simulate, run_solve, run_sweep
 from rydvdw.config import MAX_OVERRIDE_MHZ, SCHEMA, RunConfig, load_config, parse_config
 from rydvdw.errors import ConfigError
 from rydvdw.gates import design_exposure, gate_fidelity, simulate
@@ -31,15 +32,16 @@ from .oracles import rk4_gate_matrix
 
 @pytest.fixture
 def tables(monkeypatch):
-    """The fidelity tables a command builds, in order."""
+    """The fidelity tables a command builds, in order: ``budget.price`` builds them (the tests
+    that find one table are this spy's positive controls)."""
     built = []
 
-    class Kept(rydvdw.cli.FidelityTable):
+    class Kept(rydvdw.budget.FidelityTable):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(self)
 
-    monkeypatch.setattr("rydvdw.cli.FidelityTable", Kept)
+    monkeypatch.setattr("rydvdw.budget.FidelityTable", Kept)
     return built
 
 
@@ -503,19 +505,24 @@ class TestFidelityCommand:
 
     def test_grid_reaching_zero_distance_exits_before_the_draw(self, tmp_path, monkeypatch):
         draws = []
-        monte_carlo = rydvdw.noise.monte_carlo_average_fidelity
+        monte_carlo = rydvdw.budget.monte_carlo_average_fidelity
 
         def counted(*args, **kwargs):
             draws.append(args)
             return monte_carlo(*args, **kwargs)
 
-        monkeypatch.setattr("rydvdw.noise.monte_carlo_average_fidelity", counted)
+        monkeypatch.setattr("rydvdw.budget.monte_carlo_average_fidelity", counted)
         reference = json.loads((Path(__file__).resolve().parents[1] / "configs" / "reference_cz.json").read_text())
-        payload = {**reference, "noise": {**reference["noise"], "sigma_perp0_um": 8.0}}
+        sampling = {**reference["sampling"], "mc_samples": 2000}
+        payload = {**reference, "noise": {**reference["noise"], "sigma_perp0_um": 8.0}, "sampling": sampling}
         assert payload["sampling"]["mode"] == "both"
         result = run_cli(["fidelity", "--config", write_config(tmp_path, payload)])
         assert (result.exit_code, result.stdout, draws) == (2, "", [])
         assert "config error: invalid config field 'noise.sigma_perp0_um'" in result.stderr
+        # the spy's positive control: the same run at the reference spread draws once
+        payload["noise"] = reference["noise"]
+        result = run_cli(["fidelity", "--config", write_config(tmp_path, payload)])
+        assert (result.exit_code, len(draws)) == (0, 1)
 
     def test_grid_reaching_zero_distance_names_sigma_perp(self, tmp_path):
         payload = {"noise": {"trap_separation_um": 0.9, "temperature_uk": 12.5}}
@@ -596,12 +603,17 @@ class TestFidelityCommand:
 
             return call
 
-        monkeypatch.setattr("rydvdw.cli.design_exposure", counted("design_exposure", design_exposure))
+        # budget.price computes the exposure; the CLI's own name would take any second call
+        for module in ("budget", "cli"):
+            monkeypatch.setattr(f"rydvdw.{module}.design_exposure", counted("design_exposure", design_exposure))
         monkeypatch.setattr("rydvdw.cli.simulate", counted("simulate", simulate))
         run = run_sweep if "sweep" in payload else run_fidelity
         run(parse_config(payload))
         assert len(calls["design_exposure"]) == 1
         assert calls["simulate"] == []
+        # the walk spy's positive control: simulate walks once
+        run_simulate(parse_config({}))
+        assert len(calls["simulate"]) == 1
 
     def test_tiny_sigma_returns_unity(self, tmp_path):
         payload = {

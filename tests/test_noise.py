@@ -26,10 +26,10 @@ from rydvdw.noise import (
     grid_window,
     inflate_sigmas,
     monte_carlo_average_fidelity,
-    position_averages,
     reduced,
 )
 from rydvdw import noise
+from rydvdw.budget import price
 from rydvdw.noise import _GAMMA, _NormalStream, _difference_weights, _mix, _seed_key
 from rydvdw.gates import simulate
 from rydvdw.protocol import GateProtocol
@@ -51,9 +51,9 @@ VDW = VdwModel()
 
 def mc_average(protocol, noise, n_samples, seed, truncate=None):
     """The fidelity command's Monte Carlo path: the table over the grid window
-    in design separations, then the position averages' draw on it."""
-    table = FidelityTable(protocol, *grid_window(*reduced(protocol, noise)[1:]))
-    return position_averages(table, noise, (), n_samples, seed, truncate).mc
+    in design separations, then the priced draw on it."""
+    (report,) = price(protocol, noise, (), n_samples, seed, truncate).mc
+    return report
 
 
 def drawn(*args, **kwargs):
@@ -804,25 +804,6 @@ class TestMonteCarlo:
         # one draw has no standard error
         with pytest.raises(ValueError, match="standard error"):
             monte_carlo_average_fidelity(nominal_table, reduced_sigmas, 1.0, 1, seed=1)
-
-
-class TestPositionAverages:
-    @pytest.mark.parametrize("truncate", [None, 1.5])
-    def test_equals_the_averages_it_calls(self, nominal_protocol, nominal_noise, nominal_table, truncate):
-        averages = position_averages(nominal_table, nominal_noise, (0.25, 0.1), 5000, 9, truncate)
-        sigmas, *scaled = reduced(nominal_protocol, nominal_noise)
-        assert averages.sigmas == sigmas == inflate_sigmas(nominal_noise, nominal_protocol.t_gate)
-        assert averages.grid == tuple(grid_average_fidelity(nominal_table, *scaled, GridSpec(d)) for d in (0.25, 0.1))
-        assert averages.mc == monte_carlo_average_fidelity(nominal_table, *scaled, 5000, 9, truncate)
-        assert len(averages.seconds) == 3 and min(averages.seconds) > 0.0
-        assert averages.grid_nodes == (13**6, 31**6)
-        assert averages.grid_lookups == sum((2 * m + 1) * (m + 1) ** 2 for m in (12, 30)) == 25 * 13**2 + 61 * 31**2
-
-    def test_nothing_to_average(self, nominal_noise, nominal_sigmas, nominal_table):
-        averages = position_averages(nominal_table, nominal_noise)
-        assert (averages.grid, averages.mc, averages.seconds, averages.grid_nodes, averages.grid_lookups) == (
-            (), None, (), (), 0)
-        assert averages.sigmas == nominal_sigmas
 
 
 class TestDecayError:
